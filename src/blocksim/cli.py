@@ -29,8 +29,7 @@ from .errors import ConfigError
 from .infinite import InfSimConfig, simulate_infinite
 from .manifest import RunManifest, load_manifest, sha256_file, write_manifest
 from .matrix import simulate_matrix
-from .montecarlo import (ExperimentPlan, default_ratio_grid, derived_metrics,
-                         predicted_p, prediction_warning, run_experiment)
+from .montecarlo import ExperimentPlan, default_ratio_grid, run_experiment
 from .network import NetSimConfig, simulate_network
 from .rng import StreamBundle
 from .validate import run_validation
@@ -329,8 +328,8 @@ def simulate(engine, alpha_flag, beta_flag, m_flag, n_flag, seed, config_path,
 @click.option("--engine", type=click.Choice(_ENGINE_CHOICES), default=None,
               help="Engine for kind=single (default infinite).")
 @click.option("--seed", type=int, default=None)
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Concurrent replication workers.")
+@click.option("--jobs", type=int, default=None,
+              help="Concurrent replication workers (default 1).")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_path", type=click.Path(), default="experiment.csv",
               show_default=True, help="CSV table path.")
@@ -378,7 +377,7 @@ def experiment(kind, alpha_flag, beta_flag, n_flag, reps, sweep, m_flag, bins,
         "bins": int(_resolve(bins, file_cfg, "bins", 20)),
         "engine": _resolve(engine, file_cfg, "engine", "infinite"),
         "seed": base_seed,
-        "jobs": int(jobs),
+        "jobs": int(_resolve(jobs, file_cfg, "jobs", 1)),
         "output_names": {"table": Path(out_path).name},
     }
     digests = run_experiment_files(params, {"table": out_path})

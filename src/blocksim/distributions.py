@@ -17,6 +17,7 @@ double so production times are strictly increasing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 from scipy.special import gammainc, gammaincinv
@@ -58,7 +59,7 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown distribution kind {self.kind!r}")
-        object.__setattr__(self, "mean", float(self.mean))
+        object.__setattr__(self, "mean", _finite(self.mean, f"{self.kind} mean"))
         if self.kind == "constant":
             if self.mean < 0:
                 raise ConfigError("constant distribution needs mean >= 0")
@@ -71,7 +72,7 @@ class DistributionSpec:
             return
         if self.shape is None:
             raise ConfigError(f"{self.kind} distribution needs a shape parameter")
-        object.__setattr__(self, "shape", float(self.shape))
+        object.__setattr__(self, "shape", _finite(self.shape, f"{self.kind} shape"))
         if self.shape <= 0:
             raise ConfigError(f"{self.kind} shape must be > 0")
         if self.kind == "chi_squared" and abs(self.mean - self.shape) > 1e-12 * max(1.0, self.shape):
@@ -98,6 +99,17 @@ class DistributionSpec:
         return d
 
 
+def _finite(value, what: str) -> float:
+    """A finite float from a parameter value, or a ConfigError."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be finite, got {x}")
+    return x
+
+
 def exponential(mean: float) -> DistributionSpec:
     return DistributionSpec("exponential", mean)
 
@@ -120,8 +132,12 @@ def spec_from_dict(d: dict) -> DistributionSpec:
     if "kind" not in d:
         raise ConfigError("distribution dict needs a 'kind' field")
     kind = d["kind"]
-    if kind == "chi_squared" and "mean" not in d:
-        return chi_squared(d["shape"])
+    if kind == "chi_squared":
+        # Mean and degrees of freedom are one parameter; either field sets it.
+        dof = d.get("shape", d.get("mean"))
+        if dof is None:
+            raise ConfigError("chi_squared dict needs a 'mean' or 'shape' field")
+        return DistributionSpec(kind, d.get("mean", dof), dof)
     if "mean" not in d:
         raise ConfigError("distribution dict needs a 'mean' field")
     return DistributionSpec(kind, d["mean"], d.get("shape"))

@@ -1,12 +1,16 @@
 """Closed-form simulation of the bounded-worker model via a delay matrix.
 
-Instead of routing messages, this engine draws the whole delay matrix up
-front: entry d[i][j] is the lag before worker j learns of block i+1,
-with a zero at the producer's own column.  Block k's height is then a
-one-liner: one plus the best height among blocks already visible to k's
-producer, where block 0 (the origin) is visible from the start.  The
-engine tracks heights only; use the event-driven engine to materialize
-trees.
+Instead of routing messages, this engine reads a delay matrix: entry
+d(i, j) is the lag before worker j learns of block i, with a zero at the
+producer's own column.  Block k's height is then a one-liner: one plus
+the best height among blocks already visible to k's producer, where
+block 0 (the origin) is visible from the start.  The engine tracks
+heights only; use the event-driven engine to materialize trees.
+
+The matrix is never held whole.  Its entries are read in blocks of rows
+drawn on demand from the delay substream (see DelayMatrix), so memory is
+bounded by a few row blocks rather than by n*m, and the values are the
+ones the event-driven engine draws in sequence.
 
 The visibility scan comes in two interchangeable forms: a naive pass
 over all earlier blocks, and a pruned backward scan that stops as soon
@@ -17,36 +21,93 @@ step; the pruned form is the default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import sample_many
+from .distributions import DistributionSpec, sample_many
+from .errors import InvariantError
 from .network import NetSimConfig, SimOutcome
 from .rng import StreamBundle
+
+# Delay values per row block.  A block holds max(1, BLOCK_VALUES // (m-1))
+# rows: large enough that drawing one costs little per value, small
+# enough that the three blocks kept take about 1.5 MB.
+BLOCK_VALUES = 2**16
+
+
+class DelayMatrix:
+    """Entries d(i, j) of the delay matrix, drawn in row blocks on demand.
+
+    Row i-1 holds block i's m-1 delays in recipient order skipping the
+    producer, which is the order the event-driven engine draws them, so
+    entry (i, j) of a non-producer column sits at stream position
+    (i-1)(m-1) + j - [j > producer_i].  Rows are drawn a block at a time
+    with the vectorized transform and kept as memoryviews, whose items
+    index as Python floats.
+
+    Blocks are drawn as the scans reach them.  The newest two are kept,
+    plus one older block that is re-drawn by seeking the stream back when
+    a scan reaches past both.  Any block can be re-drawn, so which ones
+    are kept changes the cost, never the values.
+    """
+
+    def __init__(self, spec: DistributionSpec, stream, producers: list[int], m: int):
+        self._spec = spec
+        self._stream = stream
+        self._producers = producers
+        self._width = m - 1
+        self._rows = max(1, BLOCK_VALUES // max(1, self._width))
+        empty = (-1, None)
+        self._recent = (empty, empty)  # the two newest blocks, older first
+        self._older = empty  # one re-drawn block behind them
+        self._blocks: dict = {}
+
+    def entry(self, i: int, j: int) -> float:
+        """Delay before worker j learns of block i (0.0 for its producer)."""
+        r = i - 1
+        p = self._producers[r]
+        if j == p:
+            return 0.0
+        b = r // self._rows
+        view = self._blocks.get(b)
+        if view is None:
+            view = self._fetch(b)
+        return view[(r - b * self._rows) * self._width + j - (j > p)]
+
+    def _fetch(self, b: int):
+        first = b * self._rows
+        rows = min(self._rows, len(self._producers) - first)
+        self._stream.seek(first * self._width)
+        view = memoryview(sample_many(self._spec, self._stream, rows * self._width))
+        if b > self._recent[1][0]:
+            self._recent = (self._recent[1], (b, view))
+        else:
+            self._older = (b, view)
+        self._blocks = dict((*self._recent, self._older))
+        return view
 
 
 @dataclass
 class MatrixSimState:
     """Mutable per-run state shared by the visibility scans.
 
-    t, h, z grow by one entry per block; d holds one row per non-origin
-    block i+1 (zero at column producer[i]).  strict controls the
-    visibility comparison: arrival strictly before creation counts.
-    Flipping it to False is a fault-injection hook for the validation
-    suite; simultaneous arrival then wrongly counts as visible.
+    t, h, z grow by one entry per block; delays serves the matrix
+    entries.  strict controls the visibility comparison: arrival
+    strictly before creation counts.  Flipping it to False is a
+    fault-injection hook for the validation suite; simultaneous arrival
+    then wrongly counts as visible.
     """
 
     t: list[float]
     h: list[int]
     z: list[int]
-    d: list[list[float]]
-    producer: list[int]
+    delays: DelayMatrix
     strict: bool = True
     scanned: int = 0
 
     def visible(self, i: int, j: int, t_k: float) -> bool:
-        arrival = self.t[i] + self.d[i - 1][j]
+        arrival = self.t[i] + self.delays.entry(i, j)
         return arrival < t_k if self.strict else arrival <= t_k
 
 
@@ -54,11 +115,13 @@ def visible_height_naive(k: int, producer_j: int, state: MatrixSimState) -> int:
     """Height for block k by scanning every earlier block.
 
     Returns 1 + max height over visible blocks; the origin is always
-    visible, so the result is at least 2.
+    visible, so the result is at least 2.  The scan runs newest first,
+    like the pruned one, so it reads row blocks in the order they are
+    kept; the maximum does not depend on the order.
     """
     t_k = state.t[k]
     x = 1
-    for i in range(1, k):
+    for i in range(k - 1, 0, -1):
         if state.h[i] > x and state.visible(i, producer_j, t_k):
             x = state.h[i]
     return 1 + x
@@ -71,14 +134,15 @@ def visible_height_pruned(k: int, producer_j: int, state: MatrixSimState) -> int
     z_i: every block at or before i has height at most z_i, so none can
     beat x.  Skipped blocks therefore never change the result.
     """
-    t, h, z, d = state.t, state.h, state.z, state.d
+    t, h, z = state.t, state.h, state.z
+    entry = state.delays.entry
     t_k = t[k]
     strict = state.strict
     x = 1
     i = k - 1
     while i >= 1 and x < z[i]:
         if h[i] > x:
-            arrival = t[i] + d[i - 1][producer_j]
+            arrival = t[i] + entry(i, producer_j)
             if (arrival < t_k) if strict else (arrival <= t_k):
                 x = h[i]
         i -= 1
@@ -91,16 +155,16 @@ def simulate_matrix(config: NetSimConfig, streams: StreamBundle | None = None,
                     strict_visibility: bool = True) -> SimOutcome:
     """Run the delay-matrix engine and return the resulting outcome.
 
-    Consumes the same three substreams in the same per-step order as
-    the event-driven engine (production, producer, then delays for
-    recipients in ascending worker order skipping the producer), so the
-    two agree exactly under a shared seed or injected bundle.  All
-    draws are taken in bulk up front, which the per-substream layout
-    makes safe.
+    Consumes the same three substreams as the event-driven engine
+    (production, producer, then delays for recipients in ascending
+    worker order skipping the producer), so the two agree exactly under
+    a shared seed or injected bundle.  Production times and producers
+    are drawn in bulk up front; delays are read by position through a
+    DelayMatrix, which the per-substream layout makes safe.
 
-    ``scan`` selects "pruned" or "naive"; ``check_pruning`` runs both
-    on every step and asserts they agree.  ``strict_visibility=False``
-    is the validation suite's fault hook.
+    ``scan`` selects "pruned" or "naive"; ``check_pruning`` runs both on
+    every step and raises InvariantError if they disagree.
+    ``strict_visibility=False`` is the validation suite's fault hook.
     """
     if scan not in ("pruned", "naive"):
         raise ValueError(f"unknown scan variant {scan!r}")
@@ -112,20 +176,18 @@ def simulate_matrix(config: NetSimConfig, streams: StreamBundle | None = None,
     t = np.concatenate(([0.0], np.cumsum(alphas))).tolist()
     producer_u = streams.producer.uniforms(n - 1)
     producers = np.minimum((producer_u * m).astype(np.int64), m - 1).tolist()
-    delay_rows = sample_many(config.beta, streams.delay,
-                             (n - 1) * (m - 1)).reshape(n - 1, m - 1).tolist()
 
-    state = MatrixSimState(t=t, h=[1], z=[1], d=[], producer=producers,
+    state = MatrixSimState(t=t, h=[1], z=[1],
+                           delays=DelayMatrix(config.beta, streams.delay, producers, m),
                            strict=strict_visibility)
     step = visible_height_pruned if scan == "pruned" else visible_height_naive
     for k in range(1, n):
         j = producers[k - 1]
-        row = delay_rows[k - 1]
-        state.d.append(row[:j] + [0.0] + row[j:])
         h_k = step(k, j, state)
         if check_pruning:
             other = visible_height_naive(k, j, state)
-            assert h_k == other, f"scan mismatch at block {k}: {h_k} != {other}"
+            if h_k != other:
+                raise InvariantError(f"scan mismatch at block {k}: {h_k} != {other}")
         state.h.append(h_k)
         state.z.append(h_k if h_k > state.z[-1] else state.z[-1])
 

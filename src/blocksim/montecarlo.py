@@ -116,6 +116,8 @@ def run_replications(engine, config, replications: int, base_seed: int,
     """
     if replications < 1:
         raise ConfigError("replication count must be >= 1")
+    if jobs < 1:
+        raise ConfigError(f"job count must be >= 1, got {jobs}")
     configs = [replace(config, seed=mix64(base_seed, r)) for r in range(replications)]
 
     values: list[float] = []

@@ -23,7 +23,7 @@ import heapq
 
 from .blocktree import BlockTree, WorkerPositions, height, proportion_valid
 from .distributions import BufferedSampler, DistributionSpec, require_production_role
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 from .rng import StreamBundle
 
 
@@ -72,7 +72,9 @@ class SimOutcome:
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        assert self.height * 1.0 / self.n == self.proportion
+        if self.height * 1.0 / self.n != self.proportion:
+            raise InvariantError(
+                f"proportion {self.proportion!r} is not height/n = {self.height}/{self.n}")
 
 
 def delivery_sweep(pending, now, tip_block, tip_height):
@@ -169,12 +171,16 @@ def simulate_network(config: NetSimConfig, streams: StreamBundle | None = None,
 
 def _check_outcome(outcome: SimOutcome, tip_height, m, n):
     tree = outcome.tree
-    assert tree is not None, "invariant checks need record_tree"
-    assert tree.n_blocks == n
+    if tree is None:
+        raise ValueError("invariant checks need record_tree")
+    if tree.n_blocks != n:
+        raise InvariantError(f"tree holds {tree.n_blocks} blocks, expected {n}")
     outcome.positions.validate_against(tree)
     depths = tree.depths()
     for w in range(m):
-        assert tip_height[w] == depths[outcome.positions.positions[w]]
-        assert tip_height[w] <= outcome.height
-    assert outcome.height == height(tree)
-    assert outcome.proportion == proportion_valid(tree)
+        tip = tip_height[w]
+        if tip != depths[outcome.positions.positions[w]] or tip > outcome.height:
+            raise InvariantError(f"worker {w}: tip height {tip} disagrees with "
+                                 "its tree depth or exceeds the chain height")
+    if outcome.height != height(tree) or outcome.proportion != proportion_valid(tree):
+        raise InvariantError("outcome height or proportion disagrees with the tree")

@@ -57,6 +57,16 @@ class SampleStream:
         self.position += size
         return out
 
+    def seek(self, pos: int) -> None:
+        """Move to absolute draw position `pos`, forward or backward.
+
+        Uses the PCG jump-ahead, whose cost grows only with the logarithm
+        of the distance; draws after the jump are those a fresh stream
+        yields from position `pos` on.
+        """
+        self._gen.bit_generator.advance((pos - self.position) % 2**128)
+        self.position = pos
+
     def take_uniforms(self, max_size: int) -> np.ndarray:
         """Draw up to `max_size` uniforms (always exactly max_size here).
 
@@ -91,6 +101,9 @@ class ScriptedStream:
         out = self._values[self.position : self.position + size]
         self.position += size
         return out
+
+    def seek(self, pos: int) -> None:
+        self.position = pos
 
     def take_uniforms(self, max_size: int) -> np.ndarray:
         remaining = len(self._values) - self.position

@@ -22,6 +22,7 @@ import numpy as np
 
 from .distributions import (DistributionSpec, cdf, constant, exponential, gamma,
                             chi_squared, mixture_cdf, sup_gap_bound)
+from .errors import InvariantError
 from .infinite import InfSimConfig, simulate_infinite
 from .matrix import simulate_matrix
 from .network import NetSimConfig, simulate_network
@@ -93,7 +94,7 @@ def check_pruning(base_seed: int = 0, runs: int = 50,
 
     Sweeps delay/production ratios 0.01, 1, and 10 (one full-size run
     each), with the remaining runs at randomized smaller sizes.  Also
-    asserts that the pruned unbounded engine under the full-block draw
+    checks that the pruned unbounded engine under the full-block draw
     contract reproduces the unpruned one bit for bit.
     """
     stream = SampleStream(base_seed, _CONFIG_STREAM_ID + 1)
@@ -111,7 +112,7 @@ def check_pruning(base_seed: int = 0, runs: int = 50,
                            record_tree=False)
         try:
             simulate_matrix(cfg, check_pruning=True)
-        except AssertionError as exc:
+        except InvariantError as exc:
             return CheckResult("pruning_exactness", False,
                                f"run {i} (m={m}, n={n}, ratio={ratio:g}): {exc}")
         steps += n - 1

@@ -86,6 +86,18 @@ class TestSimulateErrors:
             "--out", str(tmp_path / "o.json")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("alpha, beta", [
+        (ALPHA, "exp:nan"), (ALPHA, "exp:inf"), ("gamma:1:nan", BETA),
+    ])
+    def test_non_finite_parameter_exits_2(self, runner, tmp_path, alpha, beta):
+        result = runner.invoke(main, [
+            "simulate", "--engine", "infinite", "--alpha", alpha, "--beta", beta,
+            "--n", "100", "--out", str(tmp_path / "o.json")])
+        assert result.exit_code == 2
+        assert result.output.startswith("error:")
+        assert len(result.output.strip().splitlines()) == 1
+        assert not (tmp_path / "o.json").exists()
+
     def test_tree_out_needs_network(self, runner, tmp_path):
         result = runner.invoke(main, simulate_args(
             tmp_path, "--tree-out", str(tmp_path / "t.dot")))
@@ -141,6 +153,23 @@ class TestConfigResolution:
         result = runner.invoke(main, ["simulate", "--config", str(path),
                                       "--out", str(tmp_path / "o.json")])
         assert result.exit_code == 0, result.output
+
+    def test_chi_squared_object_without_parameter_exits_2(self, runner, tmp_path):
+        path = self.write_config(tmp_path, beta={"kind": "chi_squared"})
+        result = runner.invoke(main, ["simulate", "--config", str(path),
+                                      "--out", str(tmp_path / "o.json")])
+        assert result.exit_code == 2
+        assert result.output.startswith("error:")
+        assert len(result.output.strip().splitlines()) == 1
+
+    def test_chi_squared_object_mean_sets_dof(self, runner, tmp_path):
+        path = self.write_config(tmp_path, beta={"kind": "chi_squared", "mean": 3})
+        manifest = tmp_path / "o.json.manifest.json"
+        result = runner.invoke(main, ["simulate", "--config", str(path),
+                                      "--out", str(tmp_path / "o.json")])
+        assert result.exit_code == 0, result.output
+        assert load_manifest(manifest).params["beta"] == {
+            "kind": "chi_squared", "mean": 3.0, "shape": 3.0}
 
     def test_env_seed_used_when_unset(self, runner, tmp_path):
         result = runner.invoke(main, simulate_args(tmp_path),
@@ -216,6 +245,30 @@ class TestExperiment:
             "--out", str(out2)])
         assert result.exit_code == 0, result.output
         assert out2.read_text().splitlines() == serial
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_flag_exits_2(self, runner, tmp_path, jobs):
+        result = runner.invoke(main, [
+            "experiment", "--alpha", ALPHA, "--beta", BETA, "--n", "40",
+            "--kind", "single", "--reps", "2", "--jobs", jobs,
+            "--out", str(tmp_path / "t.csv")])
+        assert result.exit_code == 2
+        assert "job count must be >= 1" in result.output
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_jobs_from_config_file(self, runner, tmp_path):
+        path = tmp_path / "config.json"
+        base = {"kind": "single", "alpha": ALPHA, "beta": BETA, "n": 40, "reps": 2}
+        path.write_text(json.dumps({**base, "jobs": 0}))
+        result = runner.invoke(main, ["experiment", "--config", str(path),
+                                      "--out", str(tmp_path / "t.csv")])
+        assert result.exit_code == 2
+        assert "job count must be >= 1" in result.output
+        path.write_text(json.dumps({**base, "jobs": 2}))
+        result = runner.invoke(main, ["experiment", "--config", str(path),
+                                      "--out", str(tmp_path / "t.csv")])
+        assert result.exit_code == 0, result.output
+        assert load_manifest(tmp_path / "t.csv.manifest.json").params["jobs"] == 2
 
     def test_missing_kind_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["experiment", "--alpha", ALPHA,

@@ -40,6 +40,19 @@ class TestSpecValidation:
             require_production_role(spec)
         require_production_role(constant(1.5))
 
+    @pytest.mark.parametrize("make", [
+        lambda: exponential(float("nan")),
+        lambda: exponential(float("inf")),
+        lambda: constant(float("nan")),
+        lambda: gamma(shape=float("nan"), mean=1.0),
+        lambda: gamma(shape=2.0, mean=float("inf")),
+        lambda: chi_squared(float("inf")),
+        lambda: DistributionSpec("exponential", "fast"),
+    ])
+    def test_non_finite_or_non_numeric_rejected(self, make):
+        with pytest.raises(ConfigError):
+            make()
+
     def test_shape_required_and_positive(self):
         with pytest.raises(ConfigError):
             DistributionSpec("gamma", 1.0)
@@ -80,6 +93,13 @@ class TestSerialization:
 
     def test_chi_squared_dict_without_mean(self):
         assert spec_from_dict({"kind": "chi_squared", "shape": 5}) == chi_squared(5)
+
+    def test_chi_squared_dict_mean_sets_dof(self):
+        assert spec_from_dict({"kind": "chi_squared", "mean": 3}) == chi_squared(3)
+        with pytest.raises(ConfigError):
+            spec_from_dict({"kind": "chi_squared"})
+        with pytest.raises(ConfigError):
+            spec_from_dict({"kind": "chi_squared", "mean": 3, "shape": 4})
 
     def test_flag_syntax(self):
         assert parse_spec("exp:1") == exponential(1.0)

@@ -1,13 +1,17 @@
 from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from blocksim.distributions import constant, exponential, gamma
-from blocksim.matrix import (MatrixSimState, simulate_matrix,
+from blocksim import matrix
+from blocksim.distributions import constant, exponential, gamma, sample_many
+from blocksim.errors import InvariantError
+from blocksim.matrix import (DelayMatrix, MatrixSimState, simulate_matrix,
                              visible_height_naive, visible_height_pruned)
 from blocksim.network import NetSimConfig, simulate_network
-from blocksim.rng import ScriptedStream, StreamBundle
+from blocksim.rng import (ROLE_DELAY, ROLE_PRODUCER, ROLE_PRODUCTION, SampleStream,
+                          ScriptedStream, StreamBundle)
 
 
 def scripted_bundle(production, producer, delay):
@@ -23,11 +27,37 @@ def base_config(**overrides):
     return NetSimConfig(**params)
 
 
+class RecordingStream(ScriptedStream):
+    """Scripted stream that logs every read as (position, size)."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.reads = []
+
+    def uniforms(self, size):
+        self.reads.append((self.position, size))
+        return super().uniforms(size)
+
+
+class SeekLogStream(SampleStream):
+    """Seeded stream that logs every seek as (from_position, to_position)."""
+
+    def __init__(self, base_seed, stream_id):
+        super().__init__(base_seed, stream_id)
+        self.seeks = []
+
+    def seek(self, pos):
+        self.seeks.append((self.position, pos))
+        super().seek(pos)
+
+
 def interleaved_state():
     # Two workers alternating under unit production and delay 1.5; the
     # state as seen just before block 3 is placed.
+    delays = DelayMatrix(constant(1.5), RecordingStream([0.5] * 3),
+                         producers=[0, 1, 0], m=2)
     return MatrixSimState(t=[0.0, 1.0, 2.0, 3.0], h=[1, 2, 2], z=[1, 2, 2],
-                          d=[[0.0, 1.5], [1.5, 0.0]], producer=[0, 1, 0])
+                          delays=delays)
 
 
 class TestVisibility:
@@ -48,14 +78,34 @@ class TestVisibility:
         assert visible_height_pruned(3, 0, state) == 3
         assert state.scanned == 2
 
-    def test_pruned_skips_blocks_behind_running_best(self):
-        # Once x reaches z_i the scan stops, so early blocks are skipped.
+    def test_pruned_skips_blocks_behind_running_best(self, monkeypatch):
+        # Once x reaches z_i the scan stops, so early blocks are skipped;
+        # with one row per block, their rows are never drawn either.
+        monkeypatch.setattr(matrix, "BLOCK_VALUES", 1)
+        stream = RecordingStream([0.5] * 4)
         state = MatrixSimState(t=[0.0, 1.0, 2.0, 3.0, 4.0], h=[1, 2, 3, 4],
                                z=[1, 2, 3, 4],
-                               d=[[0.0, 0.1], [0.0, 0.1], [0.0, 0.1]],
-                               producer=[0, 0, 0])
-        assert visible_height_pruned(4, 0, state) == 5
+                               delays=DelayMatrix(constant(0.1), stream,
+                                                  producers=[0, 0, 0, 0], m=2))
+        assert visible_height_pruned(4, 1, state) == 5
         assert state.scanned == 1
+        assert stream.reads == [(2, 1)]
+
+    @pytest.mark.parametrize("block_values", [2**16, 2])
+    def test_entries_follow_network_draw_order(self, monkeypatch, block_values):
+        # Row i-1 holds block i's delays for recipients 0..m-1 skipping
+        # the producer, in the order the network engine draws them.
+        monkeypatch.setattr(matrix, "BLOCK_VALUES", block_values)
+        m, producers = 3, [1, 0, 2, 1]
+        u = np.linspace(0.05, 0.95, len(producers) * (m - 1))
+        flat = iter(sample_many(exponential(1.0), ScriptedStream(u), len(u)).tolist())
+        want = [[0.0 if j == p else next(flat) for j in range(m)] for p in producers]
+        delays = DelayMatrix(exponential(1.0), ScriptedStream(u), producers, m)
+        # Newest row first, as the scans read them.
+        got = {(i, j): delays.entry(i, j)
+               for i in range(len(producers), 0, -1) for j in range(m)}
+        assert got == {(i, j): want[i - 1][j]
+                       for i in range(1, len(producers) + 1) for j in range(m)}
 
 
 class TestHandTrace:
@@ -118,6 +168,54 @@ class TestScanVariants:
         out = simulate_matrix(base_config(beta=constant(0.0), n=n))
         assert out.proportion == 1.0
         assert out.stats["mean_scan_window"] == (n - 2) / (n - 1)
+
+
+class TestRowBlocks:
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        # Three rows per block at m=5, so runs span many blocks and long
+        # scans reach back past the two kept.
+        monkeypatch.setattr(matrix, "BLOCK_VALUES", 12)
+
+    def test_match_network_with_refetches(self, small_blocks):
+        refetched = False
+        for seed in range(4):
+            config = base_config(n=400, beta=exponential(3.0), seed=seed)
+            delay = SeekLogStream(seed, ROLE_DELAY)
+            streams = StreamBundle(production=SampleStream(seed, ROLE_PRODUCTION),
+                                   producer=SampleStream(seed, ROLE_PRODUCER),
+                                   delay=delay)
+            mat = simulate_matrix(config, streams)
+            net = simulate_network(replace(config, record_tree=True))
+            assert mat.height_series == net.height_series
+            refetched = refetched or any(to < frm for frm, to in delay.seeks)
+        assert refetched, "no scan reached back past the two newest blocks"
+
+    def test_pruning_check_on_chaotic_ratio(self, small_blocks):
+        config = base_config(n=1500, beta=exponential(10.0), seed=8)
+        checked = simulate_matrix(config, check_pruning=True)
+        net = simulate_network(replace(config, record_tree=True))
+        assert checked.height_series == net.height_series
+
+    def test_scan_mismatch_raises(self, monkeypatch):
+        pruned = matrix.visible_height_pruned
+        monkeypatch.setattr(matrix, "visible_height_pruned",
+                            lambda k, j, state: pruned(k, j, state) + (k == 5))
+        with pytest.raises(InvariantError, match="scan mismatch at block 5"):
+            simulate_matrix(base_config(n=50), check_pruning=True)
+
+    def test_memory_bounded_by_blocks(self):
+        # The whole matrix at m=1000, n=4000 holds about 4 million delays:
+        # 32 MB as float64, and a traced peak near 150 MB as Python lists.
+        config = base_config(m=1000, n=4000, beta=exponential(1.0), seed=1,
+                             record_series=False)
+        tracemalloc.start()
+        try:
+            simulate_matrix(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestStrictVisibilityFault:

@@ -73,6 +73,11 @@ class TestRunReplications:
         with pytest.raises(RuntimeError, match="replication 0"):
             run_replications(broken, inf_config(), 3, base_seed=0)
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ConfigError):
+            run_replications("infinite", inf_config(), 2, base_seed=0, jobs=jobs)
+
     def test_zero_replications_rejected(self):
         with pytest.raises(ConfigError):
             run_replications("infinite", inf_config(), 0, base_seed=0)

@@ -4,7 +4,7 @@ import pytest
 
 from blocksim.blocktree import height, proportion_valid
 from blocksim.distributions import constant, exponential
-from blocksim.errors import ConfigError
+from blocksim.errors import ConfigError, InvariantError
 from blocksim.network import (NetSimConfig, SimOutcome, delivery_sweep,
                               simulate_network)
 from blocksim.rng import ScriptedStream, StreamBundle
@@ -146,7 +146,7 @@ class TestOutcome:
         assert set(out.seed_echo) == {"production", "producer", "delay"}
 
     def test_inconsistent_outcome_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvariantError):
             SimOutcome(proportion=0.5, height=2, n=5)
 
 

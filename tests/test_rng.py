@@ -52,6 +52,21 @@ class TestSampleStream:
         u = SampleStream(3, 3).uniforms(10000)
         assert np.all(u >= 0) and np.all(u < 1)
 
+    @pytest.mark.parametrize("start, jumps", [
+        (0, [(700, 50)]),                        # forward from the start
+        (900, [(120, 30), (0, 10), (515, 5)]),   # backward, then forward
+        (64, [(64, 16), (64, 16)]),              # to where it already is
+    ])
+    def test_seek_matches_sequential_draws(self, start, jumps):
+        whole = SampleStream(11, 3).uniforms(1000)
+        s = SampleStream(11, 3)
+        s.uniforms(start)
+        for pos, k in jumps:
+            s.seek(pos)
+            assert s.position == pos
+            assert np.array_equal(s.uniforms(k), whole[pos:pos + k])
+            assert s.position == pos + k
+
 
 class TestScriptedStream:
     def test_replays_values(self):
@@ -70,6 +85,13 @@ class TestScriptedStream:
         assert len(s.take_uniforms(100)) == 2
         with pytest.raises(IndexError):
             s.take_uniforms(1)
+
+    def test_seek_sets_position(self):
+        s = ScriptedStream([0.1, 0.2, 0.3])
+        s.seek(2)
+        assert np.allclose(s.uniforms(1), [0.3])
+        s.seek(0)
+        assert np.allclose(s.uniforms(2), [0.1, 0.2])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

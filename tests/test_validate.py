@@ -1,3 +1,9 @@
+import os
+from pathlib import Path
+import subprocess
+import sys
+
+import blocksim
 from blocksim.validate import (CheckResult, check_equivalence,
                                check_mixture_bound, check_pruning,
                                run_validation)
@@ -40,6 +46,28 @@ class TestFaultInjection:
                                    strict_visibility=False)
         assert not result.passed
         assert "disagree" in result.detail
+
+    def test_scan_mismatch_fails_suite_under_optimize(self):
+        # ``python -O`` strips assert statements; the pruning suite must
+        # still catch a pruned scan that disagrees with the naive one.
+        script = "\n".join([
+            "import sys",
+            "import blocksim.matrix as mx",
+            "from blocksim.validate import check_pruning",
+            "assert False, 'asserts must be stripped in this run'",
+            "pruned = mx.visible_height_pruned",
+            "mx.visible_height_pruned = lambda k, j, s: pruned(k, j, s) + (k == 5)",
+            "result = check_pruning(runs=1, max_n=50)",
+            "print(result.detail)",
+            "sys.exit(1 if result.passed else 0)",
+        ])
+        src = str(Path(blocksim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "scan mismatch at block 5" in proc.stdout
 
     def test_fault_propagates_through_run_validation(self):
         results = run_validation(base_seed=0, quick=True,
