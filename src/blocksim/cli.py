@@ -14,6 +14,7 @@ replay mismatch, 2 usage or configuration error.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ from .blocktree import classify, export_tree
 from .distributions import DistributionSpec, parse_spec, spec_from_dict
 from .errors import ConfigError
 from .infinite import InfSimConfig, simulate_infinite
-from .manifest import RunManifest, load_manifest, sha256_file, write_manifest
+from .manifest import SCHEMA_VERSION, RunManifest, load_manifest, sha256_file, write_manifest
 from .matrix import simulate_matrix
 from .montecarlo import ExperimentPlan, default_ratio_grid, run_experiment
 from .network import NetSimConfig, simulate_network
@@ -35,6 +36,11 @@ from .rng import StreamBundle
 from .validate import run_validation
 
 _ENGINE_CHOICES = ("network", "matrix", "infinite")
+# The params each replayable command reads without a default.
+_REPLAY_PARAMS = {
+    "simulate": ("engine", "alpha", "beta", "n", "seed", "output_names"),
+    "experiment": ("kind", "alpha", "beta", "n", "seed", "replications", "output_names"),
+}
 _KIND_ALIASES = {
     "convergence": "convergence",
     "efficiency": "efficiency",
@@ -69,11 +75,29 @@ def _resolve(flag, file_cfg: dict, key: str, default=None):
     return default
 
 
+def _int_field(value, key: str) -> int:
+    """An integer parameter from a flag, a config file or a manifest.
+
+    Integers, integral floats and integer strings pass; anything else
+    (booleans included) is a ConfigError naming the field.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def _resolve_seed(flag, file_cfg: dict) -> int:
     if flag is not None:
-        return int(flag)
+        return flag
     if "seed" in file_cfg:
-        return int(file_cfg["seed"])
+        return _int_field(file_cfg["seed"], "seed")
     env = os.environ.get("BLOCKSIM_SEED")
     if env is not None:
         try:
@@ -100,6 +124,7 @@ def _resolve_spec(flag, file_cfg: dict, key: str) -> DistributionSpec:
 def _guard(fn):
     """Map configuration errors to exit code 2 with a clean message."""
 
+    @functools.wraps(fn)
     def wrapped(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
@@ -107,8 +132,6 @@ def _guard(fn):
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
 
-    wrapped.__name__ = fn.__name__
-    wrapped.__doc__ = fn.__doc__
     return wrapped
 
 
@@ -134,8 +157,8 @@ def run_simulate(params: dict, out_paths: dict) -> dict[str, str]:
         raise ConfigError(f"unknown engine {engine!r}")
     alpha = spec_from_dict(params["alpha"])
     beta = spec_from_dict(params["beta"])
-    n = int(params["n"])
-    seed = int(params["seed"])
+    n = _int_field(params["n"], "n")
+    seed = _int_field(params["seed"], "seed")
     want_tree = out_paths.get("tree") is not None
     want_series = out_paths.get("series") is not None
 
@@ -149,7 +172,7 @@ def run_simulate(params: dict, out_paths: dict) -> dict[str, str]:
     else:
         if params.get("m") is None:
             raise ConfigError(f"the {engine} engine needs a worker count --m")
-        cfg = NetSimConfig(m=int(params["m"]), n=n, alpha=alpha, beta=beta,
+        cfg = NetSimConfig(m=_int_field(params["m"], "m"), n=n, alpha=alpha, beta=beta,
                            seed=seed, record_tree=want_tree,
                            record_series=want_series)
         outcome = (simulate_network if engine == "network" else simulate_matrix)(cfg)
@@ -184,15 +207,15 @@ def run_experiment_files(params: dict, out_paths: dict) -> dict[str, str]:
         kind=params["kind"],
         alpha=spec_from_dict(params["alpha"]),
         beta=spec_from_dict(params["beta"]),
-        n=int(params["n"]),
-        base_seed=int(params["seed"]),
-        replications=int(params["replications"]),
+        n=_int_field(params["n"], "n"),
+        base_seed=_int_field(params["seed"], "seed"),
+        replications=_int_field(params["replications"], "replications"),
         sweep=tuple(float(x) for x in params.get("sweep", ())),
-        m=int(params.get("m", 100)),
-        bins=int(params.get("bins", 20)),
+        m=_int_field(params.get("m", 100), "m"),
+        bins=_int_field(params.get("bins", 20), "bins"),
         engine=params.get("engine", "infinite"),
     )
-    result = run_experiment(plan, jobs=int(params.get("jobs", 1)))
+    result = run_experiment(plan, jobs=_int_field(params.get("jobs", 1), "jobs"))
 
     lines = [",".join(result.columns)]
     for row in result.rows:
@@ -286,8 +309,8 @@ def simulate(engine, alpha_flag, beta_flag, m_flag, n_flag, seed, config_path,
         "engine": engine,
         "alpha": alpha.to_dict(),
         "beta": beta.to_dict(),
-        "m": int(m) if m is not None else None,
-        "n": int(n),
+        "m": _int_field(m, "m") if m is not None else None,
+        "n": _int_field(n, "n"),
         "seed": base_seed,
         "tree_format": tree_format,
         "output_names": {
@@ -354,30 +377,28 @@ def experiment(kind, alpha_flag, beta_flag, n_flag, reps, sweep, m_flag, bins,
 
     sweep = _resolve(sweep, file_cfg, "sweep")
     if isinstance(sweep, str):
-        try:
-            sweep = [float(x) for x in sweep.split(",") if x.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad sweep list: {exc}") from exc
-    if sweep is None:
-        if kind == "efficiency":
-            sweep = list(default_ratio_grid())
-        elif kind == "convergence":
-            sweep = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000]
-        else:
-            sweep = []
+        sweep = [x for x in sweep.split(",") if x.strip()]
+    elif sweep is None and kind == "efficiency":
+        sweep = default_ratio_grid()
+    elif sweep is None and kind == "convergence":
+        sweep = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000]
+    try:
+        sweep = [float(x) for x in sweep or ()]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sweep list: {exc}") from exc
 
     params = {
         "kind": kind,
         "alpha": alpha.to_dict(),
         "beta": beta.to_dict(),
-        "n": int(n),
-        "replications": int(reps),
-        "sweep": [float(x) for x in sweep],
-        "m": int(_resolve(m_flag, file_cfg, "m", 100)),
-        "bins": int(_resolve(bins, file_cfg, "bins", 20)),
+        "n": _int_field(n, "n"),
+        "replications": _int_field(reps, "reps"),
+        "sweep": sweep,
+        "m": _int_field(_resolve(m_flag, file_cfg, "m", 100), "m"),
+        "bins": _int_field(_resolve(bins, file_cfg, "bins", 20), "bins"),
         "engine": _resolve(engine, file_cfg, "engine", "infinite"),
         "seed": base_seed,
-        "jobs": int(_resolve(jobs, file_cfg, "jobs", 1)),
+        "jobs": _int_field(_resolve(jobs, file_cfg, "jobs", 1), "jobs"),
         "output_names": {"table": Path(out_path).name},
     }
     digests = run_experiment_files(params, {"table": out_path})
@@ -418,18 +439,26 @@ def validate(quick, inject_fault, seed):
 def replay(manifest_file, out_dir, check):
     """Re-run a recorded command and verify byte-identical outputs."""
     manifest = load_manifest(manifest_file)
+    if (manifest.version, manifest.schema_version) != (__version__, SCHEMA_VERSION):
+        raise ConfigError(
+            f"manifest was written by blocksim {manifest.version} (schema "
+            f"{manifest.schema_version}); this is blocksim {__version__} (schema "
+            f"{SCHEMA_VERSION})")
+    if manifest.command not in _REPLAY_PARAMS:
+        raise ConfigError(f"manifest records unknown command {manifest.command!r}")
+    missing = [key for key in _REPLAY_PARAMS[manifest.command] if key not in manifest.params]
+    if missing:
+        raise ConfigError(f"manifest params lack {', '.join(missing)}")
     out_dir = Path(out_dir)
     if manifest.command == "simulate":
         names = manifest.params["output_names"]
         out_paths = {role: (out_dir / name if name else None)
                      for role, name in names.items()}
         digests = run_simulate(manifest.params, out_paths)
-    elif manifest.command == "experiment":
+    else:
         names = manifest.params["output_names"]
         digests = run_experiment_files(manifest.params,
                                        {"table": out_dir / names["table"]})
-    else:
-        raise ConfigError(f"manifest records unknown command {manifest.command!r}")
 
     if not check:
         click.echo(f"re-created {len(digests)} file(s) in {out_dir}")

@@ -15,6 +15,16 @@ early and so consumes fewer draws; pass ``align_draws=True`` to consume
 a full block of k-1 draws per step regardless, which makes pruned and
 unpruned runs read the identical draw for every pair and return
 identical results.
+
+All three modes (pruned, aligned, unpruned) run one scan loop.  It
+reads delays by index from a buffer of consecutive delay-stream values
+that starts at 1,024 values and doubles up to 16,384, so a short run
+transforms few values it never reads.  The scan of step k stops at
+``bound[i]``: the running height maximum when pruning, a height no
+block reaches otherwise.  Under the full-block contract each step moves
+the buffer index past the draws its scan did not reach, and a refill
+seeks the stream to the first draw still wanted, so skipped draws that
+lie past the buffer's end are never transformed.
 """
 
 from __future__ import annotations
@@ -23,10 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BufferedSampler, DistributionSpec, require_production_role, sample_many
+from .distributions import DistributionSpec, require_production_role, sample_many
 from .errors import ConfigError
 from .network import SimOutcome
 from .rng import StreamBundle
+
+# Size of the first delay buffer of a run and the cap its doubling stops at.
+FIRST_BUFFER = 1 << 10
+MAX_BUFFER = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -61,43 +75,43 @@ def simulate_infinite(config: InfSimConfig, streams: StreamBundle | None = None,
     alphas = sample_many(config.alpha, streams.production, n - 1)
     t = np.concatenate(([0.0], np.cumsum(alphas))).tolist()
 
+    full_block = align_draws or not config.use_pruning
     h = [1]
     z = [1]
+    bound = z if config.use_pruning else [n + 1] * n
+    delays: list[float] = []
+    j = 0  # index in delays of the draw for the next pair
+    start = streams.delay.position  # delay-stream position of delays[0]
+    size = FIRST_BUFFER
     scanned = 0
-
-    if config.use_pruning and not align_draws:
-        delay = BufferedSampler(config.beta, streams.delay, chunk=1 << 14)
-        delay_next = delay.next
-        for k in range(1, n):
-            t_k = t[k]
-            x = 1
-            i = k - 1
-            while i >= 1 and x < z[i]:
-                if t[i] + delay_next() < t_k and h[i] > x:
-                    x = h[i]
-                i -= 1
-            scanned += k - 1 - i
-            x += 1
-            h.append(x)
-            z.append(x if x > z[-1] else z[-1])
-        consumed = delay.drawn
-    else:
-        # Full-block consumption: draws[k-1-i] is the draw for pair (i, k)
-        # whether or not the scan reaches it.
-        for k in range(1, n):
-            t_k = t[k]
-            draws = sample_many(config.beta, streams.delay, k - 1)
-            x = 1
-            i = k - 1
-            while i >= 1 and (not config.use_pruning or x < z[i]):
-                if t[i] + draws[k - 1 - i] < t_k and h[i] > x:
-                    x = h[i]
-                i -= 1
-            scanned += k - 1 - i
-            x += 1
-            h.append(x)
-            z.append(x if x > z[-1] else z[-1])
-        consumed = (n - 1) * (n - 2) // 2
+    for k in range(1, n):
+        t_k = t[k]
+        x = 1
+        i = k - 1
+        while True:
+            try:
+                while i and x < bound[i]:
+                    if t[i] + delays[j] < t_k and h[i] > x:
+                        x = h[i]
+                    i -= 1
+                    j += 1
+                break
+            except IndexError:
+                # delays[j] ran past the buffer: refill from its position on.
+                # Catching this, instead of testing j on every pair, keeps
+                # the scan's per-pair work to the bound test and the read.
+                start += j
+                j = 0
+                streams.delay.seek(start)
+                delays = sample_many(config.beta, streams.delay, size).tolist()
+                size = min(2 * size, MAX_BUFFER)
+        scanned += k - 1 - i
+        if full_block:
+            j += i  # skip the draws of the i pairs the scan did not reach
+        x += 1
+        h.append(x)
+        z.append(x if x > z[-1] else z[-1])
+    consumed = (n - 1) * (n - 2) // 2 if full_block else scanned
 
     final = z[-1]
     return SimOutcome(

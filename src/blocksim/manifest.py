@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+
+from .errors import ConfigError
 
 # Version of the manifest layout and of the CSV schemas it points at.
 SCHEMA_VERSION = 1
@@ -44,6 +46,19 @@ def write_manifest(manifest: RunManifest, path) -> None:
 
 
 def load_manifest(path) -> RunManifest:
-    doc = json.loads(Path(path).read_text())
-    known = {f for f in RunManifest.__dataclass_fields__}
-    return RunManifest(**{k: v for k, v in doc.items() if k in known})
+    """Read a manifest; a file that is not one raises ConfigError."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read manifest {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"manifest {path} must hold a JSON object")
+    known = fields(RunManifest)
+    missing = [f.name for f in known
+               if f.default is MISSING and f.default_factory is MISSING and f.name not in doc]
+    if missing:
+        raise ConfigError(f"manifest {path} lacks {', '.join(missing)}")
+    for name in ("params", "outputs"):
+        if not isinstance(doc.get(name, {}), dict):
+            raise ConfigError(f"manifest {path}: {name} must be a JSON object")
+    return RunManifest(**{f.name: doc[f.name] for f in known if f.name in doc})

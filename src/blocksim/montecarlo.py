@@ -1,7 +1,9 @@
 """Replication harness and the experiment drivers built on it.
 
 run_replications executes any engine R times on independent substreams
-and aggregates the proportion estimates.  The three experiment drivers
+and aggregates the proportion estimates; run_replication_sets does the
+same for a batch of such sets over at most one process pool, and every
+experiment driver makes one call to it.  The three experiment drivers
 produce plot-ready tables: convergence of the bounded engine toward the
 unbounded one as the worker count grows, efficiency of the chain as a
 function of the delay/production mean ratio, and paired outcome
@@ -15,6 +17,7 @@ Everything downstream is deterministic given the plan.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -82,6 +85,13 @@ class ExperimentPlan:
             raise ConfigError("replication count must be >= 1")
         if self.kind in ("convergence", "efficiency") and not self.sweep:
             raise ConfigError(f"{self.kind} experiment needs a non-empty sweep")
+        if self.kind == "pdf_histogram" and self.bins < 1:
+            raise ConfigError(f"histogram bin count must be >= 1, got {self.bins}")
+        if self.kind == "convergence":
+            for m in self.sweep:
+                if not (math.isfinite(m) and m == int(m) and m >= 1):
+                    raise ConfigError("convergence sweep: worker counts must be "
+                                      f"finite integers >= 1, got {m!r}")
         if self.engine not in ENGINES:
             raise ConfigError(f"unknown engine {self.engine!r}")
 
@@ -104,43 +114,74 @@ def _run_one(engine_name: str, config) -> float:
     return ENGINES[engine_name](config).proportion
 
 
+# Replications per task handed to a pool worker.  Run costs vary widely
+# within one experiment (they rise with the delay ratio), so small chunks
+# keep both workers busy until the end.
+POOL_CHUNK = 10
+
+
+def run_replication_sets(sets, jobs: int = 1) -> list[McEstimate]:
+    """Run several replication sets and aggregate each one.
+
+    sets is a sequence of (engine, config, replications, base_seed);
+    each set is what run_replications takes and yields one McEstimate,
+    in order.  With jobs > 1 every (set, replication) pair of the whole
+    batch is spread over one process pool, so an experiment starts at
+    most one pool.  Results are reduced in replication order, so the
+    estimates are deterministic regardless of ``jobs``; only named
+    engines run in parallel, and a batch holding a callable engine runs
+    serially.
+    """
+    if jobs < 1:
+        raise ConfigError(f"job count must be >= 1, got {jobs}")
+    engines, configs, indices, counts = [], [], [], []
+    for engine, config, replications, base_seed in sets:
+        if replications < 1:
+            raise ConfigError("replication count must be >= 1")
+        engines += [engine] * replications
+        configs += [replace(config, seed=mix64(base_seed, r)) for r in range(replications)]
+        indices += range(replications)
+        counts.append(replications)
+
+    if jobs > 1 and all(isinstance(engine, str) for engine in engines):
+        chunk = max(1, min(POOL_CHUNK, len(configs) // (jobs * 4)))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            values = list(pool.map(_run_one, engines, configs, chunksize=chunk))
+    else:
+        values = []
+        for engine, config, r in zip(engines, configs, indices):
+            fn = ENGINES[engine] if isinstance(engine, str) else engine
+            try:
+                values.append(fn(config).proportion)
+            except Exception as exc:
+                raise RuntimeError(f"replication {r} failed: {exc}") from exc
+
+    estimates, done = [], 0
+    for replications in counts:
+        estimates.append(_estimate(values[done:done + replications]))
+        done += replications
+    return estimates
+
+
 def run_replications(engine, config, replications: int, base_seed: int,
                      jobs: int = 1) -> McEstimate:
     """Run ``engine`` R times and aggregate the proportion estimates.
 
     engine is a name from ENGINES or a callable of one config.
     Replication r runs with seed mix64(base_seed, r), overriding
-    config.seed.  Results are reduced in replication order, so the
-    aggregate is deterministic regardless of ``jobs``; only named
-    engines run in parallel.
+    config.seed.  The one-set call of run_replication_sets.
     """
-    if replications < 1:
-        raise ConfigError("replication count must be >= 1")
-    if jobs < 1:
-        raise ConfigError(f"job count must be >= 1, got {jobs}")
-    configs = [replace(config, seed=mix64(base_seed, r)) for r in range(replications)]
+    return run_replication_sets([(engine, config, replications, base_seed)], jobs)[0]
 
-    values: list[float] = []
-    if jobs > 1 and isinstance(engine, str):
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, replications // (jobs * 4))
-            values = list(pool.map(_run_one, [engine] * replications, configs,
-                                   chunksize=chunk))
-    else:
-        fn = ENGINES[engine] if isinstance(engine, str) else engine
-        for r, cfg in enumerate(configs):
-            try:
-                values.append(fn(cfg).proportion)
-            except Exception as exc:
-                raise RuntimeError(f"replication {r} failed: {exc}") from exc
 
+def _estimate(values: list[float]) -> McEstimate:
     arr = np.asarray(values)
     q25, q50, q75 = (float(q) for q in np.quantile(arr, (0.25, 0.5, 0.75)))
     return McEstimate(
         mean=float(arr.mean()),
         std_error=float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0,
         quantiles={0.25: q25, 0.5: q50, 0.75: q75},
-        replications=replications,
+        replications=len(values),
         values=tuple(values),
     )
 
@@ -208,24 +249,20 @@ def convergence_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentRes
     """
     if plan.kind != "convergence":
         raise ConfigError(f"plan kind is {plan.kind!r}, expected convergence")
-    rows = []
-    estimates = {}
-    for idx, m in enumerate(plan.sweep):
-        cfg = NetSimConfig(m=int(m), n=plan.n, alpha=plan.alpha, beta=plan.beta,
-                           seed=0, record_tree=False)
-        est = run_replications("matrix", cfg, plan.replications,
-                               mix64(plan.base_seed, idx), jobs=jobs)
-        estimates[int(m)] = est
-        rows.append((int(m), est.mean, est.quantiles[0.25], est.quantiles[0.75],
-                     est.replications))
+    workers = [int(m) for m in plan.sweep]
+    sets = [("matrix", NetSimConfig(m=m, n=plan.n, alpha=plan.alpha, beta=plan.beta,
+                                    seed=0, record_tree=False),
+             plan.replications, mix64(plan.base_seed, idx))
+            for idx, m in enumerate(workers)]
     inf_cfg = InfSimConfig(n=plan.n, alpha=plan.alpha, beta=plan.beta, seed=0)
-    inf_est = run_replications("infinite", inf_cfg, plan.replications,
-                               mix64(plan.base_seed, len(plan.sweep)), jobs=jobs)
-    estimates["inf"] = inf_est
-    rows.append(("inf", inf_est.mean, inf_est.quantiles[0.25],
-                 inf_est.quantiles[0.75], inf_est.replications))
+    sets.append(("infinite", inf_cfg, plan.replications,
+                 mix64(plan.base_seed, len(plan.sweep))))
+    labels = workers + ["inf"]
+    results = run_replication_sets(sets, jobs)
+    rows = tuple((m, est.mean, est.quantiles[0.25], est.quantiles[0.75], est.replications)
+                 for m, est in zip(labels, results))
     return ExperimentResult(kind=plan.kind, columns=CONVERGENCE_COLUMNS,
-                            rows=tuple(rows), extras={"estimates": estimates})
+                            rows=rows, extras={"estimates": dict(zip(labels, results))})
 
 
 def default_ratio_grid() -> tuple[float, ...]:
@@ -245,13 +282,14 @@ def efficiency_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResu
     """
     if plan.kind != "efficiency":
         raise ConfigError(f"plan kind is {plan.kind!r}, expected efficiency")
+    betas = [with_mean(plan.beta, float(ratio) * plan.alpha.mean) for ratio in plan.sweep]
+    estimates = run_replication_sets(
+        [("infinite", InfSimConfig(n=plan.n, alpha=plan.alpha, beta=beta_r, seed=0),
+          plan.replications, mix64(plan.base_seed, idx))
+         for idx, beta_r in enumerate(betas)], jobs)
     rows = []
     warned = []
-    for idx, ratio in enumerate(plan.sweep):
-        beta_r = with_mean(plan.beta, float(ratio) * plan.alpha.mean)
-        cfg = InfSimConfig(n=plan.n, alpha=plan.alpha, beta=beta_r, seed=0)
-        est = run_replications("infinite", cfg, plan.replications,
-                               mix64(plan.base_seed, idx), jobs=jobs)
+    for ratio, beta_r, est in zip(plan.sweep, betas, estimates):
         pred = predicted_p(plan.alpha.mean, beta_r.mean)
         if prediction_warning(plan.alpha.mean, beta_r.mean):
             warned.append(float(ratio))
@@ -274,11 +312,10 @@ def pdf_histogram_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentR
         raise ConfigError(f"plan kind is {plan.kind!r}, expected pdf_histogram")
     m_cfg = NetSimConfig(m=plan.m, n=plan.n, alpha=plan.alpha, beta=plan.beta,
                          seed=0, record_tree=False)
-    est_m = run_replications("matrix", m_cfg, plan.replications,
-                             mix64(plan.base_seed, 0), jobs=jobs)
     inf_cfg = InfSimConfig(n=plan.n, alpha=plan.alpha, beta=plan.beta, seed=0)
-    est_inf = run_replications("infinite", inf_cfg, plan.replications,
-                               mix64(plan.base_seed, 1), jobs=jobs)
+    est_m, est_inf = run_replication_sets(
+        [("matrix", m_cfg, plan.replications, mix64(plan.base_seed, 0)),
+         ("infinite", inf_cfg, plan.replications, mix64(plan.base_seed, 1))], jobs)
 
     pooled = np.asarray(est_m.values + est_inf.values)
     edges = np.histogram_bin_edges(pooled, bins=plan.bins)
@@ -308,8 +345,8 @@ def single_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
     else:
         cfg = NetSimConfig(m=plan.m, n=plan.n, alpha=plan.alpha, beta=plan.beta,
                            seed=0, record_tree=False)
-    est = run_replications(plan.engine, cfg, plan.replications,
-                           mix64(plan.base_seed, 0), jobs=jobs)
+    [est] = run_replication_sets(
+        [(plan.engine, cfg, plan.replications, mix64(plan.base_seed, 0))], jobs)
     rows = tuple((r, v) for r, v in enumerate(est.values))
     return ExperimentResult(kind=plan.kind, columns=SINGLE_COLUMNS, rows=rows,
                             extras={"estimate": est})

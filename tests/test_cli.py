@@ -5,7 +5,8 @@ from click.testing import CliRunner
 
 from blocksim.blocktree import tree_from_json
 from blocksim.cli import main
-from blocksim.manifest import load_manifest
+from blocksim import __version__
+from blocksim.manifest import SCHEMA_VERSION, load_manifest
 
 ALPHA = "exp:1"
 BETA = "exp:0.1"
@@ -270,11 +271,62 @@ class TestExperiment:
         assert result.exit_code == 0, result.output
         assert load_manifest(tmp_path / "t.csv.manifest.json").params["jobs"] == 2
 
+    @pytest.mark.parametrize("sweep", ["inf", "nan", "2.5", "2,0"])
+    def test_bad_worker_count_exits_2(self, runner, tmp_path, sweep):
+        result = runner.invoke(main, [
+            "experiment", "--alpha", ALPHA, "--beta", BETA, "--n", "40",
+            "--kind", "convergence", "--sweep", sweep, "--reps", "2",
+            "--out", str(tmp_path / "t.csv")])
+        assert result.exit_code == 2
+        assert "worker counts must be finite integers >= 1" in result.output
+        assert len(result.output.strip().splitlines()) == 1
+        assert not (tmp_path / "t.csv").exists()
+
     def test_missing_kind_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["experiment", "--alpha", ALPHA,
                                       "--beta", BETA, "--n", "40",
                                       "--out", str(tmp_path / "t.csv")])
         assert result.exit_code == 2
+
+
+class TestBadIntegerFields:
+    @pytest.mark.parametrize("field, value", [
+        ("n", "abc"), ("n", 2.5), ("m", "x"), ("reps", "many"), ("bins", [3]),
+        ("jobs", "two"), ("seed", "s"), ("n", True),
+    ])
+    def test_experiment_config_field_exits_2(self, runner, tmp_path, field, value):
+        doc = {"kind": "single", "alpha": ALPHA, "beta": BETA, "n": 40, "reps": 2,
+               field: value}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["experiment", "--config", str(path),
+                                      "--out", str(tmp_path / "t.csv")])
+        assert result.exit_code == 2
+        assert result.output.startswith("error:")
+        assert "must be an integer" in result.output
+        assert len(result.output.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("field, value", [("n", "abc"), ("m", "x"), ("seed", 1.5)])
+    def test_simulate_config_field_exits_2(self, runner, tmp_path, field, value):
+        doc = {"engine": "matrix", "alpha": ALPHA, "beta": BETA, "n": 40, "m": 3,
+               field: value}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["simulate", "--config", str(path),
+                                      "--out", str(tmp_path / "o.json")])
+        assert result.exit_code == 2
+        assert f"{field} must be an integer" in result.output
+        assert len(result.output.strip().splitlines()) == 1
+
+    def test_integer_strings_and_integral_floats_accepted(self, runner, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"kind": "single", "alpha": ALPHA, "beta": BETA,
+                                    "n": "40", "reps": 2.0, "seed": "3"}))
+        result = runner.invoke(main, ["experiment", "--config", str(path),
+                                      "--out", str(tmp_path / "t.csv")])
+        assert result.exit_code == 0, result.output
+        params = load_manifest(tmp_path / "t.csv.manifest.json").params
+        assert (params["n"], params["replications"], params["seed"]) == (40, 2, 3)
 
 
 class TestValidateCommand:
@@ -332,6 +384,50 @@ class TestReplay:
             "--no-check", "--out-dir", str(tmp_path / "replayed")])
         assert result.exit_code == 0, result.output
         assert "re-created" in result.output
+
+
+class TestMalformedManifest:
+    def replay(self, runner, tmp_path, manifest_path):
+        result = runner.invoke(main, ["replay", str(manifest_path),
+                                      "--out-dir", str(tmp_path / "replayed")])
+        assert result.exit_code == 2
+        assert result.output.startswith("error:")
+        assert len(result.output.strip().splitlines()) == 1
+        return result.output
+
+    def recorded(self, runner, tmp_path):
+        runner.invoke(main, simulate_args(tmp_path, "--seed", "2"))
+        path = tmp_path / "outcome.json.manifest.json"
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", ""])
+    def test_not_a_manifest(self, runner, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        self.replay(runner, tmp_path, path)
+
+    def test_missing_fields(self, runner, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"version": "0.1.0"}))
+        output = self.replay(runner, tmp_path, path)
+        assert "command" in output and "params" in output
+
+    def test_missing_params(self, runner, tmp_path):
+        path, doc = self.recorded(runner, tmp_path)
+        del doc["params"]["alpha"]
+        path.write_text(json.dumps(doc))
+        assert "alpha" in self.replay(runner, tmp_path, path)
+
+    @pytest.mark.parametrize("field, value", [("version", "9.9.9"), ("schema_version", 99)])
+    def test_version_mismatch_names_both(self, runner, tmp_path, field, value):
+        path, doc = self.recorded(runner, tmp_path)
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        output = self.replay(runner, tmp_path, path)
+        recorded = f"blocksim {value}" if field == "version" else f"schema {value}"
+        running = (f"blocksim {__version__}" if field == "version"
+                   else f"schema {SCHEMA_VERSION}")
+        assert recorded in output and running in output
 
 
 class TestVersion:

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from blocksim.distributions import constant, exponential, gamma
 from blocksim.errors import ConfigError
 from blocksim.infinite import InfSimConfig, simulate_infinite
+from blocksim.rng import StreamBundle
 
 
 def base_config(**overrides):
@@ -118,6 +120,42 @@ class TestDeterminism:
         b = simulate_infinite(base_config(n=500), align_draws=True)
         assert a.height_series != b.height_series
         assert abs(a.proportion - b.proportion) < 0.1
+
+
+class TestPinnedDraws:
+    """Outputs of the three modes, recorded before the one-loop scan.
+
+    Each case reads past at least one buffer refill: the pruned runs
+    past the first buffer (one of them past the 16,384-value cap), the
+    full-block runs past many.  The digest is the first 16 hex digits of
+    the sha256 of repr(height_series).
+    """
+
+    @pytest.mark.parametrize("mode, n, beta, seed, height, pairs, draws, digest", [
+        ("pruned", 300, exponential(0.1), 3, 278, 322, 322, "3482c173bfca8b41"),
+        ("pruned", 400, exponential(5.0), 11, 140, 1396, 1396, "03290baee7701b2a"),
+        ("pruned", 1500, gamma(shape=2.0, mean=2.0), 29, 642, 3913, 3913,
+         "af2fac16e49712d2"),
+        ("pruned", 2000, exponential(100.0), 5, 211, 33115, 33115, "a50bd9b3794010de"),
+        ("aligned", 120, exponential(0.5), 3, 87, 162, 7021, "730a3623b29e0258"),
+        ("aligned", 400, exponential(5.0), 11, 142, 1375, 79401, "7dba67b5a7247bdc"),
+        ("unpruned", 120, exponential(0.5), 3, 87, 7021, 7021, "730a3623b29e0258"),
+        ("unpruned", 400, exponential(5.0), 11, 142, 79401, 79401, "7dba67b5a7247bdc"),
+    ])
+    def test_outputs_unchanged(self, mode, n, beta, seed, height, pairs, draws, digest):
+        out = simulate_infinite(base_config(n=n, beta=beta, seed=seed,
+                                            use_pruning=mode != "unpruned"),
+                                align_draws=mode == "aligned")
+        assert out.height == height
+        assert out.stats["pairs_tested"] == pairs
+        assert out.stats["delay_draws"] == draws
+        assert hashlib.sha256(repr(out.height_series).encode()).hexdigest()[:16] == digest
+
+    def test_short_run_transforms_one_small_buffer(self):
+        streams = StreamBundle.for_run(4)
+        out = simulate_infinite(base_config(n=200, seed=4), streams)
+        assert out.stats["delay_draws"] < 1024
+        assert streams.delay.position == 1024
 
 
 class TestConfigValidation:

@@ -1,5 +1,8 @@
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
+from blocksim import montecarlo
 from blocksim.distributions import constant, exponential
 from blocksim.errors import ConfigError
 from blocksim.montecarlo import (CONVERGENCE_COLUMNS, EFFICIENCY_COLUMNS,
@@ -9,8 +12,8 @@ from blocksim.montecarlo import (CONVERGENCE_COLUMNS, EFFICIENCY_COLUMNS,
                                  efficiency_experiment, expected_gap_forms,
                                  pdf_histogram_experiment, predicted_p,
                                  prediction_warning, run_experiment,
-                                 run_replications, single_experiment,
-                                 two_sample_ks)
+                                 run_replication_sets, run_replications,
+                                 single_experiment, two_sample_ks)
 from blocksim.infinite import InfSimConfig
 from blocksim.network import NetSimConfig
 
@@ -81,6 +84,77 @@ class TestRunReplications:
     def test_zero_replications_rejected(self):
         with pytest.raises(ConfigError):
             run_replications("infinite", inf_config(), 0, base_seed=0)
+
+
+class TestReplicationSets:
+    def test_sets_match_separate_calls(self):
+        sets = [("infinite", inf_config(), 4, 11), ("matrix", net_config(), 3, 12),
+                ("infinite", inf_config(n=90), 1, 13)]
+        batch = run_replication_sets(sets)
+        assert batch == [run_replications(*s) for s in sets]
+
+    def test_pooled_batch_matches_serial(self):
+        sets = [("infinite", inf_config(), 5, 21), ("matrix", net_config(), 6, 22)]
+        assert run_replication_sets(sets, jobs=2) == run_replication_sets(sets)
+
+    def test_any_empty_set_rejected(self):
+        with pytest.raises(ConfigError):
+            run_replication_sets([("infinite", inf_config(), 2, 0),
+                                  ("infinite", inf_config(), 0, 1)])
+
+    def test_callable_engine_runs_serially(self, pools):
+        from blocksim.infinite import simulate_infinite
+
+        sets = [("infinite", inf_config(), 2, 4), (simulate_infinite, inf_config(), 2, 4)]
+        a, b = run_replication_sets(sets, jobs=2)
+        assert a == b
+        assert pools == []
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every process pool montecarlo starts, in order."""
+    started = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+def small_plans():
+    common = dict(alpha=exponential(1.0), beta=exponential(0.5), n=60, base_seed=3,
+                  replications=4)
+    return {
+        "convergence": ExperimentPlan(kind="convergence", sweep=(2, 3, 5), **common),
+        "efficiency": ExperimentPlan(kind="efficiency", sweep=(0.1, 1.0, 10.0), **common),
+        "pdf_histogram": ExperimentPlan(kind="pdf_histogram", m=4, bins=5, **common),
+        "single": ExperimentPlan(kind="single", engine="matrix", m=4, **common),
+    }
+
+
+class TestOnePoolPerExperiment:
+    @pytest.mark.parametrize("kind", ["convergence", "efficiency"])
+    def test_one_pool_at_two_jobs(self, pools, kind):
+        run_experiment(small_plans()[kind], jobs=2)
+        assert pools == [2]
+
+    @pytest.mark.parametrize("kind", ["convergence", "efficiency"])
+    def test_no_pool_at_one_job(self, pools, kind):
+        run_experiment(small_plans()[kind], jobs=1)
+        assert pools == []
+
+    @pytest.mark.parametrize("kind", ["convergence", "efficiency", "pdf_histogram",
+                                      "single"])
+    def test_jobs_do_not_change_results(self, kind):
+        plan = small_plans()[kind]
+        serial = run_experiment(plan, jobs=1)
+        pooled = run_experiment(plan, jobs=2)
+        assert pooled.rows == serial.rows
+        assert pooled.extras == serial.extras
 
 
 class TestPrediction:
@@ -159,6 +233,21 @@ class TestPlanValidation:
                            engine="warp")
 
 
+class TestConvergenceSweepValidation:
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 2.5, 0, -3])
+    def test_non_integer_worker_count_rejected(self, bad):
+        with pytest.raises(ConfigError, match="finite integers >= 1"):
+            ExperimentPlan(kind="convergence", alpha=exponential(1.0),
+                           beta=exponential(0.1), n=40, base_seed=0,
+                           replications=2, sweep=(2, bad))
+
+    def test_integral_floats_accepted(self):
+        plan = ExperimentPlan(kind="convergence", alpha=exponential(1.0),
+                              beta=exponential(0.1), n=40, base_seed=0,
+                              replications=2, sweep=(2.0, 5.0))
+        assert [row[0] for row in convergence_experiment(plan).rows] == [2, 5, "inf"]
+
+
 class TestDefaultRatioGrid:
     def test_shape_and_endpoints(self):
         grid = default_ratio_grid()
@@ -234,6 +323,13 @@ class TestHistogramExperiment:
         assert 0.0 <= result.extras["ks_distance"] <= 1.0
         assert result.extras["mean_shift"] == pytest.approx(
             result.extras["mean_Ainf"] - result.extras["mean_Am"])
+
+    @pytest.mark.parametrize("bins", [0, -4])
+    def test_bins_below_one_rejected(self, bins):
+        with pytest.raises(ConfigError, match="bin count must be >= 1"):
+            ExperimentPlan(kind="pdf_histogram", alpha=exponential(1.0),
+                           beta=exponential(0.1), n=40, base_seed=0,
+                           replications=4, bins=bins)
 
 
 class TestSingleExperiment:
