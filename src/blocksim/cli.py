@@ -93,6 +93,33 @@ def _int_field(value, key: str) -> int:
     raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
+def _float_list(values, key: str) -> list[float]:
+    """A list of numbers from a config file or a manifest, or a ConfigError."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    try:
+        return [float(x) for x in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key} list: {exc}") from None
+
+
+def _output_names(params: dict, roles: tuple[str, ...]) -> dict:
+    """A manifest's output names: plain file names, one per required role."""
+    names = params["output_names"]
+    if not isinstance(names, dict):
+        raise ConfigError(f"output_names must be a JSON object, got {names!r}")
+    for role, name in names.items():
+        if name is None and role not in roles:
+            continue
+        if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+            raise ConfigError(f"output name for {role!r} must be a plain file name, "
+                              f"got {name!r}")
+    missing = [role for role in roles if role not in names]
+    if missing:
+        raise ConfigError(f"output_names lack {', '.join(missing)}")
+    return names
+
+
 def _resolve_seed(flag, file_cfg: dict) -> int:
     if flag is not None:
         return flag
@@ -210,7 +237,7 @@ def run_experiment_files(params: dict, out_paths: dict) -> dict[str, str]:
         n=_int_field(params["n"], "n"),
         base_seed=_int_field(params["seed"], "seed"),
         replications=_int_field(params["replications"], "replications"),
-        sweep=tuple(float(x) for x in params.get("sweep", ())),
+        sweep=tuple(_float_list(params.get("sweep", []), "sweep")),
         m=_int_field(params.get("m", 100), "m"),
         bins=_int_field(params.get("bins", 20), "bins"),
         engine=params.get("engine", "infinite"),
@@ -366,6 +393,8 @@ def experiment(kind, alpha_flag, beta_flag, n_flag, reps, sweep, m_flag, bins,
     kind = _resolve(kind, file_cfg, "kind")
     if kind is None:
         raise ConfigError("missing experiment kind: pass --kind or set it in the config file")
+    if not isinstance(kind, str):
+        raise ConfigError(f"unknown experiment kind {kind!r}")
     kind = _KIND_ALIASES.get(kind, kind)
     alpha = _resolve_spec(alpha_flag, file_cfg, "alpha")
     beta = _resolve_spec(beta_flag, file_cfg, "beta")
@@ -382,10 +411,7 @@ def experiment(kind, alpha_flag, beta_flag, n_flag, reps, sweep, m_flag, bins,
         sweep = default_ratio_grid()
     elif sweep is None and kind == "convergence":
         sweep = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000]
-    try:
-        sweep = [float(x) for x in sweep or ()]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sweep list: {exc}") from exc
+    sweep = _float_list([] if sweep is None else sweep, "sweep")
 
     params = {
         "kind": kind,
@@ -451,12 +477,12 @@ def replay(manifest_file, out_dir, check):
         raise ConfigError(f"manifest params lack {', '.join(missing)}")
     out_dir = Path(out_dir)
     if manifest.command == "simulate":
-        names = manifest.params["output_names"]
+        names = _output_names(manifest.params, ("outcome",))
         out_paths = {role: (out_dir / name if name else None)
                      for role, name in names.items()}
         digests = run_simulate(manifest.params, out_paths)
     else:
-        names = manifest.params["output_names"]
+        names = _output_names(manifest.params, ("table",))
         digests = run_experiment_files(manifest.params,
                                        {"table": out_dir / names["table"]})
 

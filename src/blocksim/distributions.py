@@ -129,6 +129,8 @@ def constant(mean: float) -> DistributionSpec:
 
 def spec_from_dict(d: dict) -> DistributionSpec:
     """Rebuild a spec from the config-schema dict {kind, mean, shape?}."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"a distribution must be a JSON object, got {d!r}")
     if "kind" not in d:
         raise ConfigError("distribution dict needs a 'kind' field")
     kind = d["kind"]

@@ -61,4 +61,6 @@ def load_manifest(path) -> RunManifest:
     for name in ("params", "outputs"):
         if not isinstance(doc.get(name, {}), dict):
             raise ConfigError(f"manifest {path}: {name} must be a JSON object")
+    if not isinstance(doc["command"], str):
+        raise ConfigError(f"manifest {path}: command must be a string")
     return RunManifest(**{f.name: doc[f.name] for f in known if f.name in doc})

@@ -23,11 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distributions import DistributionSpec, sample_many
 from .errors import InvariantError
-from .network import NetSimConfig, SimOutcome
+from .network import NetSimConfig, SimOutcome, draw_schedule
 from .rng import StreamBundle
 
 # Delay values per row block.  A block holds max(1, BLOCK_VALUES // (m-1))
@@ -159,8 +157,9 @@ def simulate_matrix(config: NetSimConfig, streams: StreamBundle | None = None,
     (production, producer, then delays for recipients in ascending
     worker order skipping the producer), so the two agree exactly under
     a shared seed or injected bundle.  Production times and producers
-    are drawn in bulk up front; delays are read by position through a
-    DelayMatrix, which the per-substream layout makes safe.
+    come in bulk from the event-driven engine's draw_schedule; delays
+    are read by position through a DelayMatrix, which the per-substream
+    layout makes safe.
 
     ``scan`` selects "pruned" or "naive"; ``check_pruning`` runs both on
     every step and raises InvariantError if they disagree.
@@ -172,10 +171,7 @@ def simulate_matrix(config: NetSimConfig, streams: StreamBundle | None = None,
         streams = StreamBundle.for_run(config.seed)
     m, n = config.m, config.n
 
-    alphas = sample_many(config.alpha, streams.production, n - 1)
-    t = np.concatenate(([0.0], np.cumsum(alphas))).tolist()
-    producer_u = streams.producer.uniforms(n - 1)
-    producers = np.minimum((producer_u * m).astype(np.int64), m - 1).tolist()
+    t, producers = (a.tolist() for a in draw_schedule(config, streams))
 
     state = MatrixSimState(t=t, h=[1], z=[1],
                            delays=DelayMatrix(config.beta, streams.delay, producers, m),

@@ -92,7 +92,7 @@ class ExperimentPlan:
                 if not (math.isfinite(m) and m == int(m) and m >= 1):
                     raise ConfigError("convergence sweep: worker counts must be "
                                       f"finite integers >= 1, got {m!r}")
-        if self.engine not in ENGINES:
+        if not isinstance(self.engine, str) or self.engine not in ENGINES:
             raise ConfigError(f"unknown engine {self.engine!r}")
 
 

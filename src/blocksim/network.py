@@ -10,10 +10,14 @@ in flight when a block is created are delivered first if they arrive
 strictly before its creation time; a message arriving exactly at the
 creation instant is not yet visible.
 
-Pending messages live in a priority queue keyed by arrival time, with a
-monotone sequence number as tie-breaker so simultaneous arrivals apply
-in send order.  Messages carry only the announced tip id and its
-height, which is all the adoption rule compares.
+Production times and producers are drawn in bulk up front.  Delays are
+drawn in blocks of rows, one row of m-1 per block, and each row is
+turned into that block's messages sorted by arrival time.  The priority
+queue holds one entry per block in flight, keyed by the arrival of its
+next message and then by block id; together with the stable sort within
+each row this applies simultaneous arrivals in send order (block, then
+recipient).  Messages carry only the announced tip id and its height,
+which is all the adoption rule compares.
 """
 
 from __future__ import annotations
@@ -21,10 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import heapq
 
+import numpy as np
+
 from .blocktree import BlockTree, WorkerPositions, height, proportion_valid
-from .distributions import BufferedSampler, DistributionSpec, require_production_role
+from .distributions import DistributionSpec, require_production_role, sample_many
 from .errors import ConfigError, InvariantError
 from .rng import StreamBundle
+
+# Delay values per row block.  A block holds max(1, ROW_VALUES // (m-1))
+# rows.  Its sorted messages stay alive as Python lists until delivered,
+# so blocks of 2**16 values (the matrix engine's size) cost about 8 MB
+# more peak memory than blocks of 2**12, which run just as fast.
+ROW_VALUES = 2**12
 
 
 @dataclass(frozen=True)
@@ -77,19 +89,62 @@ class SimOutcome:
                 f"proportion {self.proportion!r} is not height/n = {self.height}/{self.n}")
 
 
+def draw_schedule(config: NetSimConfig, streams: StreamBundle):
+    """Creation times and producers of every block, drawn in bulk.
+
+    Returns ``(t, producers)`` as numpy arrays: t[k] is block k's
+    creation time with the origin's 0.0 first, producers[k-1] the worker
+    that made block k.  The cumulative sum adds in sequence, so t holds
+    the same bits as a running ``now += draw``.
+    """
+    m, n = config.m, config.n
+    alphas = sample_many(config.alpha, streams.production, n - 1)
+    t = np.concatenate(([0.0], np.cumsum(alphas)))
+    producer_u = streams.producer.uniforms(n - 1)
+    producers = np.minimum((producer_u * m).astype(np.int64), m - 1)
+    return t, producers
+
+
+def _sorted_messages(t, producers, first, rows, m, spec, stream):
+    """Messages of blocks first+1 .. first+rows, each row sorted by arrival.
+
+    Draws the rows' (m-1) delays per block in recipient order skipping
+    the producer and returns ``(arrivals, recipients)`` as lists of
+    per-block lists.  The sort is stable, so equal arrivals within a
+    block keep ascending recipient order.
+    """
+    d = sample_many(spec, stream, rows * (m - 1)).reshape(rows, m - 1)
+    a = t[first + 1:first + 1 + rows, None] + d
+    order = np.argsort(a, axis=1, kind="stable")
+    arrivals = np.take_along_axis(a, order, axis=1)
+    recipients = order + (order >= producers[first:first + rows, None])
+    return arrivals.tolist(), recipients.tolist()
+
+
 def delivery_sweep(pending, now, tip_block, tip_height):
     """Apply every queued message arriving strictly before ``now``.
 
-    Pops messages (arrival, seq, recipient, block, height) in arrival
-    order and lets each recipient adopt the announced tip when it is
-    strictly higher than the recipient's current one; on equal height
-    the incumbent is kept.  Mutates ``tip_block``/``tip_height``.
+    ``pending`` is a heap of entries (arrival, block, index, arrivals,
+    recipients, height), one per block with messages in flight: the
+    block's messages sorted by arrival, and the index of the next one
+    undelivered, whose arrival leads the entry.  Messages apply in
+    (arrival, block, index) order; each lets its recipient adopt the
+    announced tip when it is strictly higher than the recipient's
+    current one, and on equal height the incumbent is kept.  An entry
+    moves on to its block's next message, or leaves the heap once the
+    block is fully delivered.  Mutates ``tip_block``/``tip_height``.
     """
     while pending and pending[0][0] < now:
-        _, _, recipient, block, h = heapq.heappop(pending)
-        if h > tip_height[recipient]:
-            tip_block[recipient] = block
-            tip_height[recipient] = h
+        _, block, i, arrivals, recipients, h = pending[0]
+        r = recipients[i]
+        if h > tip_height[r]:
+            tip_block[r] = block
+            tip_height[r] = h
+        i += 1
+        if i < len(arrivals):
+            heapq.heapreplace(pending, (arrivals[i], block, i, arrivals, recipients, h))
+        else:
+            heapq.heappop(pending)
 
 
 def simulate_network(config: NetSimConfig, streams: StreamBundle | None = None,
@@ -97,11 +152,11 @@ def simulate_network(config: NetSimConfig, streams: StreamBundle | None = None,
     """Run the event-driven engine and return the resulting outcome.
 
     ``streams`` overrides the bundle derived from ``config.seed``; tests
-    inject scripted draws through it.  Draw order per step is fixed:
-    one production draw, one producer draw, then one delay draw per
-    recipient in ascending worker order skipping the producer.  Each
-    draw kind comes from its own substream, so a closed-form engine can
-    consume the identical sequences.
+    inject scripted draws through it.  Each draw kind comes from its own
+    substream: one production draw and one producer draw per block, and
+    m-1 delay draws per block in ascending recipient order skipping the
+    producer.  A closed-form engine can therefore consume the identical
+    sequences.
 
     With ``check_invariants`` the final worker state is cross-checked
     against metrics recomputed from the tree alone.
@@ -110,45 +165,38 @@ def simulate_network(config: NetSimConfig, streams: StreamBundle | None = None,
         streams = StreamBundle.for_run(config.seed)
     m, n = config.m, config.n
 
-    production = BufferedSampler(config.alpha, streams.production)
-    delays = BufferedSampler(config.beta, streams.delay)
+    t, producer_array = draw_schedule(config, streams)
+    times = t.tolist()
+    producers = producer_array.tolist()
 
     tip_block = [0] * m
     tip_height = [1] * m
     parents: list[int] = []
-    producers: list[int] = []
-    times: list[float] = [0.0]
     heights: list[int] = [1]
-    pending: list[tuple[float, int, int, int, int]] = []
-    seq = 0
+    pending: list = []
     best_height = 1
 
-    now = 0.0
-    for _ in range(n - 1):
-        now += production.next()
-        u = streams.producer.uniforms(1)[0]
-        w = min(int(u * m), m - 1)
+    rows = max(1, ROW_VALUES // max(1, m - 1))
+    for first in range(0, n - 1, rows):
+        last = min(first + rows, n - 1)
+        arrivals, recipients = _sorted_messages(t, producer_array, first, last - first,
+                                                m, config.beta, streams.delay)
+        for block in range(first + 1, last + 1):
+            delivery_sweep(pending, times[block], tip_block, tip_height)
 
-        delivery_sweep(pending, now, tip_block, tip_height)
+            w = producers[block - 1]
+            parents.append(tip_block[w])
+            h = tip_height[w] + 1
+            heights.append(h)
+            tip_block[w] = block
+            tip_height[w] = h
+            if h > best_height:
+                best_height = h
 
-        parent = tip_block[w]
-        h = tip_height[w] + 1
-        block = len(times)
-        parents.append(parent)
-        producers.append(w)
-        times.append(now)
-        heights.append(h)
-        tip_block[w] = block
-        tip_height[w] = h
-        if h > best_height:
-            best_height = h
-
-        for j in range(m):
-            if j == w:
-                continue
-            arrival = now + delays.next()
-            heapq.heappush(pending, (arrival, seq, j, block, h))
-            seq += 1
+            if m > 1:
+                row = arrivals[block - 1 - first]
+                heapq.heappush(pending, (row[0], block, 0, row,
+                                         recipients[block - 1 - first], h))
 
     tree = None
     if config.record_tree:
@@ -162,7 +210,8 @@ def simulate_network(config: NetSimConfig, streams: StreamBundle | None = None,
         height_series=tuple(heights) if config.record_series else None,
         positions=WorkerPositions(tuple(tip_block)),
         seed_echo=streams.seed_echo(),
-        stats={"messages_sent": seq, "undelivered": len(pending)},
+        stats={"messages_sent": (n - 1) * (m - 1),
+               "undelivered": sum(len(entry[3]) - entry[2] for entry in pending)},
     )
     if check_invariants:
         _check_outcome(outcome, tip_height, m, n)

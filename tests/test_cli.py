@@ -430,6 +430,72 @@ class TestMalformedManifest:
         assert recorded in output and running in output
 
 
+class TestMalformedValues:
+    def experiment_manifest(self, runner, tmp_path):
+        runner.invoke(main, ["experiment", "--alpha", ALPHA, "--beta", BETA, "--n", "30",
+                             "--seed", "1", "--kind", "single", "--reps", "2",
+                             "--out", str(tmp_path / "t.csv")])
+        path = tmp_path / "t.csv.manifest.json"
+        return path, json.loads(path.read_text())
+
+    def one_line_exit_2(self, result):
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error:")
+        assert len(result.output.strip().splitlines()) == 1
+        return result.output
+
+    def replay(self, runner, tmp_path, path):
+        return self.one_line_exit_2(runner.invoke(
+            main, ["replay", str(path), "--out-dir", str(tmp_path / "replayed")]))
+
+    def test_output_names_without_table(self, runner, tmp_path):
+        path, doc = self.experiment_manifest(runner, tmp_path)
+        doc["params"]["output_names"] = {"csv": "t.csv"}
+        path.write_text(json.dumps(doc))
+        assert "output_names lack table" in self.replay(runner, tmp_path, path)
+
+    @pytest.mark.parametrize("name", ["../t.csv", "absolute", "", 3])
+    def test_output_name_not_a_plain_file_name(self, runner, tmp_path, name):
+        path, doc = self.experiment_manifest(runner, tmp_path)
+        if name == "absolute":
+            name = str(tmp_path / "elsewhere.csv")
+        doc["params"]["output_names"] = {"table": name}
+        path.write_text(json.dumps(doc))
+        assert "plain file name" in self.replay(runner, tmp_path, path)
+
+    @pytest.mark.parametrize("sweep", [3, "1,2", [1, "x"]])
+    def test_sweep_not_a_list_of_numbers(self, runner, tmp_path, sweep):
+        path, doc = self.experiment_manifest(runner, tmp_path)
+        doc["params"]["sweep"] = sweep
+        path.write_text(json.dumps(doc))
+        assert "sweep" in self.replay(runner, tmp_path, path)
+
+    @pytest.mark.parametrize("field, value", [("engine", ["x"]), ("kind", ["x"]),
+                                              ("alpha", "exp:1")])
+    def test_manifest_field_of_wrong_type(self, runner, tmp_path, field, value):
+        path, doc = self.experiment_manifest(runner, tmp_path)
+        doc["params"][field] = value
+        path.write_text(json.dumps(doc))
+        self.replay(runner, tmp_path, path)
+
+    def test_manifest_command_not_a_string(self, runner, tmp_path):
+        path, doc = self.experiment_manifest(runner, tmp_path)
+        doc["command"] = ["experiment"]
+        path.write_text(json.dumps(doc))
+        assert "command must be a string" in self.replay(runner, tmp_path, path)
+
+    @pytest.mark.parametrize("field, value", [("engine", ["x"]), ("kind", ["x"]),
+                                              ("sweep", 3), ("sweep", True)])
+    def test_config_field_of_wrong_type(self, runner, tmp_path, field, value):
+        doc = {"kind": "single", "alpha": ALPHA, "beta": BETA, "n": 30, "reps": 2,
+               field: value}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        output = self.one_line_exit_2(runner.invoke(main, [
+            "experiment", "--config", str(path), "--out", str(tmp_path / "t.csv")]))
+        assert repr(value) in output
+
+
 class TestVersion:
     def test_version_flag(self, runner):
         result = runner.invoke(main, ["--version"])

@@ -1,0 +1,169 @@
+"""Generated inputs: engine equivalence, and the CLI's input boundary.
+
+The engine test runs the event-driven and delay-matrix engines over
+generated small configs, tie-rich constant/constant ones included, and
+requires identical height series.  The CLI tests feed generated config
+files and manifests to ``simulate``, ``experiment`` and ``replay``:
+every run must end with exit 0, or with exit 2 and a one-line message,
+never with a traceback.  Sizes stay small so that a generated run takes
+milliseconds, and a job count never exceeds 1, so no process pool is
+started.
+"""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from blocksim import __version__
+from blocksim.cli import main
+from blocksim.distributions import constant, exponential
+from blocksim.manifest import SCHEMA_VERSION
+from blocksim.matrix import simulate_matrix
+from blocksim.network import NetSimConfig, simulate_network
+
+CLI_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
+                        suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def engine_configs(draw):
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 200))
+    seed = draw(st.integers(0, 2**32))
+    if draw(st.booleans()):
+        # Integer times and delays: arrivals land exactly on creation
+        # times and on each other.
+        alpha = constant(float(draw(st.integers(1, 2))))
+        beta = constant(float(draw(st.integers(0, 4))))
+    else:
+        alpha = exponential(1.0)
+        beta = exponential(draw(st.sampled_from([0.01, 0.5, 1.0, 4.0])))
+    return NetSimConfig(m=m, n=n, alpha=alpha, beta=beta, seed=seed, record_series=True)
+
+
+class TestEngineEquivalence:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(engine_configs())
+    def test_network_and_matrix_height_series_agree(self, config):
+        net = simulate_network(config, check_invariants=True)
+        mat = simulate_matrix(config, check_pruning=True)
+        assert net.height_series == mat.height_series
+        assert net.height_series == tuple(net.tree.depths())
+
+
+# Values a hand-edited file may hold where the program expects another
+# type.  Numbers stay small, and strings hold no digits, so that a value
+# accepted as a size never makes a long run.
+small_ints = st.integers(-2, 40)
+odd_values = st.one_of(
+    st.none(), st.booleans(), small_ints,
+    st.floats(-2.0, 40.0), st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text("abx:-. ", max_size=4),
+    st.lists(small_ints, max_size=2),
+    st.dictionaries(st.sampled_from(["kind", "mean", "shape"]), small_ints, max_size=2),
+)
+odd_specs = st.one_of(
+    st.sampled_from(["exp:nan", "exp:-1", "const:0", "bogus:1", "exp", "gamma:1"]),
+    st.fixed_dictionaries({"kind": st.sampled_from(["exponential", "gamma", "chi_squared",
+                                                    "constant", "x"])},
+                          optional={"mean": odd_values, "shape": odd_values}),
+    odd_values)
+odd_names = st.one_of(
+    st.dictionaries(st.sampled_from(["outcome", "tree", "series", "table"]),
+                    st.one_of(st.sampled_from(["x.json", "a/b", "..", ""]), odd_values),
+                    max_size=3),
+    odd_values)
+# A job count above 1 would start a process pool, so odd ones stay below.
+odd_jobs = st.sampled_from([0, -1, 1.5, math.nan, "x", None, [1]])
+ODD = {"alpha": odd_specs, "beta": odd_specs, "output_names": odd_names, "jobs": odd_jobs}
+
+production = st.sampled_from(["exp:1", "gamma:1:2", "chi2:2", "const:1",
+                              {"kind": "exponential", "mean": 2.0}])
+delay = st.sampled_from(["exp:0.5", "const:0", "const:1", "gamma:0.5:2",
+                         {"kind": "chi_squared", "shape": 1.0}])
+engines = st.sampled_from(["network", "matrix", "infinite"])
+
+simulate_configs = st.fixed_dictionaries({
+    "engine": engines, "alpha": production, "beta": delay,
+    "n": st.integers(1, 30), "m": st.integers(1, 6), "seed": st.integers(0, 99)})
+experiment_configs = st.fixed_dictionaries({
+    "kind": st.sampled_from(["single", "efficiency", "convergence", "pdf-histogram"]),
+    "alpha": production, "beta": delay, "n": st.integers(1, 30),
+    "reps": st.integers(1, 3),
+    "sweep": st.one_of(st.none(), st.lists(st.integers(1, 12), min_size=1, max_size=3)),
+    "m": st.integers(1, 6), "bins": st.integers(1, 5), "engine": engines,
+    "seed": st.integers(0, 99), "jobs": st.just(1)})
+
+
+@st.composite
+def with_odd_fields(draw, docs):
+    """A valid doc with up to two fields deleted or given an odd value."""
+    doc = dict(draw(docs))
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(ODD.get(key, odd_values))
+    return doc
+
+
+def invoke(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2), (result.output, result.exception)
+    if result.exit_code == 2:
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), result.output
+    return result
+
+
+def run_with_config(command, doc, out_name):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        return invoke([command, "--config", str(path), "--out", str(Path(tmp) / out_name)])
+
+
+SIMULATE_PARAMS = {
+    "engine": "network", "alpha": {"kind": "exponential", "mean": 1.0},
+    "beta": {"kind": "exponential", "mean": 0.5}, "m": 3, "n": 20, "seed": 1,
+    "tree_format": "json",
+    "output_names": {"outcome": "o.json", "tree": "t.json", "series": None}}
+EXPERIMENT_PARAMS = {
+    "kind": "single", "alpha": {"kind": "exponential", "mean": 1.0},
+    "beta": {"kind": "exponential", "mean": 0.5}, "n": 20, "replications": 2,
+    "sweep": [], "m": 3, "bins": 4, "engine": "infinite", "seed": 1, "jobs": 1,
+    "output_names": {"table": "t.csv"}}
+
+# (command, params) of a manifest; the command is odd one time in three.
+manifests = st.sampled_from(["simulate", "experiment"]).flatmap(
+    lambda command: st.tuples(
+        st.integers(0, 2).flatmap(lambda i: st.just(command) if i else odd_values),
+        with_odd_fields(st.just(SIMULATE_PARAMS if command == "simulate"
+                                else EXPERIMENT_PARAMS))))
+
+
+class TestCliInputs:
+    @CLI_SETTINGS
+    @given(with_odd_fields(simulate_configs))
+    def test_simulate_config_exits_0_or_2(self, doc):
+        run_with_config("simulate", doc, "outcome.json")
+
+    @CLI_SETTINGS
+    @given(with_odd_fields(experiment_configs))
+    def test_experiment_config_exits_0_or_2(self, doc):
+        run_with_config("experiment", doc, "table.csv")
+
+    @CLI_SETTINGS
+    @given(manifests)
+    def test_replay_exits_0_or_2(self, manifest):
+        command, params = manifest
+        doc = {"command": command, "params": params, "base_seed": 1,
+               "version": __version__, "schema_version": SCHEMA_VERSION, "outputs": {}}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.manifest.json"
+            path.write_text(json.dumps(doc))
+            invoke(["replay", str(path), "--no-check", "--out-dir", str(Path(tmp) / "out")])

@@ -1,12 +1,17 @@
 from dataclasses import replace
+import hashlib
+import heapq
+import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from blocksim.blocktree import height, proportion_valid
-from blocksim.distributions import constant, exponential
+from blocksim.blocktree import export_tree, height, proportion_valid
+from blocksim.distributions import constant, exponential, gamma
 from blocksim.errors import ConfigError, InvariantError
-from blocksim.network import (NetSimConfig, SimOutcome, delivery_sweep,
-                              simulate_network)
+from blocksim.network import (NetSimConfig, SimOutcome, _sorted_messages,
+                              delivery_sweep, simulate_network)
 from blocksim.rng import ScriptedStream, StreamBundle
 
 
@@ -23,6 +28,23 @@ def base_config(**overrides):
     return NetSimConfig(**params)
 
 
+def entry(block, h, arrivals, recipients, index=0):
+    """A queue entry for ``block``: its messages sorted by arrival."""
+    return (arrivals[index], block, index, list(arrivals), list(recipients), h)
+
+
+class RecordingHeights(list):
+    """Tip heights that log the recipient of every adoption, in order."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.adopted = []
+
+    def __setitem__(self, index, value):
+        self.adopted.append(index)
+        super().__setitem__(index, value)
+
+
 class TestDeliverySweep:
     def test_empty_queue_is_noop(self):
         pending, tips, heights = [], [0], [1]
@@ -30,44 +52,80 @@ class TestDeliverySweep:
         assert (pending, tips, heights) == ([], [0], [1])
 
     def test_arrival_at_now_stays_queued(self):
-        pending = [(2.0, 0, 0, 7, 5)]
+        pending = [entry(7, 5, [2.0], [0])]
         tips, heights = [0], [1]
         delivery_sweep(pending, 2.0, tips, heights)
-        assert pending == [(2.0, 0, 0, 7, 5)]
+        assert pending == [entry(7, 5, [2.0], [0])]
         assert heights == [1]
 
     def test_strictly_earlier_arrival_applies(self):
-        pending = [(1.9, 0, 0, 7, 5)]
+        pending = [entry(7, 5, [1.9], [0])]
         tips, heights = [0], [1]
         delivery_sweep(pending, 2.0, tips, heights)
         assert pending == []
         assert (tips, heights) == ([7], [5])
 
     def test_equal_height_keeps_incumbent(self):
-        pending = [(1.0, 0, 0, 7, 3)]
+        pending = [entry(7, 3, [1.0], [0])]
         tips, heights = [4], [3]
         delivery_sweep(pending, 2.0, tips, heights)
         assert (tips, heights) == ([4], [3])
 
     def test_two_heights_end_at_higher_either_order(self):
-        for first, second in [((1.0, 0, 0, 7, 3), (1.5, 1, 0, 9, 5)),
-                              ((1.0, 0, 0, 9, 5), (1.5, 1, 0, 7, 3))]:
+        for first, second in [(entry(7, 3, [1.0], [0]), entry(9, 5, [1.5], [0])),
+                              (entry(9, 5, [1.0], [0]), entry(7, 3, [1.5], [0]))]:
             pending = sorted([first, second])
             tips, heights = [0], [1]
             delivery_sweep(pending, 2.0, tips, heights)
             assert (tips, heights) == ([9], [5])
 
     def test_simultaneous_arrivals_apply_in_send_order(self):
-        pending = sorted([(2.0, 0, 0, 10, 4), (2.0, 1, 0, 11, 4)])
+        pending = sorted([entry(10, 4, [2.0], [0]), entry(11, 4, [2.0], [0])])
         tips, heights = [0], [1]
         delivery_sweep(pending, 3.0, tips, heights)
         assert (tips, heights) == ([10], [4])
 
     def test_only_recipient_updated(self):
-        pending = [(1.0, 0, 1, 7, 5)]
+        pending = [entry(7, 5, [1.0], [1])]
         tips, heights = [0, 0], [1, 1]
         delivery_sweep(pending, 2.0, tips, heights)
         assert (tips, heights) == ([0, 7], [1, 5])
+
+    def test_equal_arrivals_from_two_blocks_apply_lower_block_first(self):
+        pending = []
+        # Pushed newest first; the heap still orders the tie by block id.
+        heapq.heappush(pending, entry(12, 4, [1.0, 2.0], [0, 1]))
+        heapq.heappush(pending, entry(10, 4, [0.5, 1.0], [1, 0]))
+        tips, heights = [0, 0], [1, 1]
+        delivery_sweep(pending, 3.0, tips, heights)
+        assert (tips, heights) == ([10, 10], [4, 4])
+
+    def test_equal_arrivals_within_a_block_apply_in_recipient_order(self):
+        # One row of 99 delays taking two values: long enough, with runs
+        # of ties, that an unstable sort would reorder the ties.
+        u = [0.5 if k % 3 else 0.1 for k in range(99)]
+        delays = exponential(1.0)
+        arrivals, recipients = _sorted_messages(
+            np.array([0.0, 1.0]), np.array([37]), 0, 1, 100, delays, ScriptedStream(u))
+        others = [j for j in range(100) if j != 37]
+        expected = sorted(range(99), key=lambda k: (u[k], k))
+        assert recipients == [[others[k] for k in expected]]
+        assert arrivals == [sorted(arrivals[0])]
+        pending = [entry(3, 2, [1.0, 1.0, 2.0], [0, 2, 1])]
+        heapq.heappush(pending, entry(4, 3, [1.0, 1.5], [1, 0]))
+        tips, heights = [0, 0, 0], RecordingHeights([1, 1, 1])
+        delivery_sweep(pending, 5.0, tips, heights)
+        # (1.0, 3, r0), (1.0, 3, r2), (1.0, 4, r1), (1.5, 4, r0); block 3's
+        # message to r1 at 2.0 is lower than r1's tip and is not adopted.
+        assert heights.adopted == [0, 2, 1, 0]
+        assert (tips, list(heights)) == ([4, 4, 3], [3, 3, 2])
+
+    def test_partly_delivered_block_stays_queued_at_next_message(self):
+        pending = [entry(5, 4, [1.0, 2.0, 3.0], [0, 1, 2])]
+        tips, heights = [0, 0, 0], [1, 1, 1]
+        delivery_sweep(pending, 2.5, tips, heights)
+        assert pending == [entry(5, 4, [1.0, 2.0, 3.0], [0, 1, 2], index=2)]
+        assert (tips, heights) == ([5, 5, 0], [4, 4, 1])
 
 
 class TestHandTrace:
@@ -175,3 +233,79 @@ class TestConfigValidation:
     def test_zero_production_time_rejected(self):
         with pytest.raises(ConfigError):
             base_config(alpha=constant(0.0))
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinned:
+    # Digests of the tree JSON, the height series and the final worker
+    # positions, with the stats, as the one-entry-per-message queue
+    # produced them; the queue's layout must not move a single byte.
+    CASES = [
+        ((1, 50, exponential(1.0), exponential(0.1), 3),
+         "3e4a868420df8c14fd6cda21e2b5d31483763ce53f8da642c6522107c4e61c0d",
+         "d33590f5c8c43e6f873c01869865493c280d92b3518f34f11b6b708d13c47b06",
+         "5ab8ca08b0c3abadeb62685c82ae3e53b159bb88ad1c7caf71fc821f2bf494a3",
+         {"messages_sent": 0, "undelivered": 0}),
+        ((2, 500, exponential(1.0), exponential(1.0), 5),
+         "42a121db3cdcfa768c154b53541624b613781ac656751c47cd7493cfaa638a46",
+         "f16ca8b06a085ee20e8efcfe4f63ba8bb6c1a1674e1c616ad28bb403e15cca18",
+         "4e7107c56dc1ba594b5de0547af90414c394e9fdcb94d89bc067817a28545d20",
+         {"messages_sent": 499, "undelivered": 2}),
+        ((100, 2000, exponential(1.0), exponential(1.0), 7),
+         "03c51816841e489b6e70f4f09df7257d675537ff8e8f24718931b87691fca4a5",
+         "a6b33b6d2e33879985666c0e180c46c182efc7647d1e3f8a16ece7615efc9b63",
+         "b997b8d56c58bbc8e5169f481a4beabb4b8bdd6f8be7d9525f82118b679e9276",
+         {"messages_sent": 197901, "undelivered": 249}),
+        ((10, 1500, exponential(1.0), gamma(shape=0.5, mean=2.0), 11),
+         "6666c9da9e08e9ea49f00285e2fcc28673097801112d813346638b8d068db589",
+         "cc6abd28d179a8f37e9b301e66284d0978ff34a421478a43bfa000235c0353b0",
+         "a13da9f1d8a5427252628177b1ee19eef6173290134fc5ad6b9993baa7de19ad",
+         {"messages_sent": 13491, "undelivered": 16}),
+        ((7, 800, constant(1.0), constant(1.0), 13),
+         "92242bc5841b2d9f6ac65fef1492947a717c95730374da111ca31f5b76a2ee92",
+         "350bc79279cdbcc0ef356aa65333ef97f88fce0d4252f9133ceea25c3ff54283",
+         "b790f00b50a7fdeb101669fd24c1fa8ad7d839ba6e56b00665d20701e943e2c9",
+         {"messages_sent": 4794, "undelivered": 12}),
+        ((5, 600, constant(1.0), constant(2.0), 17),
+         "0fdc9bcb691da371ee9a9d87c7b46220968bd0aa309186de3c46284089765e56",
+         "e76bcfea29aae0f8c77a893a508b60727aa7c0b817adbbdcadf225f6f5a787d1",
+         "7a3fe935914c6509fb412d216a952a8908514e1f0ee9d226976608078d9325a3",
+         {"messages_sent": 2396, "undelivered": 12}),
+    ]
+
+    @pytest.mark.parametrize("params,tree,series,positions,stats", CASES,
+                             ids=["m1", "m2", "m100", "gamma", "const-tie", "const-late"])
+    def test_outputs_unchanged(self, params, tree, series, positions, stats):
+        m, n, alpha, beta, seed = params
+        out = simulate_network(NetSimConfig(m=m, n=n, alpha=alpha, beta=beta, seed=seed,
+                                            record_series=True), check_invariants=True)
+        assert sha256(export_tree(out.tree, "json")) == tree
+        assert sha256(json.dumps(out.height_series)) == series
+        assert sha256(json.dumps(out.positions.positions)) == positions
+        assert out.stats == stats
+
+    def test_draws_one_delay_per_message(self):
+        streams = StreamBundle.for_run(7)
+        out = simulate_network(base_config(m=100, n=2000), streams)
+        assert streams.delay.position == out.stats["messages_sent"]
+        assert streams.production.position == streams.producer.position == 1999
+
+
+class TestMemory:
+    def test_delays_are_not_drawn_up_front(self):
+        # (n-1)(m-1) = 998,001 delays would take 8 MB as float64 alone;
+        # row blocks of 2**12 values and the blocks in flight take about
+        # 2 MB.  n stays at 1000 because tracing every allocation makes
+        # the run about eight times slower.
+        config = NetSimConfig(m=1000, n=1000, alpha=exponential(1.0),
+                              beta=exponential(1.0), seed=1, record_tree=False)
+        tracemalloc.start()
+        try:
+            simulate_network(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
