@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv
 
 from .errors import ConfigError
 
@@ -206,6 +205,7 @@ def _transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
     if spec.kind == "exponential":
         vals = -spec.mean * np.log1p(-u)
     else:
+        from scipy.special import gammaincinv  # only gamma kinds pay its import time
         vals = gammaincinv(_gamma_shape(spec), u) * spec.scale
     return np.maximum(vals, _TINY)
 
@@ -264,6 +264,7 @@ def cdf(spec: DistributionSpec, r):
     elif spec.kind == "exponential":
         out = np.where(r >= 0, -np.expm1(-np.maximum(r, 0.0) / spec.mean), 0.0)
     else:
+        from scipy.special import gammainc
         out = np.where(r >= 0, gammainc(_gamma_shape(spec), np.maximum(r, 0.0) / spec.scale), 0.0)
     return out if out.ndim else float(out)
 

@@ -14,7 +14,8 @@ scanned pair consumes exactly one delay draw.  Pruning stops the scan
 early and so consumes fewer draws; pass ``align_draws=True`` to consume
 a full block of k-1 draws per step regardless, which makes pruned and
 unpruned runs read the identical draw for every pair and return
-identical results.
+identical results; check_full_blocks checks such a run against the
+full scan of its draws in one vectorized pass after the run.
 
 All three modes (pruned, aligned, unpruned) run one scan loop.  It
 reads delays by index from a buffer of consecutive delay-stream values
@@ -35,7 +36,8 @@ import numpy as np
 
 from .distributions import DistributionSpec, require_production_role, sample_many
 from .errors import ConfigError
-from .network import SimOutcome
+from .matrix import CHECK_CELLS, check_full_scan
+from .network import SimOutcome, production_times
 from .rng import StreamBundle
 
 # Size of the first delay buffer of a run and the cap its doubling stops at.
@@ -72,8 +74,7 @@ def simulate_infinite(config: InfSimConfig, streams: StreamBundle | None = None,
         streams = StreamBundle.for_run(config.seed)
     n = config.n
 
-    alphas = sample_many(config.alpha, streams.production, n - 1)
-    t = np.concatenate(([0.0], np.cumsum(alphas))).tolist()
+    t = production_times(config.alpha, streams.production, n).tolist()
 
     full_block = align_draws or not config.use_pruning
     h = [1]
@@ -124,3 +125,30 @@ def simulate_infinite(config: InfSimConfig, streams: StreamBundle | None = None,
                "pairs_tested": scanned,
                "delay_draws": consumed},
     )
+
+
+def check_full_blocks(config: InfSimConfig, height_series) -> None:
+    """check_full_scan of an unpruned run, or a pruned one with ``align_draws``.
+
+    Under the full-block contract step k's draw for pair i sits at delay
+    position (k-1)(k-2)/2 + (k-1-i), so a chunk of consecutive steps
+    reads consecutive values, drawn afresh from the run's seed.
+    """
+    streams = StreamBundle.for_run(config.seed)
+    n = len(height_series)
+
+    def chunks():
+        k0 = 1
+        while k0 < n:
+            # Steps k0..k1-1 against blocks 1..k1-2: about CHECK_CELLS cells.
+            k1 = min(n, k0 + max(1, CHECK_CELLS // (k0 + int(CHECK_CELLS**0.5))))
+            start = (k0 - 1) * (k0 - 2) // 2
+            streams.delay.seek(start)
+            v = sample_many(config.beta, streams.delay, (k1 - 1) * (k1 - 2) // 2 - start)
+            i, k = np.arange(1, k1 - 1)[:, None], np.arange(k0, k1)
+            # Cells with i >= k fall before the chunk's draws; clip, they are ignored.
+            yield 1, k0, v.take((k - 1) * (k - 2) // 2 - start + k - 1 - i, mode="clip")
+            k0 = k1
+
+    check_full_scan(production_times(config.alpha, streams.production, n),
+                    height_series, chunks())

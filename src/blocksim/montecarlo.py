@@ -18,6 +18,7 @@ Everything downstream is deterministic given the plan.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -126,11 +127,11 @@ def run_replication_sets(sets, jobs: int = 1) -> list[McEstimate]:
     sets is a sequence of (engine, config, replications, base_seed);
     each set is what run_replications takes and yields one McEstimate,
     in order.  With jobs > 1 every (set, replication) pair of the whole
-    batch is spread over one process pool, so an experiment starts at
-    most one pool.  Results are reduced in replication order, so the
-    estimates are deterministic regardless of ``jobs``; only named
-    engines run in parallel, and a batch holding a callable engine runs
-    serially.
+    batch is spread over one process pool of at most ``jobs`` workers,
+    so an experiment starts at most one pool.  Results are reduced in
+    replication order, so the estimates are deterministic regardless of
+    ``jobs``; only named engines run in parallel, and a batch holding a
+    callable engine runs serially.
     """
     if jobs < 1:
         raise ConfigError(f"job count must be >= 1, got {jobs}")
@@ -145,7 +146,11 @@ def run_replication_sets(sets, jobs: int = 1) -> list[McEstimate]:
 
     if jobs > 1 and all(isinstance(engine, str) for engine in engines):
         chunk = max(1, min(POOL_CHUNK, len(configs) // (jobs * 4)))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # No more workers than chunks to run or CPUs this process may use.
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        workers = min(jobs, -(-len(configs) // chunk), cpus)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             values = list(pool.map(_run_one, engines, configs, chunksize=chunk))
     else:
         values = []

@@ -2,8 +2,9 @@
 
 Three suites, runnable from the CLI: exact agreement of the event-driven
 and delay-matrix engines under shared seeds, exact agreement of the
-pruned and naive visibility scans, and the analytic bound on the gap
-between a delay-matrix entry's mixture CDF and the delay CDF.
+pruned visibility scan with the full scan on every step (one vectorized
+check per run), and the analytic bound on the gap between a
+delay-matrix entry's mixture CDF and the delay CDF.
 
 The equivalence suite mixes continuous configs with tie-rich ones
 (constant production and a constant delay at an integer multiple), where
@@ -23,7 +24,7 @@ import numpy as np
 from .distributions import (DistributionSpec, cdf, constant, exponential, gamma,
                             chi_squared, mixture_cdf, sup_gap_bound)
 from .errors import InvariantError
-from .infinite import InfSimConfig, simulate_infinite
+from .infinite import InfSimConfig, check_full_blocks, simulate_infinite
 from .matrix import simulate_matrix
 from .network import NetSimConfig, simulate_network
 from .rng import SampleStream, mix64
@@ -90,12 +91,12 @@ def check_equivalence(base_seed: int = 0, configs: int = 100,
 
 def check_pruning(base_seed: int = 0, runs: int = 50,
                   max_n: int = 2000) -> CheckResult:
-    """Pruned vs naive scan on every step, plus the unbounded engines.
+    """Pruned vs full scan on every step, for both scanning engines.
 
     Sweeps delay/production ratios 0.01, 1, and 10 (one full-size run
-    each), with the remaining runs at randomized smaller sizes.  Also
-    checks that the pruned unbounded engine under the full-block draw
-    contract reproduces the unpruned one bit for bit.
+    each), with the remaining runs at randomized smaller sizes.  Each
+    matrix run, and each pruned unbounded run under the full-block draw
+    contract, is checked against the full scan of its own draws.
     """
     stream = SampleStream(base_seed, _CONFIG_STREAM_ID + 1)
     steps = 0
@@ -110,26 +111,18 @@ def check_pruning(base_seed: int = 0, runs: int = 50,
         cfg = NetSimConfig(m=m, n=n, alpha=exponential(1.0),
                            beta=exponential(ratio), seed=mix64(base_seed, 7000 + i),
                            record_tree=False)
+        inf_cfg = InfSimConfig(n=min(n, 600), alpha=exponential(1.0),
+                               beta=exponential(ratio), seed=mix64(base_seed, 8000 + i),
+                               record_series=True)
+        run = f"run {i} (m={m}, n={n}, ratio={ratio:g})"
         try:
             simulate_matrix(cfg, check_pruning=True)
+            run = f"unbounded engine run {i} (n={inf_cfg.n}, ratio={ratio:g})"
+            check_full_blocks(inf_cfg, simulate_infinite(inf_cfg, align_draws=True)
+                              .height_series)
         except InvariantError as exc:
-            return CheckResult("pruning_exactness", False,
-                               f"run {i} (m={m}, n={n}, ratio={ratio:g}): {exc}")
+            return CheckResult("pruning_exactness", False, f"{run}: {exc}")
         steps += n - 1
-
-        inf_n = min(n, 600)
-        pruned = simulate_infinite(
-            InfSimConfig(n=inf_n, alpha=exponential(1.0), beta=exponential(ratio),
-                         seed=mix64(base_seed, 8000 + i), record_series=True),
-            align_draws=True)
-        plain = simulate_infinite(
-            InfSimConfig(n=inf_n, alpha=exponential(1.0), beta=exponential(ratio),
-                         seed=mix64(base_seed, 8000 + i), use_pruning=False,
-                         record_series=True))
-        if pruned.height_series != plain.height_series:
-            return CheckResult("pruning_exactness", False,
-                               f"unbounded engine run {i}: pruned and unpruned "
-                               f"height series differ (n={inf_n}, ratio={ratio:g})")
     return CheckResult("pruning_exactness", True,
                        f"{runs} runs, {steps} steps, all scans agree")
 

@@ -1,11 +1,12 @@
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
 
 from blocksim.blocktree import tree_from_json
 from blocksim.cli import main
-from blocksim import __version__
+from blocksim import __version__, montecarlo
 from blocksim.manifest import SCHEMA_VERSION, load_manifest
 
 ALPHA = "exp:1"
@@ -246,6 +247,36 @@ class TestExperiment:
             "--out", str(out2)])
         assert result.exit_code == 0, result.output
         assert out2.read_text().splitlines() == serial
+
+    def test_pool_capped_and_requested_jobs_recorded(self, runner, tmp_path, monkeypatch):
+        # Two replications start two workers, not six; no pool is started here.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        _, serial = self.run_kind(runner, tmp_path, "--kind", "single", "--reps", "2")
+        out = tmp_path / "six.csv"
+        result = runner.invoke(main, [
+            "experiment", "--alpha", ALPHA, "--beta", BETA, "--n", "40",
+            "--seed", "1", "--kind", "single", "--reps", "2", "--jobs", "6",
+            "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert sizes == [2]
+        assert out.read_text().splitlines() == serial
+        assert load_manifest(tmp_path / "six.csv.manifest.json").params["jobs"] == 6
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_flag_exits_2(self, runner, tmp_path, jobs):

@@ -1,9 +1,14 @@
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import blocksim
 from blocksim.distributions import (BufferedSampler, DistributionSpec, cdf,
                                     chi_squared, constant, exponential,
                                     format_spec, gamma, ks_distance,
@@ -214,3 +219,17 @@ class TestCdfs:
         spec = exponential(1.0)
         gap = np.max(np.abs(np.asarray(mixture_cdf(spec, 10, r)) - np.asarray(cdf(spec, r))))
         assert gap <= 0.2
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy.special serves only the gamma kinds, and its import takes
+        # about as long as the rest of the CLI's.
+        src = str(Path(blocksim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = "import sys, blocksim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

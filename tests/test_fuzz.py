@@ -1,9 +1,12 @@
-"""Generated inputs: engine equivalence, and the CLI's input boundary.
+"""Generated inputs: engine equivalence, the full-scan checks, and the CLI's input boundary.
 
 The engine test runs the event-driven and delay-matrix engines over
 generated small configs, tie-rich constant/constant ones included, and
-requires identical height series.  The CLI tests feed generated config
-files and manifests to ``simulate``, ``experiment`` and ``replay``:
+requires identical height series.  The check tests hold the whole-run
+full-scan checks of both scanning engines to reference series, and
+require each injected fault to be reported at the first block it
+changes.  The CLI tests feed generated config files and manifests to
+``simulate``, ``experiment`` and ``replay``:
 every run must end with exit 0, or with exit 2 and a one-line message,
 never with a traceback.  Sizes stay small so that a generated run takes
 milliseconds, and a job count never exceeds 1, so no process pool is
@@ -14,16 +17,21 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+import pytest
 
-from blocksim import __version__
+from blocksim import __version__, matrix
 from blocksim.cli import main
 from blocksim.distributions import constant, exponential
+from blocksim.errors import InvariantError
+from blocksim.infinite import InfSimConfig, check_full_blocks, simulate_infinite
 from blocksim.manifest import SCHEMA_VERSION
-from blocksim.matrix import simulate_matrix
-from blocksim.network import NetSimConfig, simulate_network
+from blocksim.matrix import DelayMatrix, simulate_matrix, visible_height_naive
+from blocksim.network import NetSimConfig, draw_schedule, simulate_network
+from blocksim.rng import StreamBundle
 
 CLI_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
                         suppress_health_check=[HealthCheck.too_slow])
@@ -53,6 +61,106 @@ class TestEngineEquivalence:
         mat = simulate_matrix(config, check_pruning=True)
         assert net.height_series == mat.height_series
         assert net.height_series == tuple(net.tree.depths())
+
+
+CHECK_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+TIE_CONFIG = NetSimConfig(m=3, n=60, alpha=constant(1.0), beta=constant(2.0), seed=9,
+                          record_series=True)
+SHIFT_CONFIG = NetSimConfig(m=2, n=150, alpha=exponential(1.0), beta=exponential(1.0),
+                            seed=5, record_series=True)
+
+
+def matrix_check(config, series, strict=True):
+    """The matrix engine's full-scan check of a series, on the config's draws."""
+    streams = StreamBundle.for_run(config.seed)
+    t, producers = draw_schedule(config, streams)
+    delays = DelayMatrix(config.beta, streams.delay, producers.tolist(), config.m)
+    visible_height_naive(t, series, delays, strict)
+
+
+def unbounded(config, **overrides):
+    return InfSimConfig(n=config.n, alpha=config.alpha, beta=config.beta,
+                        seed=config.seed, record_series=True, **overrides)
+
+
+def first_difference(a, b):
+    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), None)
+
+
+def caught_at(check, k):
+    """check() raises the scan mismatch at block k, or passes if k is None.
+
+    A faulty series that agrees with the right one before block k gives
+    the full scan the right history up to k, so the fault first shows
+    at the first block where the two series differ.
+    """
+    if k is None:
+        check()
+    else:
+        with pytest.raises(InvariantError, match=f"scan mismatch at block {k}:"):
+            check()
+
+
+class TestFullScanCheck:
+    @CHECK_SETTINGS
+    @given(engine_configs(), st.booleans())
+    def test_reference_series_pass(self, config, strict):
+        # The event-driven engine is the strict reference; the lenient
+        # comparison has only the matrix engine's fault hook.
+        series = (simulate_network(config).height_series if strict else
+                  simulate_matrix(config, strict_visibility=False).height_series)
+        matrix_check(config, series, strict)
+        plain = simulate_infinite(unbounded(config, use_pruning=False))
+        check_full_blocks(unbounded(config), plain.height_series)
+
+    @CHECK_SETTINGS
+    @given(engine_configs(), st.data())
+    def test_one_step_off_is_caught_there(self, config, data):
+        if config.n < 2:
+            return
+        k = data.draw(st.integers(1, config.n - 1))
+        series = list(simulate_network(config).height_series)
+        series[k] += 1
+        caught_at(lambda: matrix_check(config, series), k)
+        aligned = list(simulate_infinite(unbounded(config), align_draws=True).height_series)
+        aligned[k] += 1
+        caught_at(lambda: check_full_blocks(unbounded(config), aligned), k)
+
+    @CHECK_SETTINGS
+    @example(SHIFT_CONFIG)
+    @given(engine_configs())
+    def test_draws_one_position_off_are_caught(self, config):
+        # An engine reading each pair's draw one stream position past the
+        # full-block formula's: an off-by-one between engine and check.
+        cfg = unbounded(config, use_pruning=False)
+        streams = StreamBundle.for_run(cfg.seed)
+        streams.delay.seek(1)
+        shifted = simulate_infinite(cfg, streams).height_series
+        k = first_difference(shifted, simulate_infinite(cfg).height_series)
+        if config == SHIFT_CONFIG:
+            assert k is not None
+        caught_at(lambda: check_full_blocks(cfg, shifted), k)
+
+    @CHECK_SETTINGS
+    @example(TIE_CONFIG)
+    @given(engine_configs())
+    def test_lenient_scan_is_caught(self, config):
+        # <= in place of < in the pruned scan, checked with <.
+        pruned = matrix.visible_height_pruned
+
+        def lenient(k, j, state):
+            state.strict = False
+            try:
+                return pruned(k, j, state)
+            finally:
+                state.strict = True
+
+        k = first_difference(simulate_matrix(config, strict_visibility=False).height_series,
+                             simulate_matrix(config).height_series)
+        if config == TIE_CONFIG:
+            assert k is not None
+        with mock.patch.object(matrix, "visible_height_pruned", lenient):
+            caught_at(lambda: simulate_matrix(config, check_pruning=True), k)
 
 
 # Values a hand-edited file may hold where the program expects another

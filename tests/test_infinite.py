@@ -4,8 +4,9 @@ from dataclasses import replace
 import pytest
 
 from blocksim.distributions import constant, exponential, gamma
-from blocksim.errors import ConfigError
-from blocksim.infinite import InfSimConfig, simulate_infinite
+from blocksim import infinite
+from blocksim.errors import ConfigError, InvariantError
+from blocksim.infinite import InfSimConfig, check_full_blocks, simulate_infinite
 from blocksim.rng import StreamBundle
 
 
@@ -102,6 +103,28 @@ class TestPruningExactness:
         plain = simulate_infinite(base_config(seed=8, beta=beta, n=400,
                                               use_pruning=False))
         assert pruned.height_series == plain.height_series
+
+
+class TestFullBlockCheck:
+    @pytest.mark.parametrize("cells", [1, 7, 2**14])
+    def test_check_across_chunks(self, monkeypatch, cells):
+        monkeypatch.setattr(infinite, "CHECK_CELLS", cells)
+        for config in (base_config(n=150, beta=exponential(5.0), seed=4),
+                       base_config(n=90, alpha=constant(1.0), beta=constant(2.0))):
+            aligned = simulate_infinite(config, align_draws=True).height_series
+            plain = simulate_infinite(replace(config, use_pruning=False)).height_series
+            check_full_blocks(config, aligned)
+            check_full_blocks(config, plain)
+            for k in (1, 40, config.n - 1):
+                bumped = aligned[:k] + (aligned[k] + 1,) + aligned[k + 1:]
+                with pytest.raises(InvariantError, match=f"scan mismatch at block {k}:"):
+                    check_full_blocks(config, bumped)
+
+    def test_origin_only_and_two_blocks(self):
+        check_full_blocks(base_config(n=1), (1,))
+        check_full_blocks(base_config(n=2), (1, 2))
+        with pytest.raises(InvariantError, match="scan mismatch at block 1: 1 != 2"):
+            check_full_blocks(base_config(n=2), (1, 1))
 
 
 class TestDeterminism:

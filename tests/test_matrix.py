@@ -9,7 +9,7 @@ from blocksim.distributions import constant, exponential, gamma, sample_many
 from blocksim.errors import InvariantError
 from blocksim.matrix import (DelayMatrix, MatrixSimState, simulate_matrix,
                              visible_height_naive, visible_height_pruned)
-from blocksim.network import NetSimConfig, simulate_network
+from blocksim.network import NetSimConfig, draw_schedule, simulate_network
 from blocksim.rng import (ROLE_DELAY, ROLE_PRODUCER, ROLE_PRODUCTION, SampleStream,
                           ScriptedStream, StreamBundle)
 
@@ -60,23 +60,52 @@ def interleaved_state():
                           delays=delays)
 
 
+def check_two_workers(t, h, producers, strict=True):
+    """Whole-run check of a two-worker run with every delay 1.5."""
+    delays = DelayMatrix(constant(1.5), ScriptedStream([0.5] * len(producers)),
+                         producers=producers, m=2)
+    visible_height_naive(t, h, delays, strict)
+
+
+def run_inputs(config):
+    """Creation times and delay matrix of a run, drawn afresh from its seed."""
+    streams = StreamBundle.for_run(config.seed)
+    t, producers = draw_schedule(config, streams)
+    return t, DelayMatrix(config.beta, streams.delay, producers.tolist(), config.m)
+
+
 class TestVisibility:
+    # Worker 1 makes blocks 1 and 2, worker 0 makes block 3.  Block 1
+    # reaches worker 0 at 2.5 and block 2 reaches it at 3.5.
+    producers = [1, 1, 0]
+
     def test_strict_comparison(self):
-        state = interleaved_state()
-        assert state.visible(1, 0, 3.0)
-        assert not state.visible(2, 0, 3.0)
-        assert not state.visible(1, 1, 2.5)
+        # The producer's own block counts at once: block 2 builds on block 1.
+        with pytest.raises(InvariantError, match="block 2: 2 != 3"):
+            check_two_workers([0.0, 1.0, 2.0, 3.0], [1, 2, 2, 2], self.producers)
+        # At t=3 worker 0 has seen block 1 but not block 2.
+        check_two_workers([0.0, 1.0, 2.0, 3.0], [1, 2, 3, 3], self.producers)
+        with pytest.raises(InvariantError, match="block 3: 4 != 3"):
+            check_two_workers([0.0, 1.0, 2.0, 3.0], [1, 2, 3, 4], self.producers)
+        # Block 1 arriving at the instant block 3 is made does not count.
+        check_two_workers([0.0, 1.0, 2.0, 2.5], [1, 2, 3, 2], self.producers)
+        with pytest.raises(InvariantError, match="block 3: 3 != 2"):
+            check_two_workers([0.0, 1.0, 2.0, 2.5], [1, 2, 3, 3], self.producers)
 
     def test_lenient_comparison_counts_simultaneous(self):
-        state = interleaved_state()
-        state.strict = False
-        assert state.visible(1, 1, 2.5)
+        check_two_workers([0.0, 1.0, 2.0, 2.5], [1, 2, 3, 3], self.producers,
+                          strict=False)
+        with pytest.raises(InvariantError, match="block 3: 2 != 3"):
+            check_two_workers([0.0, 1.0, 2.0, 2.5], [1, 2, 3, 2], self.producers,
+                              strict=False)
 
     def test_scans_agree_on_interleaved_state(self):
         state = interleaved_state()
-        assert visible_height_naive(3, 0, state) == 3
         assert visible_height_pruned(3, 0, state) == 3
         assert state.scanned == 2
+        visible_height_naive(state.t, state.h + [3], state.delays)
+        with pytest.raises(InvariantError, match="block 3: 2 != 3"):
+            visible_height_naive(state.t, state.h + [2], state.delays)
 
     def test_pruned_skips_blocks_behind_running_best(self, monkeypatch):
         # Once x reaches z_i the scan stops, so early blocks are skipped;
@@ -124,8 +153,14 @@ class TestHandTrace:
 
     def test_naive_scan_same_trace(self):
         config, streams = self.run_trace()
-        out = simulate_matrix(config, streams, scan="naive")
-        assert out.height_series == (1, 2, 2, 3, 3)
+        t, producers = draw_schedule(config, streams)
+        delays = DelayMatrix(config.beta, streams.delay, producers.tolist(), config.m)
+        visible_height_naive(t, [1, 2, 2, 3, 3], delays)
+        for k in range(1, 5):
+            series = [1, 2, 2, 3, 3]
+            series[k] += 1
+            with pytest.raises(InvariantError, match=f"scan mismatch at block {k}:"):
+                visible_height_naive(t, series, delays)
 
 
 class TestAgainstNetworkEngine:
@@ -155,13 +190,13 @@ class TestAgainstNetworkEngine:
 class TestScanVariants:
     def test_pruned_equals_naive_heights(self):
         config = base_config(seed=3)
-        pruned = simulate_matrix(config, scan="pruned")
-        naive = simulate_matrix(config, scan="naive")
-        assert pruned.height_series == naive.height_series
-
-    def test_unknown_scan_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_matrix(base_config(), scan="bogus")
+        series = list(simulate_matrix(config).height_series)
+        t, delays = run_inputs(config)
+        visible_height_naive(t, series, delays)
+        for k in (1, 57, 199):
+            bumped = series[:k] + [series[k] + 1] + series[k + 1:]
+            with pytest.raises(InvariantError, match=f"scan mismatch at block {k}:"):
+                visible_height_naive(t, bumped, delays)
 
     def test_zero_delay_scan_window(self):
         n = 100
@@ -216,6 +251,32 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("cells, block_values", [(7, 12), (1, 5), (2**14, 2**16)])
+    def test_check_across_chunks_and_row_blocks(self, monkeypatch, cells, block_values):
+        monkeypatch.setattr(matrix, "CHECK_CELLS", cells)
+        monkeypatch.setattr(matrix, "BLOCK_VALUES", block_values)
+        for config in (base_config(n=120, beta=exponential(3.0), seed=2),
+                       base_config(m=3, n=60, alpha=constant(1.0), beta=constant(2.0))):
+            series = list(simulate_matrix(config, check_pruning=True).height_series)
+            t, delays = run_inputs(config)
+            for k in (1, 30, len(series) - 1):
+                bumped = series[:k] + [series[k] + 1] + series[k + 1:]
+                with pytest.raises(InvariantError, match=f"scan mismatch at block {k}:"):
+                    visible_height_naive(t, bumped, delays)
+
+    def test_check_memory_bounded(self):
+        # The check reads every entry of the matrix, one row block and one
+        # chunk at a time; the whole matrix would take 8 MB as float64.
+        config = base_config(m=1000, n=1000, beta=exponential(1.0), seed=1,
+                             record_series=False)
+        tracemalloc.start()
+        try:
+            simulate_matrix(config, check_pruning=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestStrictVisibilityFault:

@@ -38,6 +38,15 @@ class TestSuites:
         assert a == b
 
 
+def run_optimized(script):
+    """Run a script under ``python -O`` against this source tree."""
+    src = str(Path(blocksim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestFaultInjection:
     def test_lenient_visibility_is_caught(self):
         # The tie-rich configs make simultaneous arrival certain, so
@@ -49,7 +58,7 @@ class TestFaultInjection:
 
     def test_scan_mismatch_fails_suite_under_optimize(self):
         # ``python -O`` strips assert statements; the pruning suite must
-        # still catch a pruned scan that disagrees with the naive one.
+        # still catch a pruned scan that disagrees with the full scan.
         script = "\n".join([
             "import sys",
             "import blocksim.matrix as mx",
@@ -61,12 +70,31 @@ class TestFaultInjection:
             "print(result.detail)",
             "sys.exit(1 if result.passed else 0)",
         ])
-        src = str(Path(blocksim.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_optimized(script)
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "scan mismatch at block 5" in proc.stdout
+
+    def test_unbounded_mismatch_fails_suite_under_optimize(self):
+        # The infinite half of the suite: an aligned run that disagrees
+        # with the full scan at block 5 fails it, naming run and block.
+        script = "\n".join([
+            "import dataclasses, sys",
+            "import blocksim.validate as v",
+            "assert False, 'asserts must be stripped in this run'",
+            "real = v.simulate_infinite",
+            "def bumped(config, *args, **kwargs):",
+            "    out = real(config, *args, **kwargs)",
+            "    series = list(out.height_series)",
+            "    series[5] += 1",
+            "    return dataclasses.replace(out, height_series=tuple(series))",
+            "v.simulate_infinite = bumped",
+            "result = v.check_pruning(runs=1, max_n=50)",
+            "print(result.detail)",
+            "sys.exit(1 if result.passed else 0)",
+        ])
+        proc = run_optimized(script)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "unbounded engine run 0" in proc.stdout
         assert "scan mismatch at block 5" in proc.stdout
 
     def test_fault_propagates_through_run_validation(self):
