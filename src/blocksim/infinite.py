@@ -14,18 +14,16 @@ scanned pair consumes exactly one delay draw.  Pruning stops the scan
 early and so consumes fewer draws; pass ``align_draws=True`` to consume
 a full block of k-1 draws per step regardless, which makes pruned and
 unpruned runs read the identical draw for every pair and return
-identical results; check_full_blocks checks such a run against the
-full scan of its draws in one vectorized pass after the run.
+identical results.
 
-All three modes (pruned, aligned, unpruned) run one scan loop.  It
-reads delays by index from a buffer of consecutive delay-stream values
-that starts at 1,024 values and doubles up to 16,384, so a short run
-transforms few values it never reads.  The scan of step k stops at
-``bound[i]``: the running height maximum when pruning, a height no
-block reaches otherwise.  Under the full-block contract each step moves
-the buffer index past the draws its scan did not reach, and a refill
-seeks the stream to the first draw still wanted, so skipped draws that
-lie past the buffer's end are never transformed.
+The pruned scan reads delays by index from a buffer of consecutive
+delay-stream values that starts at 1,024 values and doubles up to
+16,384, so a short run transforms few values it never reads.  Under the
+full-block contract each step moves the buffer index past the draws its
+scan did not reach, and a refill seeks the stream to the first draw
+still wanted, so skipped draws past the buffer's end are never
+transformed.  The unpruned scan shares no code with it: it tests each
+step's pairs at once in numpy, so comparing the two checks the pruning.
 """
 
 from __future__ import annotations
@@ -36,8 +34,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, require_production_role, sample_many
 from .errors import ConfigError
-from .matrix import CHECK_CELLS, check_full_scan
-from .network import SimOutcome, production_times
+from .network import SimOutcome
 from .rng import StreamBundle
 
 # Size of the first delay buffer of a run and the cap its doubling stops at.
@@ -74,47 +71,15 @@ def simulate_infinite(config: InfSimConfig, streams: StreamBundle | None = None,
         streams = StreamBundle.for_run(config.seed)
     n = config.n
 
-    t = production_times(config.alpha, streams.production, n).tolist()
+    alphas = sample_many(config.alpha, streams.production, n - 1)
+    t = np.concatenate(([0.0], np.cumsum(alphas)))
+    full_block = (n - 1) * (n - 2) // 2
+    if config.use_pruning:
+        h, final, scanned = _pruned_scan(config.beta, streams.delay, t.tolist(), align_draws)
+    else:
+        (h, final), scanned = _full_scan(config.beta, streams.delay, t), full_block
+    consumed = full_block if align_draws or not config.use_pruning else scanned
 
-    full_block = align_draws or not config.use_pruning
-    h = [1]
-    z = [1]
-    bound = z if config.use_pruning else [n + 1] * n
-    delays: list[float] = []
-    j = 0  # index in delays of the draw for the next pair
-    start = streams.delay.position  # delay-stream position of delays[0]
-    size = FIRST_BUFFER
-    scanned = 0
-    for k in range(1, n):
-        t_k = t[k]
-        x = 1
-        i = k - 1
-        while True:
-            try:
-                while i and x < bound[i]:
-                    if t[i] + delays[j] < t_k and h[i] > x:
-                        x = h[i]
-                    i -= 1
-                    j += 1
-                break
-            except IndexError:
-                # delays[j] ran past the buffer: refill from its position on.
-                # Catching this, instead of testing j on every pair, keeps
-                # the scan's per-pair work to the bound test and the read.
-                start += j
-                j = 0
-                streams.delay.seek(start)
-                delays = sample_many(config.beta, streams.delay, size).tolist()
-                size = min(2 * size, MAX_BUFFER)
-        scanned += k - 1 - i
-        if full_block:
-            j += i  # skip the draws of the i pairs the scan did not reach
-        x += 1
-        h.append(x)
-        z.append(x if x > z[-1] else z[-1])
-    consumed = (n - 1) * (n - 2) // 2 if full_block else scanned
-
-    final = z[-1]
     return SimOutcome(
         proportion=final / n,
         height=final,
@@ -127,28 +92,62 @@ def simulate_infinite(config: InfSimConfig, streams: StreamBundle | None = None,
     )
 
 
-def check_full_blocks(config: InfSimConfig, height_series) -> None:
-    """check_full_scan of an unpruned run, or a pruned one with ``align_draws``.
+def _pruned_scan(beta: DistributionSpec, delay, t: list[float], align_draws: bool):
+    """Heights of the pruned scan, the highest, and the number of pairs tested."""
+    n = len(t)
+    h = [1]
+    z = [1]
+    delays: list[float] = []
+    j = 0  # index in delays of the draw for the next pair
+    start = delay.position  # delay-stream position of delays[0]
+    size = FIRST_BUFFER
+    scanned = 0
+    for k in range(1, n):
+        t_k = t[k]
+        x = 1
+        i = k - 1
+        while True:
+            try:
+                while i and x < z[i]:
+                    if t[i] + delays[j] < t_k and h[i] > x:
+                        x = h[i]
+                    i -= 1
+                    j += 1
+                break
+            except IndexError:
+                # delays[j] ran past the buffer: refill from its position on.
+                # Catching this, instead of testing j on every pair, keeps
+                # the scan's per-pair work to the bound test and the read.
+                start += j
+                j = 0
+                delay.seek(start)
+                delays = sample_many(beta, delay, size).tolist()
+                size = min(2 * size, MAX_BUFFER)
+        scanned += k - 1 - i
+        if align_draws:
+            j += i  # skip the draws of the i pairs the scan did not reach
+        x += 1
+        h.append(x)
+        z.append(x if x > z[-1] else z[-1])
+    return h, z[-1], scanned
 
-    Under the full-block contract step k's draw for pair i sits at delay
-    position (k-1)(k-2)/2 + (k-1-i), so a chunk of consecutive steps
-    reads consecutive values, drawn afresh from the run's seed.
+
+def _full_scan(beta: DistributionSpec, delay, t: np.ndarray) -> tuple[list[int], int]:
+    """Heights of the unpruned scan, and the highest of them.
+
+    Draws are read in sequence, about MAX_BUFFER values at a time: step
+    k's k-1 draws, for pairs i = k-1 down to 1, start (k-1)(k-2)/2
+    values into the run's draws.
     """
-    streams = StreamBundle.for_run(config.seed)
-    n = len(height_series)
-
-    def chunks():
-        k0 = 1
-        while k0 < n:
-            # Steps k0..k1-1 against blocks 1..k1-2: about CHECK_CELLS cells.
-            k1 = min(n, k0 + max(1, CHECK_CELLS // (k0 + int(CHECK_CELLS**0.5))))
-            start = (k0 - 1) * (k0 - 2) // 2
-            streams.delay.seek(start)
-            v = sample_many(config.beta, streams.delay, (k1 - 1) * (k1 - 2) // 2 - start)
-            i, k = np.arange(1, k1 - 1)[:, None], np.arange(k0, k1)
-            # Cells with i >= k fall before the chunk's draws; clip, they are ignored.
-            yield 1, k0, v.take((k - 1) * (k - 2) // 2 - start + k - 1 - i, mode="clip")
-            k0 = k1
-
-    check_full_scan(production_times(config.alpha, streams.production, n),
-                    height_series, chunks())
+    h = np.ones(len(t), dtype=np.int64)
+    k0 = 1
+    while k0 < len(t):
+        k1 = min(len(t), k0 + max(1, MAX_BUFFER // (k0 + 128)))
+        first = (k0 - 1) * (k0 - 2) // 2
+        d = sample_many(beta, delay, (k1 - 1) * (k1 - 2) // 2 - first)
+        for k in range(k0, k1):
+            b = (k - 1) * (k - 2) // 2 - first
+            seen = t[k - 1:0:-1] + d[b:b + k - 1] < t[k]
+            h[k] = 1 + h[k - 1:0:-1][seen].max(initial=1)
+        k0 = k1
+    return h.tolist(), int(h.max())

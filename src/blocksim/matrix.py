@@ -15,8 +15,9 @@ ones the event-driven engine draws in sequence.
 Each step runs one visibility scan: a pruned backward scan that stops
 as soon as the running best reaches the cumulative height maximum,
 after which no earlier block can improve it.  check_pruning certifies
-that stop after the run with one vectorized full scan (check_full_scan):
-every step's height must equal the full scan of the run's own history.
+that stop after the run with one vectorized full scan
+(visible_height_naive): every step's height must equal the full scan of
+the run's own history.
 """
 
 from __future__ import annotations
@@ -114,54 +115,42 @@ class MatrixSimState:
     scanned: int = 0
 
 
-def check_full_scan(t, h, chunks, strict: bool = True) -> None:
+def visible_height_naive(t, h, delays: DelayMatrix, strict: bool = True) -> None:
     """Raise InvariantError at the first step whose height is not the full scan's.
 
     The full scan gives step k the height 1 + max(1, max{h[i] : 1 <= i < k,
-    t[i] + d(k, i) < t[k]}) from the run's own history, so a run that
-    passes took the full scan's value at every step.  ``chunks`` yields
-    (i0, k0, d): d[a, b] is d(k0 + b, i0 + a), the delay before step k0 + b's
-    producer learns of block i0 + a; cells with i >= k are ignored.
+    t[i] + d(i, producer_k) < t[k]}) from the run's own history, so a run
+    that passes took the full scan's value at every step.  A few matrix
+    rows at a time are drawn afresh, spread to worker order and tested
+    against every later step at once: memory stays at about CHECK_CELLS
+    cells, not n*m.
     """
     t, h = np.asarray(t), np.asarray(h)
+    n, m = len(h), delays._width + 1
+    p, j = np.asarray(delays._producers), np.arange(m)
+    step = max(1, CHECK_CELLS // max(n, m))
     best = np.ones_like(h)
-    for i0, k0, d in chunks:
-        i1, k1 = i0 + d.shape[0], k0 + d.shape[1]
-        d += t[i0:i1, None]
-        seen = (d < t[k0:k1]) if strict else (d <= t[k0:k1])
-        # Only rows from k0 on and columns up to i1 hold cells with i >= k.
-        r, c = max(k0 - i0, 0), max(i1 - k0, 0)
-        seen[r:, :c] &= np.arange(i0 + r, i1)[:, None] < np.arange(k0, k0 + c)
-        best[k0:k1] = np.maximum(best[k0:k1],
-                                 np.where(seen, h[i0:i1, None], 1).max(0, initial=1))
+    for i0 in range(1, n, step):
+        p_i = p[i0 - 1:i0 - 1 + step, None]
+        i1 = i0 + len(p_i)
+        rows = delays.rows(i0 - 1, len(p_i)).reshape(len(p_i), m - 1)
+        # A zero column appended at m-1 serves each producer's own entry.
+        arrival = np.pad(rows, ((0, 0), (0, 1)))[
+            np.arange(len(p_i))[:, None], np.where(j == p_i, m - 1, j - (j > p_i))]
+        arrival += t[i0:i1, None]
+        for k0 in range(i0 + 1, n, CHECK_CELLS):
+            k1 = min(n, k0 + CHECK_CELLS)
+            a = arrival[:, p[k0 - 1:k1 - 1]]
+            seen = (a < t[k0:k1]) if strict else (a <= t[k0:k1])
+            # Rows from k0 on hold the cells with i >= k, which never count.
+            c = max(i1 - k0, 0)
+            seen[k0 - i0:, :c] &= np.arange(k0, i1)[:, None] < np.arange(k0, k0 + c)
+            best[k0:k1] = np.maximum(best[k0:k1],
+                                     np.where(seen, h[i0:i1, None], 1).max(0, initial=1))
     bad = np.flatnonzero(best[1:] + 1 != h[1:])
     if bad.size:
         k = bad[0] + 1
         raise InvariantError(f"scan mismatch at block {k}: {h[k]} != {best[k] + 1}")
-
-
-def visible_height_naive(t, h, delays: DelayMatrix, strict: bool = True) -> None:
-    """check_full_scan of a finished run over its delay matrix.
-
-    d(k, i) is entry (i, producer_k).  Each chunk is a few rows of the
-    matrix, drawn afresh and spread to worker order, against every later
-    step: memory stays at one chunk, not n*m.
-    """
-    n, m = len(h), delays._width + 1
-    p, j = np.asarray(delays._producers), np.arange(m)
-    step = max(1, CHECK_CELLS // max(n, m))
-
-    def chunks():
-        for i0 in range(1, n, step):
-            p_i = p[i0 - 1:i0 - 1 + step, None]
-            rows = delays.rows(i0 - 1, len(p_i)).reshape(len(p_i), m - 1)
-            # A zero column appended at m-1 serves each producer's own entry.
-            rows = np.pad(rows, ((0, 0), (0, 1)))[
-                np.arange(len(p_i))[:, None], np.where(j == p_i, m - 1, j - (j > p_i))]
-            for k0 in range(i0 + 1, n, CHECK_CELLS):
-                yield i0, k0, rows[:, p[k0 - 1:k0 - 1 + CHECK_CELLS]]
-
-    check_full_scan(t, h, chunks(), strict)
 
 
 def visible_height_pruned(k: int, producer_j: int, state: MatrixSimState) -> int:
@@ -215,9 +204,8 @@ def simulate_matrix(config: NetSimConfig, streams: StreamBundle | None = None,
     state = MatrixSimState(t=t, h=[1], z=[1],
                            delays=DelayMatrix(config.beta, streams.delay, producers, m),
                            strict=strict_visibility)
-    step = visible_height_pruned
     for k in range(1, n):
-        h_k = step(k, producers[k - 1], state)
+        h_k = visible_height_pruned(k, producers[k - 1], state)
         state.h.append(h_k)
         state.z.append(h_k if h_k > state.z[-1] else state.z[-1])
     if check_pruning:

@@ -89,11 +89,6 @@ class SimOutcome:
                 f"proportion {self.proportion!r} is not height/n = {self.height}/{self.n}")
 
 
-def production_times(alpha: DistributionSpec, stream, n: int) -> np.ndarray:
-    """Creation times of blocks 0..n-1: 0.0, then the running sum of n-1 draws."""
-    return np.concatenate(([0.0], np.cumsum(sample_many(alpha, stream, n - 1))))
-
-
 def draw_schedule(config: NetSimConfig, streams: StreamBundle):
     """Creation times and producers of every block, drawn in bulk.
 
@@ -103,7 +98,8 @@ def draw_schedule(config: NetSimConfig, streams: StreamBundle):
     the same bits as a running ``now += draw``.
     """
     m, n = config.m, config.n
-    t = production_times(config.alpha, streams.production, n)
+    alphas = sample_many(config.alpha, streams.production, n - 1)
+    t = np.concatenate(([0.0], np.cumsum(alphas)))
     producer_u = streams.producer.uniforms(n - 1)
     producers = np.minimum((producer_u * m).astype(np.int64), m - 1)
     return t, producers

@@ -2,9 +2,10 @@
 
 Three suites, runnable from the CLI: exact agreement of the event-driven
 and delay-matrix engines under shared seeds, exact agreement of the
-pruned visibility scan with the full scan on every step (one vectorized
-check per run), and the analytic bound on the gap between a
-delay-matrix entry's mixture CDF and the delay CDF.
+pruned visibility scans with full scans on every step (for the matrix
+engine one vectorized check per run, for the unbounded engine an
+unpruned run of the same draws), and the analytic bound on the gap
+between a delay-matrix entry's mixture CDF and the delay CDF.
 
 The equivalence suite mixes continuous configs with tie-rich ones
 (constant production and a constant delay at an integer multiple), where
@@ -17,14 +18,14 @@ fault and confirm the suite catches it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .distributions import (DistributionSpec, cdf, constant, exponential, gamma,
                             chi_squared, mixture_cdf, sup_gap_bound)
 from .errors import InvariantError
-from .infinite import InfSimConfig, check_full_blocks, simulate_infinite
+from .infinite import InfSimConfig, simulate_infinite
 from .matrix import simulate_matrix
 from .network import NetSimConfig, simulate_network
 from .rng import SampleStream, mix64
@@ -89,14 +90,22 @@ def check_equivalence(base_seed: int = 0, configs: int = 100,
                        f"{len(cases)} configs agree exactly")
 
 
+def compare_scans(series, reference) -> None:
+    """Raise InvariantError at the first block where two height series differ."""
+    k = next((k for k, (a, b) in enumerate(zip(series, reference)) if a != b), None)
+    if k is not None:
+        raise InvariantError(f"scan mismatch at block {k}: {series[k]} != {reference[k]}")
+
+
 def check_pruning(base_seed: int = 0, runs: int = 50,
                   max_n: int = 2000) -> CheckResult:
     """Pruned vs full scan on every step, for both scanning engines.
 
     Sweeps delay/production ratios 0.01, 1, and 10 (one full-size run
     each), with the remaining runs at randomized smaller sizes.  Each
-    matrix run, and each pruned unbounded run under the full-block draw
-    contract, is checked against the full scan of its own draws.
+    matrix run is checked against the full scan of its own draws; each
+    pruned unbounded run under the full-block draw contract must match
+    the unpruned engine bit for bit.
     """
     stream = SampleStream(base_seed, _CONFIG_STREAM_ID + 1)
     steps = 0
@@ -118,8 +127,9 @@ def check_pruning(base_seed: int = 0, runs: int = 50,
         try:
             simulate_matrix(cfg, check_pruning=True)
             run = f"unbounded engine run {i} (n={inf_cfg.n}, ratio={ratio:g})"
-            check_full_blocks(inf_cfg, simulate_infinite(inf_cfg, align_draws=True)
-                              .height_series)
+            compare_scans(simulate_infinite(inf_cfg, align_draws=True).height_series,
+                          simulate_infinite(replace(inf_cfg, use_pruning=False))
+                          .height_series)
         except InvariantError as exc:
             return CheckResult("pruning_exactness", False, f"{run}: {exc}")
         steps += n - 1

@@ -1,12 +1,11 @@
 import json
-import os
 
 import pytest
 from click.testing import CliRunner
 
 from blocksim.blocktree import tree_from_json
 from blocksim.cli import main
-from blocksim import __version__, montecarlo
+from blocksim import __version__
 from blocksim.manifest import SCHEMA_VERSION, load_manifest
 
 ALPHA = "exp:1"
@@ -248,25 +247,8 @@ class TestExperiment:
         assert result.exit_code == 0, result.output
         assert out2.read_text().splitlines() == serial
 
-    def test_pool_capped_and_requested_jobs_recorded(self, runner, tmp_path, monkeypatch):
+    def test_pool_capped_and_requested_jobs_recorded(self, runner, tmp_path, recording_pool):
         # Two replications start two workers, not six; no pool is started here.
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         _, serial = self.run_kind(runner, tmp_path, "--kind", "single", "--reps", "2")
         out = tmp_path / "six.csv"
         result = runner.invoke(main, [
@@ -274,7 +256,7 @@ class TestExperiment:
             "--seed", "1", "--kind", "single", "--reps", "2", "--jobs", "6",
             "--out", str(out)])
         assert result.exit_code == 0, result.output
-        assert sizes == [2]
+        assert recording_pool == [2]
         assert out.read_text().splitlines() == serial
         assert load_manifest(tmp_path / "six.csv.manifest.json").params["jobs"] == 6
 

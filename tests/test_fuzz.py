@@ -27,11 +27,12 @@ from blocksim import __version__, matrix
 from blocksim.cli import main
 from blocksim.distributions import constant, exponential
 from blocksim.errors import InvariantError
-from blocksim.infinite import InfSimConfig, check_full_blocks, simulate_infinite
+from blocksim.infinite import InfSimConfig, simulate_infinite
 from blocksim.manifest import SCHEMA_VERSION
 from blocksim.matrix import DelayMatrix, simulate_matrix, visible_height_naive
 from blocksim.network import NetSimConfig, draw_schedule, simulate_network
 from blocksim.rng import StreamBundle
+from blocksim.validate import compare_scans
 
 CLI_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
                         suppress_health_check=[HealthCheck.too_slow])
@@ -110,8 +111,10 @@ class TestFullScanCheck:
         series = (simulate_network(config).height_series if strict else
                   simulate_matrix(config, strict_visibility=False).height_series)
         matrix_check(config, series, strict)
-        plain = simulate_infinite(unbounded(config, use_pruning=False))
-        check_full_blocks(unbounded(config), plain.height_series)
+        # The aligned pruned scan and the unpruned engine read the same
+        # draw for every pair.
+        compare_scans(simulate_infinite(unbounded(config), align_draws=True).height_series,
+                      simulate_infinite(unbounded(config, use_pruning=False)).height_series)
 
     @CHECK_SETTINGS
     @given(engine_configs(), st.data())
@@ -124,14 +127,15 @@ class TestFullScanCheck:
         caught_at(lambda: matrix_check(config, series), k)
         aligned = list(simulate_infinite(unbounded(config), align_draws=True).height_series)
         aligned[k] += 1
-        caught_at(lambda: check_full_blocks(unbounded(config), aligned), k)
+        plain = simulate_infinite(unbounded(config, use_pruning=False)).height_series
+        caught_at(lambda: compare_scans(aligned, plain), k)
 
     @CHECK_SETTINGS
     @example(SHIFT_CONFIG)
     @given(engine_configs())
     def test_draws_one_position_off_are_caught(self, config):
-        # An engine reading each pair's draw one stream position past the
-        # full-block formula's: an off-by-one between engine and check.
+        # An unpruned engine reading each pair's draw one stream position
+        # past the full-block formula's: an off-by-one between the engines.
         cfg = unbounded(config, use_pruning=False)
         streams = StreamBundle.for_run(cfg.seed)
         streams.delay.seek(1)
@@ -139,7 +143,8 @@ class TestFullScanCheck:
         k = first_difference(shifted, simulate_infinite(cfg).height_series)
         if config == SHIFT_CONFIG:
             assert k is not None
-        caught_at(lambda: check_full_blocks(cfg, shifted), k)
+        aligned = simulate_infinite(unbounded(config), align_draws=True).height_series
+        caught_at(lambda: compare_scans(aligned, shifted), k)
 
     @CHECK_SETTINGS
     @example(TIE_CONFIG)

@@ -6,7 +6,7 @@ import pytest
 from blocksim.distributions import constant, exponential, gamma
 from blocksim import infinite
 from blocksim.errors import ConfigError, InvariantError
-from blocksim.infinite import InfSimConfig, check_full_blocks, simulate_infinite
+from blocksim.infinite import InfSimConfig, simulate_infinite
 from blocksim.rng import StreamBundle
 
 
@@ -105,26 +105,30 @@ class TestPruningExactness:
         assert pruned.height_series == plain.height_series
 
 
-class TestFullBlockCheck:
-    @pytest.mark.parametrize("cells", [1, 7, 2**14])
-    def test_check_across_chunks(self, monkeypatch, cells):
-        monkeypatch.setattr(infinite, "CHECK_CELLS", cells)
+class TestUnprunedScan:
+    @pytest.mark.parametrize("buffer", [1, 7, 2**14])
+    def test_matches_aligned_across_chunks(self, monkeypatch, buffer):
+        # The vectorized unpruned scan reads its draws in chunks of whole
+        # steps; chunk size changes which values are drawn together, never
+        # which draw a pair gets.
+        monkeypatch.setattr(infinite, "MAX_BUFFER", buffer)
         for config in (base_config(n=150, beta=exponential(5.0), seed=4),
                        base_config(n=90, alpha=constant(1.0), beta=constant(2.0))):
             aligned = simulate_infinite(config, align_draws=True).height_series
             plain = simulate_infinite(replace(config, use_pruning=False)).height_series
-            check_full_blocks(config, aligned)
-            check_full_blocks(config, plain)
-            for k in (1, 40, config.n - 1):
-                bumped = aligned[:k] + (aligned[k] + 1,) + aligned[k + 1:]
-                with pytest.raises(InvariantError, match=f"scan mismatch at block {k}:"):
-                    check_full_blocks(config, bumped)
+            assert plain == aligned
 
     def test_origin_only_and_two_blocks(self):
-        check_full_blocks(base_config(n=1), (1,))
-        check_full_blocks(base_config(n=2), (1, 2))
-        with pytest.raises(InvariantError, match="scan mismatch at block 1: 1 != 2"):
-            check_full_blocks(base_config(n=2), (1, 1))
+        assert simulate_infinite(base_config(n=1, use_pruning=False)).height_series == (1,)
+        assert simulate_infinite(base_config(n=2, use_pruning=False)).height_series == (1, 2)
+
+    def test_simultaneous_arrival_is_not_visible(self):
+        # Creation every 1.0, every delay exactly 1.0: block i's news
+        # reaches block i+1 exactly at its creation, so only blocks two or
+        # more steps back count.
+        out = simulate_infinite(base_config(n=6, alpha=constant(1.0), beta=constant(1.0),
+                                            use_pruning=False))
+        assert out.height_series == (1, 2, 2, 3, 3, 4)
 
 
 class TestDeterminism:

@@ -1,5 +1,4 @@
 from concurrent.futures import ProcessPoolExecutor
-import os
 
 import pytest
 
@@ -112,55 +111,23 @@ class TestReplicationSets:
         assert pools == []
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the CPUs this process may use, as montecarlo sees them."""
-    def pin(count):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    pin(8)
-    return pin
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers=None):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        return map(fn, *iterables)
-
-
 class TestPoolSize:
-    @pytest.fixture(autouse=True)
-    def recording(self, monkeypatch):
-        monkeypatch.setattr(RecordingPool, "sizes", [])
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
-
     @pytest.mark.parametrize("jobs, reps, cpu_count, workers", [
         (6, 2, 8, 2),     # as many as the chunks to run
         (6, 200, 3, 3),   # as many as the CPUs
         (2, 200, 8, 2),   # as many as asked for
     ])
-    def test_workers_capped(self, cpus, jobs, reps, cpu_count, workers):
+    def test_workers_capped(self, recording_pool, cpus, jobs, reps, cpu_count, workers):
         cpus(cpu_count)
         pooled = run_replications("infinite", inf_config(n=20), reps, base_seed=2,
                                   jobs=jobs)
-        assert RecordingPool.sizes == [workers]
+        assert recording_pool == [workers]
         assert pooled == run_replications("infinite", inf_config(n=20), reps, base_seed=2)
 
-    def test_small_experiment_at_six_jobs(self, cpus):
+    def test_small_experiment_at_six_jobs(self, recording_pool):
         plan = small_plans()["single"]
         assert run_experiment(plan, jobs=6) == run_experiment(plan, jobs=1)
-        assert RecordingPool.sizes == [plan.replications]
+        assert recording_pool == [plan.replications]
 
 
 @pytest.fixture
