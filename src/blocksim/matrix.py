@@ -7,10 +7,10 @@ the best height among blocks already visible to k's producer, where
 block 0 (the origin) is visible from the start.  The engine tracks
 heights only; use the event-driven engine to materialize trees.
 
-The matrix is never held whole.  Its entries are read in blocks of rows
-drawn on demand from the delay substream (see DelayMatrix), so memory is
-bounded by a few row blocks rather than by n*m, and the values are the
-ones the event-driven engine draws in sequence.
+The matrix is never held whole.  Its rows are drawn on demand from the
+delay substream, and each step gets a band of arrivals t[i] + d(i,
+producer) from the blocks just before it (see DelayMatrix): only those
+entries are transformed, and memory is bounded by a chunk of rows.
 
 Each step runs one visibility scan: a pruned backward scan that stops
 as soon as the running best reaches the cumulative height maximum,
@@ -26,15 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionSpec, sample_many
+from .distributions import DistributionSpec, _transform, sample_many
 from .errors import InvariantError
 from .network import NetSimConfig, SimOutcome, draw_schedule
 from .rng import StreamBundle
 
-# Delay values per row block.  A block holds max(1, BLOCK_VALUES // (m-1))
-# rows: large enough that drawing one costs little per value, small
-# enough that the three blocks kept take about 1.5 MB.
-BLOCK_VALUES = 2**16
+# A chunk of bands draws at most max(1, BLOCK_VALUES // (m-1)) new rows,
+# about 0.5 MB of uniforms, and holds at most BAND_CELLS arrivals.  A
+# step's band starts BAND_WIDTH arrivals wide.
+BLOCK_VALUES, BAND_WIDTH, BAND_CELLS = 2**16, 8, 2**14
 
 # Cells per chunk of the full-scan check, about 128 kB per chunk array.
 # Twice as many raised validate's peak RSS by 0.6 MB and ran no faster.
@@ -42,66 +42,86 @@ CHECK_CELLS = 2**14
 
 
 class DelayMatrix:
-    """Entries d(i, j) of the delay matrix, drawn in row blocks on demand.
+    """The delay matrix as per-step bands of arrivals, drawn on demand.
 
     Row i-1 holds block i's m-1 delays in recipient order skipping the
-    producer, which is the order the event-driven engine draws them, so
-    entry (i, j) of a non-producer column sits at stream position
-    (i-1)(m-1) + j - [j > producer_i].  Rows are drawn a block at a time
-    with the vectorized transform and kept as memoryviews, whose items
-    index as Python floats.
+    producer, the event-driven engine's draw order, so entry (i, j) of a
+    non-producer column sits at stream position (i-1)(m-1) + j -
+    [j > producer_i]; the producer's own entry is 0.
 
-    Blocks are drawn as the scans reach them.  The newest two are kept,
-    plus one older block that is re-drawn by seeking the stream back when
-    a scan reaches past both.  Any block can be re-drawn, so which ones
-    are kept changes the cost, never the values.
+    arrivals(k) serves step k a band a holding t[i] + d(i, producer_k)
+    at a[i - k] for i = k-1 down to k-W or further; a read past it
+    raises IndexError, and arrivals(k, widen=True) doubles W.  Bands are
+    built a chunk of steps at a time, in numpy, from rows drawn in bulk:
+    while W < m-1, only the bands' cells are transformed; from then on,
+    whole rows are, and a band is a slice of its worker's arrivals.
+    Either way each value holds the bits of the whole row's transform.
+    Memory is at most BAND_CELLS arrivals and the rows from 2W blocks
+    before them on, never n*m.  rows() draws rows afresh for the check.
     """
 
-    def __init__(self, spec: DistributionSpec, stream, producers: list[int], m: int):
-        self._spec = spec
-        self._stream = stream
-        self._producers = producers
-        self._width = m - 1
-        self._rows = max(1, BLOCK_VALUES // max(1, self._width))
-        empty = (-1, None)
-        self._recent = (empty, empty)  # the two newest blocks, older first
-        self._older = empty  # one re-drawn block behind them
-        self._blocks: dict = {}
-
-    def entry(self, i: int, j: int) -> float:
-        """Delay before worker j learns of block i (0.0 for its producer)."""
-        r = i - 1
-        p = self._producers[r]
-        if j == p:
-            return 0.0
-        b = r // self._rows
-        view = self._blocks.get(b)
-        if view is None:
-            view = self._fetch(b)
-        return view[(r - b * self._rows) * self._width + j - (j > p)]
+    def __init__(self, spec: DistributionSpec, stream, producers: list[int], m: int, t):
+        self._spec, self._stream, self._width = spec, stream, m - 1
+        self._p, self._t = np.asarray(producers, dtype=np.int64), np.asarray(t)
+        self.band_width, self.transformed = BAND_WIDTH, 0
+        self._k0, self._band = 0, []
+        self._kept = (0, np.empty((0, self._width)))  # first row, uniforms from it on
 
     def rows(self, first: int, count: int) -> np.ndarray:
         """Rows first .. first+count-1 (blocks first+1 on), drawn afresh."""
         self._stream.seek(first * self._width)
         return sample_many(self._spec, self._stream, count * self._width)
 
-    def _fetch(self, b: int):
-        first = b * self._rows
-        view = memoryview(self.rows(first, min(self._rows, len(self._producers) - first)))
-        if b > self._recent[1][0]:
-            self._recent = (self._recent[1], (b, view))
-        else:
-            self._older = (b, view)
-        self._blocks = dict((*self._recent, self._older))
-        return view
+    def arrivals(self, k: int, widen: bool = False) -> memoryview:
+        """Step k's band; with widen, twice as wide (the chunk is rebuilt from k)."""
+        if widen:
+            self.band_width *= 2
+        elif 0 <= k - self._k0 < len(self._band):
+            return self._band[k - self._k0]
+        return self._build(k)
+
+    def _build(self, k: int) -> memoryview:
+        W, m1, p = self.band_width, self._width, self._p
+        k1 = min(len(p) + 1, k + max(1, min(BLOCK_VALUES // max(1, m1), BAND_CELLS // W)))
+        # Rows need .. end-1 hold blocks k-W .. k1-2.  Rows from block k-2W on
+        # stay kept, so a band widened to twice its width needs no redraw.
+        need, end = max(0, k - W - 1), max(k1 - 2, k - W, 1)
+        first, u = self._kept
+        if not first <= need <= first + len(u):
+            first, u = need, u[:0]
+        lo, drawn = max(first, k - 2 * W - 1), first + len(u)
+        u = u[lo - first:]
+        if end > drawn:
+            self._stream.seek(drawn * m1)
+            new = self._stream.uniforms((end - drawn) * m1).reshape(end - drawn, -1)
+            u = np.concatenate((u, new)) if len(u) else new
+        self._kept = (lo, u)
+        u, t, q = u[need - lo:end - lo], self._t[need + 1:end + 1, None], p[k - 1:k1 - 1]
+        if W >= m1:  # worker q's arrivals, blocks need+1 .. end, are one run
+            pr, j = p[need:end, None], np.arange(m1 + 1)
+            a = np.pad(_transform(self._spec, u), ((0, 0), (0, 1)))[
+                np.arange(len(u))[:, None], np.where(j == pr, m1, j - (j > pr))]
+            a, start = memoryview((a + t).T.ravel()), q * len(u)
+            stop = start + np.arange(k - 1 - need, k1 - 1 - need)
+            band = [a[b:e] for b, e in zip(start.tolist(), stop.tolist())]
+            self.transformed += u.size
+        else:  # the row of each cell a[w] (clamped at block 1) and its column
+            rr = np.maximum(np.arange(k - W - 1, k1 - W - 1)[:, None] + np.arange(W), need) - need
+            q, pr = q[:, None], p[rr + need]
+            d = _transform(self._spec, u[rr, np.minimum(q - (q > pr), m1 - 1)])
+            a = memoryview((t[rr, 0] + np.where(q == pr, 0.0, d)).ravel())
+            band = [a[w:w + W] for w in range(0, len(a), W)]
+            self.transformed += d.size
+        self._k0, self._band = k, band
+        return band[0]
 
 
 @dataclass
 class MatrixSimState:
     """Mutable per-run state of the visibility scan.
 
-    t, h, z grow by one entry per block; delays serves the matrix
-    entries.  strict controls the visibility comparison: arrival
+    t, h, z grow by one entry per block; delays serves each step's
+    band of arrivals.  strict controls the visibility comparison: arrival
     strictly before creation counts.  Flipping it to False is a
     fault-injection hook for the validation suite; simultaneous arrival
     then wrongly counts as visible.
@@ -127,7 +147,7 @@ def visible_height_naive(t, h, delays: DelayMatrix, strict: bool = True) -> None
     """
     t, h = np.asarray(t), np.asarray(h)
     n, m = len(h), delays._width + 1
-    p, j = np.asarray(delays._producers), np.arange(m)
+    p, j = delays._p, np.arange(m)
     step = max(1, CHECK_CELLS // max(n, m))
     best = np.ones_like(h)
     for i0 in range(1, n, step):
@@ -159,20 +179,28 @@ def visible_height_pruned(k: int, producer_j: int, state: MatrixSimState) -> int
     Scans i = k-1 downward and stops once the running best x reaches
     z_i: every block at or before i has height at most z_i, so none can
     beat x.  Skipped blocks therefore never change the result; the
-    origin is always visible, so the result is at least 2.
+    origin is always visible, so the result is at least 2.  Arrivals
+    come from step k's band, which holds producer_j's column.
     """
-    t, h, z = state.t, state.h, state.z
-    entry = state.delays.entry
-    t_k = t[k]
+    h, z = state.h, state.z
+    t_k = state.t[k]
     strict = state.strict
+    a = state.delays.arrivals(k)
     x = 1
     i = k - 1
-    while i >= 1 and x < z[i]:
-        if h[i] > x:
-            arrival = t[i] + entry(i, producer_j)
-            if (arrival < t_k) if strict else (arrival <= t_k):
-                x = h[i]
-        i -= 1
+    while True:
+        try:
+            while i >= 1 and x < z[i]:
+                if h[i] > x:
+                    arrival = a[i - k]
+                    if (arrival < t_k) if strict else (arrival <= t_k):
+                        x = h[i]
+                i -= 1
+            break
+        except IndexError:
+            # a[i - k] ran past the band: widen it and go on from block i.
+            # Catching this keeps the per-pair work to the test and the read.
+            a = state.delays.arrivals(k, widen=True)
     state.scanned += k - 1 - i
     return 1 + x
 
@@ -199,11 +227,11 @@ def simulate_matrix(config: NetSimConfig, streams: StreamBundle | None = None,
         streams = StreamBundle.for_run(config.seed)
     m, n = config.m, config.n
 
-    t, producers = (a.tolist() for a in draw_schedule(config, streams))
+    t, producers = draw_schedule(config, streams)
+    delays = DelayMatrix(config.beta, streams.delay, producers, m, t)
+    t, producers = t.tolist(), producers.tolist()
 
-    state = MatrixSimState(t=t, h=[1], z=[1],
-                           delays=DelayMatrix(config.beta, streams.delay, producers, m),
-                           strict=strict_visibility)
+    state = MatrixSimState(t=t, h=[1], z=[1], delays=delays, strict=strict_visibility)
     for k in range(1, n):
         h_k = visible_height_pruned(k, producers[k - 1], state)
         state.h.append(h_k)
@@ -218,5 +246,7 @@ def simulate_matrix(config: NetSimConfig, streams: StreamBundle | None = None,
         n=n,
         height_series=tuple(state.h) if config.record_series else None,
         seed_echo=streams.seed_echo(),
-        stats={"mean_scan_window": state.scanned / (n - 1) if n > 1 else 0.0},
+        stats={"mean_scan_window": state.scanned / (n - 1) if n > 1 else 0.0,
+               "pairs_tested": state.scanned,
+               "delays_transformed": delays.transformed},
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -378,6 +379,31 @@ class TestReplay:
             "--out-dir", str(tmp_path / "replayed")])
         assert result.exit_code == 0, result.output
         assert (tmp_path / "replayed" / "table.csv").read_bytes() == out.read_bytes()
+
+    # Digests of matrix-engine outputs from before the engine recorded
+    # pairs_tested and delays_transformed: run stats stay out of every
+    # output file, so neither the outputs nor the manifests' digests move.
+    @pytest.mark.parametrize("argv, digests", [
+        (["simulate", "--engine", "matrix", "--alpha", "exp:1", "--beta", "exp:2",
+          "--m", "30", "--n", "500", "--seed", "3", "--out", "outcome.json",
+          "--series-out", "series.json"],
+         {"outcome.json": "b34707b4b9b1e9992beb548f66d0dc2848c360c6568f856cdee105ea5e42dc9a",
+          "series.json": "580cf4769303d509116599319b4241e87f9e7d7747afe23a8fbc823eb3a570ae"}),
+        (["experiment", "--kind", "convergence", "--alpha", "exp:1", "--beta", "exp:1",
+          "--n", "300", "--reps", "2", "--sweep", "2,20,300", "--seed", "5",
+          "--out", "conv.csv"],
+         {"conv.csv": "e747bf81b405bddb098630b79c05f0e21a4844a10ed507170dbc2fea8b42d4fa"}),
+    ], ids=["simulate", "convergence"])
+    def test_matrix_stats_leave_digests_unmoved(self, runner, tmp_path, argv, digests):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            assert runner.invoke(main, argv).exit_code == 0
+            manifest = f"{argv[argv.index('--out') + 1]}.manifest.json"
+            assert load_manifest(manifest).outputs == digests
+            for name, digest in digests.items():
+                assert hashlib.sha256(open(name, "rb").read()).hexdigest() == digest
+            result = runner.invoke(main, ["replay", manifest, "--out-dir", "replayed"])
+            assert result.exit_code == 0, result.output
+            assert "MISMATCH" not in result.output
 
     def test_tampered_manifest_fails(self, runner, tmp_path):
         runner.invoke(main, simulate_args(tmp_path, "--seed", "2"))

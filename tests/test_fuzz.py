@@ -25,7 +25,7 @@ import pytest
 
 from blocksim import __version__, matrix
 from blocksim.cli import main
-from blocksim.distributions import constant, exponential
+from blocksim.distributions import constant, exponential, gamma
 from blocksim.errors import InvariantError
 from blocksim.infinite import InfSimConfig, simulate_infinite
 from blocksim.manifest import SCHEMA_VERSION
@@ -64,6 +64,31 @@ class TestEngineEquivalence:
         assert net.height_series == tuple(net.tree.depths())
 
 
+@st.composite
+def band_configs(draw):
+    """Configs whose scans outgrow bands that start one arrival wide."""
+    ratio = 10 ** draw(st.floats(-2, 2))
+    beta = (exponential(ratio) if draw(st.booleans()) else
+            gamma(shape=draw(st.sampled_from([0.5, 2.0])), mean=ratio))
+    return NetSimConfig(m=draw(st.integers(2, 40)), n=draw(st.integers(1, 400)),
+                        alpha=exponential(1.0), beta=beta,
+                        seed=draw(st.integers(0, 2**32)), record_series=True)
+
+
+class TestArrivalBands:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(band_configs(), st.sampled_from([40, matrix.BLOCK_VALUES]))
+    # The band widens past m-1 here, from gathered cells to whole rows.
+    @example(NetSimConfig(m=12, n=800, alpha=exponential(1.0),
+                          beta=gamma(shape=0.5, mean=30.0), seed=5, record_series=True),
+             matrix.BLOCK_VALUES)
+    def test_widened_bands_agree_with_network(self, config, block_values):
+        # 40 values per row block make a run span many chunks of bands.
+        with mock.patch.multiple(matrix, BAND_WIDTH=1, BLOCK_VALUES=block_values):
+            mat = simulate_matrix(config, check_pruning=True)
+        assert mat.height_series == simulate_network(config).height_series
+
+
 CHECK_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 TIE_CONFIG = NetSimConfig(m=3, n=60, alpha=constant(1.0), beta=constant(2.0), seed=9,
                           record_series=True)
@@ -75,7 +100,7 @@ def matrix_check(config, series, strict=True):
     """The matrix engine's full-scan check of a series, on the config's draws."""
     streams = StreamBundle.for_run(config.seed)
     t, producers = draw_schedule(config, streams)
-    delays = DelayMatrix(config.beta, streams.delay, producers.tolist(), config.m)
+    delays = DelayMatrix(config.beta, streams.delay, producers, config.m, t)
     visible_height_naive(t, series, delays, strict)
 
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -54,16 +55,16 @@ class SeekLogStream(SampleStream):
 def interleaved_state():
     # Two workers alternating under unit production and delay 1.5; the
     # state as seen just before block 3 is placed.
+    t = [0.0, 1.0, 2.0, 3.0]
     delays = DelayMatrix(constant(1.5), RecordingStream([0.5] * 3),
-                         producers=[0, 1, 0], m=2)
-    return MatrixSimState(t=[0.0, 1.0, 2.0, 3.0], h=[1, 2, 2], z=[1, 2, 2],
-                          delays=delays)
+                         producers=[0, 1, 0], m=2, t=t)
+    return MatrixSimState(t=t, h=[1, 2, 2], z=[1, 2, 2], delays=delays)
 
 
 def check_two_workers(t, h, producers, strict=True):
     """Whole-run check of a two-worker run with every delay 1.5."""
     delays = DelayMatrix(constant(1.5), ScriptedStream([0.5] * len(producers)),
-                         producers=producers, m=2)
+                         producers=producers, m=2, t=t)
     visible_height_naive(t, h, delays, strict)
 
 
@@ -71,7 +72,7 @@ def run_inputs(config):
     """Creation times and delay matrix of a run, drawn afresh from its seed."""
     streams = StreamBundle.for_run(config.seed)
     t, producers = draw_schedule(config, streams)
-    return t, DelayMatrix(config.beta, streams.delay, producers.tolist(), config.m)
+    return t, DelayMatrix(config.beta, streams.delay, producers, config.m, t)
 
 
 class TestVisibility:
@@ -101,6 +102,8 @@ class TestVisibility:
 
     def test_scans_agree_on_interleaved_state(self):
         state = interleaved_state()
+        # Step 3's band: block 1 is worker 0's own, block 2 arrives at 3.5.
+        assert state.delays.arrivals(3)[-2:].tolist() == [1.0, 3.5]
         assert visible_height_pruned(3, 0, state) == 3
         assert state.scanned == 2
         visible_height_naive(state.t, state.h + [3], state.delays)
@@ -109,32 +112,40 @@ class TestVisibility:
 
     def test_pruned_skips_blocks_behind_running_best(self, monkeypatch):
         # Once x reaches z_i the scan stops, so early blocks are skipped;
-        # with one row per block, their rows are never drawn either.
-        monkeypatch.setattr(matrix, "BLOCK_VALUES", 1)
+        # with a band one arrival wide, their pairs are never transformed
+        # and their rows never drawn.
+        monkeypatch.setattr(matrix, "BAND_WIDTH", 1)
         stream = RecordingStream([0.5] * 4)
-        state = MatrixSimState(t=[0.0, 1.0, 2.0, 3.0, 4.0], h=[1, 2, 3, 4],
-                               z=[1, 2, 3, 4],
-                               delays=DelayMatrix(constant(0.1), stream,
-                                                  producers=[0, 0, 0, 0], m=2))
+        t = [0.0, 1.0, 2.0, 3.0, 4.0]
+        delays = DelayMatrix(constant(0.1), stream, producers=[0, 0, 0, 0], m=2, t=t)
+        state = MatrixSimState(t=t, h=[1, 2, 3, 4], z=[1, 2, 3, 4], delays=delays)
         assert visible_height_pruned(4, 1, state) == 5
         assert state.scanned == 1
         assert stream.reads == [(2, 1)]
+        assert delays.transformed == 1
 
     @pytest.mark.parametrize("block_values", [2**16, 2])
     def test_entries_follow_network_draw_order(self, monkeypatch, block_values):
         # Row i-1 holds block i's delays for recipients 0..m-1 skipping
-        # the producer, in the order the network engine draws them.
+        # the producer, in the order the network engine draws them; step
+        # k's band holds t[i] + d(i, producer_k) at a[i - k].
         monkeypatch.setattr(matrix, "BLOCK_VALUES", block_values)
-        m, producers = 3, [1, 0, 2, 1]
+        m, producers, t = 3, [1, 0, 2, 1], [0.0, 0.5, 1.25, 2.0, 3.5]
         u = np.linspace(0.05, 0.95, len(producers) * (m - 1))
         flat = iter(sample_many(exponential(1.0), ScriptedStream(u), len(u)).tolist())
         want = [[0.0 if j == p else next(flat) for j in range(m)] for p in producers]
-        delays = DelayMatrix(exponential(1.0), ScriptedStream(u), producers, m)
-        # Newest row first, as the scans read them.
-        got = {(i, j): delays.entry(i, j)
-               for i in range(len(producers), 0, -1) for j in range(m)}
-        assert got == {(i, j): want[i - 1][j]
-                       for i in range(1, len(producers) + 1) for j in range(m)}
+        for band_width in (1, 8):
+            monkeypatch.setattr(matrix, "BAND_WIDTH", band_width)
+            delays = DelayMatrix(exponential(1.0), ScriptedStream(u), producers, m, t)
+            for k in range(1, len(t)):
+                a = delays.arrivals(k)
+                while True:
+                    blocks = range(max(1, k - len(a)), k)
+                    assert [a[i - k] for i in blocks] == \
+                        [t[i] + want[i - 1][producers[k - 1]] for i in blocks]
+                    if len(a) >= k - 1:
+                        break
+                    a = delays.arrivals(k, widen=True)
 
 
 class TestHandTrace:
@@ -154,7 +165,7 @@ class TestHandTrace:
     def test_naive_scan_same_trace(self):
         config, streams = self.run_trace()
         t, producers = draw_schedule(config, streams)
-        delays = DelayMatrix(config.beta, streams.delay, producers.tolist(), config.m)
+        delays = DelayMatrix(config.beta, streams.delay, producers, config.m, t)
         visible_height_naive(t, [1, 2, 2, 3, 3], delays)
         for k in range(1, 5):
             series = [1, 2, 2, 3, 3]
@@ -208,9 +219,10 @@ class TestScanVariants:
 class TestRowBlocks:
     @pytest.fixture
     def small_blocks(self, monkeypatch):
-        # Three rows per block at m=5, so runs span many blocks and long
-        # scans reach back past the two kept.
+        # Three new rows per chunk at m=5 and bands that start one arrival
+        # wide, so runs span many chunks and bands widen past the rows kept.
         monkeypatch.setattr(matrix, "BLOCK_VALUES", 12)
+        monkeypatch.setattr(matrix, "BAND_WIDTH", 1)
 
     def test_match_network_with_refetches(self, small_blocks):
         refetched = False
@@ -224,7 +236,7 @@ class TestRowBlocks:
             net = simulate_network(replace(config, record_tree=True))
             assert mat.height_series == net.height_series
             refetched = refetched or any(to < frm for frm, to in delay.seeks)
-        assert refetched, "no scan reached back past the two newest blocks"
+        assert refetched, "no band reached back past the rows kept"
 
     def test_pruning_check_on_chaotic_ratio(self, small_blocks):
         config = base_config(n=1500, beta=exponential(10.0), seed=8)
@@ -277,6 +289,60 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20
+
+
+class TestBands:
+    # Mean scan window, height and series digest (first 16 hex digits of
+    # the sha256 of repr(height_series)) of each config as the engine
+    # gave them when it transformed every matrix entry.
+    PINNED = [
+        ((3, 400, exponential(10.0), 1), 2.636591478696742, 208, "e596cec6a0a5b847"),
+        ((40, 300, gamma(shape=2.0, mean=5.0), 2), 4.1003344481605355, 89,
+         "9b414533e5d638eb"),
+        ((2, 500, exponential(100.0), 3), 3.350701402805611, 275, "037f3509310e0ce4"),
+        ((25, 1000, exponential(0.01), 4), 1.01001001001001, 989, "31d7e4e124cd8b57"),
+        ((12, 800, gamma(shape=0.5, mean=30.0), 5), 4.3842302878598245, 271,
+         "a1a91e6eef39d125"),
+    ]
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        """Bands start one arrival wide; the list gets each chunk's width.
+
+        Narrower than a row, a band widens when a scan runs past it; as
+        long as a row, it reaches back to the first row of its chunk."""
+        monkeypatch.setattr(matrix, "BAND_WIDTH", 1)
+        widths, build = [], DelayMatrix._build
+        monkeypatch.setattr(DelayMatrix, "_build",
+                            lambda delays, k: widths.append(delays.band_width) or build(delays, k))
+        return widths
+
+    @pytest.mark.parametrize("params, window, height, digest", PINNED,
+                             ids=["m3", "m40-gamma", "m2", "m25-fast", "m12-gamma"])
+    def test_widened_bands_keep_outputs(self, widths, params, window, height, digest):
+        m, n, beta, seed = params
+        config = base_config(m=m, n=n, beta=beta, seed=seed)
+        out = simulate_matrix(config, check_pruning=True)
+        assert out.stats["mean_scan_window"] == window
+        assert out.stats["pairs_tested"] == round(window * (n - 1))
+        assert out.height == height
+        assert hashlib.sha256(repr(out.height_series).encode()).hexdigest()[:16] == digest
+        assert out.height_series == simulate_network(config).height_series
+        assert widths
+
+    def test_band_passes_to_whole_rows(self, widths):
+        # The bands start narrower than a row and widen past m-1, where
+        # whole rows are transformed instead of the bands' cells.
+        config = base_config(m=12, n=800, beta=gamma(shape=0.5, mean=30.0), seed=5)
+        assert simulate_matrix(config).height_series == simulate_network(config).height_series
+        assert widths[0] < config.m - 1 <= widths[-1]
+
+    def test_transforms_a_tenth_of_the_matrix(self):
+        m, n = 1000, 4000
+        out = simulate_matrix(base_config(m=m, n=n, beta=exponential(1.0), seed=1,
+                                          record_series=False))
+        assert out.stats["delays_transformed"] < (n - 1) * (m - 1) / 10
+        assert out.stats["pairs_tested"] == round(out.stats["mean_scan_window"] * (n - 1))
 
 
 class TestStrictVisibilityFault:
