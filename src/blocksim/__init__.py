@@ -11,19 +11,16 @@ blocks, experiment drivers, and a CLI.
 
 __version__ = "0.1.0"
 
-from .blocktree import (BlockTree, GapHistogram, WorkerPositions, classify,
-                        cumulative_heights, export_tree, height,
-                        invalid_gap_histogram, longest_branch, proportion_valid,
-                        tree_from_json, tree_to_dot, tree_to_json)
+from .blocktree import (BlockTree, WorkerPositions, classify, export_tree, height,
+                        proportion_valid, tree_from_json, tree_to_dot, tree_to_json)
 from .distributions import (DistributionSpec, chi_squared, constant, exponential,
-                            gamma, mixture_cdf, parse_spec, sample, sample_many,
+                            gamma, mixture_cdf, parse_spec, sample_many,
                             sup_gap_bound, with_mean)
 from .errors import ConfigError
 from .infinite import InfSimConfig, simulate_infinite
 from .matrix import MatrixSimState, simulate_matrix, visible_height_naive, visible_height_pruned
 from .montecarlo import (ExperimentPlan, ExperimentResult, McEstimate,
-                         convergence_experiment, derived_metrics,
-                         efficiency_experiment, expected_gap_forms,
+                         convergence_experiment, efficiency_experiment,
                          pdf_histogram_experiment, predicted_p,
                          prediction_warning, run_experiment, run_replications)
 from .network import NetSimConfig, SimOutcome, simulate_network

@@ -10,7 +10,7 @@ tree has height 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -78,32 +78,10 @@ class WorkerPositions:
 
     positions: tuple[int, ...]
 
-    @classmethod
-    def initial(cls, m: int) -> "WorkerPositions":
-        return cls(tuple(0 for _ in range(m)))
-
     def validate_against(self, tree: BlockTree) -> None:
         for w, b in enumerate(self.positions):
             if not (0 <= b < tree.n_blocks):
                 raise ValueError(f"worker {w} positioned at unknown block {b}")
-
-
-@dataclass(frozen=True)
-class GapHistogram:
-    """Occurrence counts of the invalid-block gap between consecutive
-    valid blocks (counted in creation order)."""
-
-    counts: dict[int, int] = field(default_factory=dict)
-
-    def total_gaps(self) -> int:
-        return sum(self.counts.values())
-
-    def total_invalid(self) -> int:
-        return sum(g * c for g, c in self.counts.items())
-
-    def mean(self) -> float:
-        total = self.total_gaps()
-        return self.total_invalid() / total if total else 0.0
 
 
 def height(tree: BlockTree) -> int:
@@ -111,58 +89,9 @@ def height(tree: BlockTree) -> int:
     return max(tree.depths())
 
 
-def cumulative_heights(tree: BlockTree) -> list[int]:
-    """Running maximum of block depth in creation order.
-
-    Entry k is the height of the tree restricted to blocks 0..k, so the
-    last entry equals height(tree).
-    """
-    out = []
-    best = 0
-    for d in tree.depths():
-        if d > best:
-            best = d
-        out.append(best)
-    return out
-
-
 def proportion_valid(tree: BlockTree) -> float:
     """Longest-branch length over total block count; 1.0 iff no forks."""
     return height(tree) / tree.n_blocks
-
-
-def longest_branch(tree: BlockTree) -> list[int]:
-    """Block ids along the longest branch, root first.
-
-    Depth ties are broken toward the earliest-created tip (smallest
-    block id), matching the first-seen rule workers apply to tips.
-    """
-    depths = tree.depths()
-    best = max(depths)
-    tip = depths.index(best)
-    path = [tip]
-    while path[-1] != 0:
-        path.append(tree.parent_of(path[-1]))
-    path.reverse()
-    return path
-
-
-def invalid_gap_histogram(tree: BlockTree) -> GapHistogram:
-    """Histogram of invalid blocks created between consecutive valid ones.
-
-    For each consecutive pair (u, v) on the longest branch, counts blocks
-    with creation index strictly between u and v that are off the branch.
-    Blocks created after the branch tip fall in no gap, so the histogram
-    accounts for every invalid block only when the tip is the newest
-    block.
-    """
-    branch = longest_branch(tree)
-    on_branch = set(branch)
-    counts: dict[int, int] = {}
-    for u, v in zip(branch, branch[1:]):
-        gap = sum(1 for w in range(u + 1, v) if w not in on_branch)
-        counts[gap] = counts.get(gap, 0) + 1
-    return GapHistogram(counts)
 
 
 def classify(alpha_mean: float, beta_mean: float) -> str:

@@ -66,15 +66,6 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-def _resolve(flag, file_cfg: dict, key: str, default=None):
-    """Precedence: explicit flag, then config file, then default."""
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
-
-
 def _int_field(value, key: str) -> int:
     """An integer parameter from a flag, a config file or a manifest.
 
@@ -120,32 +111,86 @@ def _output_names(params: dict, roles: tuple[str, ...]) -> dict:
     return names
 
 
-def _resolve_seed(flag, file_cfg: dict) -> int:
-    if flag is not None:
-        return flag
-    if "seed" in file_cfg:
-        return _int_field(file_cfg["seed"], "seed")
-    env = os.environ.get("BLOCKSIM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"BLOCKSIM_SEED must be an integer, got {env!r}") from exc
-    return 0
+def _env_seed(fields=None) -> int:
+    """The seed from BLOCKSIM_SEED, or 0 when it is unset."""
+    env = os.environ.get("BLOCKSIM_SEED", "0")
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"BLOCKSIM_SEED must be an integer, got {env!r}") from None
 
 
-def _resolve_spec(flag, file_cfg: dict, key: str) -> DistributionSpec:
-    """A distribution from a flag string or a config-file dict."""
-    if flag is not None:
-        return parse_spec(flag)
-    if key in file_cfg:
-        value = file_cfg[key]
-        if isinstance(value, str):
-            return parse_spec(value)
-        if isinstance(value, dict):
-            return spec_from_dict(value)
-        raise ConfigError(f"config field {key!r} must be a string or object")
-    raise ConfigError(f"missing distribution: pass --{key} or set {key!r} in the config file")
+def _spec(value, key: str) -> DistributionSpec:
+    """A distribution from a spec string or a config-file object."""
+    if isinstance(value, str):
+        return parse_spec(value)
+    if isinstance(value, dict):
+        return spec_from_dict(value)
+    raise ConfigError(f"config field {key!r} must be a string or object")
+
+
+def _kind(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"unknown experiment kind {value!r}")
+    return _KIND_ALIASES.get(value, value)
+
+
+def _worker_count(value, key: str) -> int:
+    m = _int_field(value, key)
+    if m < 1:
+        raise ConfigError(f"worker count {key} must be >= 1, got {m}")
+    return m
+
+
+def _sweep(value, key: str) -> list[float]:
+    """A sweep from a comma-separated string or a list of numbers."""
+    if isinstance(value, str):
+        value = [x for x in value.split(",") if x.strip()]
+    return _float_list(value, key)
+
+
+def _default_sweep(fields: dict) -> tuple:
+    """Worker counts for convergence, mean ratios for efficiency."""
+    if fields["kind"] == "convergence":
+        return (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
+    return default_ratio_grid() if fields["kind"] == "efficiency" else ()
+
+
+_REQUIRED = object()
+# Each command's config fields, in resolution order, with their defaults.
+# A callable default is computed from the fields resolved before it.
+_FIELDS = {
+    "simulate": {"engine": "matrix", "alpha": _REQUIRED, "beta": _REQUIRED,
+                 "m": None, "n": _REQUIRED, "seed": _env_seed},
+    "experiment": {
+        "kind": _REQUIRED, "alpha": _REQUIRED, "beta": _REQUIRED, "n": _REQUIRED,
+        "reps": lambda f: 1000 if f["kind"] == "pdf_histogram" else 100,
+        "sweep": _default_sweep,
+        "m": 100, "bins": 20, "engine": "infinite", "seed": _env_seed, "jobs": 1,
+    },
+}
+_PARSERS = {"kind": _kind, "alpha": _spec, "beta": _spec, "m": _worker_count,
+            "n": _int_field, "reps": _int_field, "sweep": _sweep, "bins": _int_field,
+            "seed": _int_field, "jobs": _int_field}
+
+
+def _resolve_fields(command: str, flags: dict) -> dict:
+    """The command's fields: flag, then config file, then default.
+
+    A null in the config file counts as unset.  Every value but a None
+    default is parsed.
+    """
+    file_cfg = _load_config_file(flags["config_path"])
+    fields = {}
+    for key, default in _FIELDS[command].items():
+        value = flags[key] if flags[key] is not None else file_cfg.get(key)
+        if value is None:
+            value = default(fields) if callable(default) else default
+        if value is _REQUIRED:
+            raise ConfigError(f"missing {key}: pass --{key} or set {key!r} in the config file")
+        parse = _PARSERS.get(key)
+        fields[key] = parse(value, key) if parse and value is not None else value
+    return fields
 
 
 def _guard(fn):
@@ -222,12 +267,6 @@ def run_simulate(params: dict, out_paths: dict) -> dict[str, str]:
     return digests
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def run_experiment_files(params: dict, out_paths: dict) -> dict[str, str]:
     """Execute an experiment plan and write its CSV table."""
     plan = ExperimentPlan(
@@ -246,26 +285,18 @@ def run_experiment_files(params: dict, out_paths: dict) -> dict[str, str]:
 
     lines = [",".join(result.columns)]
     for row in result.rows:
-        lines.append(",".join(_format_cell(c) for c in row))
+        lines.append(",".join(repr(c) if isinstance(c, float) else str(c) for c in row))
     table = Path(out_paths["table"])
     digest = _write_bytes(table, "\n".join(lines) + "\n")
 
-    for note in _experiment_notes(result):
-        click.echo(note)
-    return {table.name: digest}
-
-
-def _experiment_notes(result) -> list[str]:
-    notes = []
-    if result.kind == "efficiency" and result.extras.get("chaotic_ratios"):
+    if result.kind == "efficiency" and result.extras["chaotic_ratios"]:
         ratios = ", ".join(f"{r:g}" for r in result.extras["chaotic_ratios"])
-        notes.append(f"note: prediction is unreliable at ratios > 1 (sweep hit: {ratios})")
+        click.echo(f"note: prediction is unreliable at ratios > 1 (sweep hit: {ratios})")
     if result.kind == "pdf_histogram":
-        notes.append(
-            "ks_distance={ks:.4f} mean_Am={am:.5f} mean_Ainf={ai:.5f} shift={sh:+.5f}".format(
-                ks=result.extras["ks_distance"], am=result.extras["mean_Am"],
-                ai=result.extras["mean_Ainf"], sh=result.extras["mean_shift"]))
-    return notes
+        click.echo(
+            "ks_distance={ks_distance:.4f} mean_Am={mean_Am:.5f} mean_Ainf={mean_Ainf:.5f} "
+            "shift={mean_shift:+.5f}".format(**result.extras))
+    return {table.name: digest}
 
 
 def _finish_with_manifest(command: str, params: dict, base_seed: int,
@@ -296,12 +327,12 @@ def main():
 @main.command()
 @click.option("--engine", type=click.Choice(_ENGINE_CHOICES), default=None,
               help="Simulation engine (default: matrix).")
-@click.option("--alpha", "alpha_flag", default=None, metavar="SPEC",
+@click.option("--alpha", default=None, metavar="SPEC",
               help="Production-time distribution, e.g. exp:1, gamma:0.5:2, const:1.")
-@click.option("--beta", "beta_flag", default=None, metavar="SPEC",
+@click.option("--beta", default=None, metavar="SPEC",
               help="Broadcast-delay distribution, e.g. exp:0.1, const:0.")
-@click.option("--m", "m_flag", type=int, default=None, help="Worker count (bounded engines).")
-@click.option("--n", "n_flag", type=int, default=None,
+@click.option("--m", type=int, default=None, help="Worker count (bounded engines).")
+@click.option("--n", type=int, default=None,
               help="Total blocks to produce, origin included.")
 @click.option("--seed", type=int, default=None,
               help="Base seed (default: config file, then BLOCKSIM_SEED, then 0).")
@@ -318,28 +349,17 @@ def main():
 @click.option("--manifest", "manifest_path", type=click.Path(), default=None,
               help="Manifest path (default: <out>.manifest.json).")
 @_guard
-def simulate(engine, alpha_flag, beta_flag, m_flag, n_flag, seed, config_path,
-             out_path, tree_out, tree_format, series_out, manifest_path):
+def simulate(**flags):
     """Run one simulation and write the outcome files."""
     started = time.perf_counter()
-    file_cfg = _load_config_file(config_path)
-    engine = _resolve(engine, file_cfg, "engine", "matrix")
-    alpha = _resolve_spec(alpha_flag, file_cfg, "alpha")
-    beta = _resolve_spec(beta_flag, file_cfg, "beta")
-    n = _resolve(n_flag, file_cfg, "n")
-    if n is None:
-        raise ConfigError("missing block count: pass --n or set it in the config file")
-    m = _resolve(m_flag, file_cfg, "m")
-    base_seed = _resolve_seed(seed, file_cfg)
-
+    fields = _resolve_fields("simulate", flags)
+    alpha, beta = fields["alpha"], fields["beta"]
+    out_path, tree_out, series_out = flags["out_path"], flags["tree_out"], flags["series_out"]
     params = {
-        "engine": engine,
+        **fields,
         "alpha": alpha.to_dict(),
         "beta": beta.to_dict(),
-        "m": _int_field(m, "m") if m is not None else None,
-        "n": _int_field(n, "n"),
-        "seed": base_seed,
-        "tree_format": tree_format,
+        "tree_format": flags["tree_format"],
         "output_names": {
             "outcome": Path(out_path).name,
             "tree": Path(tree_out).name if tree_out else None,
@@ -350,29 +370,29 @@ def simulate(engine, alpha_flag, beta_flag, m_flag, n_flag, seed, config_path,
     digests = run_simulate(params, out_paths)
 
     doc = json.loads(Path(out_path).read_text())
-    ratio = beta.mean / alpha.mean
-    regime = classify(alpha.mean, beta.mean)
-    click.echo(f"p_n={doc['p_n']:.6f} height={doc['height']} n={n} engine={engine}")
-    click.echo(f"regime={regime} (delay/production ratio {ratio:g})")
+    click.echo(f"p_n={doc['p_n']:.6f} height={doc['height']} n={fields['n']} "
+               f"engine={fields['engine']}")
+    click.echo(f"regime={classify(alpha.mean, beta.mean)} "
+               f"(delay/production ratio {beta.mean / alpha.mean:g})")
 
     _finish_with_manifest(
-        "simulate", params, base_seed, digests,
-        manifest_path or out_path + ".manifest.json",
-        StreamBundle.for_run(base_seed).seed_echo(), started)
+        "simulate", params, fields["seed"], digests,
+        flags["manifest_path"] or out_path + ".manifest.json",
+        StreamBundle.for_run(fields["seed"]).seed_echo(), started)
 
 
 @main.command()
 @click.option("--kind", type=click.Choice(tuple(_KIND_ALIASES)), default=None,
               help="Experiment family.")
-@click.option("--alpha", "alpha_flag", default=None, metavar="SPEC")
-@click.option("--beta", "beta_flag", default=None, metavar="SPEC")
-@click.option("--n", "n_flag", type=int, default=None)
+@click.option("--alpha", default=None, metavar="SPEC")
+@click.option("--beta", default=None, metavar="SPEC")
+@click.option("--n", type=int, default=None)
 @click.option("--reps", type=int, default=None,
               help="Replications per point (default 100; 1000 for pdf-histogram).")
 @click.option("--sweep", default=None, metavar="LIST",
               help="Comma-separated worker counts (convergence) or mean ratios "
                    "(efficiency); efficiency defaults to a log grid 1e-3..1e2.")
-@click.option("--m", "m_flag", type=int, default=None,
+@click.option("--m", type=int, default=None,
               help="Bounded-engine worker count for pdf-histogram/single (default 100).")
 @click.option("--bins", type=int, default=None, help="Histogram bins (default 20).")
 @click.option("--engine", type=click.Choice(_ENGINE_CHOICES), default=None,
@@ -385,52 +405,18 @@ def simulate(engine, alpha_flag, beta_flag, m_flag, n_flag, seed, config_path,
               show_default=True, help="CSV table path.")
 @click.option("--manifest", "manifest_path", type=click.Path(), default=None)
 @_guard
-def experiment(kind, alpha_flag, beta_flag, n_flag, reps, sweep, m_flag, bins,
-               engine, seed, jobs, config_path, out_path, manifest_path):
+def experiment(**flags):
     """Run a sweep experiment and write its CSV table."""
     started = time.perf_counter()
-    file_cfg = _load_config_file(config_path)
-    kind = _resolve(kind, file_cfg, "kind")
-    if kind is None:
-        raise ConfigError("missing experiment kind: pass --kind or set it in the config file")
-    if not isinstance(kind, str):
-        raise ConfigError(f"unknown experiment kind {kind!r}")
-    kind = _KIND_ALIASES.get(kind, kind)
-    alpha = _resolve_spec(alpha_flag, file_cfg, "alpha")
-    beta = _resolve_spec(beta_flag, file_cfg, "beta")
-    n = _resolve(n_flag, file_cfg, "n")
-    if n is None:
-        raise ConfigError("missing block count: pass --n or set it in the config file")
-    reps = _resolve(reps, file_cfg, "reps", 1000 if kind == "pdf_histogram" else 100)
-    base_seed = _resolve_seed(seed, file_cfg)
-
-    sweep = _resolve(sweep, file_cfg, "sweep")
-    if isinstance(sweep, str):
-        sweep = [x for x in sweep.split(",") if x.strip()]
-    elif sweep is None and kind == "efficiency":
-        sweep = default_ratio_grid()
-    elif sweep is None and kind == "convergence":
-        sweep = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000]
-    sweep = _float_list([] if sweep is None else sweep, "sweep")
-
-    params = {
-        "kind": kind,
-        "alpha": alpha.to_dict(),
-        "beta": beta.to_dict(),
-        "n": _int_field(n, "n"),
-        "replications": _int_field(reps, "reps"),
-        "sweep": sweep,
-        "m": _int_field(_resolve(m_flag, file_cfg, "m", 100), "m"),
-        "bins": _int_field(_resolve(bins, file_cfg, "bins", 20), "bins"),
-        "engine": _resolve(engine, file_cfg, "engine", "infinite"),
-        "seed": base_seed,
-        "jobs": _int_field(_resolve(jobs, file_cfg, "jobs", 1), "jobs"),
-        "output_names": {"table": Path(out_path).name},
-    }
+    fields = _resolve_fields("experiment", flags)
+    fields["replications"] = fields.pop("reps")
+    out_path = flags["out_path"]
+    params = {**fields, "alpha": fields["alpha"].to_dict(), "beta": fields["beta"].to_dict(),
+              "output_names": {"table": Path(out_path).name}}
     digests = run_experiment_files(params, {"table": out_path})
     click.echo(f"wrote {out_path} ({len(digests)} file)")
-    _finish_with_manifest("experiment", params, base_seed, digests,
-                          manifest_path or out_path + ".manifest.json",
+    _finish_with_manifest("experiment", params, fields["seed"], digests,
+                          flags["manifest_path"] or out_path + ".manifest.json",
                           None, started)
 
 
@@ -443,7 +429,7 @@ def experiment(kind, alpha_flag, beta_flag, n_flag, reps, sweep, m_flag, bins,
 @_guard
 def validate(quick, inject_fault, seed):
     """Run the engine cross-check suites; exit 1 on any failure."""
-    base_seed = _resolve_seed(seed, {})
+    base_seed = _env_seed() if seed is None else seed
     results = run_validation(base_seed=base_seed, quick=quick,
                              strict_visibility=not inject_fault)
     all_ok = True

@@ -168,13 +168,6 @@ def parse_spec(text: str) -> DistributionSpec:
     return DistributionSpec(kind, nums[0])
 
 
-def format_spec(spec: DistributionSpec) -> str:
-    """Canonical flag-syntax form, round-trippable through parse_spec."""
-    if spec.kind == "gamma":
-        return f"gamma:{spec.mean!r}:{spec.shape!r}"
-    return f"{spec.kind}:{spec.mean!r}"
-
-
 def with_mean(spec: DistributionSpec, mean: float) -> DistributionSpec:
     """Same kind with a different mean; gamma keeps its shape.
 
@@ -219,17 +212,12 @@ def sample_many(spec: DistributionSpec, stream, size: int) -> np.ndarray:
     return _transform(spec, stream.uniforms(size))
 
 
-def sample(spec: DistributionSpec, stream) -> float:
-    """Draw one value, consuming exactly one uniform."""
-    return float(sample_many(spec, stream, 1)[0])
-
-
 class BufferedSampler:
     """Scalar draws served from vectorized chunks of one stream.
 
-    Consumption order is identical to repeated sample() calls; chunking
-    only changes how the underlying uniforms are fetched, not their
-    order.  Works with scripted streams via take_uniforms.
+    Values come in the order sample_many would give them; chunking only
+    changes how the underlying uniforms are fetched, not their order.
+    Works with scripted streams via take_uniforms.
     """
 
     def __init__(self, spec: DistributionSpec, stream, chunk: int = 8192):

@@ -1,6 +1,6 @@
 """Replication harness and the experiment drivers built on it.
 
-run_replications executes any engine R times on independent substreams
+run_replications executes a named engine R times on independent substreams
 and aggregates the proportion estimates; run_replication_sets does the
 same for a batch of such sets over at most one process pool, and every
 experiment driver makes one call to it.  The three experiment drivers
@@ -130,8 +130,7 @@ def run_replication_sets(sets, jobs: int = 1) -> list[McEstimate]:
     batch is spread over one process pool of at most ``jobs`` workers,
     so an experiment starts at most one pool.  Results are reduced in
     replication order, so the estimates are deterministic regardless of
-    ``jobs``; only named engines run in parallel, and a batch holding a
-    callable engine runs serially.
+    ``jobs``.
     """
     if jobs < 1:
         raise ConfigError(f"job count must be >= 1, got {jobs}")
@@ -144,7 +143,7 @@ def run_replication_sets(sets, jobs: int = 1) -> list[McEstimate]:
         indices += range(replications)
         counts.append(replications)
 
-    if jobs > 1 and all(isinstance(engine, str) for engine in engines):
+    if jobs > 1:
         chunk = max(1, min(POOL_CHUNK, len(configs) // (jobs * 4)))
         # No more workers than chunks to run or CPUs this process may use.
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -155,9 +154,8 @@ def run_replication_sets(sets, jobs: int = 1) -> list[McEstimate]:
     else:
         values = []
         for engine, config, r in zip(engines, configs, indices):
-            fn = ENGINES[engine] if isinstance(engine, str) else engine
             try:
-                values.append(fn(config).proportion)
+                values.append(_run_one(engine, config))
             except Exception as exc:
                 raise RuntimeError(f"replication {r} failed: {exc}") from exc
 
@@ -172,9 +170,9 @@ def run_replications(engine, config, replications: int, base_seed: int,
                      jobs: int = 1) -> McEstimate:
     """Run ``engine`` R times and aggregate the proportion estimates.
 
-    engine is a name from ENGINES or a callable of one config.
-    Replication r runs with seed mix64(base_seed, r), overriding
-    config.seed.  The one-set call of run_replication_sets.
+    engine is a name from ENGINES.  Replication r runs with seed
+    mix64(base_seed, r), overriding config.seed.  The one-set call of
+    run_replication_sets.
     """
     return run_replication_sets([(engine, config, replications, base_seed)], jobs)[0]
 
@@ -211,40 +209,6 @@ def prediction_warning(alpha_mean: float, beta_mean: float) -> bool:
     return beta_mean / alpha_mean > 1.0
 
 
-def derived_metrics(p_mean: float, alpha_mean: float) -> dict:
-    """Chain metrics implied by a proportion estimate.
-
-    growth_rate: valid blocks per unit time, p/mean_production.
-    invalid_rate: invalid blocks per unit time, (1-p)/mean_production.
-    confirmation_time: expected wait for one confirmation, mean_production/p.
-    """
-    if not 0 < p_mean <= 1:
-        raise ConfigError(f"proportion must lie in (0, 1], got {p_mean}")
-    if alpha_mean <= 0:
-        raise ConfigError("production mean must be > 0")
-    return {
-        "growth_rate": p_mean / alpha_mean,
-        "invalid_rate": (1 - p_mean) / alpha_mean,
-        "confirmation_time": alpha_mean / p_mean,
-    }
-
-
-def expected_gap_forms(p_mean: float, alpha_mean: float) -> dict:
-    """Two forms of the expected invalid-block production, both reported.
-
-    rate_form (1-p)/mean_production is invalid blocks per unit time;
-    count_form (1-p)/p is invalid blocks per valid block, the mean of
-    the per-gap count.  Neither is asserted against simulation; the gap
-    histogram from trees is the measured ground truth.
-    """
-    if not 0 < p_mean <= 1:
-        raise ConfigError(f"proportion must lie in (0, 1], got {p_mean}")
-    return {
-        "rate_form": (1 - p_mean) / alpha_mean,
-        "count_form": (1 - p_mean) / p_mean,
-    }
-
-
 def convergence_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
     """Mean proportion per worker count, plus the unbounded reference.
 
@@ -266,8 +230,7 @@ def convergence_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentRes
     results = run_replication_sets(sets, jobs)
     rows = tuple((m, est.mean, est.quantiles[0.25], est.quantiles[0.75], est.replications)
                  for m, est in zip(labels, results))
-    return ExperimentResult(kind=plan.kind, columns=CONVERGENCE_COLUMNS,
-                            rows=rows, extras={"estimates": dict(zip(labels, results))})
+    return ExperimentResult(kind=plan.kind, columns=CONVERGENCE_COLUMNS, rows=rows)
 
 
 def default_ratio_grid() -> tuple[float, ...]:

@@ -161,16 +161,9 @@ def check_mixture_bound(grid_points: int = 10**4) -> CheckResult:
 def run_validation(base_seed: int = 0, quick: bool = False,
                    strict_visibility: bool = True) -> list[CheckResult]:
     """Run all suites; quick mode shrinks sizes to finish in seconds."""
-    if quick:
-        return [
-            check_equivalence(base_seed, configs=20,
-                              strict_visibility=strict_visibility),
-            check_pruning(base_seed, runs=10, max_n=500),
-            check_mixture_bound(grid_points=2000),
-        ]
+    configs, runs, max_n, grid_points = (20, 10, 500, 2000) if quick else (100, 50, 2000, 10**4)
     return [
-        check_equivalence(base_seed, configs=100,
-                          strict_visibility=strict_visibility),
-        check_pruning(base_seed, runs=50, max_n=2000),
-        check_mixture_bound(),
+        check_equivalence(base_seed, configs=configs, strict_visibility=strict_visibility),
+        check_pruning(base_seed, runs=runs, max_n=max_n),
+        check_mixture_bound(grid_points=grid_points),
     ]

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blocksim.blocktree import (BlockTree, GapHistogram, WorkerPositions,
-                                classify, cumulative_heights, export_tree,
-                                height, invalid_gap_histogram, longest_branch,
-                                proportion_valid, tree_from_json, tree_to_dot,
+from blocksim.blocktree import (BlockTree, WorkerPositions, classify, export_tree,
+                                height, proportion_valid, tree_from_json, tree_to_dot,
                                 tree_to_json)
 from blocksim.errors import ConfigError
 
@@ -60,7 +58,6 @@ class TestValidation:
         WorkerPositions((0, 2)).validate_against(t)
         with pytest.raises(ValueError):
             WorkerPositions((5,)).validate_against(t)
-        assert WorkerPositions.initial(3).positions == (0, 0, 0)
 
 
 class TestHeightAndProportion:
@@ -82,68 +79,6 @@ class TestHeightAndProportion:
             t = random_tree(rng, int(rng.integers(2, 40)))
             is_path = t.parents == tuple(range(t.n_blocks - 1))
             assert (proportion_valid(t) == 1.0) == is_path
-
-    def test_cumulative_heights(self):
-        t = two_branch_seven()
-        assert cumulative_heights(t) == [1, 2, 2, 3, 3, 3, 4]
-        assert cumulative_heights(t)[-1] == height(t)
-
-
-class TestLongestBranch:
-    def test_branch_of_two_branch_tree(self):
-        assert longest_branch(two_branch_seven()) == [0, 2, 3, 6]
-
-    def test_tie_breaks_to_earliest_tip(self):
-        # Two branches of equal height; tips are 3 and 4, prefer 3.
-        t = BlockTree(parents=(0, 0, 1, 2), times=(0.0, 1.0, 2.0, 3.0, 4.0))
-        assert longest_branch(t) == [0, 1, 3]
-
-    def test_branch_ids_increase(self):
-        rng = np.random.default_rng(6)
-        for _ in range(30):
-            b = longest_branch(random_tree(rng, int(rng.integers(2, 60))))
-            assert b[0] == 0
-            assert all(u < v for u, v in zip(b, b[1:]))
-
-
-class TestGapHistogram:
-    def test_pure_chain_all_zero(self):
-        hist = invalid_gap_histogram(chain(10))
-        assert hist.counts == {0: 9}
-        assert hist.total_invalid() == 0
-
-    def test_two_branch_tree_gaps(self):
-        hist = invalid_gap_histogram(two_branch_seven())
-        assert hist.counts == {0: 1, 1: 1, 2: 1}
-        assert hist.total_gaps() == 3
-        assert hist.total_invalid() == 3
-        assert hist.mean() == pytest.approx(1.0)
-
-    def test_partition_identity_when_tip_is_newest(self):
-        # Every invalid block falls in exactly one gap when the branch tip
-        # is the newest block.
-        rng = np.random.default_rng(7)
-        checked = 0
-        for _ in range(200):
-            t = random_tree(rng, int(rng.integers(2, 50)))
-            if longest_branch(t)[-1] == t.n_blocks - 1:
-                hist = invalid_gap_histogram(t)
-                assert hist.total_invalid() == t.n_blocks - height(t)
-                assert hist.total_gaps() == height(t) - 1
-                checked += 1
-        assert checked > 20
-
-    def test_blocks_after_tip_fall_outside_gaps(self):
-        # Tip is block 1 by the tie-break; block 2 arrives later, attaches
-        # to the origin, and belongs to no gap.
-        t = BlockTree(parents=(0, 0), times=(0.0, 1.0, 2.0))
-        hist = invalid_gap_histogram(t)
-        assert hist.counts == {0: 1}
-        assert hist.total_invalid() == 0
-        assert t.n_blocks - height(t) == 1
-
-    def test_empty_histogram_mean(self):
-        assert GapHistogram({}).mean() == 0.0
 
 
 class TestClassify:

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -199,6 +203,169 @@ class TestConfigResolution:
         result = runner.invoke(main, simulate_args(tmp_path),
                                env={"BLOCKSIM_SEED": "not-a-number"})
         assert result.exit_code == 2
+
+
+# Params of manifests the CLI wrote before its flags were resolved through
+# one field table, for each engine and each experiment kind.
+EXP1 = {"kind": "exponential", "mean": 1.0}
+PINNED_PARAMS = [
+    (["simulate", "--engine", "network", "--alpha", "exp:1", "--beta", "exp:0.5",
+      "--m", "3", "--n", "40", "--seed", "2", "--out", "net.json", "--tree-out",
+      "tree.json", "--tree-format", "json", "--series-out", "series.json"],
+     {"engine": "network", "alpha": EXP1, "beta": {"kind": "exponential", "mean": 0.5},
+      "m": 3, "n": 40, "seed": 2, "tree_format": "json",
+      "output_names": {"outcome": "net.json", "series": "series.json", "tree": "tree.json"}}),
+    (["simulate", "--engine", "matrix", "--alpha", "gamma:1:2", "--beta", "exp:0.5",
+      "--m", "4", "--n", "40", "--seed", "2", "--out", "mat.json"],
+     {"engine": "matrix", "alpha": {"kind": "gamma", "mean": 1.0, "shape": 2.0},
+      "beta": {"kind": "exponential", "mean": 0.5}, "m": 4, "n": 40, "seed": 2,
+      "tree_format": "dot", "output_names": {"outcome": "mat.json", "series": None,
+                                             "tree": None}}),
+    (["simulate", "--engine", "infinite", "--alpha", "exp:1", "--beta", "const:0.5",
+      "--n", "40", "--seed", "2", "--out", "inf.json", "--series-out", "inf_series.json"],
+     {"engine": "infinite", "alpha": EXP1, "beta": {"kind": "constant", "mean": 0.5},
+      "m": None, "n": 40, "seed": 2, "tree_format": "dot",
+      "output_names": {"outcome": "inf.json", "series": "inf_series.json", "tree": None}}),
+    (["experiment", "--kind", "single", "--alpha", "exp:1", "--beta", "exp:0.1",
+      "--n", "30", "--reps", "3", "--seed", "1", "--out", "single.csv"],
+     {"kind": "single", "alpha": EXP1, "beta": {"kind": "exponential", "mean": 0.1},
+      "n": 30, "replications": 3, "sweep": [], "m": 100, "bins": 20, "engine": "infinite",
+      "seed": 1, "jobs": 1, "output_names": {"table": "single.csv"}}),
+    (["experiment", "--kind", "convergence", "--alpha", "exp:1", "--beta", "exp:0.1",
+      "--n", "20", "--reps", "1", "--seed", "1", "--out", "conv.csv"],
+     {"kind": "convergence", "alpha": EXP1, "beta": {"kind": "exponential", "mean": 0.1},
+      "n": 20, "replications": 1,
+      "sweep": [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0],
+      "m": 100, "bins": 20, "engine": "infinite", "seed": 1, "jobs": 1,
+      "output_names": {"table": "conv.csv"}}),
+    (["experiment", "--kind", "efficiency", "--alpha", "exp:1", "--beta", "exp:0.1",
+      "--n", "30", "--reps", "2", "--sweep", "0.1,2", "--seed", "1", "--out", "eff.csv"],
+     {"kind": "efficiency", "alpha": EXP1, "beta": {"kind": "exponential", "mean": 0.1},
+      "n": 30, "replications": 2, "sweep": [0.1, 2.0], "m": 100, "bins": 20,
+      "engine": "infinite", "seed": 1, "jobs": 1, "output_names": {"table": "eff.csv"}}),
+    (["experiment", "--kind", "pdf-histogram", "--alpha", "exp:1", "--beta", "exp:0.1",
+      "--n", "30", "--reps", "5", "--m", "4", "--bins", "3", "--seed", "1",
+      "--out", "hist.csv"],
+     {"kind": "pdf_histogram", "alpha": EXP1, "beta": {"kind": "exponential", "mean": 0.1},
+      "n": 30, "replications": 5, "sweep": [], "m": 4, "bins": 3, "engine": "infinite",
+      "seed": 1, "jobs": 1, "output_names": {"table": "hist.csv"}}),
+]
+
+MISSING = object()
+BASE_CONFIGS = {
+    "simulate": {"engine": "infinite", "alpha": ALPHA, "beta": BETA, "m": 3, "n": 20,
+                 "seed": 1},
+    "experiment": {"kind": "single", "alpha": ALPHA, "beta": BETA, "n": 20, "reps": 2,
+                   "seed": 1},
+}
+SPEC_CASES = {
+    "alpha": ("exp:2", "exp:3", {"kind": "exponential", "mean": 2.0},
+              {"kind": "exponential", "mean": 3.0}, MISSING),
+    "beta": ("const:0.5", {"kind": "gamma", "mean": 0.5, "shape": 2},
+             {"kind": "constant", "mean": 0.5},
+             {"kind": "gamma", "mean": 0.5, "shape": 2.0}, MISSING),
+}
+# (command, key): flag, config value, param from the flag, param from the
+# config, param by default (MISSING: the command exits 2).
+PRECEDENCE = {
+    ("simulate", "engine"): ("network", "infinite", "network", "infinite", "matrix"),
+    ("simulate", "alpha"): SPEC_CASES["alpha"],
+    ("simulate", "beta"): SPEC_CASES["beta"],
+    ("simulate", "m"): ("5", 4, 5, 4, None),
+    ("simulate", "n"): ("25", 30, 25, 30, MISSING),
+    ("simulate", "seed"): ("8", 17, 8, 17, 0),
+    ("experiment", "kind"): ("pdf-histogram", "efficiency", "pdf_histogram", "efficiency",
+                             MISSING),
+    ("experiment", "alpha"): SPEC_CASES["alpha"],
+    ("experiment", "beta"): SPEC_CASES["beta"],
+    ("experiment", "n"): ("25", 30, 25, 30, MISSING),
+    ("experiment", "reps"): ("3", 4, 3, 4, 100),
+    ("experiment", "sweep"): ("0.5,2", [1, 3], [0.5, 2.0], [1.0, 3.0], []),
+    ("experiment", "m"): ("5", 4, 5, 4, 100),
+    ("experiment", "bins"): ("5", 4, 5, 4, 20),
+    ("experiment", "engine"): ("matrix", "network", "matrix", "network", "infinite"),
+    ("experiment", "seed"): ("8", 17, 8, 17, 0),
+    ("experiment", "jobs"): ("3", 2, 3, 2, 1),
+}
+
+
+class TestFieldTable:
+    @pytest.mark.parametrize("argv, params", PINNED_PARAMS,
+                             ids=["network", "matrix", "infinite", "single", "convergence",
+                                  "efficiency", "pdf-histogram"])
+    def test_manifest_params_unchanged(self, runner, tmp_path, argv, params):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 0, result.output
+            manifest = load_manifest(f"{argv[argv.index('--out') + 1]}.manifest.json")
+            assert manifest.params == params
+
+    def test_every_field_has_a_precedence_case(self):
+        from blocksim.cli import _FIELDS
+        assert set(PRECEDENCE) == {(command, key) for command, fields in _FIELDS.items()
+                                   for key in fields}
+
+    @pytest.mark.parametrize("command, key", sorted(PRECEDENCE))
+    def test_flag_beats_config_beats_default(self, runner, tmp_path, recording_pool,
+                                             command, key):
+        flag, value, from_flag, from_config, default = PRECEDENCE[command, key]
+        param = "replications" if key == "reps" else key
+        out = tmp_path / ("o.json" if command == "simulate" else "t.csv")
+        config = tmp_path / "config.json"
+
+        def params(doc, *flags):
+            config.write_text(json.dumps(doc))
+            result = runner.invoke(main, [command, "--config", str(config),
+                                          "--out", str(out), *flags])
+            if default is MISSING and key not in doc and not flags:
+                assert result.exit_code == 2
+                assert f"missing {key}" in result.output
+                return MISSING
+            assert result.exit_code == 0, result.output
+            return load_manifest(f"{out}.manifest.json").params[param]
+
+        doc = {**BASE_CONFIGS[command], key: value}
+        assert params(doc, f"--{key}", flag) == from_flag
+        assert params(doc) == from_config
+        del doc[key]
+        assert params(doc) == default
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, m", [("simulate", -3), ("simulate", 0),
+                                            ("experiment", -5), ("experiment", 0)])
+    def test_worker_count_below_one_exits_2(self, runner, tmp_path, command, m, source):
+        # The infinite engine and the efficiency kind ignore m, so only the
+        # field check can catch it before it reaches the manifest.
+        doc = ({"engine": "infinite", "alpha": ALPHA, "beta": BETA, "n": 20}
+               if command == "simulate" else
+               {"kind": "efficiency", "alpha": ALPHA, "beta": BETA, "n": 20, "reps": 1,
+                "sweep": [1]})
+        flags = ["--m", str(m)] if source == "flag" else []
+        if source == "config":
+            doc["m"] = m
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--config", str(config), "--out", str(out),
+                                      *flags])
+        assert result.exit_code == 2
+        assert result.output == f"error: worker count m must be >= 1, got {m}\n"
+        assert not out.exists()
+        assert not Path(f"{out}.manifest.json").exists()
+
+
+class TestTraceHooks:
+    def test_every_name_the_benchmark_trace_wraps_exists(self):
+        # bench/spans.py wraps package functions and methods by name, and
+        # the tier-1 suite does not collect bench/; a deleted name would
+        # otherwise break only ``bench/run.py --trace 1``.
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root / "bench")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import spans; spans.instrument(spans.Tracer())"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestExperiment:

@@ -8,8 +8,7 @@ from blocksim.errors import ConfigError
 from blocksim.montecarlo import (CONVERGENCE_COLUMNS, EFFICIENCY_COLUMNS,
                                  HISTOGRAM_COLUMNS, SINGLE_COLUMNS,
                                  ExperimentPlan, convergence_experiment,
-                                 default_ratio_grid, derived_metrics,
-                                 efficiency_experiment, expected_gap_forms,
+                                 default_ratio_grid, efficiency_experiment,
                                  pdf_histogram_experiment, predicted_p,
                                  prediction_warning, run_experiment,
                                  run_replication_sets, run_replications,
@@ -56,25 +55,19 @@ class TestRunReplications:
         est = run_replications("infinite", inf_config(), 20, base_seed=3)
         assert len(set(est.values)) > 1
 
-    def test_callable_engine_matches_named(self):
-        from blocksim.infinite import simulate_infinite
-
-        a = run_replications("infinite", inf_config(), 10, base_seed=4)
-        b = run_replications(simulate_infinite, inf_config(), 10, base_seed=4)
-        assert a.values == b.values
-
     def test_jobs_do_not_change_values(self):
         serial = run_replications("matrix", net_config(), 12, base_seed=6)
         parallel = run_replications("matrix", net_config(), 12, base_seed=6,
                                     jobs=2)
         assert serial.values == parallel.values
 
-    def test_failure_reports_replication_index(self):
+    def test_failure_reports_replication_index(self, monkeypatch):
         def broken(config):
             raise ValueError("boom")
 
+        monkeypatch.setitem(montecarlo.ENGINES, "infinite", broken)
         with pytest.raises(RuntimeError, match="replication 0"):
-            run_replications(broken, inf_config(), 3, base_seed=0)
+            run_replications("infinite", inf_config(), 3, base_seed=0)
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, jobs):
@@ -101,15 +94,6 @@ class TestReplicationSets:
         with pytest.raises(ConfigError):
             run_replication_sets([("infinite", inf_config(), 2, 0),
                                   ("infinite", inf_config(), 0, 1)])
-
-    def test_callable_engine_runs_serially(self, pools):
-        from blocksim.infinite import simulate_infinite
-
-        sets = [("infinite", inf_config(), 2, 4), (simulate_infinite, inf_config(), 2, 4)]
-        a, b = run_replication_sets(sets, jobs=2)
-        assert a == b
-        assert pools == []
-
 
 class TestPoolSize:
     @pytest.mark.parametrize("jobs, reps, cpu_count, workers", [
@@ -196,31 +180,6 @@ class TestPrediction:
             predicted_p(0.0, 1.0)
         with pytest.raises(ConfigError):
             predicted_p(1.0, -0.1)
-
-
-class TestDerivedMetrics:
-    def test_perfect_chain(self):
-        metrics = derived_metrics(1.0, 2.0)
-        assert metrics == {"growth_rate": 0.5, "invalid_rate": 0.0,
-                           "confirmation_time": 2.0}
-
-    def test_typical_point(self):
-        metrics = derived_metrics(1 / 1.1, 1.0)
-        assert metrics["growth_rate"] == pytest.approx(0.90909, abs=1e-5)
-        assert metrics["invalid_rate"] == pytest.approx(0.09091, abs=1e-5)
-        assert metrics["confirmation_time"] == pytest.approx(1.1)
-
-    def test_gap_forms(self):
-        forms = expected_gap_forms(0.5, 1.0)
-        assert forms == {"rate_form": 0.5, "count_form": 1.0}
-        forms = expected_gap_forms(1.0, 3.0)
-        assert forms == {"rate_form": 0.0, "count_form": 0.0}
-
-    def test_invalid_proportion(self):
-        with pytest.raises(ConfigError):
-            derived_metrics(0.0, 1.0)
-        with pytest.raises(ConfigError):
-            expected_gap_forms(1.5, 1.0)
 
 
 class TestPlanValidation:
