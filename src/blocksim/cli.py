@@ -8,8 +8,11 @@ byte for byte.
 
 Configuration comes from flags, an optional JSON config file, the
 BLOCKSIM_SEED environment variable (for the seed only), and defaults,
-in that order of precedence.  Exit codes: 0 success, 1 validation or
-replay mismatch, 2 usage or configuration error.
+in that order of precedence, all resolved through one field table per
+command.  ``replay`` reads a manifest's params through the same table,
+as it would read a config file, with the manifest's base seed as its
+only flag.  Exit codes: 0 success, 1 validation or replay mismatch,
+2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -32,15 +35,10 @@ from .manifest import SCHEMA_VERSION, RunManifest, load_manifest, sha256_file, w
 from .matrix import simulate_matrix
 from .montecarlo import ExperimentPlan, default_ratio_grid, run_experiment
 from .network import NetSimConfig, simulate_network
-from .rng import StreamBundle
 from .validate import run_validation
 
 _ENGINE_CHOICES = ("network", "matrix", "infinite")
-# The params each replayable command reads without a default.
-_REPLAY_PARAMS = {
-    "simulate": ("engine", "alpha", "beta", "n", "seed", "output_names"),
-    "experiment": ("kind", "alpha", "beta", "n", "seed", "replications", "output_names"),
-}
+_TREE_FORMATS = ("dot", "json")
 _KIND_ALIASES = {
     "convergence": "convergence",
     "efficiency": "efficiency",
@@ -84,19 +82,9 @@ def _int_field(value, key: str) -> int:
     raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
-def _float_list(values, key: str) -> list[float]:
-    """A list of numbers from a config file or a manifest, or a ConfigError."""
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
-    try:
-        return [float(x) for x in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {key} list: {exc}") from None
-
-
 def _output_names(params: dict, roles: tuple[str, ...]) -> dict:
     """A manifest's output names: plain file names, one per required role."""
-    names = params["output_names"]
+    names = params.get("output_names")
     if not isinstance(names, dict):
         raise ConfigError(f"output_names must be a JSON object, got {names!r}")
     for role, name in names.items():
@@ -126,7 +114,13 @@ def _spec(value, key: str) -> DistributionSpec:
         return parse_spec(value)
     if isinstance(value, dict):
         return spec_from_dict(value)
-    raise ConfigError(f"config field {key!r} must be a string or object")
+    raise ConfigError(f"{key} must be a spec string or object, got {value!r}")
+
+
+def _engine(value, key: str) -> str:
+    if value not in _ENGINE_CHOICES:
+        raise ConfigError(f"unknown engine {value!r}")
+    return value
 
 
 def _kind(value, key: str) -> str:
@@ -146,7 +140,12 @@ def _sweep(value, key: str) -> list[float]:
     """A sweep from a comma-separated string or a list of numbers."""
     if isinstance(value, str):
         value = [x for x in value.split(",") if x.strip()]
-    return _float_list(value, key)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    try:
+        return [float(x) for x in value]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key} list: {exc}") from None
 
 
 def _default_sweep(fields: dict) -> tuple:
@@ -169,25 +168,25 @@ _FIELDS = {
         "m": 100, "bins": 20, "engine": "infinite", "seed": _env_seed, "jobs": 1,
     },
 }
-_PARSERS = {"kind": _kind, "alpha": _spec, "beta": _spec, "m": _worker_count,
-            "n": _int_field, "reps": _int_field, "sweep": _sweep, "bins": _int_field,
-            "seed": _int_field, "jobs": _int_field}
+_PARSERS = {"engine": _engine, "kind": _kind, "alpha": _spec, "beta": _spec,
+            "m": _worker_count, "n": _int_field, "reps": _int_field, "sweep": _sweep,
+            "bins": _int_field, "seed": _int_field, "jobs": _int_field}
 
 
-def _resolve_fields(command: str, flags: dict) -> dict:
-    """The command's fields: flag, then config file, then default.
+def _resolve_fields(command: str, flags: dict, source: dict) -> dict:
+    """The command's fields: flag, then source, then default.
 
-    A null in the config file counts as unset.  Every value but a None
+    The source is a config file or the params of a manifest being
+    replayed; a null in it counts as unset.  Every value but a None
     default is parsed.
     """
-    file_cfg = _load_config_file(flags["config_path"])
     fields = {}
     for key, default in _FIELDS[command].items():
-        value = flags[key] if flags[key] is not None else file_cfg.get(key)
+        value = flags[key] if flags.get(key) is not None else source.get(key)
         if value is None:
             value = default(fields) if callable(default) else default
         if value is _REQUIRED:
-            raise ConfigError(f"missing {key}: pass --{key} or set {key!r} in the config file")
+            raise ConfigError(f"missing {key}: no flag, config file or manifest sets it")
         parse = _PARSERS.get(key)
         fields[key] = parse(value, key) if parse and value is not None else value
     return fields
@@ -217,36 +216,32 @@ def _write_bytes(path: Path, data: str) -> str:
     return sha256_file(path)
 
 
-def run_simulate(params: dict, out_paths: dict) -> dict[str, str]:
+def run_simulate(fields: dict, tree_format: str | None, out_paths: dict):
     """Execute one simulation run and write its files.
 
-    params holds plain JSON values (specs as dicts); out_paths maps the
-    roles "outcome", "tree", "series" to target paths.  Returns
-    {basename: sha256} for every file written.
+    fields are the resolved simulate fields; out_paths maps the roles
+    "outcome", "tree", "series" to target paths.  Returns the outcome
+    and {basename: sha256} for every file written.
     """
-    engine = params["engine"]
-    if engine not in _ENGINE_CHOICES:
-        raise ConfigError(f"unknown engine {engine!r}")
-    alpha = spec_from_dict(params["alpha"])
-    beta = spec_from_dict(params["beta"])
-    n = _int_field(params["n"], "n")
-    seed = _int_field(params["seed"], "seed")
+    engine, n, seed = fields["engine"], fields["n"], fields["seed"]
+    alpha, beta = fields["alpha"], fields["beta"]
     want_tree = out_paths.get("tree") is not None
     want_series = out_paths.get("series") is not None
 
     if want_tree and engine != "network":
         raise ConfigError("--tree-out needs the network engine; "
                           "the closed-form engines track heights only")
+    if want_tree and tree_format not in _TREE_FORMATS:
+        raise ConfigError(f"unsupported tree format {tree_format!r} (use dot or json)")
 
     if engine == "infinite":
         outcome = simulate_infinite(InfSimConfig(
             n=n, alpha=alpha, beta=beta, seed=seed, record_series=want_series))
     else:
-        if params.get("m") is None:
+        if fields["m"] is None:
             raise ConfigError(f"the {engine} engine needs a worker count --m")
-        cfg = NetSimConfig(m=_int_field(params["m"], "m"), n=n, alpha=alpha, beta=beta,
-                           seed=seed, record_tree=want_tree,
-                           record_series=want_series)
+        cfg = NetSimConfig(m=fields["m"], n=n, alpha=alpha, beta=beta, seed=seed,
+                           record_tree=want_tree, record_series=want_series)
         outcome = (simulate_network if engine == "network" else simulate_matrix)(cfg)
 
     digests = {}
@@ -257,31 +252,23 @@ def run_simulate(params: dict, out_paths: dict) -> dict[str, str]:
 
     if want_tree:
         tree_path = Path(out_paths["tree"])
-        digests[tree_path.name] = _write_bytes(
-            tree_path, export_tree(outcome.tree, params.get("tree_format", "dot")))
+        digests[tree_path.name] = _write_bytes(tree_path,
+                                               export_tree(outcome.tree, tree_format))
     if want_series:
         series_path = Path(out_paths["series"])
         digests[series_path.name] = _write_bytes(
             series_path,
             json.dumps({"height_series": list(outcome.height_series)}) + "\n")
-    return digests
+    return outcome, digests
 
 
-def run_experiment_files(params: dict, out_paths: dict) -> dict[str, str]:
-    """Execute an experiment plan and write its CSV table."""
+def run_experiment_files(fields: dict, out_paths: dict) -> dict[str, str]:
+    """Execute the experiment the resolved fields describe and write its CSV table."""
     plan = ExperimentPlan(
-        kind=params["kind"],
-        alpha=spec_from_dict(params["alpha"]),
-        beta=spec_from_dict(params["beta"]),
-        n=_int_field(params["n"], "n"),
-        base_seed=_int_field(params["seed"], "seed"),
-        replications=_int_field(params["replications"], "replications"),
-        sweep=tuple(_float_list(params.get("sweep", []), "sweep")),
-        m=_int_field(params.get("m", 100), "m"),
-        bins=_int_field(params.get("bins", 20), "bins"),
-        engine=params.get("engine", "infinite"),
-    )
-    result = run_experiment(plan, jobs=_int_field(params.get("jobs", 1), "jobs"))
+        kind=fields["kind"], alpha=fields["alpha"], beta=fields["beta"], n=fields["n"],
+        base_seed=fields["seed"], replications=fields["reps"], sweep=tuple(fields["sweep"]),
+        m=fields["m"], bins=fields["bins"], engine=fields["engine"])
+    result = run_experiment(plan, jobs=fields["jobs"])
 
     lines = [",".join(result.columns)]
     for row in result.rows:
@@ -342,7 +329,7 @@ def main():
               show_default=True, help="Outcome JSON path.")
 @click.option("--tree-out", type=click.Path(), default=None,
               help="Write the block tree (network engine only).")
-@click.option("--tree-format", type=click.Choice(("dot", "json")), default="dot",
+@click.option("--tree-format", type=click.Choice(_TREE_FORMATS), default="dot",
               show_default=True)
 @click.option("--series-out", type=click.Path(), default=None,
               help="Write the per-block height series as JSON.")
@@ -352,7 +339,7 @@ def main():
 def simulate(**flags):
     """Run one simulation and write the outcome files."""
     started = time.perf_counter()
-    fields = _resolve_fields("simulate", flags)
+    fields = _resolve_fields("simulate", flags, _load_config_file(flags["config_path"]))
     alpha, beta = fields["alpha"], fields["beta"]
     out_path, tree_out, series_out = flags["out_path"], flags["tree_out"], flags["series_out"]
     params = {
@@ -367,10 +354,9 @@ def simulate(**flags):
         },
     }
     out_paths = {"outcome": out_path, "tree": tree_out, "series": series_out}
-    digests = run_simulate(params, out_paths)
+    outcome, digests = run_simulate(fields, flags["tree_format"], out_paths)
 
-    doc = json.loads(Path(out_path).read_text())
-    click.echo(f"p_n={doc['p_n']:.6f} height={doc['height']} n={fields['n']} "
+    click.echo(f"p_n={outcome.proportion:.6f} height={outcome.height} n={fields['n']} "
                f"engine={fields['engine']}")
     click.echo(f"regime={classify(alpha.mean, beta.mean)} "
                f"(delay/production ratio {beta.mean / alpha.mean:g})")
@@ -378,7 +364,7 @@ def simulate(**flags):
     _finish_with_manifest(
         "simulate", params, fields["seed"], digests,
         flags["manifest_path"] or out_path + ".manifest.json",
-        StreamBundle.for_run(fields["seed"]).seed_echo(), started)
+        outcome.seed_echo, started)
 
 
 @main.command()
@@ -408,12 +394,12 @@ def simulate(**flags):
 def experiment(**flags):
     """Run a sweep experiment and write its CSV table."""
     started = time.perf_counter()
-    fields = _resolve_fields("experiment", flags)
-    fields["replications"] = fields.pop("reps")
+    fields = _resolve_fields("experiment", flags, _load_config_file(flags["config_path"]))
     out_path = flags["out_path"]
     params = {**fields, "alpha": fields["alpha"].to_dict(), "beta": fields["beta"].to_dict(),
               "output_names": {"table": Path(out_path).name}}
-    digests = run_experiment_files(params, {"table": out_path})
+    params["replications"] = params.pop("reps")
+    digests = run_experiment_files(fields, {"table": out_path})
     click.echo(f"wrote {out_path} ({len(digests)} file)")
     _finish_with_manifest("experiment", params, fields["seed"], digests,
                           flags["manifest_path"] or out_path + ".manifest.json",
@@ -456,21 +442,20 @@ def replay(manifest_file, out_dir, check):
             f"manifest was written by blocksim {manifest.version} (schema "
             f"{manifest.schema_version}); this is blocksim {__version__} (schema "
             f"{SCHEMA_VERSION})")
-    if manifest.command not in _REPLAY_PARAMS:
+    if manifest.command not in _FIELDS:
         raise ConfigError(f"manifest records unknown command {manifest.command!r}")
-    missing = [key for key in _REPLAY_PARAMS[manifest.command] if key not in manifest.params]
-    if missing:
-        raise ConfigError(f"manifest params lack {', '.join(missing)}")
-    out_dir = Path(out_dir)
+    params, out_dir = manifest.params, Path(out_dir)
+    # The table's reps field is recorded as replications.
+    source = {**params, "reps": params.get("replications")}
+    fields = _resolve_fields(manifest.command, {"seed": manifest.base_seed}, source)
     if manifest.command == "simulate":
-        names = _output_names(manifest.params, ("outcome",))
+        names = _output_names(params, ("outcome",))
         out_paths = {role: (out_dir / name if name else None)
                      for role, name in names.items()}
-        digests = run_simulate(manifest.params, out_paths)
+        _, digests = run_simulate(fields, params.get("tree_format"), out_paths)
     else:
-        names = _output_names(manifest.params, ("table",))
-        digests = run_experiment_files(manifest.params,
-                                       {"table": out_dir / names["table"]})
+        names = _output_names(params, ("table",))
+        digests = run_experiment_files(fields, {"table": out_dir / names["table"]})
 
     if not check:
         click.echo(f"re-created {len(digests)} file(s) in {out_dir}")

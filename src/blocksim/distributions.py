@@ -101,6 +101,8 @@ class DistributionSpec:
 def _finite(value, what: str) -> float:
     """A finite float from a parameter value, or a ConfigError."""
     try:
+        if isinstance(value, bool):
+            raise TypeError  # float(True) would be 1.0
         x = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be a number, got {value!r}") from None

@@ -63,4 +63,6 @@ def load_manifest(path) -> RunManifest:
             raise ConfigError(f"manifest {path}: {name} must be a JSON object")
     if not isinstance(doc["command"], str):
         raise ConfigError(f"manifest {path}: command must be a string")
+    if not isinstance(doc["base_seed"], int) or isinstance(doc["base_seed"], bool):
+        raise ConfigError(f"manifest {path}: base_seed must be an integer")
     return RunManifest(**{f.name: doc[f.name] for f in known if f.name in doc})

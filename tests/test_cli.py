@@ -168,6 +168,17 @@ class TestConfigResolution:
         assert result.output.startswith("error:")
         assert len(result.output.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("spec", [{"kind": "gamma", "mean": 1, "shape": True},
+                                      {"kind": "exponential", "mean": False}])
+    def test_boolean_distribution_parameter_exits_2(self, runner, tmp_path, spec):
+        path = self.write_config(tmp_path, alpha=spec)
+        result = runner.invoke(main, ["simulate", "--config", str(path),
+                                      "--out", str(tmp_path / "o.json")])
+        assert result.exit_code == 2
+        assert result.output.startswith("error:") and "must be a number" in result.output
+        assert len(result.output.strip().splitlines()) == 1
+        assert not (tmp_path / "o.json").exists()
+
     def test_chi_squared_object_mean_sets_dof(self, runner, tmp_path):
         path = self.write_config(tmp_path, beta={"kind": "chi_squared", "mean": 3})
         manifest = tmp_path / "o.json.manifest.json"
@@ -572,6 +583,67 @@ class TestReplay:
             assert result.exit_code == 0, result.output
             assert "MISMATCH" not in result.output
 
+    def replay_manifest(self, runner, tmp_path, argv, edit, env=None):
+        """Run argv in tmp_path, apply edit to its manifest's params, and replay it."""
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            assert runner.invoke(main, argv).exit_code == 0
+            manifest = Path(f"{argv[argv.index('--out') + 1]}.manifest.json")
+            doc = json.loads(manifest.read_text())
+            edit(doc["params"])
+            manifest.write_text(json.dumps(doc))
+            result = runner.invoke(main, ["replay", str(manifest), "--out-dir", "replayed"],
+                                   env=env)
+            return result, sorted(p.name for p in Path("replayed").glob("*"))
+
+    @pytest.mark.parametrize("argv, m", [
+        (["simulate", "--engine", "infinite", "--alpha", ALPHA, "--beta", BETA, "--n", "20",
+          "--seed", "1", "--out", "o.json"], -3),
+        (["experiment", "--kind", "efficiency", "--alpha", ALPHA, "--beta", BETA, "--n", "20",
+          "--reps", "1", "--sweep", "1", "--seed", "1", "--out", "t.csv"], -5),
+    ], ids=["simulate", "experiment"])
+    def test_worker_count_below_one_in_manifest_exits_2(self, runner, tmp_path, argv, m):
+        # Neither the infinite engine nor the efficiency kind reads m; the
+        # field table rejects it for replay as it does for flags.
+        result, written = self.replay_manifest(
+            runner, tmp_path, argv, lambda params: params.update(m=m))
+        assert result.exit_code == 2
+        assert result.output == f"error: worker count m must be >= 1, got {m}\n"
+        assert written == []
+
+    def test_experiment_manifest_without_defaulted_fields_replays(self, runner, tmp_path):
+        # m, bins, engine and jobs fall back to the table's defaults; the
+        # histogram reads m and bins, so other values would move the bytes.
+        argv = ["experiment", "--kind", "pdf-histogram", "--alpha", ALPHA, "--beta", BETA,
+                "--n", "20", "--reps", "3", "--seed", "1", "--out", "h.csv"]
+
+        def drop(params):
+            for key in ("m", "bins", "engine", "jobs"):
+                del params[key]
+        result, _ = self.replay_manifest(runner, tmp_path, argv, drop)
+        assert result.exit_code == 0, result.output
+        assert result.output.endswith("\nh.csv: match\n")
+
+    def test_replay_seed_is_the_manifests_not_the_environment(self, runner, tmp_path):
+        # Without params["seed"], only base_seed stands between the replay
+        # and BLOCKSIM_SEED.
+        argv = ["simulate", "--engine", "matrix", "--alpha", ALPHA, "--beta", BETA, "--m", "4",
+                "--n", "50", "--seed", "2", "--out", "o.json"]
+        result, _ = self.replay_manifest(runner, tmp_path, argv,
+                                         lambda params: params.pop("seed"),
+                                         env={"BLOCKSIM_SEED": "99"})
+        assert result.exit_code == 0, result.output
+        assert result.output == "o.json: match\n"
+
+    def test_unknown_tree_format_writes_nothing(self, runner, tmp_path):
+        argv = ["simulate", "--engine", "network", "--alpha", ALPHA, "--beta", BETA,
+                "--m", "3", "--n", "20", "--seed", "1", "--out", "o.json",
+                "--tree-out", "tree.dot"]
+        result, written = self.replay_manifest(
+            runner, tmp_path, argv, lambda params: params.update(tree_format="svg"))
+        assert result.exit_code == 2
+        assert result.output == "error: unsupported tree format 'svg' (use dot or json)\n"
+        assert written == []
+
     def test_tampered_manifest_fails(self, runner, tmp_path):
         runner.invoke(main, simulate_args(tmp_path, "--seed", "2"))
         manifest_path = tmp_path / "outcome.json.manifest.json"
@@ -617,6 +689,13 @@ class TestMalformedManifest:
         path.write_text(json.dumps({"version": "0.1.0"}))
         output = self.replay(runner, tmp_path, path)
         assert "command" in output and "params" in output
+
+    @pytest.mark.parametrize("base_seed", [None, "2", True])
+    def test_base_seed_not_an_integer(self, runner, tmp_path, base_seed):
+        path, doc = self.recorded(runner, tmp_path)
+        doc["base_seed"] = base_seed
+        path.write_text(json.dumps(doc))
+        assert "base_seed must be an integer" in self.replay(runner, tmp_path, path)
 
     def test_missing_params(self, runner, tmp_path):
         path, doc = self.recorded(runner, tmp_path)
@@ -669,7 +748,7 @@ class TestMalformedValues:
         path.write_text(json.dumps(doc))
         assert "plain file name" in self.replay(runner, tmp_path, path)
 
-    @pytest.mark.parametrize("sweep", [3, "1,2", [1, "x"]])
+    @pytest.mark.parametrize("sweep", [3, {"a": 1}, [1, "x"]])
     def test_sweep_not_a_list_of_numbers(self, runner, tmp_path, sweep):
         path, doc = self.experiment_manifest(runner, tmp_path)
         doc["params"]["sweep"] = sweep
@@ -677,12 +756,48 @@ class TestMalformedValues:
         assert "sweep" in self.replay(runner, tmp_path, path)
 
     @pytest.mark.parametrize("field, value", [("engine", ["x"]), ("kind", ["x"]),
-                                              ("alpha", "exp:1")])
+                                              ("alpha", 5)])
     def test_manifest_field_of_wrong_type(self, runner, tmp_path, field, value):
         path, doc = self.experiment_manifest(runner, tmp_path)
         doc["params"][field] = value
         path.write_text(json.dumps(doc))
         self.replay(runner, tmp_path, path)
+
+    def test_manifest_accepts_config_file_forms(self, runner, tmp_path):
+        # A manifest's params are read as a config file is: a spec string
+        # and a comma-separated sweep replay to the bytes of the recorded
+        # object and list.
+        out = tmp_path / "e.csv"
+        runner.invoke(main, ["experiment", "--kind", "efficiency", "--alpha", ALPHA,
+                             "--beta", BETA, "--n", "30", "--reps", "2", "--sweep", "0.1,2",
+                             "--seed", "1", "--out", str(out)])
+        path = tmp_path / "e.csv.manifest.json"
+        doc = json.loads(path.read_text())
+        assert (doc["params"]["alpha"], doc["params"]["sweep"]) == (
+            {"kind": "exponential", "mean": 1.0}, [0.1, 2.0])
+        doc["params"].update(alpha="exp:1", sweep="0.1,2")
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["replay", str(path),
+                                      "--out-dir", str(tmp_path / "replayed")])
+        assert result.exit_code == 0, result.output
+        assert "e.csv: match" in result.output
+        assert (tmp_path / "replayed" / "e.csv").read_bytes() == out.read_bytes()
+
+    def test_unknown_simulate_engine_from_config_or_manifest(self, runner, tmp_path):
+        # The field table checks the engine; simulate would otherwise take
+        # any name but network and infinite for matrix.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"engine": "warp", "alpha": ALPHA, "beta": BETA,
+                                    "n": 20, "m": 3}))
+        output = self.one_line_exit_2(runner.invoke(main, [
+            "simulate", "--config", str(path), "--out", str(tmp_path / "o.json")]))
+        assert output == "error: unknown engine 'warp'\n"
+        runner.invoke(main, simulate_args(tmp_path, "--seed", "2"))
+        manifest = tmp_path / "outcome.json.manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["params"]["engine"] = "warp"
+        manifest.write_text(json.dumps(doc))
+        assert self.replay(runner, tmp_path, manifest) == "error: unknown engine 'warp'\n"
 
     def test_manifest_command_not_a_string(self, runner, tmp_path):
         path, doc = self.experiment_manifest(runner, tmp_path)

@@ -55,6 +55,13 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             make()
 
+    @pytest.mark.parametrize("mean, shape", [(True, 2.0), (1.0, True), (False, None)])
+    def test_boolean_parameters_rejected(self, mean, shape):
+        # float(True) is 1.0; a JSON true is not a number all the same.
+        kind = "exponential" if shape is None else "gamma"
+        with pytest.raises(ConfigError, match="must be a number, got (True|False)"):
+            DistributionSpec(kind, mean, shape)
+
     def test_shape_required_and_positive(self):
         with pytest.raises(ConfigError):
             DistributionSpec("gamma", 1.0)

@@ -8,7 +8,8 @@ require each injected fault to be reported at the first block it
 changes.  The CLI tests feed generated config files and manifests to
 ``simulate``, ``experiment`` and ``replay``:
 every run must end with exit 0, or with exit 2 and a one-line message,
-never with a traceback.  Sizes stay small so that a generated run takes
+never with a traceback; and every valid config file must give a manifest
+that replays to the same bytes.  Sizes stay small so that a generated run takes
 milliseconds, and a job count never exceeds 1, so no process pool is
 started.
 """
@@ -265,6 +266,20 @@ def run_with_config(command, doc, out_name):
         return invoke([command, "--config", str(path), "--out", str(Path(tmp) / out_name)])
 
 
+def run_and_replay(command, doc, out_name):
+    """Run command from a valid config file, then replay its manifest."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        out = Path(tmp) / out_name
+        result = CliRunner().invoke(main, [command, "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 0, (result.output, result.exception)
+        result = CliRunner().invoke(main, ["replay", f"{out}.manifest.json",
+                                           "--out-dir", str(Path(tmp) / "replayed")])
+        assert result.exit_code == 0, (result.output, result.exception)
+        assert result.output.endswith(f"{out_name}: match\n"), result.output
+
+
 SIMULATE_PARAMS = {
     "engine": "network", "alpha": {"kind": "exponential", "mean": 1.0},
     "beta": {"kind": "exponential", "mean": 0.5}, "m": 3, "n": 20, "seed": 1,
@@ -294,6 +309,16 @@ class TestCliInputs:
     @given(with_odd_fields(experiment_configs))
     def test_experiment_config_exits_0_or_2(self, doc):
         run_with_config("experiment", doc, "table.csv")
+
+    @CLI_SETTINGS
+    @given(simulate_configs)
+    def test_simulate_config_replays_to_the_same_bytes(self, doc):
+        run_and_replay("simulate", doc, "outcome.json")
+
+    @CLI_SETTINGS
+    @given(experiment_configs)
+    def test_experiment_config_replays_to_the_same_bytes(self, doc):
+        run_and_replay("experiment", doc, "table.csv")
 
     @CLI_SETTINGS
     @given(manifests)
