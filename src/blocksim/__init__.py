@@ -18,7 +18,7 @@ from .distributions import (DistributionSpec, chi_squared, constant, exponential
                             sup_gap_bound, with_mean)
 from .errors import ConfigError
 from .infinite import InfSimConfig, simulate_infinite
-from .matrix import MatrixSimState, simulate_matrix, visible_height_naive, visible_height_pruned
+from .matrix import simulate_matrix, visible_height_naive
 from .montecarlo import (ExperimentPlan, ExperimentResult, McEstimate,
                          convergence_experiment, efficiency_experiment,
                          pdf_histogram_experiment, predicted_p,

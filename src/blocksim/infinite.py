@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistributionSpec, require_production_role, sample_many
-from .errors import ConfigError
-from .network import SimOutcome
+from .network import SimOutcome, check_count
 from .rng import StreamBundle
 
 # Size of the first delay buffer of a run and the cap its doubling stops at.
@@ -54,8 +53,7 @@ class InfSimConfig:
     record_series: bool = False
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("block count n must be >= 1")
+        check_count("block count n", self.n)
         require_production_role(self.alpha)
 
 

@@ -12,17 +12,21 @@ delay substream, and each step gets a band of arrivals t[i] + d(i,
 producer) from the blocks just before it (see DelayMatrix): only those
 entries are transformed, and memory is bounded by a chunk of rows.
 
-Each step runs one visibility scan: a pruned backward scan that stops
-as soon as the running best reaches the cumulative height maximum,
-after which no earlier block can improve it.  check_pruning certifies
-that stop after the run with one vectorized full scan
-(visible_height_naive): every step's height must equal the full scan of
-the run's own history.
+One loop (_pruned_scan) places the whole run, as in the unbounded
+engine: each step scans backward and stops as soon as the running best
+reaches the cumulative height maximum, after which no earlier block can
+improve it.  An arrival counts when it is below the step's limit, the
+creation time t[k]; the lenient fault hook (strict=False) raises the
+limit to the next double above t[k], so the pair test is one comparison
+either way.  check_pruning certifies the stop after the run with one
+vectorized full scan (visible_height_naive), which makes its own < or
+<= comparison: every step's height must equal the full scan of the
+run's own history.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -116,25 +120,6 @@ class DelayMatrix:
         return band[0]
 
 
-@dataclass
-class MatrixSimState:
-    """Mutable per-run state of the visibility scan.
-
-    t, h, z grow by one entry per block; delays serves each step's
-    band of arrivals.  strict controls the visibility comparison: arrival
-    strictly before creation counts.  Flipping it to False is a
-    fault-injection hook for the validation suite; simultaneous arrival
-    then wrongly counts as visible.
-    """
-
-    t: list[float]
-    h: list[int]
-    z: list[int]
-    delays: DelayMatrix
-    strict: bool = True
-    scanned: int = 0
-
-
 def visible_height_naive(t, h, delays: DelayMatrix, strict: bool = True) -> None:
     """Raise InvariantError at the first step whose height is not the full scan's.
 
@@ -173,36 +158,41 @@ def visible_height_naive(t, h, delays: DelayMatrix, strict: bool = True) -> None
         raise InvariantError(f"scan mismatch at block {k}: {h[k]} != {best[k] + 1}")
 
 
-def visible_height_pruned(k: int, producer_j: int, state: MatrixSimState) -> int:
-    """Height for block k: 1 + the best visible height, scanning back.
+def _pruned_scan(t: list[float], delays: DelayMatrix, strict: bool):
+    """Heights of the pruned scan, the highest, and the number of pairs tested.
 
-    Scans i = k-1 downward and stops once the running best x reaches
-    z_i: every block at or before i has height at most z_i, so none can
-    beat x.  Skipped blocks therefore never change the result; the
-    origin is always visible, so the result is at least 2.  Arrivals
-    come from step k's band, which holds producer_j's column.
+    Step k scans i = k-1 downward and stops once the running best x
+    reaches z_i: every block at or before i has height at most z_i, so
+    none can beat x.  Skipped blocks therefore never change the result;
+    the origin is always visible, so every height is at least 2.
+    Arrivals come from step k's band; block i counts when its arrival is
+    below limit[k], which is t[k], or with strict False the next double up.
     """
-    h, z = state.h, state.z
-    t_k = state.t[k]
-    strict = state.strict
-    a = state.delays.arrivals(k)
-    x = 1
-    i = k - 1
-    while True:
-        try:
-            while i >= 1 and x < z[i]:
-                if h[i] > x:
-                    arrival = a[i - k]
-                    if (arrival < t_k) if strict else (arrival <= t_k):
+    limit = t if strict else [math.nextafter(c, math.inf) for c in t]
+    h = [1]
+    z = [1]
+    scanned = 0
+    for k in range(1, len(t)):
+        t_k = limit[k]
+        a = delays.arrivals(k)
+        x = 1
+        i = k - 1
+        while True:
+            try:
+                while i and x < z[i]:
+                    if h[i] > x and a[i - k] < t_k:
                         x = h[i]
-                i -= 1
-            break
-        except IndexError:
-            # a[i - k] ran past the band: widen it and go on from block i.
-            # Catching this keeps the per-pair work to the test and the read.
-            a = state.delays.arrivals(k, widen=True)
-    state.scanned += k - 1 - i
-    return 1 + x
+                    i -= 1
+                break
+            except IndexError:
+                # a[i - k] ran past the band: widen it and go on from block i.
+                # Catching this keeps the per-pair work to the test and the read.
+                a = delays.arrivals(k, widen=True)
+        scanned += k - 1 - i
+        x += 1
+        h.append(x)
+        z.append(x if x > z[-1] else z[-1])
+    return h, z[-1], scanned
 
 
 def simulate_matrix(config: NetSimConfig, streams: StreamBundle | None = None,
@@ -216,37 +206,33 @@ def simulate_matrix(config: NetSimConfig, streams: StreamBundle | None = None,
     a shared seed or injected bundle.  Production times and producers
     come in bulk from the event-driven engine's draw_schedule; delays
     are read by position through a DelayMatrix, which the per-substream
-    layout makes safe.
+    layout makes safe.  One pruned scan (_pruned_scan) then places the
+    whole run.
 
     ``check_pruning`` checks the finished run against the full scan
     (visible_height_naive) and raises InvariantError at the first step
     that differs.  ``strict_visibility=False`` is the validation suite's
-    fault hook.
+    fault hook: both scans then count an arrival at the very instant a
+    block is made as visible, the pruned scan by raising each step's
+    limit to the next double above its creation time.
     """
     if streams is None:
         streams = StreamBundle.for_run(config.seed)
-    m, n = config.m, config.n
+    n = config.n
 
     t, producers = draw_schedule(config, streams)
-    delays = DelayMatrix(config.beta, streams.delay, producers, m, t)
-    t, producers = t.tolist(), producers.tolist()
-
-    state = MatrixSimState(t=t, h=[1], z=[1], delays=delays, strict=strict_visibility)
-    for k in range(1, n):
-        h_k = visible_height_pruned(k, producers[k - 1], state)
-        state.h.append(h_k)
-        state.z.append(h_k if h_k > state.z[-1] else state.z[-1])
+    delays = DelayMatrix(config.beta, streams.delay, producers, config.m, t)
+    h, final, scanned = _pruned_scan(t.tolist(), delays, strict_visibility)
     if check_pruning:
-        visible_height_naive(t, state.h, state.delays, strict_visibility)
+        visible_height_naive(t, h, delays, strict_visibility)
 
-    final = state.z[-1]
     return SimOutcome(
         proportion=final / n,
         height=final,
         n=n,
-        height_series=tuple(state.h) if config.record_series else None,
+        height_series=tuple(h) if config.record_series else None,
         seed_echo=streams.seed_echo(),
-        stats={"mean_scan_window": state.scanned / (n - 1) if n > 1 else 0.0,
-               "pairs_tested": state.scanned,
+        stats={"mean_scan_window": scanned / (n - 1) if n > 1 else 0.0,
+               "pairs_tested": scanned,
                "delays_transformed": delays.transformed},
     )

@@ -73,11 +73,11 @@ class ExperimentPlan:
     beta: DistributionSpec
     n: int
     base_seed: int
-    replications: int = 100
-    sweep: tuple[float, ...] = ()
-    m: int = 100
-    bins: int = 20
-    engine: str = "infinite"
+    replications: int
+    sweep: tuple[float, ...]
+    m: int
+    bins: int
+    engine: str
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:

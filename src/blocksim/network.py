@@ -38,6 +38,18 @@ from .rng import StreamBundle
 # more peak memory than blocks of 2**12, which run just as fast.
 ROW_VALUES = 2**12
 
+# The largest worker or block count a config accepts: one array of that
+# many float64 values is 16 GiB, and larger counts overflow inside a run.
+MAX_COUNT = 2**31 - 1
+
+
+def check_count(name: str, count: int) -> None:
+    """Raise ConfigError unless 1 <= count <= MAX_COUNT."""
+    if count < 1:
+        raise ConfigError(f"{name} must be >= 1")
+    if count > MAX_COUNT:
+        raise ConfigError(f"{name} must be <= {MAX_COUNT}, got {count}")
+
 
 @dataclass(frozen=True)
 class NetSimConfig:
@@ -57,10 +69,8 @@ class NetSimConfig:
     record_series: bool = False
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ConfigError("worker count m must be >= 1")
-        if self.n < 1:
-            raise ConfigError("block count n must be >= 1")
+        check_count("worker count m", self.m)
+        check_count("block count n", self.n)
         require_production_role(self.alpha)
 
 

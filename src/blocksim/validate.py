@@ -13,7 +13,10 @@ simultaneous arrival and creation actually happen.  Those are the
 configs that catch an engine that miscounts boundary arrivals; with
 continuous draws the boundary has probability zero.  The
 ``strict_visibility`` knob exists purely to let callers inject that
-fault and confirm the suite catches it.
+fault and confirm the suite catches it: with it False, the matrix
+engine's pruned scan raises each step's limit to the next double above
+the block's creation time, so an arrival at that very instant counts as
+seen, and the network engine, untouched, disagrees on tie-rich configs.
 """
 
 from __future__ import annotations

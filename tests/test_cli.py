@@ -125,6 +125,31 @@ class TestSimulateErrors:
         result = runner.invoke(main, simulate_args(tmp_path, "--engine", "warp"))
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args, message", [
+        (["simulate", "--engine", "matrix", "--m", str(10**20), "--n", "3"],
+         f"worker count m must be <= 2147483647, got {10**20}"),
+        (["simulate", "--engine", "network", "--m", str(10**12), "--n", "3"],
+         f"worker count m must be <= 2147483647, got {10**12}"),
+        (["simulate", "--engine", "infinite", "--n", str(10**20)],
+         f"block count n must be <= 2147483647, got {10**20}"),
+        (["experiment", "--kind", "convergence", "--sweep", "1e20", "--n", "3",
+          "--reps", "1"],
+         f"worker count m must be <= 2147483647, got {10**20}"),
+        (["experiment", "--kind", "efficiency", "--sweep", "1", "--n", str(2**31),
+          "--reps", "1"],
+         f"block count n must be <= 2147483647, got {2**31}"),
+    ], ids=["matrix-m", "network-m", "infinite-n", "convergence-sweep", "efficiency-n"])
+    def test_count_above_bound_exits_2(self, runner, tmp_path, args, message):
+        # Every engine config rejects the count before any run starts, so
+        # nothing is drawn or written.
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*args, "--alpha", ALPHA, "--beta", BETA,
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output == f"error: {message}\n"
+        assert not out.exists()
+        assert not Path(f"{out}.manifest.json").exists()
+
 
 class TestConfigResolution:
     def write_config(self, tmp_path, **fields):

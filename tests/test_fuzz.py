@@ -177,20 +177,16 @@ class TestFullScanCheck:
     @given(engine_configs())
     def test_lenient_scan_is_caught(self, config):
         # <= in place of < in the pruned scan, checked with <.
-        pruned = matrix.visible_height_pruned
+        pruned = matrix._pruned_scan
 
-        def lenient(k, j, state):
-            state.strict = False
-            try:
-                return pruned(k, j, state)
-            finally:
-                state.strict = True
+        def lenient(t, delays, strict):
+            return pruned(t, delays, False)
 
         k = first_difference(simulate_matrix(config, strict_visibility=False).height_series,
                              simulate_matrix(config).height_series)
         if config == TIE_CONFIG:
             assert k is not None
-        with mock.patch.object(matrix, "visible_height_pruned", lenient):
+        with mock.patch.object(matrix, "_pruned_scan", lenient):
             caught_at(lambda: simulate_matrix(config, check_pruning=True), k)
 
 

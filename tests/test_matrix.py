@@ -8,8 +8,7 @@ import pytest
 from blocksim import matrix
 from blocksim.distributions import constant, exponential, gamma, sample_many
 from blocksim.errors import InvariantError
-from blocksim.matrix import (DelayMatrix, MatrixSimState, simulate_matrix,
-                             visible_height_naive, visible_height_pruned)
+from blocksim.matrix import DelayMatrix, _pruned_scan, simulate_matrix, visible_height_naive
 from blocksim.network import NetSimConfig, draw_schedule, simulate_network
 from blocksim.rng import (ROLE_DELAY, ROLE_PRODUCER, ROLE_PRODUCTION, SampleStream,
                           ScriptedStream, StreamBundle)
@@ -52,15 +51,6 @@ class SeekLogStream(SampleStream):
         super().seek(pos)
 
 
-def interleaved_state():
-    # Two workers alternating under unit production and delay 1.5; the
-    # state as seen just before block 3 is placed.
-    t = [0.0, 1.0, 2.0, 3.0]
-    delays = DelayMatrix(constant(1.5), RecordingStream([0.5] * 3),
-                         producers=[0, 1, 0], m=2, t=t)
-    return MatrixSimState(t=t, h=[1, 2, 2], z=[1, 2, 2], delays=delays)
-
-
 def check_two_workers(t, h, producers, strict=True):
     """Whole-run check of a two-worker run with every delay 1.5."""
     delays = DelayMatrix(constant(1.5), ScriptedStream([0.5] * len(producers)),
@@ -101,28 +91,37 @@ class TestVisibility:
                               strict=False)
 
     def test_scans_agree_on_interleaved_state(self):
-        state = interleaved_state()
+        # Two workers alternating under unit production and delay 1.5.
+        t = [0.0, 1.0, 2.0, 3.0]
+        delays = DelayMatrix(constant(1.5), RecordingStream([0.5] * 3),
+                             producers=[0, 1, 0], m=2, t=t)
+        h, top, scanned = _pruned_scan(t, delays, True)
+        assert (h, top) == ([1, 2, 2, 3], 3)
+        # Step 2 tests block 1; step 3 tests blocks 2 and 1.
+        assert scanned == 3
         # Step 3's band: block 1 is worker 0's own, block 2 arrives at 3.5.
-        assert state.delays.arrivals(3)[-2:].tolist() == [1.0, 3.5]
-        assert visible_height_pruned(3, 0, state) == 3
-        assert state.scanned == 2
-        visible_height_naive(state.t, state.h + [3], state.delays)
+        assert delays.arrivals(3)[-2:].tolist() == [1.0, 3.5]
+        visible_height_naive(t, h, delays)
         with pytest.raises(InvariantError, match="block 3: 2 != 3"):
-            visible_height_naive(state.t, state.h + [2], state.delays)
+            visible_height_naive(t, h[:3] + [2], delays)
 
     def test_pruned_skips_blocks_behind_running_best(self, monkeypatch):
         # Once x reaches z_i the scan stops, so early blocks are skipped;
-        # with a band one arrival wide, their pairs are never transformed
-        # and their rows never drawn.
+        # with a band one arrival wide, no band widens for them, and only
+        # the rows the tested pairs read are drawn and transformed.
+        # Every block extends worker 0's chain.
         monkeypatch.setattr(matrix, "BAND_WIDTH", 1)
         stream = RecordingStream([0.5] * 4)
         t = [0.0, 1.0, 2.0, 3.0, 4.0]
         delays = DelayMatrix(constant(0.1), stream, producers=[0, 0, 0, 0], m=2, t=t)
-        state = MatrixSimState(t=t, h=[1, 2, 3, 4], z=[1, 2, 3, 4], delays=delays)
-        assert visible_height_pruned(4, 1, state) == 5
-        assert state.scanned == 1
-        assert stream.reads == [(2, 1)]
-        assert delays.transformed == 1
+        assert _pruned_scan(t, delays, True) == ([1, 2, 3, 4, 5], 5, 3)
+        # Steps 2 to 4 each test only the block before them: 3 of the
+        # 6 pairs.  The band never widened, the rows of blocks 1 to 3
+        # were drawn once and transformed once, and block 4's row, which
+        # no step reads, was never drawn.
+        assert delays.band_width == 1
+        assert stream.reads == [(0, 3)]
+        assert delays.transformed == 3
 
     @pytest.mark.parametrize("block_values", [2**16, 2])
     def test_entries_follow_network_draw_order(self, monkeypatch, block_values):
@@ -245,9 +244,14 @@ class TestRowBlocks:
         assert checked.height_series == net.height_series
 
     def test_scan_mismatch_raises(self, monkeypatch):
-        pruned = matrix.visible_height_pruned
-        monkeypatch.setattr(matrix, "visible_height_pruned",
-                            lambda k, j, state: pruned(k, j, state) + (k == 5))
+        pruned = matrix._pruned_scan
+
+        def bumped(t, delays, strict):
+            h, top, scanned = pruned(t, delays, strict)
+            h[5] += 1
+            return h, top, scanned
+
+        monkeypatch.setattr(matrix, "_pruned_scan", bumped)
         with pytest.raises(InvariantError, match="scan mismatch at block 5"):
             simulate_matrix(base_config(n=50), check_pruning=True)
 
@@ -358,6 +362,19 @@ class TestStrictVisibilityFault:
         good = simulate_matrix(config)
         bad = simulate_matrix(config, strict_visibility=False)
         assert bad.height_series == good.height_series
+
+    @pytest.mark.parametrize("m, digest, pairs", [
+        (2, "6789656c362e888e", 85), (3, "38da523e99bca2c8", 91),
+        (5, "c5414fc424b3fdb4", 102)])
+    def test_lenient_series_pinned(self, m, digest, pairs):
+        # Series digest (first 16 hex digits of the sha256 of
+        # repr(height_series)) and pairs tested of lenient runs whose
+        # arrivals land exactly on creation times, as the engine gave
+        # them when it compared each pair with <=.
+        config = base_config(m=m, n=60, alpha=constant(1.0), beta=constant(2.0), seed=9)
+        bad = simulate_matrix(config, strict_visibility=False, check_pruning=True)
+        assert hashlib.sha256(repr(bad.height_series).encode()).hexdigest()[:16] == digest
+        assert bad.stats["pairs_tested"] == pairs
 
 
 class TestEdgeCases:

@@ -128,14 +128,22 @@ def pools(monkeypatch, cpus):
     return started
 
 
+# Every plan field a test leaves out, at the CLI's default where it has one.
+PLAN_FIELDS = dict(replications=100, sweep=(), m=100, bins=20, engine="infinite")
+
+
+def make_plan(**fields):
+    return ExperimentPlan(**{**PLAN_FIELDS, **fields})
+
+
 def small_plans():
     common = dict(alpha=exponential(1.0), beta=exponential(0.5), n=60, base_seed=3,
                   replications=4)
     return {
-        "convergence": ExperimentPlan(kind="convergence", sweep=(2, 3, 5), **common),
-        "efficiency": ExperimentPlan(kind="efficiency", sweep=(0.1, 1.0, 10.0), **common),
-        "pdf_histogram": ExperimentPlan(kind="pdf_histogram", m=4, bins=5, **common),
-        "single": ExperimentPlan(kind="single", engine="matrix", m=4, **common),
+        "convergence": make_plan(kind="convergence", sweep=(2, 3, 5), **common),
+        "efficiency": make_plan(kind="efficiency", sweep=(0.1, 1.0, 10.0), **common),
+        "pdf_histogram": make_plan(kind="pdf_histogram", m=4, bins=5, **common),
+        "single": make_plan(kind="single", engine="matrix", m=4, **common),
     }
 
 
@@ -185,18 +193,18 @@ class TestPrediction:
 class TestPlanValidation:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            ExperimentPlan(kind="scatter", alpha=exponential(1.0),
-                           beta=exponential(0.1), n=100, base_seed=0)
+            make_plan(kind="scatter", alpha=exponential(1.0),
+                      beta=exponential(0.1), n=100, base_seed=0)
 
     def test_sweep_required(self):
         with pytest.raises(ConfigError):
-            ExperimentPlan(kind="convergence", alpha=exponential(1.0),
-                           beta=exponential(0.1), n=100, base_seed=0)
+            make_plan(kind="convergence", alpha=exponential(1.0),
+                      beta=exponential(0.1), n=100, base_seed=0)
 
     def test_kind_mismatch_at_driver(self):
-        plan = ExperimentPlan(kind="single", alpha=exponential(1.0),
-                              beta=exponential(0.1), n=50, base_seed=0,
-                              replications=2)
+        plan = make_plan(kind="single", alpha=exponential(1.0),
+                         beta=exponential(0.1), n=50, base_seed=0,
+                         replications=2)
         with pytest.raises(ConfigError):
             convergence_experiment(plan)
         with pytest.raises(ConfigError):
@@ -206,23 +214,23 @@ class TestPlanValidation:
 
     def test_unknown_engine(self):
         with pytest.raises(ConfigError):
-            ExperimentPlan(kind="single", alpha=exponential(1.0),
-                           beta=exponential(0.1), n=50, base_seed=0,
-                           engine="warp")
+            make_plan(kind="single", alpha=exponential(1.0),
+                      beta=exponential(0.1), n=50, base_seed=0,
+                      engine="warp")
 
 
 class TestConvergenceSweepValidation:
     @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 2.5, 0, -3])
     def test_non_integer_worker_count_rejected(self, bad):
         with pytest.raises(ConfigError, match="finite integers >= 1"):
-            ExperimentPlan(kind="convergence", alpha=exponential(1.0),
-                           beta=exponential(0.1), n=40, base_seed=0,
-                           replications=2, sweep=(2, bad))
+            make_plan(kind="convergence", alpha=exponential(1.0),
+                      beta=exponential(0.1), n=40, base_seed=0,
+                      replications=2, sweep=(2, bad))
 
     def test_integral_floats_accepted(self):
-        plan = ExperimentPlan(kind="convergence", alpha=exponential(1.0),
-                              beta=exponential(0.1), n=40, base_seed=0,
-                              replications=2, sweep=(2.0, 5.0))
+        plan = make_plan(kind="convergence", alpha=exponential(1.0),
+                         beta=exponential(0.1), n=40, base_seed=0,
+                         replications=2, sweep=(2.0, 5.0))
         assert [row[0] for row in convergence_experiment(plan).rows] == [2, 5, "inf"]
 
 
@@ -242,9 +250,9 @@ class TestDefaultRatioGrid:
 
 class TestConvergenceExperiment:
     def test_table_shape_and_inf_row(self):
-        plan = ExperimentPlan(kind="convergence", alpha=exponential(1.0),
-                              beta=exponential(0.1), n=80, base_seed=7,
-                              replications=5, sweep=(2, 5, 10))
+        plan = make_plan(kind="convergence", alpha=exponential(1.0),
+                         beta=exponential(0.1), n=80, base_seed=7,
+                         replications=5, sweep=(2, 5, 10))
         result = convergence_experiment(plan)
         assert result.columns == CONVERGENCE_COLUMNS
         assert len(result.rows) == 4
@@ -254,17 +262,17 @@ class TestConvergenceExperiment:
             assert row[4] == 5
 
     def test_deterministic(self):
-        plan = ExperimentPlan(kind="convergence", alpha=exponential(1.0),
-                              beta=exponential(0.1), n=60, base_seed=8,
-                              replications=3, sweep=(2, 4))
+        plan = make_plan(kind="convergence", alpha=exponential(1.0),
+                         beta=exponential(0.1), n=60, base_seed=8,
+                         replications=3, sweep=(2, 4))
         assert convergence_experiment(plan) == convergence_experiment(plan)
 
 
 class TestEfficiencyExperiment:
     def test_rows_track_prediction(self):
-        plan = ExperimentPlan(kind="efficiency", alpha=exponential(1.0),
-                              beta=constant(1.0), n=400, base_seed=9,
-                              replications=20, sweep=(0.01, 0.1))
+        plan = make_plan(kind="efficiency", alpha=exponential(1.0),
+                         beta=constant(1.0), n=400, base_seed=9,
+                         replications=20, sweep=(0.01, 0.1))
         result = efficiency_experiment(plan)
         assert result.columns == EFFICIENCY_COLUMNS
         for ratio, a_mean, b_mean, mean_p, std_err, pred, err in result.rows:
@@ -276,18 +284,18 @@ class TestEfficiencyExperiment:
         assert result.extras["chaotic_ratios"] == []
 
     def test_chaotic_ratios_flagged(self):
-        plan = ExperimentPlan(kind="efficiency", alpha=exponential(1.0),
-                              beta=exponential(1.0), n=60, base_seed=10,
-                              replications=2, sweep=(0.5, 2.0, 50.0))
+        plan = make_plan(kind="efficiency", alpha=exponential(1.0),
+                         beta=exponential(1.0), n=60, base_seed=10,
+                         replications=2, sweep=(0.5, 2.0, 50.0))
         result = efficiency_experiment(plan)
         assert result.extras["chaotic_ratios"] == [2.0, 50.0]
 
 
 class TestHistogramExperiment:
     def test_bins_and_extras(self):
-        plan = ExperimentPlan(kind="pdf_histogram", alpha=exponential(1.0),
-                              beta=exponential(0.1), n=100, base_seed=11,
-                              replications=40, m=10, bins=12)
+        plan = make_plan(kind="pdf_histogram", alpha=exponential(1.0),
+                         beta=exponential(0.1), n=100, base_seed=11,
+                         replications=40, m=10, bins=12)
         result = pdf_histogram_experiment(plan)
         assert result.columns == HISTOGRAM_COLUMNS
         assert len(result.rows) == 12
@@ -305,16 +313,16 @@ class TestHistogramExperiment:
     @pytest.mark.parametrize("bins", [0, -4])
     def test_bins_below_one_rejected(self, bins):
         with pytest.raises(ConfigError, match="bin count must be >= 1"):
-            ExperimentPlan(kind="pdf_histogram", alpha=exponential(1.0),
-                           beta=exponential(0.1), n=40, base_seed=0,
-                           replications=4, bins=bins)
+            make_plan(kind="pdf_histogram", alpha=exponential(1.0),
+                      beta=exponential(0.1), n=40, base_seed=0,
+                      replications=4, bins=bins)
 
 
 class TestSingleExperiment:
     def test_rows_enumerate_values(self):
-        plan = ExperimentPlan(kind="single", alpha=exponential(1.0),
-                              beta=exponential(0.1), n=80, base_seed=12,
-                              replications=6)
+        plan = make_plan(kind="single", alpha=exponential(1.0),
+                         beta=exponential(0.1), n=80, base_seed=12,
+                         replications=6)
         result = single_experiment(plan)
         assert result.columns == SINGLE_COLUMNS
         assert [row[0] for row in result.rows] == list(range(6))
@@ -322,16 +330,16 @@ class TestSingleExperiment:
             row[1] for row in result.rows)
 
     def test_bounded_engine_requires_m(self):
-        plan = ExperimentPlan(kind="single", alpha=exponential(1.0),
-                              beta=exponential(0.1), n=80, base_seed=12,
-                              replications=3, m=6, engine="matrix")
+        plan = make_plan(kind="single", alpha=exponential(1.0),
+                         beta=exponential(0.1), n=80, base_seed=12,
+                         replications=3, m=6, engine="matrix")
         result = single_experiment(plan)
         assert len(result.rows) == 3
 
     def test_dispatcher_routes_by_kind(self):
-        plan = ExperimentPlan(kind="single", alpha=exponential(1.0),
-                              beta=exponential(0.1), n=50, base_seed=13,
-                              replications=2)
+        plan = make_plan(kind="single", alpha=exponential(1.0),
+                         beta=exponential(0.1), n=50, base_seed=13,
+                         replications=2)
         assert run_experiment(plan) == single_experiment(plan)
 
 

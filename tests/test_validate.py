@@ -64,8 +64,12 @@ class TestFaultInjection:
             "import blocksim.matrix as mx",
             "from blocksim.validate import check_pruning",
             "assert False, 'asserts must be stripped in this run'",
-            "pruned = mx.visible_height_pruned",
-            "mx.visible_height_pruned = lambda k, j, s: pruned(k, j, s) + (k == 5)",
+            "pruned = mx._pruned_scan",
+            "def bumped(t, delays, strict):",
+            "    h, top, scanned = pruned(t, delays, strict)",
+            "    h[5] += 1",
+            "    return h, top, scanned",
+            "mx._pruned_scan = bumped",
             "result = check_pruning(runs=1, max_n=50)",
             "print(result.detail)",
             "sys.exit(1 if result.passed else 0)",
