@@ -10,20 +10,19 @@ in flight when a block is created are delivered first if they arrive
 strictly before its creation time; a message arriving exactly at the
 creation instant is not yet visible.
 
-Production times and producers are drawn in bulk up front.  Delays are
-drawn in blocks of rows, one row of m-1 per block, and each row is
-turned into that block's messages sorted by arrival time.  The priority
-queue holds one entry per block in flight, keyed by the arrival of its
-next message and then by block id; together with the stable sort within
-each row this applies simultaneous arrivals in send order (block, then
-recipient).  Messages carry only the announced tip id and its height,
-which is all the adoption rule compares.
+Production times and producers are drawn in bulk up front, so every
+creation time is known before the first delivery.  Delays are drawn in
+blocks of rows, one row of m-1 per block.  Each message waits under the
+row block it arrives in; a row block's messages are stably sorted by
+arrival from send order (block, then recipient) and cut at each block's
+creation time.  A message carries only the announced block; its height,
+all the adoption rule compares, is read when it applies.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-import heapq
 
 import numpy as np
 
@@ -32,10 +31,9 @@ from .distributions import DistributionSpec, require_production_role, sample_man
 from .errors import ConfigError, InvariantError
 from .rng import StreamBundle
 
-# Delay values per row block.  A block holds max(1, ROW_VALUES // (m-1))
-# rows.  Its sorted messages stay alive as Python lists until delivered,
-# so blocks of 2**16 values (the matrix engine's size) cost about 8 MB
-# more peak memory than blocks of 2**12, which run just as fast.
+# Delay values per row block, of max(1, ROW_VALUES // (m-1)) rows.  2**16
+# (the matrix engine's size) runs as fast at short delays and files fewer
+# pieces at long ones, but costs about 11 MB more peak memory at m=1000.
 ROW_VALUES = 2**12
 
 # The largest worker or block count a config accepts: one array of that
@@ -115,46 +113,34 @@ def draw_schedule(config: NetSimConfig, streams: StreamBundle):
     return t, producers
 
 
-def _sorted_messages(t, producers, first, rows, m, spec, stream):
-    """Messages of blocks first+1 .. first+rows, each row sorted by arrival.
+def delivery_sweep(recipients, blocks, heights, tip_block, tip_height):
+    """Apply messages in order: ``recipients[i]`` hears of ``blocks[i]``.
 
-    Draws the rows' (m-1) delays per block in recipient order skipping
-    the producer and returns ``(arrivals, recipients)`` as lists of
-    per-block lists.  The sort is stable, so equal arrivals within a
-    block keep ascending recipient order.
+    A recipient adopts the announced block when its height, read from
+    ``heights``, is strictly higher than the recipient's current tip; on
+    equal height the incumbent is kept.  Mutates ``tip_block``/``tip_height``.
     """
-    d = sample_many(spec, stream, rows * (m - 1)).reshape(rows, m - 1)
-    a = t[first + 1:first + 1 + rows, None] + d
-    order = np.argsort(a, axis=1, kind="stable")
-    arrivals = np.take_along_axis(a, order, axis=1)
-    recipients = order + (order >= producers[first:first + rows, None])
-    return arrivals.tolist(), recipients.tolist()
-
-
-def delivery_sweep(pending, now, tip_block, tip_height):
-    """Apply every queued message arriving strictly before ``now``.
-
-    ``pending`` is a heap of entries (arrival, block, index, arrivals,
-    recipients, height), one per block with messages in flight: the
-    block's messages sorted by arrival, and the index of the next one
-    undelivered, whose arrival leads the entry.  Messages apply in
-    (arrival, block, index) order; each lets its recipient adopt the
-    announced tip when it is strictly higher than the recipient's
-    current one, and on equal height the incumbent is kept.  An entry
-    moves on to its block's next message, or leaves the heap once the
-    block is fully delivered.  Mutates ``tip_block``/``tip_height``.
-    """
-    while pending and pending[0][0] < now:
-        _, block, i, arrivals, recipients, h = pending[0]
-        r = recipients[i]
+    for r, b in zip(recipients, blocks):
+        h = heights[b]
         if h > tip_height[r]:
-            tip_block[r] = block
+            tip_block[r] = b
             tip_height[r] = h
-        i += 1
-        if i < len(arrivals):
-            heapq.heapreplace(pending, (arrivals[i], block, i, arrivals, recipients, h))
-        else:
-            heapq.heappop(pending)
+
+
+def _file_by_arrival(due, ends, arrivals, ids):
+    """Append each message to ``due[i]`` for the first row block i that
+    ends after it arrives; return how many arrive after the last one ends.
+    """
+    where = np.searchsorted(ends, arrivals, side="right")
+    order = np.argsort(where, kind="stable")
+    where = where[order]
+    starts = np.flatnonzero(np.diff(where, prepend=-1)).tolist()
+    for i, lo, hi in zip(where[starts].tolist(), starts, starts[1:] + [len(where)]):
+        if i == len(ends):
+            return hi - lo
+        due[i][0].append(arrivals[order[lo:hi]])
+        due[i][1].append(ids[order[lo:hi]])
+    return 0
 
 
 def simulate_network(config: NetSimConfig, streams: StreamBundle | None = None,
@@ -166,7 +152,9 @@ def simulate_network(config: NetSimConfig, streams: StreamBundle | None = None,
     substream: one production draw and one producer draw per block, and
     m-1 delay draws per block in ascending recipient order skipping the
     producer.  A closed-form engine can therefore consume the identical
-    sequences.
+    sequences.  Before creating block k the engine hands
+    ``delivery_sweep`` every message not yet delivered that arrives
+    strictly before t[k], in (arrival, block, recipient) order.
 
     With ``check_invariants`` the final worker state is cross-checked
     against metrics recomputed from the tree alone.
@@ -176,41 +164,52 @@ def simulate_network(config: NetSimConfig, streams: StreamBundle | None = None,
     m, n = config.m, config.n
 
     t, producer_array = draw_schedule(config, streams)
-    times = t.tolist()
     producers = producer_array.tolist()
 
     tip_block = [0] * m
     tip_height = [1] * m
     parents: list[int] = []
-    heights: list[int] = [1]
-    pending: list = []
-    best_height = 1
+    heights = [1] * n
 
+    # A message's id is block * m + recipient, so ascending ids are send
+    # order.  Row block i holds blocks first+1 .. last and ends at
+    # ends[i] = t[last]; due[i] collects the messages that arrive in it.
     rows = max(1, ROW_VALUES // max(1, m - 1))
-    for first in range(0, n - 1, rows):
+    ends = t[np.r_[rows:n - 1:rows, n - 1]]
+    due = defaultdict(lambda: ([], []))
+    undelivered = 0
+    others = np.arange(m - 1)
+    for i, first in enumerate(range(0, n - 1, rows)):
         last = min(first + rows, n - 1)
-        arrivals, recipients = _sorted_messages(t, producer_array, first, last - first,
-                                                m, config.beta, streams.delay)
-        for block in range(first + 1, last + 1):
-            delivery_sweep(pending, times[block], tip_block, tip_height)
-
+        created = t[first + 1:last + 1]
+        d = sample_many(config.beta, streams.delay, (last - first) * (m - 1))
+        arrivals = (created[:, None] + d.reshape(last - first, m - 1)).ravel()
+        ids = (np.arange(first + 1, last + 1)[:, None] * m + others
+               + (others >= producer_array[first:last, None])).ravel()
+        # Most messages arrive within their own row block: file only the rest.
+        now = arrivals < ends[i]
+        undelivered += _file_by_arrival(due, ends, arrivals[~now], ids[~now])
+        due[i][0].append(arrivals[now])
+        due[i][1].append(ids[now])
+        arrivals, ids = map(np.concatenate, due.pop(i))
+        order = np.argsort(arrivals)
+        if np.any(np.diff(arrivals[order]) == 0):  # ties apply in send order
+            order = np.argsort(arrivals, kind="stable")
+        cuts = np.searchsorted(arrivals[order], created).tolist()
+        blocks, recipients = (part.tolist() for part in np.divmod(ids[order], m))
+        for block, lo, hi in zip(range(first + 1, last + 1), [0] + cuts, cuts):
+            delivery_sweep(recipients[lo:hi], blocks[lo:hi], heights, tip_block, tip_height)
             w = producers[block - 1]
             parents.append(tip_block[w])
             h = tip_height[w] + 1
-            heights.append(h)
+            heights[block] = h
             tip_block[w] = block
             tip_height[w] = h
-            if h > best_height:
-                best_height = h
 
-            if m > 1:
-                row = arrivals[block - 1 - first]
-                heapq.heappush(pending, (row[0], block, 0, row,
-                                         recipients[block - 1 - first], h))
-
+    best_height = max(heights)
     tree = None
     if config.record_tree:
-        tree = BlockTree(parents=tuple(parents), times=tuple(times),
+        tree = BlockTree(parents=tuple(parents), times=tuple(t.tolist()),
                          producers=tuple(producers))
     outcome = SimOutcome(
         proportion=best_height / n,
@@ -221,7 +220,7 @@ def simulate_network(config: NetSimConfig, streams: StreamBundle | None = None,
         positions=WorkerPositions(tuple(tip_block)),
         seed_echo=streams.seed_echo(),
         stats={"messages_sent": (n - 1) * (m - 1),
-               "undelivered": sum(len(entry[3]) - entry[2] for entry in pending)},
+               "undelivered": undelivered},
     )
     if check_invariants:
         _check_outcome(outcome, tip_height, m, n)

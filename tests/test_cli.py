@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from blocksim import __version__, network
 from blocksim.blocktree import tree_from_json
 from blocksim.cli import main
-from blocksim import __version__
+from blocksim.distributions import exponential
 from blocksim.manifest import SCHEMA_VERSION, load_manifest
 
 ALPHA = "exp:1"
@@ -402,6 +403,25 @@ class TestTraceHooks:
             [sys.executable, "-c", "import spans; spans.instrument(spans.Tracer())"],
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("m,n,beta", [(1, 50, 1.0), (100, 2000, 1.0), (30, 1500, 50.0)])
+    def test_delivery_sweep_sees_every_block_and_delivered_message(self, monkeypatch,
+                                                                   m, n, beta):
+        # The trace reads network.delivery_sweep_s as the time spent
+        # delivering; it holds only while the engine calls the module
+        # global once per block and hands it every message delivered.
+        handed = []
+        sweep = network.delivery_sweep
+
+        def count(recipients, blocks, *state):
+            handed.append(len(recipients))
+            sweep(recipients, blocks, *state)
+
+        monkeypatch.setattr(network, "delivery_sweep", count)
+        out = network.simulate_network(network.NetSimConfig(
+            m=m, n=n, alpha=exponential(1.0), beta=exponential(beta), seed=7))
+        assert len(handed) == n - 1
+        assert sum(handed) == out.stats["messages_sent"] - out.stats["undelivered"]
 
 
 class TestExperiment:

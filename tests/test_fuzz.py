@@ -24,7 +24,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 import pytest
 
-from blocksim import __version__, matrix
+from blocksim import __version__, matrix, network
 from blocksim.cli import main
 from blocksim.distributions import constant, exponential, gamma
 from blocksim.errors import InvariantError
@@ -88,6 +88,25 @@ class TestArrivalBands:
         with mock.patch.multiple(matrix, BAND_WIDTH=1, BLOCK_VALUES=block_values):
             mat = simulate_matrix(config, check_pruning=True)
         assert mat.height_series == simulate_network(config).height_series
+
+
+class TestNetworkRowBlocks:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.one_of(engine_configs(), band_configs()))
+    @example(NetSimConfig(m=1, n=300, alpha=exponential(1.0), beta=exponential(1.0),
+                          seed=3, record_series=True))
+    # Messages outlive many row blocks at every size.
+    @example(NetSimConfig(m=30, n=400, alpha=exponential(1.0), beta=exponential(50.0),
+                          seed=19, record_series=True))
+    def test_row_block_size_does_not_change_outputs(self, config):
+        # One block per row block, a few, and the default: messages wait
+        # in flight across row block boundaries at different places.
+        outs = []
+        for row_values in (1, 5, network.ROW_VALUES):
+            with mock.patch.object(network, "ROW_VALUES", row_values):
+                out = simulate_network(config, check_invariants=True)
+            outs.append((out.tree, out.positions, out.height_series, out.stats))
+        assert outs[0] == outs[1] == outs[2]
 
 
 CHECK_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)

@@ -1,17 +1,15 @@
 from dataclasses import replace
 import hashlib
-import heapq
 import json
 import tracemalloc
 
-import numpy as np
 import pytest
 
+from blocksim import network
 from blocksim.blocktree import export_tree, height, proportion_valid
 from blocksim.distributions import constant, exponential, gamma
 from blocksim.errors import ConfigError, InvariantError
-from blocksim.network import (NetSimConfig, SimOutcome, _sorted_messages,
-                              delivery_sweep, simulate_network)
+from blocksim.network import NetSimConfig, SimOutcome, delivery_sweep, simulate_network
 from blocksim.rng import ScriptedStream, StreamBundle
 
 
@@ -28,104 +26,129 @@ def base_config(**overrides):
     return NetSimConfig(**params)
 
 
-def entry(block, h, arrivals, recipients, index=0):
-    """A queue entry for ``block``: its messages sorted by arrival."""
-    return (arrivals[index], block, index, list(arrivals), list(recipients), h)
+def producer_uniforms(workers, m):
+    """Producer draws that pick ``workers`` in turn out of m."""
+    return [(w + 0.5) / m for w in workers]
 
 
-class RecordingHeights(list):
-    """Tip heights that log the recipient of every adoption, in order."""
+def record_sweeps(monkeypatch, config, streams):
+    """Run ``config`` on ``streams`` and list what each delivery_sweep call
+    is handed, as (recipient, block) pairs in the order they apply.
+    """
+    calls = []
 
-    def __init__(self, values):
-        super().__init__(values)
-        self.adopted = []
+    def record(recipients, blocks, *state):
+        calls.append(list(zip(recipients, blocks)))
+        delivery_sweep(recipients, blocks, *state)
 
-    def __setitem__(self, index, value):
-        self.adopted.append(index)
-        super().__setitem__(index, value)
+    monkeypatch.setattr(network, "delivery_sweep", record)
+    return simulate_network(config, streams, check_invariants=True), calls
 
 
 class TestDeliverySweep:
+    # delivery_sweep applies the messages it is handed in order;
+    # simulate_network hands it, before each block k, the messages that
+    # arrive strictly before t[k], in (arrival, block, recipient) order.
     def test_empty_queue_is_noop(self):
-        pending, tips, heights = [], [0], [1]
-        delivery_sweep(pending, 5.0, tips, heights)
-        assert (pending, tips, heights) == ([], [0], [1])
-
-    def test_arrival_at_now_stays_queued(self):
-        pending = [entry(7, 5, [2.0], [0])]
         tips, heights = [0], [1]
-        delivery_sweep(pending, 2.0, tips, heights)
-        assert pending == [entry(7, 5, [2.0], [0])]
-        assert heights == [1]
+        delivery_sweep([], [], [1, 5], tips, heights)
+        assert (tips, heights) == ([0], [1])
 
-    def test_strictly_earlier_arrival_applies(self):
-        pending = [entry(7, 5, [1.9], [0])]
-        tips, heights = [0], [1]
-        delivery_sweep(pending, 2.0, tips, heights)
-        assert pending == []
-        assert (tips, heights) == ([7], [5])
+    def test_arrival_at_now_stays_queued(self, monkeypatch):
+        # Block 1's message reaches worker 1 at 2.0, exactly when worker 1
+        # creates block 2: it is handed over only before block 3.
+        config = NetSimConfig(m=2, n=4, alpha=constant(1.0), beta=constant(1.0), seed=0)
+        streams = scripted_bundle([0.5] * 3, producer_uniforms([0, 1, 0], 2), [0.5] * 3)
+        out, calls = record_sweeps(monkeypatch, config, streams)
+        assert calls == [[], [], [(1, 1)]]
+        assert out.tree.parents == (0, 0, 1)
+
+    def test_strictly_earlier_arrival_applies(self, monkeypatch):
+        config = NetSimConfig(m=2, n=4, alpha=constant(1.0), beta=constant(0.5), seed=0)
+        streams = scripted_bundle([0.5] * 3, producer_uniforms([0, 1, 0], 2), [0.5] * 3)
+        out, calls = record_sweeps(monkeypatch, config, streams)
+        assert calls == [[], [(1, 1)], [(0, 2)]]
+        assert out.tree.parents == (0, 1, 2)
 
     def test_equal_height_keeps_incumbent(self):
-        pending = [entry(7, 3, [1.0], [0])]
         tips, heights = [4], [3]
-        delivery_sweep(pending, 2.0, tips, heights)
+        delivery_sweep([0], [7], [1] * 7 + [3], tips, heights)
         assert (tips, heights) == ([4], [3])
 
     def test_two_heights_end_at_higher_either_order(self):
-        for first, second in [(entry(7, 3, [1.0], [0]), entry(9, 5, [1.5], [0])),
-                              (entry(9, 5, [1.0], [0]), entry(7, 3, [1.5], [0]))]:
-            pending = sorted([first, second])
+        block_heights = [1] * 7 + [3, 1, 5]
+        for blocks in ([7, 9], [9, 7]):
             tips, heights = [0], [1]
-            delivery_sweep(pending, 2.0, tips, heights)
+            delivery_sweep([0, 0], blocks, block_heights, tips, heights)
             assert (tips, heights) == ([9], [5])
 
-    def test_simultaneous_arrivals_apply_in_send_order(self):
-        pending = sorted([entry(10, 4, [2.0], [0]), entry(11, 4, [2.0], [0])])
-        tips, heights = [0], [1]
-        delivery_sweep(pending, 3.0, tips, heights)
-        assert (tips, heights) == ([10], [4])
+    def test_simultaneous_arrivals_apply_in_send_order(self, monkeypatch):
+        # Production and delay share one distribution, so a delay drawn
+        # from the same uniform as block 2's production time is that time
+        # to the bit: the messages of block 1 (worker 0) arrive exactly at
+        # t[2].  Block 2's (worker 1) delays are the smallest positive
+        # double, so its messages arrive at t[2] too.  All four apply
+        # before block 3 (worker 2).  Both blocks have height 2.
+        config = NetSimConfig(m=3, n=4, alpha=exponential(1.0), beta=exponential(1.0),
+                              seed=0)
+        streams = scripted_bundle([0.5] * 3, producer_uniforms([0, 1, 2], 3),
+                                  [0.5, 0.5, 0.0, 0.0, 0.5, 0.5])
+        out, calls = record_sweeps(monkeypatch, config, streams)
+        assert calls == [[], [], [(1, 1), (2, 1), (0, 2), (2, 2)]]
+        # Worker 2 adopts block 1 and keeps it against block 2, of equal
+        # height, so it builds block 3 on block 1.
+        assert out.tree.parents == (0, 0, 1)
 
     def test_only_recipient_updated(self):
-        pending = [entry(7, 5, [1.0], [1])]
         tips, heights = [0, 0], [1, 1]
-        delivery_sweep(pending, 2.0, tips, heights)
+        delivery_sweep([1], [7], [1] * 7 + [5], tips, heights)
         assert (tips, heights) == ([0, 7], [1, 5])
 
-    def test_equal_arrivals_from_two_blocks_apply_lower_block_first(self):
-        pending = []
-        # Pushed newest first; the heap still orders the tie by block id.
-        heapq.heappush(pending, entry(12, 4, [1.0, 2.0], [0, 1]))
-        heapq.heappush(pending, entry(10, 4, [0.5, 1.0], [1, 0]))
-        tips, heights = [0, 0], [1, 1]
-        delivery_sweep(pending, 3.0, tips, heights)
-        assert (tips, heights) == ([10, 10], [4, 4])
+    def test_equal_arrivals_from_two_blocks_apply_lower_block_first(self, monkeypatch):
+        # Blocks 2 (worker 1) and 3 (worker 2) announce height 2 to idle
+        # worker 3 at the same instant, t[3], tied the same way as in
+        # test_simultaneous_arrivals_apply_in_send_order.  With 1, 6 and
+        # 2**12 values per row block, the two blocks' messages meet after
+        # waiting in separate row blocks, after one waited and one is new,
+        # and as new messages of one row block.
+        config = NetSimConfig(m=4, n=5, alpha=exponential(1.0), beta=exponential(1.0), seed=0)
+        for row_values in (1, 6, network.ROW_VALUES):
+            monkeypatch.setattr(network, "ROW_VALUES", row_values)
+            streams = scripted_bundle([0.5] * 4, producer_uniforms([0, 1, 2, 3], 4),
+                                      [0.9] * 3 + [0.5] * 3 + [0.0] * 3 + [0.9] * 3)
+            out, calls = record_sweeps(monkeypatch, config, streams)
+            assert calls == [[], [], [], [(0, 2), (2, 2), (3, 2), (0, 3), (1, 3), (3, 3)]]
+            assert out.tree.parents == (0, 0, 0, 2)
 
-    def test_equal_arrivals_within_a_block_apply_in_recipient_order(self):
+    def test_equal_arrivals_within_a_block_apply_in_recipient_order(self, monkeypatch):
         # One row of 99 delays taking two values: long enough, with runs
         # of ties, that an unstable sort would reorder the ties.
-        u = [0.5 if k % 3 else 0.1 for k in range(99)]
-        delays = exponential(1.0)
-        arrivals, recipients = _sorted_messages(
-            np.array([0.0, 1.0]), np.array([37]), 0, 1, 100, delays, ScriptedStream(u))
+        # A third of the row, with delays of 11.5, applies only before
+        # block 3.  With one block per row block the whole row waits in
+        # flight, split over two row blocks.
+        u = [(0.1, 0.5, 0.99999)[k % 3] for k in range(99)]
+        config = NetSimConfig(m=100, n=4, alpha=constant(10.0), beta=exponential(1.0), seed=0)
         others = [j for j in range(100) if j != 37]
-        expected = sorted(range(99), key=lambda k: (u[k], k))
-        assert recipients == [[others[k] for k in expected]]
-        assert arrivals == [sorted(arrivals[0])]
-        pending = [entry(3, 2, [1.0, 1.0, 2.0], [0, 2, 1])]
-        heapq.heappush(pending, entry(4, 3, [1.0, 1.5], [1, 0]))
-        tips, heights = [0, 0, 0], RecordingHeights([1, 1, 1])
-        delivery_sweep(pending, 5.0, tips, heights)
-        # (1.0, 3, r0), (1.0, 3, r2), (1.0, 4, r1), (1.5, 4, r0); block 3's
-        # message to r1 at 2.0 is lower than r1's tip and is not adopted.
-        assert heights.adopted == [0, 2, 1, 0]
-        assert (tips, list(heights)) == ([4, 4, 3], [3, 3, 2])
+        expected = [(others[k], 1) for k in sorted(range(99), key=lambda k: (u[k], k))]
+        for row_values in (1, network.ROW_VALUES):
+            monkeypatch.setattr(network, "ROW_VALUES", row_values)
+            streams = scripted_bundle([0.5] * 3, producer_uniforms([37, 0, 0], 100),
+                                      u + [0.99999] * 198)
+            _, calls = record_sweeps(monkeypatch, config, streams)
+            assert (calls[1], calls[2]) == (expected[:66], expected[66:])
 
-    def test_partly_delivered_block_stays_queued_at_next_message(self):
-        pending = [entry(5, 4, [1.0, 2.0, 3.0], [0, 1, 2])]
-        tips, heights = [0, 0, 0], [1, 1, 1]
-        delivery_sweep(pending, 2.5, tips, heights)
-        assert pending == [entry(5, 4, [1.0, 2.0, 3.0], [0, 1, 2], index=2)]
-        assert (tips, heights) == ([5, 5, 0], [4, 4, 1])
+    def test_partly_delivered_block_stays_queued_at_next_message(self, monkeypatch):
+        # Block 1's messages reach workers 2, 3 and 1 at 1.11, 1.69 and
+        # 3.30; later blocks' messages arrive after the last block.  With
+        # one block per row block, the last one waits across two.
+        config = NetSimConfig(m=4, n=5, alpha=constant(1.0), beta=exponential(1.0), seed=0)
+        for row_values in (1, network.ROW_VALUES):
+            monkeypatch.setattr(network, "ROW_VALUES", row_values)
+            streams = scripted_bundle([0.5] * 4, producer_uniforms([0] * 4, 4),
+                                      [0.9, 0.1, 0.5] + [0.9] * 9)
+            out, calls = record_sweeps(monkeypatch, config, streams)
+            assert calls == [[], [(2, 1), (3, 1)], [], [(1, 1)]]
+            assert out.stats == {"messages_sent": 12, "undelivered": 9}
 
 
 class TestHandTrace:
@@ -242,7 +265,7 @@ def sha256(text):
 class TestPinned:
     # Digests of the tree JSON, the height series and the final worker
     # positions, with the stats, as the one-entry-per-message queue
-    # produced them; the queue's layout must not move a single byte.
+    # produced them; how messages wait in flight must not move a byte.
     CASES = [
         ((1, 50, exponential(1.0), exponential(0.1), 3),
          "3e4a868420df8c14fd6cda21e2b5d31483763ce53f8da642c6522107c4e61c0d",
@@ -274,10 +297,23 @@ class TestPinned:
          "e76bcfea29aae0f8c77a893a508b60727aa7c0b817adbbdcadf225f6f5a787d1",
          "7a3fe935914c6509fb412d216a952a8908514e1f0ee9d226976608078d9325a3",
          {"messages_sent": 2396, "undelivered": 12}),
+        # Messages outlive several row blocks of 141 blocks each.
+        ((30, 1500, exponential(1.0), exponential(50.0), 19),
+         "d5cfb4a311bae6872972e18536dd266a809210732e5767fbc1cc79ca81fbfc42",
+         "3d9eb0c79faa303c1997ac19e830029b01b509b3285ed747b6df88c3d62fbe7d",
+         "d2a87c8335a9e45ff05b980262035105bd3f927c501ef8c834165a9f0865cf21",
+         {"messages_sent": 43471, "undelivered": 1403}),
+        # Every message arrives exactly when its block is created.
+        ((6, 700, exponential(1.0), constant(0.0), 23),
+         "8763f7b2ef1910faf2d7e5c45f2f846b5fa8efc5c94862796fc92cc4f37aef3f",
+         "b52f99d2193527a611dccb20bb22428fb09ddc88d782572d6226e210faaf42b4",
+         "e45b608c8bd37ad847008b1a73d8e780a827539aab03d6a36ef1a24cb9e4fdb6",
+         {"messages_sent": 3495, "undelivered": 5}),
     ]
 
     @pytest.mark.parametrize("params,tree,series,positions,stats", CASES,
-                             ids=["m1", "m2", "m100", "gamma", "const-tie", "const-late"])
+                             ids=["m1", "m2", "m100", "gamma", "const-tie", "const-late",
+                                  "chaotic", "const-zero"])
     def test_outputs_unchanged(self, params, tree, series, positions, stats):
         m, n, alpha, beta, seed = params
         out = simulate_network(NetSimConfig(m=m, n=n, alpha=alpha, beta=beta, seed=seed,
@@ -295,17 +331,28 @@ class TestPinned:
 
 
 class TestMemory:
+    def traced_peak(self, config):
+        tracemalloc.start()
+        try:
+            simulate_network(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_delays_are_not_drawn_up_front(self):
         # (n-1)(m-1) = 998,001 delays would take 8 MB as float64 alone;
-        # row blocks of 2**12 values and the blocks in flight take about
+        # row blocks of 2**12 values and the messages in flight take about
         # 2 MB.  n stays at 1000 because tracing every allocation makes
         # the run about eight times slower.
         config = NetSimConfig(m=1000, n=1000, alpha=exponential(1.0),
                               beta=exponential(1.0), seed=1, record_tree=False)
-        tracemalloc.start()
-        try:
-            simulate_network(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * 2**20
+        assert self.traced_peak(config) < 6 * 2**20
+
+    def test_long_delays_keep_messages_in_flight_as_arrays(self):
+        # Delays of 100 production times keep about 100,000 messages in
+        # flight, 16 bytes each; the run peaks near 5 MB.  Holding each
+        # block's messages as Python lists peaked at 49 MB, and filing
+        # them as slices that keep their whole row block alive at 15 MB.
+        config = NetSimConfig(m=1000, n=1000, alpha=exponential(1.0),
+                              beta=exponential(100.0), seed=1, record_tree=False)
+        assert self.traced_peak(config) < 8 * 2**20
