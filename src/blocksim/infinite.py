@@ -106,7 +106,8 @@ def _pruned_scan(beta: DistributionSpec, delay, t: list[float], align_draws: boo
         i = k - 1
         while True:
             try:
-                while i and x < z[i]:
+                # z[0] is 1 and x starts at 1, so the scan stops at the origin.
+                while x < z[i]:
                     if t[i] + delays[j] < t_k and h[i] > x:
                         x = h[i]
                     i -= 1

@@ -7,10 +7,12 @@ the best height among blocks already visible to k's producer, where
 block 0 (the origin) is visible from the start.  The engine tracks
 heights only; use the event-driven engine to materialize trees.
 
-The matrix is never held whole.  Its rows are drawn on demand from the
-delay substream, and each step gets a band of arrivals t[i] + d(i,
-producer) from the blocks just before it (see DelayMatrix): only those
-entries are transformed, and memory is bounded by a chunk of rows.
+The matrix is never held whole.  Each step gets a band of arrivals
+t[i] + d(i, producer) from the blocks just before it (see DelayMatrix):
+only those entries are transformed.  A band much narrower than a row
+reads its cells from the delay substream by position, so a run's time
+and memory follow the cells it reads, not n*m; other bands come from
+rows drawn on demand, and memory is bounded by a chunk of rows.
 
 One loop (_pruned_scan) places the whole run, as in the unbounded
 engine: each step scans backward and stops as soon as the running best
@@ -35,10 +37,21 @@ from .errors import InvariantError
 from .network import NetSimConfig, SimOutcome, draw_schedule
 from .rng import StreamBundle
 
-# A chunk of bands draws at most max(1, BLOCK_VALUES // (m-1)) new rows,
-# about 0.5 MB of uniforms, and holds at most BAND_CELLS arrivals.  A
-# step's band starts BAND_WIDTH arrivals wide.
-BLOCK_VALUES, BAND_WIDTH, BAND_CELLS = 2**16, 8, 2**14
+# A chunk of bands W arrivals wide covers max(1, BAND_CELLS // W) steps,
+# so it holds at most BAND_CELLS arrivals.  Read from rows, it draws about
+# that many new rows, at most BY_POSITION * BAND_CELLS uniforms (under
+# 1 MB), and keeps the rows from 2W blocks before it on.  A step's band
+# starts BAND_WIDTH arrivals wide.
+BAND_WIDTH, BAND_CELLS = 8, 2**14
+
+# A band W arrivals wide reads its cells by stream position when
+# BY_POSITION * W < m-1 (at 1, every band narrower than a row does), and
+# from rows drawn in bulk otherwise.  Building the bands of a run with
+# n=4,000 on one core of a 2-core Xeon VM cost, in ns per cell from bulk
+# rows and by position: 99 and 116 at W=8, m-1=24; 111 and 82 at W=8,
+# m-1=48; 51 and 55 at W=16, m-1=64; 62 and 52 at W=16, m-1=96; 58 and
+# 51 at W=32, m-1=256; 1116 and 136 at W=8, m-1=999.
+BY_POSITION = 6
 
 # Cells per chunk of the full-scan check, about 128 kB per chunk array.
 # Twice as many raised validate's peak RSS by 0.6 MB and ran no faster.
@@ -56,12 +69,18 @@ class DelayMatrix:
     arrivals(k) serves step k a band a holding t[i] + d(i, producer_k)
     at a[i - k] for i = k-1 down to k-W or further; a read past it
     raises IndexError, and arrivals(k, widen=True) doubles W.  Bands are
-    built a chunk of steps at a time, in numpy, from rows drawn in bulk:
-    while W < m-1, only the bands' cells are transformed; from then on,
-    whole rows are, and a band is a slice of its worker's arrivals.
-    Either way each value holds the bits of the whole row's transform.
-    Memory is at most BAND_CELLS arrivals and the rows from 2W blocks
-    before them on, never n*m.  rows() draws rows afresh for the check.
+    built a chunk of steps at a time, in numpy, and the chunks are the
+    same whichever way the cells are read:
+    - while BY_POSITION * W < m-1, each cell is read from the stream by
+      its position (stream.at) and transformed, and no row is kept;
+    - otherwise, while W < m-1, rows are drawn in bulk and only the
+      bands' cells are transformed;
+    - from then on, whole rows are, and a band is a slice of its
+      worker's arrivals.
+    Each value holds the bits of the whole row's transform.  Memory is at
+    most BAND_CELLS arrivals and, for bands read from rows, the rows from
+    2W blocks before them on, never n*m.  rows() draws rows afresh for
+    the check.
     """
 
     def __init__(self, spec: DistributionSpec, stream, producers: list[int], m: int, t):
@@ -86,22 +105,25 @@ class DelayMatrix:
 
     def _build(self, k: int) -> memoryview:
         W, m1, p = self.band_width, self._width, self._p
-        k1 = min(len(p) + 1, k + max(1, min(BLOCK_VALUES // max(1, m1), BAND_CELLS // W)))
-        # Rows need .. end-1 hold blocks k-W .. k1-2.  Rows from block k-2W on
-        # stay kept, so a band widened to twice its width needs no redraw.
-        need, end = max(0, k - W - 1), max(k1 - 2, k - W, 1)
-        first, u = self._kept
-        if not first <= need <= first + len(u):
-            first, u = need, u[:0]
-        lo, drawn = max(first, k - 2 * W - 1), first + len(u)
-        u = u[lo - first:]
-        if end > drawn:
-            self._stream.seek(drawn * m1)
-            new = self._stream.uniforms((end - drawn) * m1).reshape(end - drawn, -1)
-            u = np.concatenate((u, new)) if len(u) else new
-        self._kept = (lo, u)
-        u, t, q = u[need - lo:end - lo], self._t[need + 1:end + 1, None], p[k - 1:k1 - 1]
+        by_position = BY_POSITION * W < m1
+        k1 = min(len(p) + 1, k + max(1, BAND_CELLS // W))
+        q = p[k - 1:k1 - 1]
+        if not by_position:
+            # Rows need .. end-1 hold blocks k-W .. k1-2.  Rows from block k-2W
+            # on stay kept, so a band widened to twice its width needs no redraw.
+            need, end = max(0, k - W - 1), max(k1 - 2, k - W, 1)
+            first, u = self._kept
+            if not first <= need <= first + len(u):
+                first, u = need, u[:0]
+            lo, drawn = max(first, k - 2 * W - 1), first + len(u)
+            u = u[lo - first:]
+            if end > drawn:
+                self._stream.seek(drawn * m1)
+                new = self._stream.uniforms((end - drawn) * m1).reshape(end - drawn, -1)
+                u = np.concatenate((u, new)) if len(u) else new
+            self._kept = (lo, u)
         if W >= m1:  # worker q's arrivals, blocks need+1 .. end, are one run
+            u, t = u[need - lo:end - lo], self._t[need + 1:end + 1, None]
             pr, j = p[need:end, None], np.arange(m1 + 1)
             a = np.pad(_transform(self._spec, u), ((0, 0), (0, 1)))[
                 np.arange(len(u))[:, None], np.where(j == pr, m1, j - (j > pr))]
@@ -110,10 +132,12 @@ class DelayMatrix:
             band = [a[b:e] for b, e in zip(start.tolist(), stop.tolist())]
             self.transformed += u.size
         else:  # the row of each cell a[w] (clamped at block 1) and its column
-            rr = np.maximum(np.arange(k - W - 1, k1 - W - 1)[:, None] + np.arange(W), need) - need
-            q, pr = q[:, None], p[rr + need]
-            d = _transform(self._spec, u[rr, np.minimum(q - (q > pr), m1 - 1)])
-            a = memoryview((t[rr, 0] + np.where(q == pr, 0.0, d)).ravel())
+            rows = np.maximum(np.arange(k - W - 1, k1 - W - 1)[:, None] + np.arange(W), 0)
+            q, pr = q[:, None], p[rows]
+            cols = np.minimum(q - (q > pr), m1 - 1)
+            u = self._stream.at(rows * m1 + cols) if by_position else u[rows - lo, cols]
+            d = _transform(self._spec, u)
+            a = memoryview((self._t[rows + 1] + np.where(q == pr, 0.0, d)).ravel())
             band = [a[w:w + W] for w in range(0, len(a), W)]
             self.transformed += d.size
         self._k0, self._band = k, band
@@ -179,7 +203,8 @@ def _pruned_scan(t: list[float], delays: DelayMatrix, strict: bool):
         i = k - 1
         while True:
             try:
-                while i and x < z[i]:
+                # z[0] is 1 and x starts at 1, so the scan stops at the origin.
+                while x < z[i]:
                     if h[i] > x and a[i - k] < t_k:
                         x = h[i]
                     i -= 1

@@ -6,6 +6,21 @@ single-owner wrapper around a PCG64 generator whose seed is derived from
 and the per-run roles (production times, producer choices, broadcast
 delays) get distinct stream ids, which makes runs reproducible and lets
 two engines consume identical draw sequences.
+
+A stream is read in order (uniforms), moved (seek), or read at absolute
+positions without moving (at).  Position p is the (p+1)-th value a fresh
+stream draws.  `at` computes those values in numpy from the PCG64 state
+(blocksim.pcg) and relies on these facts about numpy's PCG64, which
+tests/test_rng.py checks bit for bit against Generator.random:
+- the state is a 128-bit LCG, s -> s * A + inc mod 2**128, with the
+  multiplier A = 0x2360ED051FC65DA44385DF649FCCF645, and `state` and
+  `inc` exposed through bit_generator.state;
+- a draw steps the state first, then outputs the XSL-RR of the new state:
+  (hi ^ lo) rotated right by the state's top 6 bits;
+- Generator.random maps an output x to (x >> 11) * 2**-53.
+After j steps the state is A^j s + G_j inc, with G_j = A^0 + ... +
+A^(j-1) (F. Brown, "Random Number Generation with Arbitrary Strides",
+1994; M. O'Neill, "PCG", 2014).
 """
 
 from __future__ import annotations
@@ -75,6 +90,25 @@ class SampleStream:
         """
         return self.uniforms(max_size)
 
+    def at(self, positions) -> np.ndarray:
+        """The uniforms at absolute positions, in their shape; position stays.
+
+        Positions are ints from 0 to 2**63 - 2 in any order, repeats
+        allowed; the value at p is bit for bit the one uniforms gives at
+        position p.  Cost follows the values read: per value a 128-bit
+        multiply-add in numpy, plus a Python jump per 4,096-step anchor
+        the values fall in, never a draw of the positions between (see
+        blocksim.pcg).
+        """
+        from . import pcg  # imported on first use: runs that never call at skip it
+
+        if self._origin is None:
+            state = self._gen.bit_generator.state["state"]
+            self._origin = pcg.find_origin(state["state"], state["inc"], self.position)
+        return pcg.uniforms_at(self._origin, positions)
+
+    _origin = None  # set by the first at() call, from the state then
+
 
 class ScriptedStream:
     """Test double: replays a fixed sequence of uniform values.
@@ -104,6 +138,13 @@ class ScriptedStream:
 
     def seek(self, pos: int) -> None:
         self.position = pos
+
+    def at(self, positions) -> np.ndarray:
+        """The scripted values at absolute positions; position stays."""
+        p = np.asarray(positions, dtype=np.int64)
+        if p.size and (p.min() < 0 or p.max() >= len(self._values)):
+            raise IndexError(f"scripted stream holds positions 0 to {len(self._values) - 1}")
+        return self._values[p]
 
     def take_uniforms(self, max_size: int) -> np.ndarray:
         remaining = len(self._values) - self.position

@@ -78,16 +78,55 @@ def band_configs(draw):
 
 class TestArrivalBands:
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(band_configs(), st.sampled_from([40, matrix.BLOCK_VALUES]))
+    @given(band_configs(), st.sampled_from([40, matrix.BAND_CELLS]))
     # The band widens past m-1 here, from gathered cells to whole rows.
     @example(NetSimConfig(m=12, n=800, alpha=exponential(1.0),
                           beta=gamma(shape=0.5, mean=30.0), seed=5, record_series=True),
-             matrix.BLOCK_VALUES)
-    def test_widened_bands_agree_with_network(self, config, block_values):
-        # 40 values per row block make a run span many chunks of bands.
-        with mock.patch.multiple(matrix, BAND_WIDTH=1, BLOCK_VALUES=block_values):
+             matrix.BAND_CELLS)
+    def test_widened_bands_agree_with_network(self, config, band_cells):
+        # 40 arrivals per chunk make a run span many chunks of bands.
+        with mock.patch.multiple(matrix, BAND_WIDTH=1, BAND_CELLS=band_cells):
             mat = simulate_matrix(config, check_pruning=True)
         assert mat.height_series == simulate_network(config).height_series
+
+
+@st.composite
+def draw_mode_configs(draw):
+    """Configs from m=2 to 2,000, tie-rich constant/constant ones included."""
+    m = draw(st.one_of(st.integers(2, 40), st.integers(41, 2000)))
+    n = draw(st.integers(1, max(1, min(300, 60_000 // m))))
+    kind = draw(st.sampled_from(["exponential", "gamma", "constant"]))
+    if kind == "constant":
+        alpha = constant(float(draw(st.integers(1, 2))))
+        beta = constant(float(draw(st.integers(0, 4))))
+    else:
+        alpha = exponential(1.0)
+        ratio = 10 ** draw(st.floats(-2, 2))
+        beta = (exponential(ratio) if kind == "exponential" else
+                gamma(shape=draw(st.sampled_from([0.5, 2.0])), mean=ratio))
+    return NetSimConfig(m=m, n=n, alpha=alpha, beta=beta,
+                        seed=draw(st.integers(0, 2**32)), record_series=True)
+
+
+class TestDrawModes:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(draw_mode_configs(), st.booleans(), st.sampled_from([1, 8]))
+    @example(NetSimConfig(m=2000, n=30, alpha=exponential(1.0), beta=exponential(1.0),
+                          seed=1, record_series=True), True, 1)
+    @example(NetSimConfig(m=300, n=200, alpha=constant(1.0), beta=constant(3.0),
+                          seed=4, record_series=True), False, 1)
+    def test_reading_by_position_matches_bulk_rows(self, config, strict, band_width):
+        # BY_POSITION 1 reads every band narrower than a row by position;
+        # 2**62 reads none that way.
+        outs = []
+        for by_position in (1, 2**62):
+            with mock.patch.multiple(matrix, BY_POSITION=by_position, BAND_WIDTH=band_width):
+                out = simulate_matrix(config, check_pruning=True, strict_visibility=strict)
+            outs.append((out.height_series, out.stats["pairs_tested"],
+                         out.stats["delays_transformed"]))
+        assert outs[0] == outs[1]
+        if strict:
+            assert outs[0][0] == simulate_network(config).height_series
 
 
 class TestNetworkRowBlocks:

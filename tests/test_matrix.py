@@ -1,5 +1,6 @@
 from dataclasses import replace
 import hashlib
+import time
 import tracemalloc
 
 import numpy as np
@@ -123,12 +124,12 @@ class TestVisibility:
         assert stream.reads == [(0, 3)]
         assert delays.transformed == 3
 
-    @pytest.mark.parametrize("block_values", [2**16, 2])
-    def test_entries_follow_network_draw_order(self, monkeypatch, block_values):
+    @pytest.mark.parametrize("band_cells", [2**16, 2])
+    def test_entries_follow_network_draw_order(self, monkeypatch, band_cells):
         # Row i-1 holds block i's delays for recipients 0..m-1 skipping
         # the producer, in the order the network engine draws them; step
         # k's band holds t[i] + d(i, producer_k) at a[i - k].
-        monkeypatch.setattr(matrix, "BLOCK_VALUES", block_values)
+        monkeypatch.setattr(matrix, "BAND_CELLS", band_cells)
         m, producers, t = 3, [1, 0, 2, 1], [0.0, 0.5, 1.25, 2.0, 3.5]
         u = np.linspace(0.05, 0.95, len(producers) * (m - 1))
         flat = iter(sample_many(exponential(1.0), ScriptedStream(u), len(u)).tolist())
@@ -218,9 +219,9 @@ class TestScanVariants:
 class TestRowBlocks:
     @pytest.fixture
     def small_blocks(self, monkeypatch):
-        # Three new rows per chunk at m=5 and bands that start one arrival
+        # Chunks of at most three arrivals and bands that start one arrival
         # wide, so runs span many chunks and bands widen past the rows kept.
-        monkeypatch.setattr(matrix, "BLOCK_VALUES", 12)
+        monkeypatch.setattr(matrix, "BAND_CELLS", 3)
         monkeypatch.setattr(matrix, "BAND_WIDTH", 1)
 
     def test_match_network_with_refetches(self, small_blocks):
@@ -268,10 +269,33 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    @pytest.mark.parametrize("cells, block_values", [(7, 12), (1, 5), (2**14, 2**16)])
-    def test_check_across_chunks_and_row_blocks(self, monkeypatch, cells, block_values):
+    @pytest.mark.parametrize("m, n, limit", [(10**6, 10**3, 8 * 2**20), (2 * 10**7, 3, 2**20)],
+                             ids=["m1e6", "m2e7"])
+    def test_narrow_bands_read_by_position(self, m, n, limit):
+        # One row of the matrix is 8(m-1) bytes: 8 MB at m=10^6 and 160 MB
+        # at m=2*10^7, where a run that drew rows peaked at 191 MB.  Bands
+        # this narrow read their cells by position: no row is drawn, so the
+        # delay stream never moves, and time follows the cells read (the
+        # m=10^6 run took 58 s when it drew every row, under 0.5 s now).
+        config = base_config(m=m, n=n, beta=exponential(1.0), seed=1, record_series=False)
+        streams = StreamBundle.for_run(config.seed)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            out = simulate_matrix(config, streams)
+            seconds = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
+        assert streams.delay.position == 0
+        assert out.stats["delays_transformed"] <= 64 * (n - 1)
+        assert seconds < 20
+
+    @pytest.mark.parametrize("cells, band_cells", [(7, 12), (1, 5), (2**14, 2**16)])
+    def test_check_across_chunks_and_row_blocks(self, monkeypatch, cells, band_cells):
         monkeypatch.setattr(matrix, "CHECK_CELLS", cells)
-        monkeypatch.setattr(matrix, "BLOCK_VALUES", block_values)
+        monkeypatch.setattr(matrix, "BAND_CELLS", band_cells)
         for config in (base_config(n=120, beta=exponential(3.0), seed=2),
                        base_config(m=3, n=60, alpha=constant(1.0), beta=constant(2.0))):
             series = list(simulate_matrix(config, check_pruning=True).height_series)

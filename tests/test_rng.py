@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from blocksim.distributions import _transform, chi_squared, exponential, gamma, sample_many
 from blocksim.rng import (ROLE_DELAY, ROLE_PRODUCER, ROLE_PRODUCTION,
                           SampleStream, ScriptedStream, StreamBundle, mix64)
+
+# at() recomputes numpy's PCG64 outputs; a mismatch means numpy changed them.
+PCG64_CHANGED = f"numpy {np.__version__}'s PCG64 no longer gives the values at() computes"
 
 
 class TestMix64:
@@ -68,6 +72,69 @@ class TestSampleStream:
             assert s.position == pos + k
 
 
+class TestAt:
+    SEEDS = [(0, 0), (11, 3), (2024, ROLE_DELAY), (2**64 - 1, 7)]
+
+    @pytest.mark.parametrize("seed, stream_id", SEEDS)
+    def test_unsorted_and_repeated_positions(self, seed, stream_id):
+        whole = SampleStream(seed, stream_id).uniforms(50_000)
+        pos = np.random.default_rng(seed % 1000).integers(0, len(whole), 3000)
+        pos = np.concatenate((pos, pos[:100], [0, 0, len(whole) - 1]))
+        assert np.array_equal(SampleStream(seed, stream_id).at(pos), whole[pos]), PCG64_CHANGED
+
+    @pytest.mark.parametrize("seed, stream_id", SEEDS)
+    def test_both_sides_of_an_anchor(self, seed, stream_id):
+        # Anchors fall every 4,096 steps, and value p is p+1 steps on.
+        whole = SampleStream(seed, stream_id).uniforms(3 * 4096 + 8)
+        pos = [p for a in (4096, 2 * 4096, 3 * 4096) for p in range(a - 3, a + 3)]
+        # Alone, each position is a sparse read: one anchor jump per value.
+        s = SampleStream(seed, stream_id)
+        assert np.array_equal(s.at(pos), whole[pos]), PCG64_CHANGED
+        assert [s.at([p])[0] for p in pos] == whole[pos].tolist(), PCG64_CHANGED
+
+    @pytest.mark.parametrize("seed, stream_id", SEEDS)
+    def test_positions_above_2_to_the_32(self, seed, stream_id):
+        # Far more anchors apart than values: each value's anchor is jumped to.
+        pos = [2**62 + 12345, 2**32, 2**32 - 1, 3 * 2**40 + 17, 2**32, 2**32 + 4095]
+        want = []
+        for p in pos:
+            s = SampleStream(seed, stream_id)
+            s.seek(p)
+            want.append(s.uniforms(1)[0])
+        assert SampleStream(seed, stream_id).at(pos).tolist() == want, PCG64_CHANGED
+
+    @pytest.mark.parametrize("seed, stream_id", SEEDS)
+    def test_before_and_after_seek_and_draws(self, seed, stream_id):
+        whole = SampleStream(seed, stream_id).uniforms(20_000)
+        pos = np.array([[19_999, 0], [8191, 5], [4096, 12_000]])
+        s = SampleStream(seed, stream_id)
+        s.uniforms(7000)
+        assert np.array_equal(s.at(pos), whole[pos]), PCG64_CHANGED
+        assert s.position == 7000
+        assert np.array_equal(s.uniforms(5), whole[7000:7005])
+        s.seek(15_000)
+        assert np.array_equal(s.at(pos), whole[pos]), PCG64_CHANGED
+        assert s.position == 15_000
+        assert np.array_equal(s.uniforms(3), whole[15_000:15_003])
+        s.seek(2)
+        assert np.array_equal(s.at(pos[::-1]), whole[pos[::-1]]), PCG64_CHANGED
+        assert s.position == 2
+
+    def test_empty_and_negative(self):
+        s = SampleStream(5, 1)
+        assert s.at([]).shape == (0,)
+        with pytest.raises(ValueError):
+            s.at([3, -1])
+
+    @pytest.mark.parametrize("spec", [exponential(2.0), gamma(shape=0.5, mean=3.0),
+                                      chi_squared(3.0)], ids=["exp", "gamma", "chi2"])
+    def test_transform_of_at_equals_sample_many(self, spec):
+        values = sample_many(spec, SampleStream(77, ROLE_DELAY), 30_000)
+        pos = np.random.default_rng(3).integers(0, len(values), 2000)
+        got = _transform(spec, SampleStream(77, ROLE_DELAY).at(pos))
+        assert np.array_equal(got, values[pos]), PCG64_CHANGED
+
+
 class TestScriptedStream:
     def test_replays_values(self):
         s = ScriptedStream([0.1, 0.2, 0.3])
@@ -92,6 +159,16 @@ class TestScriptedStream:
         assert np.allclose(s.uniforms(1), [0.3])
         s.seek(0)
         assert np.allclose(s.uniforms(2), [0.1, 0.2])
+
+    def test_at_indexes_the_script(self):
+        s = ScriptedStream([0.1, 0.2, 0.3])
+        s.uniforms(1)
+        assert s.at([2, 0, 2]).tolist() == [0.3, 0.1, 0.3]
+        assert s.position == 1
+        with pytest.raises(IndexError):
+            s.at([1, 3])
+        with pytest.raises(IndexError):
+            s.at([-1])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
