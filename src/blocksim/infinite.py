@@ -22,7 +22,9 @@ delay-stream values that starts at 1,024 values and doubles up to
 full-block contract each step moves the buffer index past the draws its
 scan did not reach, and a refill seeks the stream to the first draw
 still wanted, so skipped draws past the buffer's end are never
-transformed.  The unpruned scan shares no code with it: it tests each
+transformed; the scan reads the draws it reaches straight from the
+transformed array, so the skipped ones are not converted to Python
+floats either.  The unpruned scan shares no code with it: it tests each
 step's pairs at once in numpy, so comparing the two checks the pruning.
 """
 
@@ -95,7 +97,7 @@ def _pruned_scan(beta: DistributionSpec, delay, t: list[float], align_draws: boo
     n = len(t)
     h = [1]
     z = [1]
-    delays: list[float] = []
+    delays: list[float] | memoryview = []
     j = 0  # index in delays of the draw for the next pair
     start = delay.position  # delay-stream position of delays[0]
     size = FIRST_BUFFER
@@ -120,7 +122,10 @@ def _pruned_scan(beta: DistributionSpec, delay, t: list[float], align_draws: boo
                 start += j
                 j = 0
                 delay.seek(start)
-                delays = sample_many(beta, delay, size).tolist()
+                delays = sample_many(beta, delay, size)
+                # An aligned run skips most of each refill, so it reads the
+                # draws it reaches from the array instead of converting all.
+                delays = memoryview(delays) if align_draws else delays.tolist()
                 size = min(2 * size, MAX_BUFFER)
         scanned += k - 1 - i
         if align_draws:

@@ -20,10 +20,12 @@ reaches the cumulative height maximum, after which no earlier block can
 improve it.  An arrival counts when it is below the step's limit, the
 creation time t[k]; the lenient fault hook (strict=False) raises the
 limit to the next double above t[k], so the pair test is one comparison
-either way.  check_pruning certifies the stop after the run with one
-vectorized full scan (visible_height_naive), which makes its own < or
-<= comparison: every step's height must equal the full scan of the
-run's own history.
+either way.  check_pruning certifies the stop after the run with a full
+scan (visible_height_naive) that sorts each chunk of rows' arrivals
+together with the steps they can reach and makes its own < or <=
+comparison through the sort's tie order: every step's height must equal
+the full scan of the run's own history.  It draws every row once, O(n*m)
+draws, and tests no pair one by one.
 """
 
 from __future__ import annotations
@@ -53,8 +55,9 @@ BAND_WIDTH, BAND_CELLS = 8, 2**14
 # 51 at W=32, m-1=256; 1116 and 136 at W=8, m-1=999.
 BY_POSITION = 6
 
-# Cells per chunk of the full-scan check, about 128 kB per chunk array.
-# Twice as many raised validate's peak RSS by 0.6 MB and ran no faster.
+# Cells per chunk of rows the full-scan check draws, about 128 kB; the
+# chunk's sort holds its rows' cells at the workers of the steps inside
+# its delay window, plus those steps, a few such arrays at a time.
 CHECK_CELLS = 2**14
 
 
@@ -149,33 +152,58 @@ def visible_height_naive(t, h, delays: DelayMatrix, strict: bool = True) -> None
 
     The full scan gives step k the height 1 + max(1, max{h[i] : 1 <= i < k,
     t[i] + d(i, producer_k) < t[k]}) from the run's own history, so a run
-    that passes took the full scan's value at every step.  A few matrix
-    rows at a time are drawn afresh, spread to worker order and tested
-    against every later step at once: memory stays at about CHECK_CELLS
-    cells, not n*m.
+    that passes took the full scan's value at every step.  It shares no
+    code with _pruned_scan.  Rows are drawn afresh, each once, about
+    CHECK_CELLS cells at a time; for each chunk of rows:
+    - the steps made after the chunk's last arrival see the whole chunk,
+      so they get its best height, spread with one running max at the end;
+    - the steps in between are merged with the chunk's arrivals at their
+      producers in one lexsort by worker, time and a tie key, and a
+      running max per worker gives each step the best height its
+      producer has seen.
+    The cost is O(n*m) draws plus a sort of each chunk's cells in the
+    columns of the steps inside its delay window, not O(n^2) pair tests.
     """
-    t, h = np.asarray(t), np.asarray(h)
+    t, h = np.asarray(t), np.asarray(h, dtype=np.int64)
     n, m = len(h), delays._width + 1
-    p, j = delays._p, np.arange(m)
-    step = max(1, CHECK_CELLS // max(n, m))
-    best = np.ones_like(h)
+    p = delays._p
+    step = max(1, CHECK_CELLS // m)
+    # late[k]: the best height of a chunk that every step from k on sees whole.
+    best, late = np.ones(n, dtype=np.int64), np.ones(n + 1, dtype=np.int64)
     for i0 in range(1, n, step):
         p_i = p[i0 - 1:i0 - 1 + step, None]
         i1 = i0 + len(p_i)
-        rows = delays.rows(i0 - 1, len(p_i)).reshape(len(p_i), m - 1)
         # A zero column appended at m-1 serves each producer's own entry.
-        arrival = np.pad(rows, ((0, 0), (0, 1)))[
-            np.arange(len(p_i))[:, None], np.where(j == p_i, m - 1, j - (j > p_i))]
-        arrival += t[i0:i1, None]
-        for k0 in range(i0 + 1, n, CHECK_CELLS):
-            k1 = min(n, k0 + CHECK_CELLS)
-            a = arrival[:, p[k0 - 1:k1 - 1]]
-            seen = (a < t[k0:k1]) if strict else (a <= t[k0:k1])
-            # Rows from k0 on hold the cells with i >= k, which never count.
-            c = max(i1 - k0, 0)
-            seen[k0 - i0:, :c] &= np.arange(k0, i1)[:, None] < np.arange(k0, k0 + c)
-            best[k0:k1] = np.maximum(best[k0:k1],
-                                     np.where(seen, h[i0:i1, None], 1).max(0, initial=1))
+        rows = np.pad(delays.rows(i0 - 1, len(p_i)).reshape(len(p_i), m - 1),
+                      ((0, 0), (0, 1)))
+        ti, hi = t[i0:i1], h[i0:i1]
+        last = (ti + rows.max(1)).max()
+        k1 = max(i1, int(np.searchsorted(t, last, "right" if strict else "left")))
+        late[k1] = max(late[k1], hi.max())
+        if k1 == i0 + 1:
+            continue
+        # Steps i0+1 .. k1-1, against the chunk's arrivals at their producers.
+        ks = np.arange(i0 + 1, k1)
+        workers, col = np.unique(p[i0:k1 - 1], return_inverse=True)
+        arrival = rows[np.arange(len(p_i))[:, None],
+                       np.where(workers == p_i, m - 1, workers - (workers > p_i))]
+        arrival += ti[:, None]
+        # Ties with t[k]: queries have tie key 2k, arrivals 2i+1 when lenient
+        # (seen by step k iff i < k) and 2n+1 when strict (never seen).
+        tie = 2 * np.arange(i0, i1) + 1 if not strict else np.full(len(hi), 2 * n + 1)
+        cells, w = arrival.size, len(workers)
+        order = np.lexsort((np.concatenate((np.repeat(tie, w), 2 * ks)),
+                            np.concatenate((arrival.ravel(), t[ks])),
+                            np.concatenate((np.tile(np.arange(w), len(hi)), col))))
+        # The worker in the high 32 bits keeps each worker's running max apart.
+        key = np.concatenate((np.add.outer(hi, np.arange(w) << 32).ravel(),
+                              col.astype(np.int64) << 32))
+        seen = np.maximum.accumulate(key[order])
+        q = np.flatnonzero(order >= cells)
+        found = np.empty(len(ks), dtype=np.int64)
+        found[order[q] - cells] = seen[q] & 0xFFFFFFFF
+        best[ks] = np.maximum(best[ks], found)
+    best = np.maximum(best, np.maximum.accumulate(late[:n]))
     bad = np.flatnonzero(best[1:] + 1 != h[1:])
     if bad.size:
         k = bad[0] + 1

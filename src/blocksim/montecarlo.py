@@ -332,7 +332,21 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
 
 
 def two_sample_ks(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov distance between outcome batches."""
-    from scipy.stats import ks_2samp
+    """Two-sample Kolmogorov-Smirnov distance between outcome batches.
 
-    return float(ks_2samp(np.asarray(a), np.asarray(b)).statistic)
+    The statistic of scipy.stats.ks_2samp, computed the same way without
+    importing scipy.stats: the largest gap between the two empirical CDFs
+    at the pooled sample points, which in ks_2samp's exact mode (both
+    batches at most 10,000 values) is rounded to a multiple of
+    1/lcm(n1, n2).
+    """
+    a, b = np.sort(a), np.sort(b)
+    n1, n2 = len(a), len(b)
+    x = np.concatenate((a, b))
+    diff = np.searchsorted(a, x, "right") / n1 - np.searchsorted(b, x, "right") / n2
+    below, above = np.clip(-diff.min(), 0, 1), diff.max()
+    d = below if below > above else above
+    if max(n1, n2) <= 10_000:
+        lcm = n1 // math.gcd(n1, n2) * n2
+        d = round(d * lcm) / lcm
+    return float(d)

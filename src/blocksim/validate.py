@@ -3,8 +3,8 @@
 Three suites, runnable from the CLI: exact agreement of the event-driven
 and delay-matrix engines under shared seeds, exact agreement of the
 pruned visibility scans with full scans on every step (for the matrix
-engine one vectorized check per run, for the unbounded engine an
-unpruned run of the same draws), and the analytic bound on the gap
+engine one sort-and-merge full scan per finished run, for the unbounded
+engine an unpruned run of the same draws), and the analytic bound on the gap
 between a delay-matrix entry's mixture CDF and the delay CDF.
 
 The equivalence suite mixes continuous configs with tie-rich ones

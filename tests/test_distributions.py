@@ -227,14 +227,30 @@ class TestCdfs:
 
 
 class TestImportCost:
-    def test_cli_import_leaves_scipy_unloaded(self):
-        # scipy.special serves only the gamma kinds, and its import takes
-        # about as long as the rest of the CLI's.
+    def scipy_modules(self, script):
+        """Lines script prints in a fresh interpreter, then the scipy modules loaded."""
         src = str(Path(blocksim.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        script = "import sys, blocksim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        script += "\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.strip().splitlines()
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy.special serves only the gamma kinds, and its import takes
+        # about as long as the rest of the CLI's.
+        assert self.scipy_modules("import sys, blocksim.cli") == ["[]"]
+
+    def test_pdf_histogram_leaves_scipy_unloaded(self, tmp_path):
+        # The KS distance is computed in numpy: scipy.stats alone takes
+        # about a second to import.
+        out = tmp_path / "table.csv"
+        script = ("import sys\nfrom blocksim.cli import main\n"
+                  "main(['experiment', '--kind', 'pdf_histogram', '--alpha', 'exp:1',"
+                  " '--beta', 'exp:0.5', '--n', '50', '--reps', '20', '--m', '5',"
+                  f" '--out', {str(out)!r}], standalone_mode=False)")
+        *printed, loaded = self.scipy_modules(script)
+        assert printed[0].startswith("ks_distance=")
+        assert loaded == "[]"

@@ -5,7 +5,9 @@ generated small configs, tie-rich constant/constant ones included, and
 requires identical height series.  The check tests hold the whole-run
 full-scan checks of both scanning engines to reference series, and
 require each injected fault to be reported at the first block it
-changes.  The CLI tests feed generated config files and manifests to
+changes; the matrix engine's check must also give the same verdict as a
+per-pair full scan written here, strict and lenient, on series with one
+height off by one or none.  The CLI tests feed generated config files and manifests to
 ``simulate``, ``experiment`` and ``replay``:
 every run must end with exit 0, or with exit 2 and a one-line message,
 never with a traceback; and every valid config file must give a manifest
@@ -22,6 +24,7 @@ from unittest import mock
 
 from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+import numpy as np
 import pytest
 
 from blocksim import __version__, matrix, network
@@ -246,6 +249,59 @@ class TestFullScanCheck:
             assert k is not None
         with mock.patch.object(matrix, "_pruned_scan", lenient):
             caught_at(lambda: simulate_matrix(config, check_pruning=True), k)
+
+
+@st.composite
+def check_cases(draw):
+    """A run's config, its visibility rule, and at most one height bumped by 1."""
+    m = draw(st.one_of(st.integers(1, 40), st.integers(41, 3000)))
+    kind = draw(st.sampled_from(["exponential", "gamma", "constant"]))
+    if kind == "constant":
+        alpha = constant(float(draw(st.integers(1, 2))))
+        beta = constant(float(draw(st.integers(0, 4))))
+    else:
+        alpha = exponential(1.0)
+        ratio = 10 ** draw(st.floats(-2, 2))
+        beta = (exponential(ratio) if kind == "exponential" else
+                gamma(shape=draw(st.sampled_from([0.5, 2.0])), mean=ratio))
+    config = NetSimConfig(m=m, n=draw(st.integers(1, 700)), alpha=alpha, beta=beta,
+                          seed=draw(st.integers(0, 2**32)), record_series=True)
+    strict = draw(st.booleans())
+    series = list(simulate_matrix(config, strict_visibility=strict).height_series)
+    if config.n > 1 and draw(st.booleans()):
+        series[draw(st.integers(1, config.n - 1))] += draw(st.sampled_from([-1, 1]))
+    return config, strict, series
+
+
+def per_pair_check(config, series, strict):
+    """The full scan of the definition: every step against every earlier block."""
+    streams = StreamBundle.for_run(config.seed)
+    t, producers = draw_schedule(config, streams)
+    rows = DelayMatrix(config.beta, streams.delay, producers, config.m, t).rows(
+        0, config.n - 1).reshape(config.n - 1, config.m - 1)
+    # d[i-1, j] is block i's delay to worker j, 0 at its own producer.
+    d = np.array([np.insert(row, p, 0.0) for row, p in zip(rows, producers)])
+    h = np.asarray(series)
+    for k in range(1, config.n):
+        arrival = t[1:k] + d[:k - 1, producers[k - 1]]
+        seen = arrival < t[k] if strict else arrival <= t[k]
+        best = h[1:k][seen].max(initial=1)
+        if h[k] != best + 1:
+            return f"scan mismatch at block {k}: {h[k]} != {best + 1}"
+    return None
+
+
+class TestSortMergeCheck:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(check_cases())
+    def test_agrees_with_per_pair_scan(self, case):
+        config, strict, series = case
+        try:
+            matrix_check(config, series, strict)
+            message = None
+        except InvariantError as exc:
+            message = str(exc)
+        assert message == per_pair_check(config, series, strict)
 
 
 # Values a hand-edited file may hold where the program expects another

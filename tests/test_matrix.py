@@ -318,6 +318,41 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert peak < 6 * 2**20
 
+    @pytest.mark.parametrize("cells", [5, matrix.CHECK_CELLS])
+    def test_check_draws_each_row_once(self, monkeypatch, cells):
+        monkeypatch.setattr(matrix, "CHECK_CELLS", cells)
+        drawn = []
+        rows = DelayMatrix.rows
+
+        def counted(self, first, count):
+            drawn.append(count)
+            return rows(self, first, count)
+
+        monkeypatch.setattr(DelayMatrix, "rows", counted)
+        for config in (base_config(m=1, n=300), base_config(m=40, n=500, beta=exponential(100.0)),
+                       base_config(m=3, n=60, alpha=constant(1.0), beta=constant(2.0))):
+            drawn.clear()
+            simulate_matrix(config, check_pruning=True)
+            assert sum(drawn) == config.n - 1
+
+    def test_check_scales_past_quadratic(self):
+        # A pair-by-pair full scan tests about n^2/2 = 5*10^9 pairs here
+        # and takes minutes; the sorted merge takes well under a second.
+        config = base_config(m=3, n=10**5, beta=exponential(10.0), seed=1)
+        series = list(simulate_matrix(config).height_series)
+        t, delays = run_inputs(config)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            visible_height_naive(t, series, delays)
+            seconds = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # About 5 arrays of n values and one chunk of CHECK_CELLS cells.
+        assert peak < 8 * 2**20
+        assert seconds < 20
+
 
 class TestBands:
     # Mean scan window, height and series digest (first 16 hex digits of

@@ -1,5 +1,7 @@
 from concurrent.futures import ProcessPoolExecutor
+import warnings
 
+import numpy as np
 import pytest
 
 from blocksim import montecarlo
@@ -349,3 +351,20 @@ class TestKs:
 
     def test_disjoint_samples(self):
         assert two_sample_ks([0.0, 0.1], [0.8, 0.9]) == 1.0
+
+    def test_matches_scipy_statistic(self):
+        # Tie-rich samples on coarse grids, and sizes past ks_2samp's
+        # exact-mode limit of 10,000 every fiftieth pair.
+        from scipy.stats import ks_2samp
+
+        rng = np.random.default_rng(11)
+        for i in range(300):
+            top = 12_001 if i % 50 == 0 else 400
+            n1, n2 = (int(v) for v in rng.integers(1, top, size=2))
+            grid = int(rng.integers(1, 40))
+            a = np.round(rng.exponential(1.0, n1) * grid) / grid
+            b = np.round(rng.exponential(rng.uniform(0.8, 1.2), n2) * grid) / grid
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = float(ks_2samp(a, b).statistic)
+            assert two_sample_ks(a.tolist(), b) == want
