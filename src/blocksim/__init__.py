@@ -11,8 +11,7 @@ blocks, experiment drivers, and a CLI.
 
 __version__ = "0.1.0"
 
-from .blocktree import (BlockTree, WorkerPositions, classify, export_tree, height,
-                        proportion_valid, tree_from_json, tree_to_dot, tree_to_json)
+from .blocktree import BlockTree, classify, export_tree, tree_to_dot, tree_to_json
 from .distributions import (DistributionSpec, chi_squared, constant, exponential,
                             gamma, mixture_cdf, parse_spec, sample_many,
                             sup_gap_bound, with_mean)

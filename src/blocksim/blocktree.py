@@ -1,10 +1,10 @@
-"""Global blockchain data model: rooted block tree plus derived metrics.
+"""Global blockchain data model: the rooted block tree, its export, and
+the regime label of a delay/production ratio.
 
 Blocks are numbered in creation order; block 0 is the unique origin.
 The tree is stored as a parent array (block k attaches to parent[k] < k),
-which keeps a tree of n blocks in O(n) memory, plus an O(m) map of worker
-positions.  All metrics treat height as a node count: the origin-only
-tree has height 1.
+which keeps a tree of n blocks in O(n) memory.  Height is a node count:
+the origin-only tree has height 1.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ CHAOTIC_ABOVE = 100.0
 
 @dataclass(frozen=True)
 class BlockTree:
-    """Rooted tree of blocks in creation order.
+    """Rooted tree of blocks in creation order, checked when built.
 
     parents[i] is the parent of block i+1 (the origin has none).
     times[k] is block k's absolute creation time; strictly increasing.
     producers[i] is the worker that produced block i+1; None for runs
-    where workers are not tracked.
+    where workers are not tracked.  tree_to_json writes these three
+    fields, so ``BlockTree(**json.loads(text))`` reads a tree back.
     """
 
     parents: tuple[int, ...]
@@ -59,40 +60,6 @@ class BlockTree:
     def n_blocks(self) -> int:
         return len(self.times)
 
-    def parent_of(self, k: int) -> int:
-        if k == 0:
-            raise ValueError("the origin has no parent")
-        return self.parents[k - 1]
-
-    def depths(self) -> list[int]:
-        """Node-count depth of every block; depth of the origin is 1."""
-        d = [1] * self.n_blocks
-        for k in range(1, self.n_blocks):
-            d[k] = d[self.parents[k - 1]] + 1
-        return d
-
-
-@dataclass(frozen=True)
-class WorkerPositions:
-    """Map from worker index to the block id at its local tip."""
-
-    positions: tuple[int, ...]
-
-    def validate_against(self, tree: BlockTree) -> None:
-        for w, b in enumerate(self.positions):
-            if not (0 <= b < tree.n_blocks):
-                raise ValueError(f"worker {w} positioned at unknown block {b}")
-
-
-def height(tree: BlockTree) -> int:
-    """Blocks on the longest root-to-leaf path, origin included."""
-    return max(tree.depths())
-
-
-def proportion_valid(tree: BlockTree) -> float:
-    """Longest-branch length over total block count; 1.0 iff no forks."""
-    return height(tree) / tree.n_blocks
-
 
 def classify(alpha_mean: float, beta_mean: float) -> str:
     """Regime label from the delay/production mean ratio.
@@ -113,7 +80,7 @@ def classify(alpha_mean: float, beta_mean: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Export / import
+# Export
 
 
 def tree_to_json(tree: BlockTree) -> str:
@@ -125,21 +92,11 @@ def tree_to_json(tree: BlockTree) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
-def tree_from_json(text: str) -> BlockTree:
-    doc = json.loads(text)
-    producers = doc.get("producers")
-    return BlockTree(
-        parents=tuple(doc["parents"]),
-        times=tuple(doc["times"]),
-        producers=tuple(producers) if producers is not None else None,
-    )
-
-
 def tree_to_dot(tree: BlockTree) -> str:
     """DOT digraph with one edge child -> parent per non-origin block."""
     lines = ["digraph blocktree {"]
     for k in range(1, tree.n_blocks):
-        lines.append(f"  {k} -> {tree.parent_of(k)};")
+        lines.append(f"  {k} -> {tree.parents[k - 1]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -31,7 +31,8 @@ from .blocktree import classify, export_tree
 from .distributions import DistributionSpec, parse_spec, spec_from_dict
 from .errors import ConfigError
 from .infinite import InfSimConfig, simulate_infinite
-from .manifest import SCHEMA_VERSION, RunManifest, load_manifest, sha256_file, write_manifest
+from .manifest import (SCHEMA_VERSION, RunManifest, load_manifest, sha256_file, write_manifest,
+                       write_text)
 from .matrix import simulate_matrix
 from .montecarlo import ExperimentPlan, default_ratio_grid, run_experiment
 from .network import NetSimConfig, simulate_network
@@ -211,8 +212,7 @@ def _guard(fn):
 
 
 def _write_bytes(path: Path, data: str) -> str:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(data)
+    write_text(path, data, make_parents=True)
     return sha256_file(path)
 
 

@@ -11,7 +11,8 @@ the underlying stream, for every kind, via the inverse-CDF transform.
 That keeps streams alignable between engines and makes draw counts
 predictable (position advances by exactly the number of values drawn).
 Draws from the continuous kinds are clamped to the smallest positive
-double so production times are strictly increasing.
+double; creation_times, through which all three engines draw their
+times, makes creation times strictly increasing.
 """
 
 from __future__ import annotations
@@ -212,6 +213,25 @@ def _gamma_shape(spec: DistributionSpec) -> float:
 def sample_many(spec: DistributionSpec, stream, size: int) -> np.ndarray:
     """Draw `size` values, consuming exactly `size` uniforms."""
     return _transform(spec, stream.uniforms(size))
+
+
+def creation_times(spec: DistributionSpec, stream, n: int) -> np.ndarray:
+    """Creation times of n blocks from n-1 production draws, origin's 0.0 first.
+
+    The cumulative sum adds in sequence, so t holds the same bits as a
+    running ``now += draw``.  Where a draw is too small to move the sum,
+    the running sum is redone with each time at least the next double
+    above the one before, so t is strictly increasing.
+    """
+    draws = sample_many(spec, stream, n - 1)
+    t = np.concatenate(([0.0], np.cumsum(draws)))
+    if np.any(t[1:] <= t[:-1]):
+        now, times = 0.0, [0.0]
+        for a in draws.tolist():
+            now = max(now + a, math.nextafter(now, math.inf))
+            times.append(now)
+        t = np.array(times)
+    return t
 
 
 class BufferedSampler:

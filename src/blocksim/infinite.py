@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionSpec, require_production_role, sample_many
+from .distributions import (DistributionSpec, creation_times, require_production_role,
+                            sample_many)
 from .network import SimOutcome, check_count
 from .rng import StreamBundle
 
@@ -63,7 +64,8 @@ def simulate_infinite(config: InfSimConfig, streams: StreamBundle | None = None,
                       *, align_draws: bool = False) -> SimOutcome:
     """Run the unbounded-worker engine and return the resulting outcome.
 
-    Production times come from the production substream, visibility
+    Creation times come from the production substream through
+    creation_times, as in the bounded engines, and visibility
     draws from the delay substream; the producer substream is unused
     since producers are all distinct by assumption.
     """
@@ -71,8 +73,7 @@ def simulate_infinite(config: InfSimConfig, streams: StreamBundle | None = None,
         streams = StreamBundle.for_run(config.seed)
     n = config.n
 
-    alphas = sample_many(config.alpha, streams.production, n - 1)
-    t = np.concatenate(([0.0], np.cumsum(alphas)))
+    t = creation_times(config.alpha, streams.production, n)
     full_block = (n - 1) * (n - 2) // 2
     if config.use_pruning:
         h, final, scanned = _pruned_scan(config.beta, streams.delay, t.tolist(), align_draws)

@@ -40,9 +40,19 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def write_text(path, data: str, make_parents: bool = False) -> None:
+    """Write ``data`` to ``path``; a path that cannot be written raises ConfigError."""
+    path = Path(path)
+    try:
+        if make_parents:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def write_manifest(manifest: RunManifest, path) -> None:
-    Path(path).write_text(
-        json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
 
 
 def load_manifest(path) -> RunManifest:

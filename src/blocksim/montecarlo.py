@@ -1,13 +1,13 @@
 """Replication harness and the experiment drivers built on it.
 
-run_replications executes a named engine R times on independent substreams
-and aggregates the proportion estimates; run_replication_sets does the
-same for a batch of such sets over at most one process pool, and every
-experiment driver makes one call to it.  The three experiment drivers
-produce plot-ready tables: convergence of the bounded engine toward the
-unbounded one as the worker count grows, efficiency of the chain as a
-function of the delay/production mean ratio, and paired outcome
-histograms for the bounded and unbounded engines.
+run_replication_sets runs a batch of replication sets, each a named
+engine run R times on independent substreams, over at most one process
+pool, and aggregates each set's proportion estimates; every experiment
+makes one call to it.  run_replications is its one-set form.  Three
+experiments give plot-ready tables: convergence of the bounded engine
+toward the unbounded one as the worker count grows, efficiency of the
+chain as a function of the delay/production mean ratio, and paired
+outcome histograms for the bounded and unbounded engines.
 
 Seeding is two-level: replication r of a unit that was handed
 ``base_seed`` runs with seed mix64(base_seed, r), and each experiment
@@ -125,12 +125,12 @@ def run_replication_sets(sets, jobs: int = 1) -> list[McEstimate]:
     """Run several replication sets and aggregate each one.
 
     sets is a sequence of (engine, config, replications, base_seed);
-    each set is what run_replications takes and yields one McEstimate,
-    in order.  With jobs > 1 every (set, replication) pair of the whole
-    batch is spread over one process pool of at most ``jobs`` workers,
-    so an experiment starts at most one pool.  Results are reduced in
-    replication order, so the estimates are deterministic regardless of
-    ``jobs``.
+    each yields one McEstimate, in order.  Replication r of a set runs
+    engine, a name from ENGINES, with seed mix64(base_seed, r).  With
+    jobs > 1 every (set, replication) pair of the whole batch is spread
+    over one process pool of at most ``jobs`` workers, so an experiment
+    starts at most one pool.  Results are reduced in replication order,
+    so the estimates are deterministic regardless of ``jobs``.
     """
     if jobs < 1:
         raise ConfigError(f"job count must be >= 1, got {jobs}")

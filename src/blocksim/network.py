@@ -11,12 +11,13 @@ strictly before its creation time; a message arriving exactly at the
 creation instant is not yet visible.
 
 Production times and producers are drawn in bulk up front, so every
-creation time is known before the first delivery.  Delays are drawn in
-blocks of rows, one row of m-1 per block.  Each message waits under the
-row block it arrives in; a row block's messages are stably sorted by
-arrival from send order (block, then recipient) and cut at each block's
-creation time.  A message carries only the announced block; its height,
-all the adoption rule compares, is read when it applies.
+creation time is known before the first delivery; creation_times makes
+the times strictly increasing.  Delays are drawn in blocks of rows, one
+row of m-1 per block.  Each message waits under the row block it
+arrives in; a row block's messages are stably sorted by arrival from
+send order (block, then recipient) and cut at each block's creation
+time.  A message carries only the announced block; its height, all
+the adoption rule compares, is read when it applies.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocktree import BlockTree, WorkerPositions, height, proportion_valid
-from .distributions import DistributionSpec, require_production_role, sample_many
+from .blocktree import BlockTree
+from .distributions import (DistributionSpec, creation_times, require_production_role,
+                            sample_many)
 from .errors import ConfigError, InvariantError
 from .rng import StreamBundle
 
@@ -78,8 +80,9 @@ class SimOutcome:
 
     proportion is final height over total block count, origin included
     in both.  tree and height_series are present only when the run was
-    asked to record them; positions only for the engine that tracks
-    individual workers.
+    asked to record them; positions, the block at each worker's tip
+    when the run ends, only for the engine that tracks individual
+    workers.
     """
 
     proportion: float
@@ -87,7 +90,7 @@ class SimOutcome:
     n: int
     tree: BlockTree | None = None
     height_series: tuple[int, ...] | None = None
-    positions: WorkerPositions | None = None
+    positions: tuple[int, ...] | None = None
     seed_echo: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
 
@@ -101,13 +104,11 @@ def draw_schedule(config: NetSimConfig, streams: StreamBundle):
     """Creation times and producers of every block, drawn in bulk.
 
     Returns ``(t, producers)`` as numpy arrays: t[k] is block k's
-    creation time with the origin's 0.0 first, producers[k-1] the worker
-    that made block k.  The cumulative sum adds in sequence, so t holds
-    the same bits as a running ``now += draw``.
+    creation time with the origin's 0.0 first (strictly increasing, see
+    creation_times), producers[k-1] the worker that made block k.
     """
     m, n = config.m, config.n
-    alphas = sample_many(config.alpha, streams.production, n - 1)
-    t = np.concatenate(([0.0], np.cumsum(alphas)))
+    t = creation_times(config.alpha, streams.production, n)
     producer_u = streams.producer.uniforms(n - 1)
     producers = np.minimum((producer_u * m).astype(np.int64), m - 1)
     return t, producers
@@ -143,8 +144,7 @@ def _file_by_arrival(due, ends, arrivals, ids):
     return 0
 
 
-def simulate_network(config: NetSimConfig, streams: StreamBundle | None = None,
-                     *, check_invariants: bool = False) -> SimOutcome:
+def simulate_network(config: NetSimConfig, streams: StreamBundle | None = None) -> SimOutcome:
     """Run the event-driven engine and return the resulting outcome.
 
     ``streams`` overrides the bundle derived from ``config.seed``; tests
@@ -155,9 +155,6 @@ def simulate_network(config: NetSimConfig, streams: StreamBundle | None = None,
     sequences.  Before creating block k the engine hands
     ``delivery_sweep`` every message not yet delivered that arrives
     strictly before t[k], in (arrival, block, recipient) order.
-
-    With ``check_invariants`` the final worker state is cross-checked
-    against metrics recomputed from the tree alone.
     """
     if streams is None:
         streams = StreamBundle.for_run(config.seed)
@@ -211,34 +208,14 @@ def simulate_network(config: NetSimConfig, streams: StreamBundle | None = None,
     if config.record_tree:
         tree = BlockTree(parents=tuple(parents), times=tuple(t.tolist()),
                          producers=tuple(producers))
-    outcome = SimOutcome(
+    return SimOutcome(
         proportion=best_height / n,
         height=best_height,
         n=n,
         tree=tree,
         height_series=tuple(heights) if config.record_series else None,
-        positions=WorkerPositions(tuple(tip_block)),
+        positions=tuple(tip_block),
         seed_echo=streams.seed_echo(),
         stats={"messages_sent": (n - 1) * (m - 1),
                "undelivered": undelivered},
     )
-    if check_invariants:
-        _check_outcome(outcome, tip_height, m, n)
-    return outcome
-
-
-def _check_outcome(outcome: SimOutcome, tip_height, m, n):
-    tree = outcome.tree
-    if tree is None:
-        raise ValueError("invariant checks need record_tree")
-    if tree.n_blocks != n:
-        raise InvariantError(f"tree holds {tree.n_blocks} blocks, expected {n}")
-    outcome.positions.validate_against(tree)
-    depths = tree.depths()
-    for w in range(m):
-        tip = tip_height[w]
-        if tip != depths[outcome.positions.positions[w]] or tip > outcome.height:
-            raise InvariantError(f"worker {w}: tip height {tip} disagrees with "
-                                 "its tree depth or exceeds the chain height")
-    if outcome.height != height(tree) or outcome.proportion != proportion_valid(tree):
-        raise InvariantError("outcome height or proportion disagrees with the tree")

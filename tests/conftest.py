@@ -5,6 +5,18 @@ import pytest
 from blocksim import montecarlo
 
 
+def checked(out):
+    """``out``, a network run with its series recorded, after checking the
+    series against the tree: the origin is at height 1, every block's
+    height is its parent's plus one, and the highest is the outcome's.
+    """
+    series = out.height_series
+    assert series[0] == 1
+    assert all(series[k] == series[p] + 1 for k, p in enumerate(out.tree.parents, 1))
+    assert max(series) == out.height
+    return out
+
+
 @pytest.fixture
 def cpus(monkeypatch):
     """Set the CPUs this process may use, as montecarlo sees them."""

@@ -1,10 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blocksim.blocktree import (BlockTree, WorkerPositions, classify, export_tree,
-                                height, proportion_valid, tree_from_json, tree_to_dot,
-                                tree_to_json)
+from blocksim.blocktree import BlockTree, classify, export_tree, tree_to_dot, tree_to_json
 from blocksim.errors import ConfigError
 
 
@@ -48,37 +48,6 @@ class TestValidation:
             BlockTree(parents=(0, 0), times=(0.0, 1.0))
         with pytest.raises(ValueError):
             BlockTree(parents=(0,), times=(0.0, 1.0), producers=(1, 2))
-
-    def test_origin_has_no_parent(self):
-        with pytest.raises(ValueError):
-            chain(3).parent_of(0)
-
-    def test_worker_positions(self):
-        t = chain(3)
-        WorkerPositions((0, 2)).validate_against(t)
-        with pytest.raises(ValueError):
-            WorkerPositions((5,)).validate_against(t)
-
-
-class TestHeightAndProportion:
-    def test_origin_only_height_1(self):
-        assert height(BlockTree(parents=(), times=(0.0,))) == 1
-
-    def test_two_branch_tree(self):
-        t = two_branch_seven()
-        assert height(t) == 4
-        assert proportion_valid(t) == pytest.approx(4 / 7)
-
-    def test_pure_chain(self):
-        assert height(chain(100)) == 100
-        assert proportion_valid(chain(100)) == 1.0
-
-    def test_proportion_one_iff_path(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            t = random_tree(rng, int(rng.integers(2, 40)))
-            is_path = t.parents == tuple(range(t.n_blocks - 1))
-            assert (proportion_valid(t) == 1.0) == is_path
 
 
 class TestClassify:
@@ -129,7 +98,7 @@ class TestExport:
         rng = np.random.default_rng(8)
         for _ in range(100):
             t = random_tree(rng, int(rng.integers(1, 80)))
-            assert tree_from_json(tree_to_json(t)) == t
+            assert BlockTree(**json.loads(tree_to_json(t))) == t
 
     @settings(max_examples=50)
     @given(st.data())
@@ -142,4 +111,4 @@ class TestExport:
             min_size=n - 1, max_size=n - 1))
         times = (0.0, *np.cumsum(gaps))
         t = BlockTree(parents=parents, times=tuple(float(x) for x in times))
-        assert tree_from_json(tree_to_json(t)) == t
+        assert BlockTree(**json.loads(tree_to_json(t))) == t

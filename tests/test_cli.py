@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from blocksim import __version__, network
-from blocksim.blocktree import tree_from_json
+from blocksim.blocktree import BlockTree
 from blocksim.cli import main
 from blocksim.distributions import exponential
 from blocksim.manifest import SCHEMA_VERSION, load_manifest
@@ -74,10 +74,24 @@ class TestSimulate:
             "--tree-out", str(tmp_path / "tree.json"), "--tree-format", "json",
             "--series-out", str(tmp_path / "series.json")))
         assert result.exit_code == 0, result.output
-        tree = tree_from_json((tmp_path / "tree.json").read_text())
+        tree = BlockTree(**json.loads((tmp_path / "tree.json").read_text()))
         assert tree.n_blocks == 50
         series = json.loads((tmp_path / "series.json").read_text())
         assert len(series["height_series"]) == 50
+
+    def test_tree_with_tied_production_draws(self, runner, tmp_path):
+        # Gamma production of shape 0.05 draws values below half an ulp of
+        # the time so far; creation times must still increase strictly,
+        # as the tree requires.
+        result = runner.invoke(main, [
+            "simulate", "--engine", "network", "--alpha", "gamma:1:0.05",
+            "--beta", "exp:1", "--m", "3", "--n", "2000",
+            "--out", str(tmp_path / "o.json"),
+            "--tree-out", str(tmp_path / "t.json"), "--tree-format", "json"])
+        assert result.exit_code == 0, result.output
+        times = json.loads((tmp_path / "t.json").read_text())["times"]
+        assert len(times) == 2000
+        assert all(a < b for a, b in zip(times, times[1:]))
 
     def test_dot_tree_output(self, runner, tmp_path):
         runner.invoke(main, simulate_args(
@@ -150,6 +164,26 @@ class TestSimulateErrors:
         assert result.output == f"error: {message}\n"
         assert not out.exists()
         assert not Path(f"{out}.manifest.json").exists()
+
+    @pytest.mark.parametrize("args, target", [
+        (["simulate", "--engine", "matrix", "--m", "3", "--out", "{dir}"], "{dir}"),
+        (["simulate", "--engine", "network", "--m", "3", "--out", "{dir}/o.json",
+          "--series-out", "{dir}"], "{dir}"),
+        (["simulate", "--engine", "infinite", "--out", "{dir}/o.json",
+          "--manifest", "{dir}/missing/dir/m.json"], "{dir}/missing/dir/m.json"),
+        (["experiment", "--kind", "single", "--reps", "2", "--out", "{dir}"], "{dir}"),
+    ], ids=["simulate-out", "series-out", "manifest", "experiment-out"])
+    def test_unwritable_output_exits_2(self, runner, tmp_path, args, target):
+        # A directory where a file should go, or a manifest in a directory
+        # that does not exist: exit 2 with one error line, not a traceback.
+        # The manifest case prints its result before the manifest write.
+        result = runner.invoke(main, [a.format(dir=tmp_path) for a in args]
+                               + ["--alpha", ALPHA, "--beta", BETA, "--n", "20"])
+        assert result.exit_code == 2
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert errors == [result.output.splitlines()[-1]]
+        assert errors[0].startswith(f"error: cannot write {target.format(dir=tmp_path)}: ")
+        assert "Traceback" not in result.output
 
 
 class TestConfigResolution:

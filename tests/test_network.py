@@ -6,11 +6,12 @@ import tracemalloc
 import pytest
 
 from blocksim import network
-from blocksim.blocktree import export_tree, height, proportion_valid
+from blocksim.blocktree import export_tree
 from blocksim.distributions import constant, exponential, gamma
 from blocksim.errors import ConfigError, InvariantError
 from blocksim.network import NetSimConfig, SimOutcome, delivery_sweep, simulate_network
 from blocksim.rng import ScriptedStream, StreamBundle
+from conftest import checked
 
 
 def scripted_bundle(production, producer, delay):
@@ -42,7 +43,7 @@ def record_sweeps(monkeypatch, config, streams):
         delivery_sweep(recipients, blocks, *state)
 
     monkeypatch.setattr(network, "delivery_sweep", record)
-    return simulate_network(config, streams, check_invariants=True), calls
+    return checked(simulate_network(replace(config, record_series=True), streams)), calls
 
 
 class TestDeliverySweep:
@@ -161,7 +162,7 @@ class TestHandTrace:
         streams = scripted_bundle([0.5] * (n - 1),
                                   [0.0, 0.5, 0.0, 0.5][: n - 1],
                                   [0.5] * (n - 1))
-        return simulate_network(config, streams, check_invariants=True)
+        return checked(simulate_network(config, streams))
 
     def test_five_block_trace(self):
         out = self.run_trace(5)
@@ -171,7 +172,7 @@ class TestHandTrace:
         assert out.tree.producers == (0, 1, 0, 1)
         assert out.tree.times == (0.0, 1.0, 2.0, 3.0, 4.0)
         assert out.height_series == (1, 2, 2, 3, 3)
-        assert out.positions.positions == (3, 4)
+        assert out.positions == (3, 4)
 
     def test_trace_prefixes(self):
         assert self.run_trace(2).height == 2
@@ -185,14 +186,14 @@ class TestHandTrace:
 
 class TestTrivialRegimes:
     def test_single_worker_is_pure_chain(self):
-        out = simulate_network(base_config(m=1, n=50), check_invariants=True)
+        out = checked(simulate_network(base_config(m=1, n=50, record_series=True)))
         assert out.proportion == 1.0
         assert out.tree.parents == tuple(range(49))
         assert out.stats["messages_sent"] == 0
 
     def test_zero_delay_is_pure_chain(self):
-        out = simulate_network(base_config(beta=constant(0.0), n=100),
-                               check_invariants=True)
+        out = checked(simulate_network(base_config(beta=constant(0.0), n=100,
+                                                   record_series=True)))
         assert out.proportion == 1.0
         assert out.tree.parents == tuple(range(99))
 
@@ -205,17 +206,33 @@ class TestTrivialRegimes:
 class TestOutcome:
     def test_invariants_and_stats(self):
         config = base_config(record_series=True)
-        out = simulate_network(config, check_invariants=True)
+        out = checked(simulate_network(config))
         assert out.tree.n_blocks == config.n
         assert out.stats["messages_sent"] == (config.n - 1) * (config.m - 1)
         assert 0 <= out.stats["undelivered"] <= out.stats["messages_sent"]
         assert len(out.height_series) == config.n
-        assert out.height == height(out.tree)
-        assert out.proportion == proportion_valid(out.tree)
+        assert out.proportion == out.height / config.n
 
     def test_height_series_matches_tree_depths(self):
+        # Depths from the parent array alone, origin at depth 1.
         out = simulate_network(base_config(record_series=True))
-        assert list(out.height_series) == out.tree.depths()
+        depths = [1]
+        for p in out.tree.parents:
+            depths.append(depths[p] + 1)
+        assert list(out.height_series) == depths
+
+    def test_worker_positions(self):
+        # Each worker ends at a block of the tree no lower than the last
+        # block it made; the maker of the last block ends at it.
+        config = base_config(record_series=True)
+        out = simulate_network(config)
+        series, producers = out.height_series, out.tree.producers
+        last_made = {w: k for k, w in enumerate(producers, 1)}
+        assert len(out.positions) == config.m
+        for w, b in enumerate(out.positions):
+            assert 0 <= b < config.n
+            assert series[b] >= series[last_made.get(w, 0)]
+        assert out.positions[producers[-1]] == config.n - 1
 
     def test_record_tree_off(self):
         out = simulate_network(base_config(record_tree=False))
@@ -316,11 +333,11 @@ class TestPinned:
                                   "chaotic", "const-zero"])
     def test_outputs_unchanged(self, params, tree, series, positions, stats):
         m, n, alpha, beta, seed = params
-        out = simulate_network(NetSimConfig(m=m, n=n, alpha=alpha, beta=beta, seed=seed,
-                                            record_series=True), check_invariants=True)
+        out = checked(simulate_network(NetSimConfig(m=m, n=n, alpha=alpha, beta=beta,
+                                                    seed=seed, record_series=True)))
         assert sha256(export_tree(out.tree, "json")) == tree
         assert sha256(json.dumps(out.height_series)) == series
-        assert sha256(json.dumps(out.positions.positions)) == positions
+        assert sha256(json.dumps(out.positions)) == positions
         assert out.stats == stats
 
     def test_draws_one_delay_per_message(self):
