@@ -27,26 +27,25 @@ class BlockTree:
 
     parents[i] is the parent of block i+1 (the origin has none).
     times[k] is block k's absolute creation time; strictly increasing.
-    producers[i] is the worker that produced block i+1; None for runs
-    where workers are not tracked.  tree_to_json writes these three
-    fields, so ``BlockTree(**json.loads(text))`` reads a tree back.
+    producers[i] is the worker that produced block i+1.  tree_to_json
+    writes these three fields, so ``BlockTree(**json.loads(text))``
+    reads a tree back.
     """
 
     parents: tuple[int, ...]
     times: tuple[float, ...]
-    producers: tuple[int, ...] | None = None
+    producers: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple(int(p) for p in self.parents))
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        if self.producers is not None:
-            object.__setattr__(self, "producers", tuple(int(w) for w in self.producers))
+        object.__setattr__(self, "producers", tuple(int(w) for w in self.producers))
         n = len(self.times)
         if n < 1:
             raise ValueError("a tree has at least the origin block")
         if len(self.parents) != n - 1:
             raise ValueError("parents must cover blocks 1..n-1")
-        if self.producers is not None and len(self.producers) != n - 1:
+        if len(self.producers) != n - 1:
             raise ValueError("producers must cover blocks 1..n-1")
         if self.times[0] != 0.0:
             raise ValueError("origin creation time must be 0")
@@ -86,7 +85,7 @@ def classify(alpha_mean: float, beta_mean: float) -> str:
 def tree_to_json(tree: BlockTree) -> str:
     doc = {
         "parents": list(tree.parents),
-        "producers": list(tree.producers) if tree.producers is not None else None,
+        "producers": list(tree.producers),
         "times": list(tree.times),
     }
     return json.dumps(doc, separators=(",", ":"))

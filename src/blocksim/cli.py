@@ -30,15 +30,14 @@ from . import __version__
 from .blocktree import classify, export_tree
 from .distributions import DistributionSpec, parse_spec, spec_from_dict
 from .errors import ConfigError
-from .infinite import InfSimConfig, simulate_infinite
-from .manifest import (SCHEMA_VERSION, RunManifest, load_manifest, sha256_file, write_manifest,
-                       write_text)
-from .matrix import simulate_matrix
-from .montecarlo import ExperimentPlan, default_ratio_grid, run_experiment
-from .network import NetSimConfig, simulate_network
+from .infinite import InfSimConfig
+from .manifest import (SCHEMA_VERSION, RunManifest, check_writable, load_manifest, sha256_file,
+                       write_manifest, write_text)
+from .montecarlo import ENGINES, ExperimentPlan, default_ratio_grid, run_experiment
+from .network import NetSimConfig
 from .validate import run_validation
 
-_ENGINE_CHOICES = ("network", "matrix", "infinite")
+_ENGINE_CHOICES = tuple(ENGINES)
 _TREE_FORMATS = ("dot", "json")
 _KIND_ALIASES = {
     "convergence": "convergence",
@@ -211,6 +210,17 @@ def _guard(fn):
 # Core runners, shared between the direct commands and replay
 
 
+def _check_targets(outputs, manifest=None) -> None:
+    """Fail before anything runs or prints if a target cannot be written."""
+    outputs = [p for p in outputs if p is not None]
+    for path in outputs:
+        check_writable(path, make_parents=True)
+    if manifest is not None:
+        # Written without making directories, after the outputs' writes made theirs.
+        made = {d for p in outputs for d in Path(p).resolve().parents}
+        check_writable(manifest, make_parents=Path(manifest).resolve().parent in made)
+
+
 def _write_bytes(path: Path, data: str) -> str:
     write_text(path, data, make_parents=True)
     return sha256_file(path)
@@ -226,7 +236,6 @@ def run_simulate(fields: dict, tree_format: str | None, out_paths: dict):
     engine, n, seed = fields["engine"], fields["n"], fields["seed"]
     alpha, beta = fields["alpha"], fields["beta"]
     want_tree = out_paths.get("tree") is not None
-    want_series = out_paths.get("series") is not None
 
     if want_tree and engine != "network":
         raise ConfigError("--tree-out needs the network engine; "
@@ -235,30 +244,24 @@ def run_simulate(fields: dict, tree_format: str | None, out_paths: dict):
         raise ConfigError(f"unsupported tree format {tree_format!r} (use dot or json)")
 
     if engine == "infinite":
-        outcome = simulate_infinite(InfSimConfig(
-            n=n, alpha=alpha, beta=beta, seed=seed, record_series=want_series))
+        cfg = InfSimConfig(n=n, alpha=alpha, beta=beta, seed=seed)
     else:
         if fields["m"] is None:
             raise ConfigError(f"the {engine} engine needs a worker count --m")
         cfg = NetSimConfig(m=fields["m"], n=n, alpha=alpha, beta=beta, seed=seed,
-                           record_tree=want_tree, record_series=want_series)
-        outcome = (simulate_network if engine == "network" else simulate_matrix)(cfg)
+                           record_tree=want_tree)
+    outcome = ENGINES[engine](cfg)
 
-    digests = {}
     doc = {"engine": engine, "n": n, "seed": seed,
            "p_n": outcome.proportion, "height": outcome.height}
-    out = Path(out_paths["outcome"])
-    digests[out.name] = _write_bytes(out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-    if want_tree:
-        tree_path = Path(out_paths["tree"])
-        digests[tree_path.name] = _write_bytes(tree_path,
-                                               export_tree(outcome.tree, tree_format))
-    if want_series:
-        series_path = Path(out_paths["series"])
-        digests[series_path.name] = _write_bytes(
-            series_path,
-            json.dumps({"height_series": list(outcome.height_series)}) + "\n")
+    render = {"outcome": lambda: json.dumps(doc, sort_keys=True, indent=2) + "\n",
+              "tree": lambda: export_tree(outcome.tree, tree_format),
+              "series": lambda: json.dumps({"height_series": list(outcome.height_series)}) + "\n"}
+    digests = {}
+    for role, text in render.items():
+        if out_paths.get(role) is not None:
+            path = Path(out_paths[role])
+            digests[path.name] = _write_bytes(path, text())
     return outcome, digests
 
 
@@ -341,19 +344,17 @@ def simulate(**flags):
     started = time.perf_counter()
     fields = _resolve_fields("simulate", flags, _load_config_file(flags["config_path"]))
     alpha, beta = fields["alpha"], fields["beta"]
-    out_path, tree_out, series_out = flags["out_path"], flags["tree_out"], flags["series_out"]
+    out_paths = {"outcome": flags["out_path"], "tree": flags["tree_out"],
+                 "series": flags["series_out"]}
     params = {
         **fields,
         "alpha": alpha.to_dict(),
         "beta": beta.to_dict(),
         "tree_format": flags["tree_format"],
-        "output_names": {
-            "outcome": Path(out_path).name,
-            "tree": Path(tree_out).name if tree_out else None,
-            "series": Path(series_out).name if series_out else None,
-        },
+        "output_names": {role: Path(p).name if p else None for role, p in out_paths.items()},
     }
-    out_paths = {"outcome": out_path, "tree": tree_out, "series": series_out}
+    manifest_path = flags["manifest_path"] or flags["out_path"] + ".manifest.json"
+    _check_targets(out_paths.values(), manifest_path)
     outcome, digests = run_simulate(fields, flags["tree_format"], out_paths)
 
     click.echo(f"p_n={outcome.proportion:.6f} height={outcome.height} n={fields['n']} "
@@ -361,10 +362,8 @@ def simulate(**flags):
     click.echo(f"regime={classify(alpha.mean, beta.mean)} "
                f"(delay/production ratio {beta.mean / alpha.mean:g})")
 
-    _finish_with_manifest(
-        "simulate", params, fields["seed"], digests,
-        flags["manifest_path"] or out_path + ".manifest.json",
-        outcome.seed_echo, started)
+    _finish_with_manifest("simulate", params, fields["seed"], digests, manifest_path,
+                          outcome.seed_echo, started)
 
 
 @main.command()
@@ -399,10 +398,11 @@ def experiment(**flags):
     params = {**fields, "alpha": fields["alpha"].to_dict(), "beta": fields["beta"].to_dict(),
               "output_names": {"table": Path(out_path).name}}
     params["replications"] = params.pop("reps")
+    manifest_path = flags["manifest_path"] or out_path + ".manifest.json"
+    _check_targets([out_path], manifest_path)
     digests = run_experiment_files(fields, {"table": out_path})
     click.echo(f"wrote {out_path} ({len(digests)} file)")
-    _finish_with_manifest("experiment", params, fields["seed"], digests,
-                          flags["manifest_path"] or out_path + ".manifest.json",
+    _finish_with_manifest("experiment", params, fields["seed"], digests, manifest_path,
                           None, started)
 
 
@@ -448,14 +448,13 @@ def replay(manifest_file, out_dir, check):
     # The table's reps field is recorded as replications.
     source = {**params, "reps": params.get("replications")}
     fields = _resolve_fields(manifest.command, {"seed": manifest.base_seed}, source)
+    names = _output_names(params, ("outcome",) if manifest.command == "simulate" else ("table",))
+    out_paths = {role: (out_dir / name if name else None) for role, name in names.items()}
+    _check_targets(out_paths.values())
     if manifest.command == "simulate":
-        names = _output_names(params, ("outcome",))
-        out_paths = {role: (out_dir / name if name else None)
-                     for role, name in names.items()}
         _, digests = run_simulate(fields, params.get("tree_format"), out_paths)
     else:
-        names = _output_names(params, ("table",))
-        digests = run_experiment_files(fields, {"table": out_dir / names["table"]})
+        digests = run_experiment_files(fields, out_paths)
 
     if not check:
         click.echo(f"re-created {len(digests)} file(s) in {out_dir}")

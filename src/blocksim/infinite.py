@@ -53,7 +53,6 @@ class InfSimConfig:
     beta: DistributionSpec
     seed: int
     use_pruning: bool = True
-    record_series: bool = False
 
     def __post_init__(self):
         check_count("block count n", self.n)
@@ -82,10 +81,9 @@ def simulate_infinite(config: InfSimConfig, streams: StreamBundle | None = None,
     consumed = full_block if align_draws or not config.use_pruning else scanned
 
     return SimOutcome(
-        proportion=final / n,
         height=final,
         n=n,
-        height_series=tuple(h) if config.record_series else None,
+        height_series=tuple(h),
         seed_echo=streams.seed_echo(),
         stats={"mean_scan_window": scanned / (n - 1) if n > 1 else 0.0,
                "pairs_tested": scanned,

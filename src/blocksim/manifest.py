@@ -9,8 +9,10 @@ reproduce the digests bit for bit; the replay command automates that.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -49,6 +51,17 @@ def write_text(path, data: str, make_parents: bool = False) -> None:
         path.write_text(data)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def check_writable(path, make_parents: bool = False) -> None:
+    """Raise the ConfigError write_text would raise for ``path``, writing nothing."""
+    path = Path(path)
+    # The directory that must exist: write_text makes an output's missing ones.
+    parent = next((p for p in path.parents if p.exists() or not make_parents), path.parent)
+    code = (errno.EISDIR if path.is_dir() else None if parent.is_dir()
+            else errno.ENOTDIR if parent.exists() else errno.ENOENT)
+    if code:
+        raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def write_manifest(manifest: RunManifest, path) -> None:

@@ -280,10 +280,9 @@ def simulate_matrix(config: NetSimConfig, streams: StreamBundle | None = None,
         visible_height_naive(t, h, delays, strict_visibility)
 
     return SimOutcome(
-        proportion=final / n,
         height=final,
         n=n,
-        height_series=tuple(h) if config.record_series else None,
+        height_series=tuple(h),
         seed_echo=streams.seed_echo(),
         stats={"mean_scan_window": scanned / (n - 1) if n > 1 else 0.0,
                "pairs_tested": scanned,

@@ -30,7 +30,7 @@ import numpy as np
 from .blocktree import BlockTree
 from .distributions import (DistributionSpec, creation_times, require_production_role,
                             sample_many)
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError
 from .rng import StreamBundle
 
 # Delay values per row block, of max(1, ROW_VALUES // (m-1)) rows.  2**16
@@ -56,8 +56,7 @@ class NetSimConfig:
     """Run parameters for the bounded-worker engines.
 
     n counts every block including the origin, so n=1 produces nothing.
-    record_tree keeps parent/producer/time records for the full tree;
-    record_series keeps the per-block height sequence.
+    record_tree keeps parent/producer/time records for the full tree.
     """
 
     m: int
@@ -66,7 +65,6 @@ class NetSimConfig:
     beta: DistributionSpec
     seed: int
     record_tree: bool = True
-    record_series: bool = False
 
     def __post_init__(self):
         check_count("worker count m", self.m)
@@ -76,28 +74,26 @@ class NetSimConfig:
 
 @dataclass(frozen=True)
 class SimOutcome:
-    """Result of one simulated run.
+    """Result of one simulated run, the same record from every engine.
 
-    proportion is final height over total block count, origin included
-    in both.  tree and height_series are present only when the run was
-    asked to record them; positions, the block at each worker's tip
-    when the run ends, only for the engine that tracks individual
-    workers.
+    height is the highest block's height and height_series[k] block k's,
+    origin included.  tree is present only when the run was asked to
+    record it; positions, the block at each worker's tip when the run
+    ends, only for the engine that tracks individual workers.
     """
 
-    proportion: float
     height: int
     n: int
+    height_series: tuple[int, ...]
     tree: BlockTree | None = None
-    height_series: tuple[int, ...] | None = None
     positions: tuple[int, ...] | None = None
     seed_echo: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.height * 1.0 / self.n != self.proportion:
-            raise InvariantError(
-                f"proportion {self.proportion!r} is not height/n = {self.height}/{self.n}")
+    @property
+    def proportion(self) -> float:
+        """p_n: final height over total block count, origin included in both."""
+        return self.height / self.n
 
 
 def draw_schedule(config: NetSimConfig, streams: StreamBundle):
@@ -203,17 +199,13 @@ def simulate_network(config: NetSimConfig, streams: StreamBundle | None = None) 
             tip_block[w] = block
             tip_height[w] = h
 
-    best_height = max(heights)
-    tree = None
-    if config.record_tree:
-        tree = BlockTree(parents=tuple(parents), times=tuple(t.tolist()),
-                         producers=tuple(producers))
+    tree = (BlockTree(parents=parents, times=t.tolist(), producers=producers)
+            if config.record_tree else None)
     return SimOutcome(
-        proportion=best_height / n,
-        height=best_height,
+        height=max(heights),
         n=n,
+        height_series=tuple(heights),
         tree=tree,
-        height_series=tuple(heights) if config.record_series else None,
         positions=tuple(tip_block),
         seed_echo=streams.seed_echo(),
         stats={"messages_sent": (n - 1) * (m - 1),

@@ -124,8 +124,7 @@ def check_pruning(base_seed: int = 0, runs: int = 50,
                            beta=exponential(ratio), seed=mix64(base_seed, 7000 + i),
                            record_tree=False)
         inf_cfg = InfSimConfig(n=min(n, 600), alpha=exponential(1.0),
-                               beta=exponential(ratio), seed=mix64(base_seed, 8000 + i),
-                               record_series=True)
+                               beta=exponential(ratio), seed=mix64(base_seed, 8000 + i))
         run = f"run {i} (m={m}, n={n}, ratio={ratio:g})"
         try:
             simulate_matrix(cfg, check_pruning=True)

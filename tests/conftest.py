@@ -6,9 +6,10 @@ from blocksim import montecarlo
 
 
 def checked(out):
-    """``out``, a network run with its series recorded, after checking the
-    series against the tree: the origin is at height 1, every block's
-    height is its parent's plus one, and the highest is the outcome's.
+    """``out``, a network run with its tree recorded, after checking its
+    height series against the tree: the origin is at height 1, every
+    block's height is its parent's plus one, and the highest is the
+    outcome's.
     """
     series = out.height_series
     assert series[0] == 1

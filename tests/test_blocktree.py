@@ -9,43 +9,45 @@ from blocksim.errors import ConfigError
 
 
 def chain(n):
-    return BlockTree(parents=tuple(range(n - 1)), times=tuple(float(i) for i in range(n)))
+    return BlockTree(parents=tuple(range(n - 1)), times=tuple(float(i) for i in range(n)),
+                     producers=(0,) * (n - 1))
 
 
 def two_branch_seven():
     # Two competing branches off the origin: 0<-1<-5 and 0<-2<-3<-6,
     # with 4 hanging off 2.  Longest branch 0,2,3,6.
     return BlockTree(parents=(0, 0, 2, 2, 1, 3),
-                     times=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+                     times=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+                     producers=(0, 1, 1, 1, 0, 1))
 
 
 def random_tree(rng, n):
     parents = tuple(int(rng.integers(0, k)) for k in range(1, n))
     times = tuple(np.cumsum(np.concatenate(([0.0], rng.random(n - 1) + 1e-3))))
-    producers = tuple(int(w) for w in rng.integers(0, 5, size=n - 1)) if rng.random() < 0.5 else None
+    producers = tuple(int(w) for w in rng.integers(0, 5, size=n - 1))
     return BlockTree(parents=parents, times=times, producers=producers)
 
 
 class TestValidation:
     def test_origin_only(self):
-        t = BlockTree(parents=(), times=(0.0,))
+        t = BlockTree(parents=(), times=(0.0,), producers=())
         assert t.n_blocks == 1
 
     def test_parent_must_precede(self):
         with pytest.raises(ValueError):
-            BlockTree(parents=(1,), times=(0.0, 1.0))
+            BlockTree(parents=(1,), times=(0.0, 1.0), producers=(0,))
 
     def test_times_strictly_increasing(self):
         with pytest.raises(ValueError):
-            BlockTree(parents=(0,), times=(0.0, 0.0))
+            BlockTree(parents=(0,), times=(0.0, 0.0), producers=(0,))
 
     def test_origin_time_zero(self):
         with pytest.raises(ValueError):
-            BlockTree(parents=(), times=(1.0,))
+            BlockTree(parents=(), times=(1.0,), producers=())
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            BlockTree(parents=(0, 0), times=(0.0, 1.0))
+            BlockTree(parents=(0, 0), times=(0.0, 1.0), producers=(0,))
         with pytest.raises(ValueError):
             BlockTree(parents=(0,), times=(0.0, 1.0), producers=(1, 2))
 
@@ -78,10 +80,6 @@ class TestExport:
         t = BlockTree(parents=(), times=(0.0,), producers=())
         assert tree_to_json(t) == '{"parents":[],"producers":[],"times":[0.0]}'
 
-    def test_json_null_producers(self):
-        t = BlockTree(parents=(), times=(0.0,))
-        assert tree_to_json(t) == '{"parents":[],"producers":null,"times":[0.0]}'
-
     def test_two_block_dot_edge(self):
         assert "1 -> 0" in tree_to_dot(chain(2))
 
@@ -110,5 +108,6 @@ class TestExport:
             st.floats(min_value=0.001, max_value=10.0, allow_nan=False),
             min_size=n - 1, max_size=n - 1))
         times = (0.0, *np.cumsum(gaps))
-        t = BlockTree(parents=parents, times=tuple(float(x) for x in times))
+        producers = tuple(data.draw(st.integers(min_value=0, max_value=9)) for _ in parents)
+        t = BlockTree(parents=parents, times=tuple(float(x) for x in times), producers=producers)
         assert BlockTree(**json.loads(tree_to_json(t))) == t

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from blocksim import __version__, network
+from blocksim import __version__, montecarlo, network
 from blocksim.blocktree import BlockTree
 from blocksim.cli import main
 from blocksim.distributions import exponential
@@ -175,15 +175,61 @@ class TestSimulateErrors:
     ], ids=["simulate-out", "series-out", "manifest", "experiment-out"])
     def test_unwritable_output_exits_2(self, runner, tmp_path, args, target):
         # A directory where a file should go, or a manifest in a directory
-        # that does not exist: exit 2 with one error line, not a traceback.
-        # The manifest case prints its result before the manifest write.
+        # that does not exist: every target is checked before the run, so
+        # the command prints one error line and writes nothing.
         result = runner.invoke(main, [a.format(dir=tmp_path) for a in args]
                                + ["--alpha", ALPHA, "--beta", BETA, "--n", "20"])
         assert result.exit_code == 2
-        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
-        assert errors == [result.output.splitlines()[-1]]
-        assert errors[0].startswith(f"error: cannot write {target.format(dir=tmp_path)}: ")
-        assert "Traceback" not in result.output
+        [line] = result.output.splitlines()
+        assert line.startswith(f"error: cannot write {target.format(dir=tmp_path)}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args, written", [
+        (["simulate", "--m", "3", "--out", "new/o.json"], ["new/o.json", "new/o.json.manifest.json"]),
+        (["simulate", "--m", "3", "--out", "new/o.json", "--manifest", "new/m.json"],
+         ["new/m.json", "new/o.json"]),
+        (["simulate", "--m", "3", "--out", "new/sub/o.json", "--manifest", "new/m.json"],
+         ["new/m.json", "new/sub/o.json"]),
+        (["simulate", "--m", "3", "--out", "o.json", "--series-out", "new/s.json",
+          "--manifest", "new/m.json"], ["new/m.json", "new/s.json", "o.json"]),
+        (["experiment", "--kind", "single", "--reps", "2", "--out", "new/t.csv"],
+         ["new/t.csv", "new/t.csv.manifest.json"]),
+    ], ids=["simulate", "manifest-beside", "manifest-above", "series-dir", "experiment"])
+    def test_output_in_a_new_directory(self, runner, tmp_path, monkeypatch, args, written):
+        # Writing an output makes its directories, so a manifest going into
+        # one of them is writable though the directory does not exist yet.
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, [*args, "--alpha", ALPHA, "--beta", BETA, "--n", "20"])
+        assert result.exit_code == 0, result.output
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+                      if p.is_file()) == written
+
+    def test_manifest_beside_a_new_output_directory_exits_2(self, runner, tmp_path):
+        # The output makes new/, not other/: the manifest is still refused.
+        result = runner.invoke(main, simulate_args(tmp_path, "--manifest",
+                                                   str(tmp_path / "other" / "m.json"),
+                                                   out="new/o.json"))
+        assert result.exit_code == 2
+        assert result.output == (f"error: cannot write {tmp_path}/other/m.json: "
+                                 "No such file or directory\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_under_a_file_exits_2(self, runner, tmp_path):
+        (tmp_path / "f").write_text("")
+        result = runner.invoke(main, simulate_args(tmp_path, out="f/sub/o.json"))
+        assert result.exit_code == 2
+        assert result.output == f"error: cannot write {tmp_path}/f/sub/o.json: Not a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
+    def test_unwritable_table_runs_no_replication(self, runner, tmp_path, monkeypatch):
+        def engine(config):
+            raise AssertionError("a replication ran")
+        monkeypatch.setitem(montecarlo.ENGINES, "infinite", engine)
+        result = runner.invoke(main, ["experiment", "--kind", "single", "--reps", "2",
+                                      "--alpha", ALPHA, "--beta", BETA, "--n", "20",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error: cannot write {tmp_path}: ")
 
 
 class TestConfigResolution:
@@ -722,6 +768,16 @@ class TestReplay:
         assert result.exit_code == 2
         assert result.output == "error: unsupported tree format 'svg' (use dot or json)\n"
         assert written == []
+
+    def test_out_dir_that_is_a_file_exits_2(self, runner, tmp_path):
+        runner.invoke(main, simulate_args(tmp_path, "--seed", "2"))
+        out_dir = tmp_path / "file"
+        out_dir.write_text("")
+        result = runner.invoke(main, ["replay", str(tmp_path / "outcome.json.manifest.json"),
+                                      "--out-dir", str(out_dir)])
+        assert result.exit_code == 2
+        assert result.output == f"error: cannot write {out_dir}/outcome.json: Not a directory\n"
+        assert out_dir.read_text() == ""
 
     def test_tampered_manifest_fails(self, runner, tmp_path):
         runner.invoke(main, simulate_args(tmp_path, "--seed", "2"))

@@ -59,7 +59,7 @@ def engine_configs(draw):
     else:
         alpha = exponential(1.0)
         beta = exponential(draw(st.sampled_from([0.01, 0.5, 1.0, 4.0])))
-    return NetSimConfig(m=m, n=n, alpha=alpha, beta=beta, seed=seed, record_series=True)
+    return NetSimConfig(m=m, n=n, alpha=alpha, beta=beta, seed=seed)
 
 
 class TestEngineEquivalence:
@@ -68,7 +68,7 @@ class TestEngineEquivalence:
     # Gamma production of shape 0.05: 78 of these 399 draws are below
     # half an ulp of the time so far.
     @example(NetSimConfig(m=3, n=400, alpha=gamma(shape=0.05, mean=1.0),
-                          beta=exponential(1.0), seed=0, record_series=True))
+                          beta=exponential(1.0), seed=0))
     def test_network_and_matrix_height_series_agree(self, config):
         net = checked(simulate_network(config))
         mat = simulate_matrix(config, check_pruning=True)
@@ -83,7 +83,7 @@ def band_configs(draw):
             gamma(shape=draw(st.sampled_from([0.5, 2.0])), mean=ratio))
     return NetSimConfig(m=draw(st.integers(2, 40)), n=draw(st.integers(1, 400)),
                         alpha=exponential(1.0), beta=beta,
-                        seed=draw(st.integers(0, 2**32)), record_series=True)
+                        seed=draw(st.integers(0, 2**32)))
 
 
 class TestArrivalBands:
@@ -91,7 +91,7 @@ class TestArrivalBands:
     @given(band_configs(), st.sampled_from([40, matrix.BAND_CELLS]))
     # The band widens past m-1 here, from gathered cells to whole rows.
     @example(NetSimConfig(m=12, n=800, alpha=exponential(1.0),
-                          beta=gamma(shape=0.5, mean=30.0), seed=5, record_series=True),
+                          beta=gamma(shape=0.5, mean=30.0), seed=5),
              matrix.BAND_CELLS)
     def test_widened_bands_agree_with_network(self, config, band_cells):
         # 40 arrivals per chunk make a run span many chunks of bands.
@@ -115,16 +115,16 @@ def draw_mode_configs(draw):
         beta = (exponential(ratio) if kind == "exponential" else
                 gamma(shape=draw(st.sampled_from([0.5, 2.0])), mean=ratio))
     return NetSimConfig(m=m, n=n, alpha=alpha, beta=beta,
-                        seed=draw(st.integers(0, 2**32)), record_series=True)
+                        seed=draw(st.integers(0, 2**32)))
 
 
 class TestDrawModes:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(draw_mode_configs(), st.booleans(), st.sampled_from([1, 8]))
     @example(NetSimConfig(m=2000, n=30, alpha=exponential(1.0), beta=exponential(1.0),
-                          seed=1, record_series=True), True, 1)
+                          seed=1), True, 1)
     @example(NetSimConfig(m=300, n=200, alpha=constant(1.0), beta=constant(3.0),
-                          seed=4, record_series=True), False, 1)
+                          seed=4), False, 1)
     def test_reading_by_position_matches_bulk_rows(self, config, strict, band_width):
         # BY_POSITION 1 reads every band narrower than a row by position;
         # 2**62 reads none that way.
@@ -143,10 +143,10 @@ class TestNetworkRowBlocks:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.one_of(engine_configs(), band_configs()))
     @example(NetSimConfig(m=1, n=300, alpha=exponential(1.0), beta=exponential(1.0),
-                          seed=3, record_series=True))
+                          seed=3))
     # Messages outlive many row blocks at every size.
     @example(NetSimConfig(m=30, n=400, alpha=exponential(1.0), beta=exponential(50.0),
-                          seed=19, record_series=True))
+                          seed=19))
     def test_row_block_size_does_not_change_outputs(self, config):
         # One block per row block, a few, and the default: messages wait
         # in flight across row block boundaries at different places.
@@ -159,10 +159,9 @@ class TestNetworkRowBlocks:
 
 
 CHECK_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
-TIE_CONFIG = NetSimConfig(m=3, n=60, alpha=constant(1.0), beta=constant(2.0), seed=9,
-                          record_series=True)
+TIE_CONFIG = NetSimConfig(m=3, n=60, alpha=constant(1.0), beta=constant(2.0), seed=9)
 SHIFT_CONFIG = NetSimConfig(m=2, n=150, alpha=exponential(1.0), beta=exponential(1.0),
-                            seed=5, record_series=True)
+                            seed=5)
 
 
 def matrix_check(config, series, strict=True):
@@ -175,7 +174,7 @@ def matrix_check(config, series, strict=True):
 
 def unbounded(config, **overrides):
     return InfSimConfig(n=config.n, alpha=config.alpha, beta=config.beta,
-                        seed=config.seed, record_series=True, **overrides)
+                        seed=config.seed, **overrides)
 
 
 def first_difference(a, b):
@@ -272,7 +271,7 @@ def check_cases(draw):
         beta = (exponential(ratio) if kind == "exponential" else
                 gamma(shape=draw(st.sampled_from([0.5, 2.0])), mean=ratio))
     config = NetSimConfig(m=m, n=draw(st.integers(1, 700)), alpha=alpha, beta=beta,
-                          seed=draw(st.integers(0, 2**32)), record_series=True)
+                          seed=draw(st.integers(0, 2**32)))
     strict = draw(st.booleans())
     series = list(simulate_matrix(config, strict_visibility=strict).height_series)
     if config.n > 1 and draw(st.booleans()):

@@ -12,7 +12,7 @@ from blocksim.rng import StreamBundle
 
 def base_config(**overrides):
     params = dict(n=300, alpha=exponential(1.0), beta=exponential(0.1),
-                  seed=21, record_series=True)
+                  seed=21)
     params.update(overrides)
     return InfSimConfig(**params)
 

@@ -23,7 +23,7 @@ def scripted_bundle(production, producer, delay):
 
 def base_config(**overrides):
     params = dict(m=5, n=200, alpha=exponential(1.0), beta=exponential(0.1),
-                  seed=42, record_tree=False, record_series=True)
+                  seed=42, record_tree=False)
     params.update(overrides)
     return NetSimConfig(**params)
 
@@ -151,7 +151,7 @@ class TestVisibility:
 class TestHandTrace:
     def run_trace(self):
         config = NetSimConfig(m=2, n=5, alpha=constant(1.0), beta=constant(1.5),
-                              seed=0, record_series=True)
+                              seed=0)
         streams = scripted_bundle([0.5] * 4, [0.0, 0.5, 0.0, 0.5], [0.5] * 4)
         return config, streams
 
@@ -259,8 +259,7 @@ class TestRowBlocks:
     def test_memory_bounded_by_blocks(self):
         # The whole matrix at m=1000, n=4000 holds about 4 million delays:
         # 32 MB as float64, and a traced peak near 150 MB as Python lists.
-        config = base_config(m=1000, n=4000, beta=exponential(1.0), seed=1,
-                             record_series=False)
+        config = base_config(m=1000, n=4000, beta=exponential(1.0), seed=1)
         tracemalloc.start()
         try:
             simulate_matrix(config)
@@ -277,7 +276,7 @@ class TestRowBlocks:
         # this narrow read their cells by position: no row is drawn, so the
         # delay stream never moves, and time follows the cells read (the
         # m=10^6 run took 58 s when it drew every row, under 0.5 s now).
-        config = base_config(m=m, n=n, beta=exponential(1.0), seed=1, record_series=False)
+        config = base_config(m=m, n=n, beta=exponential(1.0), seed=1)
         streams = StreamBundle.for_run(config.seed)
         tracemalloc.start()
         try:
@@ -308,8 +307,7 @@ class TestRowBlocks:
     def test_check_memory_bounded(self):
         # The check reads every entry of the matrix, one row block and one
         # chunk at a time; the whole matrix would take 8 MB as float64.
-        config = base_config(m=1000, n=1000, beta=exponential(1.0), seed=1,
-                             record_series=False)
+        config = base_config(m=1000, n=1000, beta=exponential(1.0), seed=1)
         tracemalloc.start()
         try:
             simulate_matrix(config, check_pruning=True)
@@ -402,8 +400,7 @@ class TestBands:
 
     def test_transforms_a_tenth_of_the_matrix(self):
         m, n = 1000, 4000
-        out = simulate_matrix(base_config(m=m, n=n, beta=exponential(1.0), seed=1,
-                                          record_series=False))
+        out = simulate_matrix(base_config(m=m, n=n, beta=exponential(1.0), seed=1))
         assert out.stats["delays_transformed"] < (n - 1) * (m - 1) / 10
         assert out.stats["pairs_tested"] == round(out.stats["mean_scan_window"] * (n - 1))
 

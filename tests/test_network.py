@@ -8,8 +8,10 @@ import pytest
 from blocksim import network
 from blocksim.blocktree import export_tree
 from blocksim.distributions import constant, exponential, gamma
-from blocksim.errors import ConfigError, InvariantError
-from blocksim.network import NetSimConfig, SimOutcome, delivery_sweep, simulate_network
+from blocksim.errors import ConfigError
+from blocksim.infinite import InfSimConfig
+from blocksim.montecarlo import ENGINES
+from blocksim.network import NetSimConfig, delivery_sweep, simulate_network
 from blocksim.rng import ScriptedStream, StreamBundle
 from conftest import checked
 
@@ -43,7 +45,7 @@ def record_sweeps(monkeypatch, config, streams):
         delivery_sweep(recipients, blocks, *state)
 
     monkeypatch.setattr(network, "delivery_sweep", record)
-    return checked(simulate_network(replace(config, record_series=True), streams)), calls
+    return checked(simulate_network(config, streams)), calls
 
 
 class TestDeliverySweep:
@@ -158,7 +160,7 @@ class TestHandTrace:
     # the branches interleave: parents 0,0,1,2 and final height 3 of 5.
     def run_trace(self, n):
         config = NetSimConfig(m=2, n=n, alpha=constant(1.0),
-                              beta=constant(1.5), seed=0, record_series=True)
+                              beta=constant(1.5), seed=0)
         streams = scripted_bundle([0.5] * (n - 1),
                                   [0.0, 0.5, 0.0, 0.5][: n - 1],
                                   [0.5] * (n - 1))
@@ -186,14 +188,13 @@ class TestHandTrace:
 
 class TestTrivialRegimes:
     def test_single_worker_is_pure_chain(self):
-        out = checked(simulate_network(base_config(m=1, n=50, record_series=True)))
+        out = checked(simulate_network(base_config(m=1, n=50)))
         assert out.proportion == 1.0
         assert out.tree.parents == tuple(range(49))
         assert out.stats["messages_sent"] == 0
 
     def test_zero_delay_is_pure_chain(self):
-        out = checked(simulate_network(base_config(beta=constant(0.0), n=100,
-                                                   record_series=True)))
+        out = checked(simulate_network(base_config(beta=constant(0.0), n=100)))
         assert out.proportion == 1.0
         assert out.tree.parents == tuple(range(99))
 
@@ -204,8 +205,19 @@ class TestTrivialRegimes:
 
 
 class TestOutcome:
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_every_engine_returns_the_same_record(self, engine):
+        # No config field selects what a run returns: every engine gives
+        # the per-block heights, and p_n is the height over n.
+        spec = dict(n=300, alpha=exponential(1.0), beta=exponential(1.0), seed=5)
+        config = InfSimConfig(**spec) if engine == "infinite" else NetSimConfig(m=6, **spec)
+        out = ENGINES[engine](config)
+        assert len(out.height_series) == out.n == 300
+        assert max(out.height_series) == out.height
+        assert out.proportion == out.height / out.n
+
     def test_invariants_and_stats(self):
-        config = base_config(record_series=True)
+        config = base_config()
         out = checked(simulate_network(config))
         assert out.tree.n_blocks == config.n
         assert out.stats["messages_sent"] == (config.n - 1) * (config.m - 1)
@@ -215,7 +227,7 @@ class TestOutcome:
 
     def test_height_series_matches_tree_depths(self):
         # Depths from the parent array alone, origin at depth 1.
-        out = simulate_network(base_config(record_series=True))
+        out = simulate_network(base_config())
         depths = [1]
         for p in out.tree.parents:
             depths.append(depths[p] + 1)
@@ -224,7 +236,7 @@ class TestOutcome:
     def test_worker_positions(self):
         # Each worker ends at a block of the tree no lower than the last
         # block it made; the maker of the last block ends at it.
-        config = base_config(record_series=True)
+        config = base_config()
         out = simulate_network(config)
         series, producers = out.height_series, out.tree.producers
         last_made = {w: k for k, w in enumerate(producers, 1)}
@@ -242,10 +254,6 @@ class TestOutcome:
     def test_seed_echo_present(self):
         out = simulate_network(base_config())
         assert set(out.seed_echo) == {"production", "producer", "delay"}
-
-    def test_inconsistent_outcome_rejected(self):
-        with pytest.raises(InvariantError):
-            SimOutcome(proportion=0.5, height=2, n=5)
 
 
 class TestDeterminism:
@@ -334,7 +342,7 @@ class TestPinned:
     def test_outputs_unchanged(self, params, tree, series, positions, stats):
         m, n, alpha, beta, seed = params
         out = checked(simulate_network(NetSimConfig(m=m, n=n, alpha=alpha, beta=beta,
-                                                    seed=seed, record_series=True)))
+                                                    seed=seed)))
         assert sha256(export_tree(out.tree, "json")) == tree
         assert sha256(json.dumps(out.height_series)) == series
         assert sha256(json.dumps(out.positions)) == positions
