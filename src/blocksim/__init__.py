@@ -6,7 +6,7 @@ chain it has seen.  The package provides three engines for the
 resulting random tree (an event-driven network simulation, an exact
 closed-form variant over a delay matrix, and a fast unbounded-worker
 approximation), a Monte Carlo harness for the proportion of valid
-blocks, experiment drivers, and a CLI.
+blocks, a table of experiments built on it, and a CLI.
 """
 
 __version__ = "0.1.0"
@@ -18,12 +18,10 @@ from .distributions import (DistributionSpec, chi_squared, constant, exponential
 from .errors import ConfigError
 from .infinite import InfSimConfig, simulate_infinite
 from .matrix import simulate_matrix, visible_height_naive
-from .montecarlo import (ExperimentPlan, ExperimentResult, McEstimate,
-                         convergence_experiment, efficiency_experiment,
-                         pdf_histogram_experiment, predicted_p,
+from .montecarlo import (ExperimentPlan, ExperimentResult, McEstimate, predicted_p,
                          prediction_warning, run_experiment, run_replications)
 from .network import NetSimConfig, SimOutcome, simulate_network
-from .rng import SampleStream, ScriptedStream, StreamBundle, mix64
+from .rng import SampleStream, StreamBundle, mix64
 from .validate import run_validation
 
 __all__ = [name for name in dir() if not name.startswith("_")]

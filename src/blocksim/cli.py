@@ -30,22 +30,16 @@ from . import __version__
 from .blocktree import classify, export_tree
 from .distributions import DistributionSpec, parse_spec, spec_from_dict
 from .errors import ConfigError
-from .infinite import InfSimConfig
 from .manifest import (SCHEMA_VERSION, RunManifest, check_writable, load_manifest, sha256_file,
                        write_manifest, write_text)
-from .montecarlo import ENGINES, ExperimentPlan, default_ratio_grid, run_experiment
-from .network import NetSimConfig
+from .montecarlo import ENGINES, EXPERIMENTS, ExperimentPlan, engine_config, run_experiment
 from .validate import run_validation
 
 _ENGINE_CHOICES = tuple(ENGINES)
 _TREE_FORMATS = ("dot", "json")
-_KIND_ALIASES = {
-    "convergence": "convergence",
-    "efficiency": "efficiency",
-    "pdf-histogram": "pdf_histogram",
-    "pdf_histogram": "pdf_histogram",
-    "single": "single",
-}
+# Each kind by its own name and with dashes for underscores.
+_KIND_ALIASES = {alias: kind for kind in EXPERIMENTS
+                 for alias in dict.fromkeys((kind.replace("_", "-"), kind))}
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +118,9 @@ def _engine(value, key: str) -> str:
 
 
 def _kind(value, key: str) -> str:
-    if not isinstance(value, str):
+    if not isinstance(value, str) or value not in _KIND_ALIASES:
         raise ConfigError(f"unknown experiment kind {value!r}")
-    return _KIND_ALIASES.get(value, value)
+    return _KIND_ALIASES[value]
 
 
 def _worker_count(value, key: str) -> int:
@@ -148,13 +142,6 @@ def _sweep(value, key: str) -> list[float]:
         raise ConfigError(f"bad {key} list: {exc}") from None
 
 
-def _default_sweep(fields: dict) -> tuple:
-    """Worker counts for convergence, mean ratios for efficiency."""
-    if fields["kind"] == "convergence":
-        return (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
-    return default_ratio_grid() if fields["kind"] == "efficiency" else ()
-
-
 _REQUIRED = object()
 # Each command's config fields, in resolution order, with their defaults.
 # A callable default is computed from the fields resolved before it.
@@ -163,8 +150,8 @@ _FIELDS = {
                  "m": None, "n": _REQUIRED, "seed": _env_seed},
     "experiment": {
         "kind": _REQUIRED, "alpha": _REQUIRED, "beta": _REQUIRED, "n": _REQUIRED,
-        "reps": lambda f: 1000 if f["kind"] == "pdf_histogram" else 100,
-        "sweep": _default_sweep,
+        "reps": lambda f: EXPERIMENTS[f["kind"]].reps,
+        "sweep": lambda f: EXPERIMENTS[f["kind"]].sweep,
         "m": 100, "bins": 20, "engine": "infinite", "seed": _env_seed, "jobs": 1,
     },
 }
@@ -234,7 +221,6 @@ def run_simulate(fields: dict, tree_format: str | None, out_paths: dict):
     and {basename: sha256} for every file written.
     """
     engine, n, seed = fields["engine"], fields["n"], fields["seed"]
-    alpha, beta = fields["alpha"], fields["beta"]
     want_tree = out_paths.get("tree") is not None
 
     if want_tree and engine != "network":
@@ -243,14 +229,8 @@ def run_simulate(fields: dict, tree_format: str | None, out_paths: dict):
     if want_tree and tree_format not in _TREE_FORMATS:
         raise ConfigError(f"unsupported tree format {tree_format!r} (use dot or json)")
 
-    if engine == "infinite":
-        cfg = InfSimConfig(n=n, alpha=alpha, beta=beta, seed=seed)
-    else:
-        if fields["m"] is None:
-            raise ConfigError(f"the {engine} engine needs a worker count --m")
-        cfg = NetSimConfig(m=fields["m"], n=n, alpha=alpha, beta=beta, seed=seed,
-                           record_tree=want_tree)
-    outcome = ENGINES[engine](cfg)
+    outcome = ENGINES[engine](engine_config(engine, fields["alpha"], fields["beta"], n,
+                                            fields["m"], seed, record_tree=want_tree))
 
     doc = {"engine": engine, "n": n, "seed": seed,
            "p_n": outcome.proportion, "height": outcome.height}
@@ -278,14 +258,8 @@ def run_experiment_files(fields: dict, out_paths: dict) -> dict[str, str]:
         lines.append(",".join(repr(c) if isinstance(c, float) else str(c) for c in row))
     table = Path(out_paths["table"])
     digest = _write_bytes(table, "\n".join(lines) + "\n")
-
-    if result.kind == "efficiency" and result.extras["chaotic_ratios"]:
-        ratios = ", ".join(f"{r:g}" for r in result.extras["chaotic_ratios"])
-        click.echo(f"note: prediction is unreliable at ratios > 1 (sweep hit: {ratios})")
-    if result.kind == "pdf_histogram":
-        click.echo(
-            "ks_distance={ks_distance:.4f} mean_Am={mean_Am:.5f} mean_Ainf={mean_Ainf:.5f} "
-            "shift={mean_shift:+.5f}".format(**result.extras))
+    if result.note:
+        click.echo(result.note)
     return {table.name: digest}
 
 

@@ -304,17 +304,3 @@ def sup_gap_bound(m: int) -> float:
     if m < 1:
         raise ConfigError(f"worker count m must be >= 1, got {m}")
     return 2.0 / m
-
-
-def ks_distance(samples, spec: DistributionSpec) -> float:
-    """One-sample Kolmogorov-Smirnov distance to the spec's CDF.
-
-    Computed directly from the sorted sample so it stays independent of
-    the sampling path it checks.
-    """
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = len(x)
-    f = np.asarray(cdf(spec, x))
-    hi = np.max(np.arange(1, n + 1) / n - f)
-    lo = np.max(f - np.arange(0, n) / n)
-    return float(max(hi, lo))

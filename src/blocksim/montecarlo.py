@@ -1,18 +1,19 @@
-"""Replication harness and the experiment drivers built on it.
+"""Replication harness and the experiments built on it.
 
 run_replication_sets runs a batch of replication sets, each a named
 engine run R times on independent substreams, over at most one process
-pool, and aggregates each set's proportion estimates; every experiment
-makes one call to it.  run_replications is its one-set form.  Three
-experiments give plot-ready tables: convergence of the bounded engine
-toward the unbounded one as the worker count grows, efficiency of the
-chain as a function of the delay/production mean ratio, and paired
-outcome histograms for the bounded and unbounded engines.
+pool, and aggregates each set's proportion estimates; run_replications
+is its one-set form.  EXPERIMENTS is the table of experiment kinds:
+convergence of the bounded engine toward the unbounded one as the
+worker count grows, efficiency as a function of the delay/production
+mean ratio, paired outcome histograms of the two engines, and
+replications of one engine.  run_experiment runs any kind's sets with
+one run_replication_sets call.
 
-Seeding is two-level: replication r of a unit that was handed
-``base_seed`` runs with seed mix64(base_seed, r), and each experiment
-point derives its own base seed from the plan seed and the point index.
-Everything downstream is deterministic given the plan.
+Seeding is two-level: replication r of a set that was handed
+``base_seed`` runs with seed mix64(base_seed, r), and set i of an
+experiment is handed mix64(plan seed, i).  Everything downstream is
+deterministic given the plan.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,14 +39,16 @@ ENGINES = {
     "infinite": simulate_infinite,
 }
 
-EXPERIMENT_KINDS = ("convergence", "efficiency", "pdf_histogram", "single")
 
-# Column layouts of the emitted tables; stable, recorded in manifests.
-CONVERGENCE_COLUMNS = ("m", "mean_p", "q25", "q75", "replications")
-EFFICIENCY_COLUMNS = ("ratio", "alpha_mean", "beta_mean", "mean_p", "std_err",
-                      "predicted_p", "abs_error")
-HISTOGRAM_COLUMNS = ("bin_left", "bin_right", "density_Am", "density_Ainf")
-SINGLE_COLUMNS = ("replication", "p_n")
+def engine_config(engine: str, alpha: DistributionSpec, beta: DistributionSpec, n: int,
+                  m: int | None = None, seed: int = 0, record_tree: bool = False):
+    """The config an ENGINES entry runs on: InfSimConfig for the unbounded
+    engine, which ignores m, and NetSimConfig for the bounded ones."""
+    if engine == "infinite":
+        return InfSimConfig(n=n, alpha=alpha, beta=beta, seed=seed)
+    if m is None:
+        raise ConfigError(f"the {engine} engine needs a worker count --m")
+    return NetSimConfig(m=m, n=n, alpha=alpha, beta=beta, seed=seed, record_tree=record_tree)
 
 
 @dataclass(frozen=True)
@@ -79,36 +83,20 @@ class ExperimentPlan:
     bins: int
     engine: str
 
-    def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.replications < 1:
-            raise ConfigError("replication count must be >= 1")
-        if self.kind in ("convergence", "efficiency") and not self.sweep:
-            raise ConfigError(f"{self.kind} experiment needs a non-empty sweep")
-        if self.kind == "pdf_histogram" and self.bins < 1:
-            raise ConfigError(f"histogram bin count must be >= 1, got {self.bins}")
-        if self.kind == "convergence":
-            for m in self.sweep:
-                if not (math.isfinite(m) and m == int(m) and m >= 1):
-                    raise ConfigError("convergence sweep: worker counts must be "
-                                      f"finite integers >= 1, got {m!r}")
-        if not isinstance(self.engine, str) or self.engine not in ENGINES:
-            raise ConfigError(f"unknown engine {self.engine!r}")
-
 
 @dataclass(frozen=True)
 class ExperimentResult:
     """A finished experiment: a table plus side artifacts.
 
     rows hold plain scalars in column order; extras carries values that
-    do not fit the table (sample arrays, KS distances, warnings).
+    do not fit the table (KS distances, warnings); note is the line the
+    CLI prints for them, or "".
     """
 
-    kind: str
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
-    extras: dict = field(default_factory=dict)
+    extras: dict
+    note: str
 
 
 def _run_one(engine_name: str, config) -> float:
@@ -209,30 +197,6 @@ def prediction_warning(alpha_mean: float, beta_mean: float) -> bool:
     return beta_mean / alpha_mean > 1.0
 
 
-def convergence_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
-    """Mean proportion per worker count, plus the unbounded reference.
-
-    Runs the matrix engine once per m in plan.sweep and the unbounded
-    engine as the final row (m column "inf"), all on plan.n blocks with
-    plan.replications each.
-    """
-    if plan.kind != "convergence":
-        raise ConfigError(f"plan kind is {plan.kind!r}, expected convergence")
-    workers = [int(m) for m in plan.sweep]
-    sets = [("matrix", NetSimConfig(m=m, n=plan.n, alpha=plan.alpha, beta=plan.beta,
-                                    seed=0, record_tree=False),
-             plan.replications, mix64(plan.base_seed, idx))
-            for idx, m in enumerate(workers)]
-    inf_cfg = InfSimConfig(n=plan.n, alpha=plan.alpha, beta=plan.beta, seed=0)
-    sets.append(("infinite", inf_cfg, plan.replications,
-                 mix64(plan.base_seed, len(plan.sweep))))
-    labels = workers + ["inf"]
-    results = run_replication_sets(sets, jobs)
-    rows = tuple((m, est.mean, est.quantiles[0.25], est.quantiles[0.75], est.replications)
-                 for m, est in zip(labels, results))
-    return ExperimentResult(kind=plan.kind, columns=CONVERGENCE_COLUMNS, rows=rows)
-
-
 def default_ratio_grid() -> tuple[float, ...]:
     """Log grid over mean ratios 1e-3..1e2, 11 points per decade.
 
@@ -241,94 +205,123 @@ def default_ratio_grid() -> tuple[float, ...]:
     return tuple(float(r) for r in np.logspace(-3.0, 2.0, 51))
 
 
-def efficiency_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
-    """Mean proportion per delay/production ratio, with the prediction.
+def _convergence(plan: ExperimentPlan):
+    """The matrix engine per worker count in plan.sweep, then the unbounded
+    engine as the final row (m column "inf")."""
+    for m in plan.sweep:
+        if not (math.isfinite(m) and m == int(m) and m >= 1):
+            raise ConfigError("convergence sweep: worker counts must be "
+                              f"finite integers >= 1, got {m!r}")
+    workers = [int(m) for m in plan.sweep]
+    sets = [("matrix", engine_config("matrix", plan.alpha, plan.beta, plan.n, m))
+            for m in workers]
+    sets.append(("infinite", engine_config("infinite", plan.alpha, plan.beta, plan.n)))
 
-    For each ratio r in plan.sweep the delay spec is rescaled to mean
-    r * alpha_mean and the unbounded engine is replicated.  Rows pair
-    the measurement with predicted_p and their absolute difference.
-    """
-    if plan.kind != "efficiency":
-        raise ConfigError(f"plan kind is {plan.kind!r}, expected efficiency")
+    def finish(estimates):
+        rows = [(m, est.mean, est.quantiles[0.25], est.quantiles[0.75], est.replications)
+                for m, est in zip(workers + ["inf"], estimates)]
+        return rows, {}, ""
+
+    return sets, finish
+
+
+def _efficiency(plan: ExperimentPlan):
+    """The unbounded engine per ratio r in plan.sweep, its delay rescaled to
+    mean r * alpha_mean; rows pair each measurement with predicted_p."""
     betas = [with_mean(plan.beta, float(ratio) * plan.alpha.mean) for ratio in plan.sweep]
-    estimates = run_replication_sets(
-        [("infinite", InfSimConfig(n=plan.n, alpha=plan.alpha, beta=beta_r, seed=0),
-          plan.replications, mix64(plan.base_seed, idx))
-         for idx, beta_r in enumerate(betas)], jobs)
-    rows = []
-    warned = []
-    for ratio, beta_r, est in zip(plan.sweep, betas, estimates):
-        pred = predicted_p(plan.alpha.mean, beta_r.mean)
-        if prediction_warning(plan.alpha.mean, beta_r.mean):
-            warned.append(float(ratio))
-        rows.append((float(ratio), plan.alpha.mean, beta_r.mean, est.mean,
-                     est.std_error, pred, abs(est.mean - pred)))
-    return ExperimentResult(kind=plan.kind, columns=EFFICIENCY_COLUMNS,
-                            rows=tuple(rows),
-                            extras={"chaotic_ratios": warned})
+    sets = [("infinite", engine_config("infinite", plan.alpha, beta, plan.n))
+            for beta in betas]
+
+    def finish(estimates):
+        rows, warned = [], []
+        for ratio, beta, est in zip(plan.sweep, betas, estimates):
+            pred = predicted_p(plan.alpha.mean, beta.mean)
+            if prediction_warning(plan.alpha.mean, beta.mean):
+                warned.append(float(ratio))
+            rows.append((float(ratio), plan.alpha.mean, beta.mean, est.mean,
+                         est.std_error, pred, abs(est.mean - pred)))
+        note = (f"note: prediction is unreliable at ratios > 1 (sweep hit: "
+                f"{', '.join(f'{r:g}' for r in warned)})" if warned else "")
+        return rows, {"chaotic_ratios": warned}, note
+
+    return sets, finish
 
 
-def pdf_histogram_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
-    """Paired outcome densities of the bounded and unbounded engines.
+def _pdf_histogram(plan: ExperimentPlan):
+    """The matrix engine with plan.m workers and the unbounded engine, binned
+    on shared edges, with their two-sample Kolmogorov-Smirnov distance."""
+    if plan.bins < 1:
+        raise ConfigError(f"histogram bin count must be >= 1, got {plan.bins}")
+    sets = [("matrix", engine_config("matrix", plan.alpha, plan.beta, plan.n, plan.m)),
+            ("infinite", engine_config("infinite", plan.alpha, plan.beta, plan.n))]
 
-    Collects plan.replications outcomes from the matrix engine with
-    plan.m workers and as many from the unbounded engine, bins both on
-    shared edges, and reports the two-sample Kolmogorov-Smirnov
-    distance in extras.
+    def finish(estimates):
+        est_m, est_inf = estimates
+        edges = np.histogram_bin_edges(np.asarray(est_m.values + est_inf.values),
+                                       bins=plan.bins)
+        dens_m, _ = np.histogram(est_m.values, bins=edges, density=True)
+        dens_inf, _ = np.histogram(est_inf.values, bins=edges, density=True)
+        rows = [(float(edges[i]), float(edges[i + 1]), float(dens_m[i]), float(dens_inf[i]))
+                for i in range(len(edges) - 1)]
+        extras = {"ks_distance": two_sample_ks(est_m.values, est_inf.values),
+                  "mean_Am": est_m.mean, "mean_Ainf": est_inf.mean,
+                  "mean_shift": est_inf.mean - est_m.mean}
+        note = ("ks_distance={ks_distance:.4f} mean_Am={mean_Am:.5f} "
+                "mean_Ainf={mean_Ainf:.5f} shift={mean_shift:+.5f}".format(**extras))
+        return rows, extras, note
+
+    return sets, finish
+
+
+def _single(plan: ExperimentPlan):
+    """plan.engine at fixed parameters, one row per replication."""
+    sets = [(plan.engine, engine_config(plan.engine, plan.alpha, plan.beta, plan.n, plan.m))]
+    return sets, lambda estimates: (list(enumerate(estimates[0].values)), {}, "")
+
+
+class Experiment(NamedTuple):
+    """One experiment kind.
+
+    columns name its table's columns, stable and recorded in manifests.
+    driver checks a plan, then returns the (engine, config) sets the
+    kind runs and a function that turns their estimates into the rows,
+    the extras and the note printed on stdout ("" for none).  reps and
+    sweep are the plan defaults; a kind with a default sweep needs one.
     """
-    if plan.kind != "pdf_histogram":
-        raise ConfigError(f"plan kind is {plan.kind!r}, expected pdf_histogram")
-    m_cfg = NetSimConfig(m=plan.m, n=plan.n, alpha=plan.alpha, beta=plan.beta,
-                         seed=0, record_tree=False)
-    inf_cfg = InfSimConfig(n=plan.n, alpha=plan.alpha, beta=plan.beta, seed=0)
-    est_m, est_inf = run_replication_sets(
-        [("matrix", m_cfg, plan.replications, mix64(plan.base_seed, 0)),
-         ("infinite", inf_cfg, plan.replications, mix64(plan.base_seed, 1))], jobs)
 
-    pooled = np.asarray(est_m.values + est_inf.values)
-    edges = np.histogram_bin_edges(pooled, bins=plan.bins)
-    dens_m, _ = np.histogram(est_m.values, bins=edges, density=True)
-    dens_inf, _ = np.histogram(est_inf.values, bins=edges, density=True)
-    rows = tuple(
-        (float(edges[i]), float(edges[i + 1]), float(dens_m[i]), float(dens_inf[i]))
-        for i in range(len(edges) - 1)
-    )
-    return ExperimentResult(
-        kind=plan.kind, columns=HISTOGRAM_COLUMNS, rows=rows,
-        extras={
-            "ks_distance": two_sample_ks(est_m.values, est_inf.values),
-            "mean_Am": est_m.mean,
-            "mean_Ainf": est_inf.mean,
-            "mean_shift": est_inf.mean - est_m.mean,
-        },
-    )
+    columns: tuple[str, ...]
+    driver: Callable
+    reps: int = 100
+    sweep: tuple = ()
 
 
-def single_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
-    """Replications of one engine at fixed parameters, one row each."""
-    if plan.kind != "single":
-        raise ConfigError(f"plan kind is {plan.kind!r}, expected single")
-    if plan.engine == "infinite":
-        cfg = InfSimConfig(n=plan.n, alpha=plan.alpha, beta=plan.beta, seed=0)
-    else:
-        cfg = NetSimConfig(m=plan.m, n=plan.n, alpha=plan.alpha, beta=plan.beta,
-                           seed=0, record_tree=False)
-    [est] = run_replication_sets(
-        [(plan.engine, cfg, plan.replications, mix64(plan.base_seed, 0))], jobs)
-    rows = tuple((r, v) for r, v in enumerate(est.values))
-    return ExperimentResult(kind=plan.kind, columns=SINGLE_COLUMNS, rows=rows,
-                            extras={"estimate": est})
+EXPERIMENTS = {
+    "convergence": Experiment(("m", "mean_p", "q25", "q75", "replications"), _convergence,
+                              sweep=(1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)),
+    "efficiency": Experiment(("ratio", "alpha_mean", "beta_mean", "mean_p", "std_err",
+                              "predicted_p", "abs_error"), _efficiency,
+                             sweep=default_ratio_grid()),
+    "pdf_histogram": Experiment(("bin_left", "bin_right", "density_Am", "density_Ainf"),
+                                _pdf_histogram, reps=1000),
+    "single": Experiment(("replication", "p_n"), _single),
+}
 
 
 def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
-    """Dispatch a plan to its driver."""
-    driver = {
-        "convergence": convergence_experiment,
-        "efficiency": efficiency_experiment,
-        "pdf_histogram": pdf_histogram_experiment,
-        "single": single_experiment,
-    }[plan.kind]
-    return driver(plan, jobs=jobs)
+    """Run the plan's kind: every set in one run_replication_sets call.
+
+    Set i runs plan.replications times from base seed
+    mix64(plan.base_seed, i).
+    """
+    experiment = EXPERIMENTS[plan.kind]
+    if experiment.sweep and not plan.sweep:
+        raise ConfigError(f"{plan.kind} experiment needs a non-empty sweep")
+    sets, finish = experiment.driver(plan)
+    estimates = run_replication_sets(
+        [(engine, config, plan.replications, mix64(plan.base_seed, i))
+         for i, (engine, config) in enumerate(sets)], jobs)
+    rows, extras, note = finish(estimates)
+    return ExperimentResult(experiment.columns, tuple(rows), extras, note)
 
 
 def two_sample_ks(a, b) -> float:

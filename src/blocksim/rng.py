@@ -110,49 +110,6 @@ class SampleStream:
     _origin = None  # set by the first at() call, from the state then
 
 
-class ScriptedStream:
-    """Test double: replays a fixed sequence of uniform values.
-
-    Used to inject hand-chosen draws into the engines for oracle tests.
-    Raises if more draws are requested than were scripted.
-    """
-
-    def __init__(self, values):
-        self._values = np.asarray(values, dtype=float)
-        if self._values.ndim != 1:
-            raise ValueError("scripted values must be one-dimensional")
-        if np.any((self._values < 0.0) | (self._values >= 1.0)):
-            raise ValueError("scripted values must lie in [0, 1)")
-        self.derived_seed = None
-        self.position = 0
-
-    def uniforms(self, size: int) -> np.ndarray:
-        if self.position + size > len(self._values):
-            raise IndexError(
-                f"scripted stream exhausted: requested {size} at position "
-                f"{self.position} of {len(self._values)}"
-            )
-        out = self._values[self.position : self.position + size]
-        self.position += size
-        return out
-
-    def seek(self, pos: int) -> None:
-        self.position = pos
-
-    def at(self, positions) -> np.ndarray:
-        """The scripted values at absolute positions; position stays."""
-        p = np.asarray(positions, dtype=np.int64)
-        if p.size and (p.min() < 0 or p.max() >= len(self._values)):
-            raise IndexError(f"scripted stream holds positions 0 to {len(self._values) - 1}")
-        return self._values[p]
-
-    def take_uniforms(self, max_size: int) -> np.ndarray:
-        remaining = len(self._values) - self.position
-        if remaining <= 0:
-            raise IndexError("scripted stream exhausted")
-        return self.uniforms(min(max_size, remaining))
-
-
 @dataclass
 class StreamBundle:
     """The three aligned substreams a single simulation run consumes.

@@ -16,6 +16,7 @@ run summary without gating it.
 """
 
 import json
+import statistics
 import time
 import warnings
 
@@ -28,9 +29,10 @@ from blocksim.infinite import InfSimConfig, simulate_infinite
 from blocksim.matrix import simulate_matrix
 from blocksim.montecarlo import run_replications, two_sample_ks
 from blocksim.network import NetSimConfig, simulate_network
-from blocksim.rng import ScriptedStream, StreamBundle
+from blocksim.rng import StreamBundle
 from blocksim.validate import (check_equivalence, check_mixture_bound,
                                check_pruning)
+from helpers import ScriptedStream
 
 
 def test_criterion_01_engine_equivalence_exact():
@@ -219,25 +221,28 @@ def test_criterion_09_pruned_engine_scaling():
 
     At delay/production ratio 0.1 the pruned scan window stays O(1) per
     block, so doubling n to 2*10^6 costs at most 2.5x the n=10^6 time.
-    Best of two timings per size to damp scheduler noise.
+    Three pairs of runs, n=10^6 then n=2*10^6 on the same seed, each
+    timed by the process's own CPU time, so that load from other
+    processes cannot move the ratio; the median of the pairs' ratios is
+    held to the bound, as the two runs of a pair see the same machine.
+    An untimed n=2*10^6 run goes first: a process's first run of a size
+    is faster than later ones, whose heap earlier runs have used and
+    freed, and no timed run should be one.
     """
     alpha, beta = exponential(1.0), exponential(0.1)
 
-    def timed(n):
-        best = float("inf")
-        for seed in (0, 1):
-            cfg = InfSimConfig(n=n, alpha=alpha, beta=beta, seed=seed)
-            started = time.perf_counter()
-            out = simulate_infinite(cfg)
-            best = min(best, time.perf_counter() - started)
-            assert 0.0 < out.proportion <= 1.0
-        return best
+    def timed(n, seed):
+        started = time.process_time()
+        out = simulate_infinite(InfSimConfig(n=n, alpha=alpha, beta=beta, seed=seed))
+        assert 0.0 < out.proportion <= 1.0
+        return time.process_time() - started
 
-    simulate_infinite(InfSimConfig(n=10**4, alpha=alpha, beta=beta, seed=9))
-    t1 = timed(10**6)
-    t2 = timed(2 * 10**6)
+    timed(2 * 10**6, 9)
+    pairs = [(timed(10**6, seed), timed(2 * 10**6, seed)) for seed in (0, 1, 2)]
+    t1 = min(t for t, _ in pairs)
+    ratio = statistics.median(big / small for small, big in pairs)
     assert t1 < 10.0, f"n=10^6 took {t1:.2f}s"
-    assert t2 <= 2.5 * t1, f"n=2*10^6 took {t2:.2f}s vs {t1:.2f}s at n=10^6"
+    assert ratio <= 2.5, f"n=2*10^6 took {ratio:.2f}x the n=10^6 time: {pairs}"
 
 
 def test_criterion_10_manifest_replay_byte_identical(tmp_path):

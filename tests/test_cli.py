@@ -514,16 +514,18 @@ class TestExperiment:
         return result, out.read_text().splitlines()
 
     def test_single_table(self, runner, tmp_path):
-        _, lines = self.run_kind(runner, tmp_path, "--kind", "single",
-                                 "--reps", "5")
+        result, lines = self.run_kind(runner, tmp_path, "--kind", "single",
+                                      "--reps", "5")
         assert lines[0] == "replication,p_n"
         assert len(lines) == 6
+        assert result.output == f"wrote {tmp_path / 'table.csv'} (1 file)\n"
 
     def test_convergence_table(self, runner, tmp_path):
-        _, lines = self.run_kind(runner, tmp_path, "--kind", "convergence",
-                                 "--sweep", "2,5", "--reps", "3")
+        result, lines = self.run_kind(runner, tmp_path, "--kind", "convergence",
+                                      "--sweep", "2,5", "--reps", "3")
         assert lines[0] == "m,mean_p,q25,q75,replications"
         assert [line.split(",")[0] for line in lines[1:]] == ["2", "5", "inf"]
+        assert result.output == f"wrote {tmp_path / 'table.csv'} (1 file)\n"
 
     def test_efficiency_table_and_warning(self, runner, tmp_path):
         result, lines = self.run_kind(runner, tmp_path, "--kind", "efficiency",
@@ -531,14 +533,18 @@ class TestExperiment:
         assert lines[0] == ("ratio,alpha_mean,beta_mean,mean_p,std_err,"
                             "predicted_p,abs_error")
         assert len(lines) == 3
-        assert "note: prediction is unreliable" in result.output
+        assert result.output == (
+            "note: prediction is unreliable at ratios > 1 (sweep hit: 2)\n"
+            f"wrote {tmp_path / 'table.csv'} (1 file)\n")
 
     def test_histogram_table(self, runner, tmp_path):
         result, lines = self.run_kind(runner, tmp_path, "--kind", "pdf-histogram",
                                       "--reps", "20", "--m", "5", "--bins", "8")
         assert lines[0] == "bin_left,bin_right,density_Am,density_Ainf"
         assert len(lines) == 9
-        assert "ks_distance=" in result.output
+        assert result.output == (
+            "ks_distance=0.1000 mean_Am=0.92875 mean_Ainf=0.93000 shift=+0.00125\n"
+            f"wrote {tmp_path / 'table.csv'} (1 file)\n")
 
     def test_jobs_do_not_change_bytes(self, runner, tmp_path):
         _, serial = self.run_kind(runner, tmp_path, "--kind", "single",
@@ -933,6 +939,22 @@ class TestMalformedValues:
         doc["params"]["engine"] = "warp"
         manifest.write_text(json.dumps(doc))
         assert self.replay(runner, tmp_path, manifest) == "error: unknown engine 'warp'\n"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("kind", "scatter", "error: unknown experiment kind 'scatter'\n"),
+        ("engine", "warp", "error: unknown engine 'warp'\n")], ids=["kind", "engine"])
+    def test_unknown_experiment_name_from_config_or_manifest(self, runner, tmp_path,
+                                                             field, value, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"kind": "single", "alpha": ALPHA, "beta": BETA,
+                                    "n": 30, "reps": 2, field: value}))
+        output = self.one_line_exit_2(runner.invoke(main, [
+            "experiment", "--config", str(path), "--out", str(tmp_path / "c.csv")]))
+        assert output == message
+        manifest, doc = self.experiment_manifest(runner, tmp_path)
+        doc["params"][field] = value
+        manifest.write_text(json.dumps(doc))
+        assert self.replay(runner, tmp_path, manifest) == message
 
     def test_manifest_command_not_a_string(self, runner, tmp_path):
         path, doc = self.experiment_manifest(runner, tmp_path)

@@ -10,11 +10,12 @@ import pytest
 import blocksim
 from blocksim.distributions import (BufferedSampler, DistributionSpec, _transform, cdf,
                                     chi_squared, constant, exponential, gamma,
-                                    ks_distance, mixture_cdf, parse_spec,
+                                    mixture_cdf, parse_spec,
                                     require_production_role, sample_many,
                                     spec_from_dict, sup_gap_bound, with_mean)
 from blocksim.errors import ConfigError
-from blocksim.rng import SampleStream, ScriptedStream
+from blocksim.rng import SampleStream
+from helpers import ScriptedStream, ks_distance
 
 
 class TestSpecValidation:

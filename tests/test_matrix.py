@@ -11,8 +11,8 @@ from blocksim.distributions import constant, exponential, gamma, sample_many
 from blocksim.errors import InvariantError
 from blocksim.matrix import DelayMatrix, _pruned_scan, simulate_matrix, visible_height_naive
 from blocksim.network import NetSimConfig, draw_schedule, simulate_network
-from blocksim.rng import (ROLE_DELAY, ROLE_PRODUCER, ROLE_PRODUCTION, SampleStream,
-                          ScriptedStream, StreamBundle)
+from blocksim.rng import ROLE_DELAY, ROLE_PRODUCER, ROLE_PRODUCTION, SampleStream, StreamBundle
+from helpers import ScriptedStream
 
 
 def scripted_bundle(production, producer, delay):

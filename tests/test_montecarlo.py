@@ -7,16 +7,12 @@ import pytest
 from blocksim import montecarlo
 from blocksim.distributions import constant, exponential
 from blocksim.errors import ConfigError
-from blocksim.montecarlo import (CONVERGENCE_COLUMNS, EFFICIENCY_COLUMNS,
-                                 HISTOGRAM_COLUMNS, SINGLE_COLUMNS,
-                                 ExperimentPlan, convergence_experiment,
-                                 default_ratio_grid, efficiency_experiment,
-                                 pdf_histogram_experiment, predicted_p,
-                                 prediction_warning, run_experiment,
-                                 run_replication_sets, run_replications,
-                                 single_experiment, two_sample_ks)
+from blocksim.montecarlo import (EXPERIMENTS, ExperimentPlan, default_ratio_grid,
+                                 predicted_p, prediction_warning, run_experiment,
+                                 run_replication_sets, run_replications, two_sample_ks)
 from blocksim.infinite import InfSimConfig
 from blocksim.network import NetSimConfig
+from blocksim.rng import mix64
 
 
 def inf_config(**overrides):
@@ -193,47 +189,25 @@ class TestPrediction:
 
 
 class TestPlanValidation:
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            make_plan(kind="scatter", alpha=exponential(1.0),
-                      beta=exponential(0.1), n=100, base_seed=0)
-
     def test_sweep_required(self):
         with pytest.raises(ConfigError):
-            make_plan(kind="convergence", alpha=exponential(1.0),
-                      beta=exponential(0.1), n=100, base_seed=0)
-
-    def test_kind_mismatch_at_driver(self):
-        plan = make_plan(kind="single", alpha=exponential(1.0),
-                         beta=exponential(0.1), n=50, base_seed=0,
-                         replications=2)
-        with pytest.raises(ConfigError):
-            convergence_experiment(plan)
-        with pytest.raises(ConfigError):
-            efficiency_experiment(plan)
-        with pytest.raises(ConfigError):
-            pdf_histogram_experiment(plan)
-
-    def test_unknown_engine(self):
-        with pytest.raises(ConfigError):
-            make_plan(kind="single", alpha=exponential(1.0),
-                      beta=exponential(0.1), n=50, base_seed=0,
-                      engine="warp")
+            run_experiment(make_plan(kind="convergence", alpha=exponential(1.0),
+                                     beta=exponential(0.1), n=100, base_seed=0))
 
 
 class TestConvergenceSweepValidation:
     @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 2.5, 0, -3])
     def test_non_integer_worker_count_rejected(self, bad):
         with pytest.raises(ConfigError, match="finite integers >= 1"):
-            make_plan(kind="convergence", alpha=exponential(1.0),
-                      beta=exponential(0.1), n=40, base_seed=0,
-                      replications=2, sweep=(2, bad))
+            run_experiment(make_plan(kind="convergence", alpha=exponential(1.0),
+                                     beta=exponential(0.1), n=40, base_seed=0,
+                                     replications=2, sweep=(2, bad)))
 
     def test_integral_floats_accepted(self):
         plan = make_plan(kind="convergence", alpha=exponential(1.0),
                          beta=exponential(0.1), n=40, base_seed=0,
                          replications=2, sweep=(2.0, 5.0))
-        assert [row[0] for row in convergence_experiment(plan).rows] == [2, 5, "inf"]
+        assert [row[0] for row in run_experiment(plan).rows] == [2, 5, "inf"]
 
 
 class TestDefaultRatioGrid:
@@ -255,8 +229,8 @@ class TestConvergenceExperiment:
         plan = make_plan(kind="convergence", alpha=exponential(1.0),
                          beta=exponential(0.1), n=80, base_seed=7,
                          replications=5, sweep=(2, 5, 10))
-        result = convergence_experiment(plan)
-        assert result.columns == CONVERGENCE_COLUMNS
+        result = run_experiment(plan)
+        assert result.columns == ("m", "mean_p", "q25", "q75", "replications")
         assert len(result.rows) == 4
         assert [row[0] for row in result.rows] == [2, 5, 10, "inf"]
         for row in result.rows:
@@ -267,7 +241,7 @@ class TestConvergenceExperiment:
         plan = make_plan(kind="convergence", alpha=exponential(1.0),
                          beta=exponential(0.1), n=60, base_seed=8,
                          replications=3, sweep=(2, 4))
-        assert convergence_experiment(plan) == convergence_experiment(plan)
+        assert run_experiment(plan) == run_experiment(plan)
 
 
 class TestEfficiencyExperiment:
@@ -275,8 +249,9 @@ class TestEfficiencyExperiment:
         plan = make_plan(kind="efficiency", alpha=exponential(1.0),
                          beta=constant(1.0), n=400, base_seed=9,
                          replications=20, sweep=(0.01, 0.1))
-        result = efficiency_experiment(plan)
-        assert result.columns == EFFICIENCY_COLUMNS
+        result = run_experiment(plan)
+        assert result.columns == ("ratio", "alpha_mean", "beta_mean", "mean_p", "std_err",
+                                  "predicted_p", "abs_error")
         for ratio, a_mean, b_mean, mean_p, std_err, pred, err in result.rows:
             assert a_mean == 1.0
             assert b_mean == pytest.approx(ratio)
@@ -289,7 +264,7 @@ class TestEfficiencyExperiment:
         plan = make_plan(kind="efficiency", alpha=exponential(1.0),
                          beta=exponential(1.0), n=60, base_seed=10,
                          replications=2, sweep=(0.5, 2.0, 50.0))
-        result = efficiency_experiment(plan)
+        result = run_experiment(plan)
         assert result.extras["chaotic_ratios"] == [2.0, 50.0]
 
 
@@ -298,8 +273,8 @@ class TestHistogramExperiment:
         plan = make_plan(kind="pdf_histogram", alpha=exponential(1.0),
                          beta=exponential(0.1), n=100, base_seed=11,
                          replications=40, m=10, bins=12)
-        result = pdf_histogram_experiment(plan)
-        assert result.columns == HISTOGRAM_COLUMNS
+        result = run_experiment(plan)
+        assert result.columns == ("bin_left", "bin_right", "density_Am", "density_Ainf")
         assert len(result.rows) == 12
         for left, right, dm, di in result.rows:
             assert left < right
@@ -315,9 +290,9 @@ class TestHistogramExperiment:
     @pytest.mark.parametrize("bins", [0, -4])
     def test_bins_below_one_rejected(self, bins):
         with pytest.raises(ConfigError, match="bin count must be >= 1"):
-            make_plan(kind="pdf_histogram", alpha=exponential(1.0),
-                      beta=exponential(0.1), n=40, base_seed=0,
-                      replications=4, bins=bins)
+            run_experiment(make_plan(kind="pdf_histogram", alpha=exponential(1.0),
+                                     beta=exponential(0.1), n=40, base_seed=0,
+                                     replications=4, bins=bins))
 
 
 class TestSingleExperiment:
@@ -325,24 +300,24 @@ class TestSingleExperiment:
         plan = make_plan(kind="single", alpha=exponential(1.0),
                          beta=exponential(0.1), n=80, base_seed=12,
                          replications=6)
-        result = single_experiment(plan)
-        assert result.columns == SINGLE_COLUMNS
+        result = run_experiment(plan)
+        assert result.columns == ("replication", "p_n")
         assert [row[0] for row in result.rows] == list(range(6))
-        assert result.extras["estimate"].values == tuple(
-            row[1] for row in result.rows)
+        assert tuple(row[1] for row in result.rows) == run_replications(
+            "infinite", inf_config(n=80), 6, mix64(12, 0)).values
 
     def test_bounded_engine_requires_m(self):
         plan = make_plan(kind="single", alpha=exponential(1.0),
                          beta=exponential(0.1), n=80, base_seed=12,
                          replications=3, m=6, engine="matrix")
-        result = single_experiment(plan)
+        result = run_experiment(plan)
         assert len(result.rows) == 3
 
     def test_dispatcher_routes_by_kind(self):
-        plan = make_plan(kind="single", alpha=exponential(1.0),
-                         beta=exponential(0.1), n=50, base_seed=13,
-                         replications=2)
-        assert run_experiment(plan) == single_experiment(plan)
+        for kind, plan in small_plans().items():
+            result = run_experiment(plan)
+            assert result.columns == EXPERIMENTS[kind].columns
+            assert result.rows and all(len(row) == len(result.columns) for row in result.rows)
 
 
 class TestKs:

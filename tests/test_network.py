@@ -12,8 +12,9 @@ from blocksim.errors import ConfigError
 from blocksim.infinite import InfSimConfig
 from blocksim.montecarlo import ENGINES
 from blocksim.network import NetSimConfig, delivery_sweep, simulate_network
-from blocksim.rng import ScriptedStream, StreamBundle
+from blocksim.rng import StreamBundle
 from conftest import checked
+from helpers import ScriptedStream
 
 
 def scripted_bundle(production, producer, delay):

@@ -20,9 +20,6 @@ EXEMPT = {
     # bench/spans.py wraps these to count buffered draws and replications.
     "BufferedSampler": "wrapped by the benchmark's trace",
     "run_replications": "wrapped by the benchmark's trace",
-    # Test doubles and references that the tests hold the package to.
-    "ScriptedStream": "the tests' scripted stream double",
-    "ks_distance": "the tests' reference for sampled distributions",
 }
 
 

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from blocksim.cli import main
-from blocksim.montecarlo import ENGINES, EXPERIMENT_KINDS
+from blocksim.montecarlo import ENGINES, EXPERIMENTS
 
 CORPUS = Path(__file__).resolve().parent / "data" / "replay"
 MANIFESTS = sorted(CORPUS.glob("*.json"))
@@ -28,7 +28,7 @@ def test_corpus_covers_every_engine_and_kind():
     runs = {(doc["command"], doc["params"].get("kind"), doc["params"]["engine"])
             for doc in (json.loads(p.read_text()) for p in MANIFESTS)}
     assert {("simulate", None, e) for e in ENGINES} <= runs
-    assert {k for c, k, _ in runs if c == "experiment"} == set(EXPERIMENT_KINDS)
+    assert {k for c, k, _ in runs if c == "experiment"} == set(EXPERIMENTS)
     assert {("experiment", "single", e) for e in ENGINES} <= runs
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from blocksim.distributions import _transform, chi_squared, exponential, gamma, sample_many
 from blocksim.rng import (ROLE_DELAY, ROLE_PRODUCER, ROLE_PRODUCTION,
-                          SampleStream, ScriptedStream, StreamBundle, mix64)
+                          SampleStream, StreamBundle, mix64)
+from helpers import ScriptedStream
 
 # at() recomputes numpy's PCG64 outputs; a mismatch means numpy changed them.
 PCG64_CHANGED = f"numpy {np.__version__}'s PCG64 no longer gives the values at() computes"
