@@ -7,25 +7,30 @@ the best height among blocks already visible to k's producer, where
 block 0 (the origin) is visible from the start.  The engine tracks
 heights only; use the event-driven engine to materialize trees.
 
-The matrix is never held whole.  Each step gets a band of arrivals
-t[i] + d(i, producer) from the blocks just before it (see DelayMatrix):
-only those entries are transformed.  A band much narrower than a row
-reads its cells from the delay substream by position, so a run's time
-and memory follow the cells it reads, not n*m; other bands come from
-rows drawn on demand, and memory is bounded by a chunk of rows.
+The matrix is never held whole.  Each step reads a band of arrivals
+t[i] + d(i, producer) from the blocks just before it, in place, from a
+flat chunk that serves many steps (see DelayMatrix).  A band much
+narrower than a row reads its cells from the delay substream by
+position, so a run's time and memory follow the cells it reads, not
+n*m; wider bands come from rows drawn on demand, only their cells
+transformed, and once a band is a row wide each row is transformed
+once and kept by worker while bands can reach it.
 
 One loop (_pruned_scan) places the whole run, as in the unbounded
 engine: each step scans backward and stops as soon as the running best
 reaches the cumulative height maximum, after which no earlier block can
-improve it.  An arrival counts when it is below the step's limit, the
-creation time t[k]; the lenient fault hook (strict=False) raises the
-limit to the next double above t[k], so the pair test is one comparison
-either way.  check_pruning certifies the stop after the run with a full
-scan (visible_height_naive) that sorts each chunk of rows' arrivals
-together with the steps they can reach and makes its own < or <=
-comparison through the sort's tie order: every step's height must equal
-the full scan of the run's own history.  It draws every row once, O(n*m)
-draws, and tests no pair one by one.
+improve it.  The loop fetches a chunk only when a step passes the
+chunk's end; a scan that reaches below its step's band widens the band
+and fetches the chunk again from that step.  An arrival counts when it
+is below the step's limit, the creation time t[k]; the lenient fault
+hook (strict=False) raises the limit to the next double above t[k], so
+the pair test is one comparison either way.  check_pruning certifies
+the stop after the run with a full scan (visible_height_naive) that
+sorts each chunk of rows' arrivals together with the steps they can
+reach and makes its own < or <= comparison through the sort's tie
+order: every step's height must equal the full scan of the run's own
+history.  It draws every row once, O(n*m) draws, and tests no pair one
+by one.
 """
 
 from __future__ import annotations
@@ -39,11 +44,14 @@ from .errors import InvariantError
 from .network import NetSimConfig, SimOutcome, draw_schedule
 from .rng import StreamBundle
 
-# A chunk of bands W arrivals wide covers max(1, BAND_CELLS // W) steps,
-# so it holds at most BAND_CELLS arrivals.  Read from rows, it draws about
-# that many new rows, at most BY_POSITION * BAND_CELLS uniforms (under
-# 1 MB), and keeps the rows from 2W blocks before it on.  A step's band
-# starts BAND_WIDTH arrivals wide.
+# A chunk of bands W arrivals wide covers max(1, BAND_CELLS // W) steps.
+# Narrower than a row, it holds at most BAND_CELLS arrivals; read from
+# rows, it draws about that many new rows, at most BY_POSITION *
+# BAND_CELLS uniforms (under 1 MB), and keeps the rows from 2W blocks
+# before it on.  From a row wide on, arrivals are kept by worker for
+# twice the W + BAND_CELLS // W rows a chunk reaches, and transformed
+# about BAND_CELLS values at a time.  A step's band starts BAND_WIDTH
+# arrivals wide.
 BAND_WIDTH, BAND_CELLS = 8, 2**14
 
 # A band W arrivals wide reads its cells by stream position when
@@ -62,59 +70,58 @@ CHECK_CELLS = 2**14
 
 
 class DelayMatrix:
-    """The delay matrix as per-step bands of arrivals, drawn on demand.
+    """The delay matrix as chunks of per-step bands of arrivals, drawn on demand.
 
     Row i-1 holds block i's m-1 delays in recipient order skipping the
     producer, the event-driven engine's draw order, so entry (i, j) of a
     non-producer column sits at stream position (i-1)(m-1) + j -
     [j > producer_i]; the producer's own entry is 0.
 
-    arrivals(k) serves step k a band a holding t[i] + d(i, producer_k)
-    at a[i - k] for i = k-1 down to k-W or further; a read past it
-    raises IndexError, and arrivals(k, widen=True) doubles W.  Bands are
-    built a chunk of steps at a time, in numpy, and the chunks are the
-    same whichever way the cells are read:
+    _build(k) serves steps k .. end-1 as (a, off, lo, end): step k+s
+    reads t[i] + d(i, producer_{k+s}) at a[off[s] + i] for every block i
+    from lo[s] to k+s-1.  Below lo[s] the flat chunk holds other steps'
+    cells, so the reader tests i >= lo[s] itself; doubling band_width
+    and building from the step again reaches further back.  A step's
+    band holds at least its W = band_width blocks before it, and the
+    chunk is built in numpy in one of three ways:
     - while BY_POSITION * W < m-1, each cell is read from the stream by
       its position (stream.at) and transformed, and no row is kept;
     - otherwise, while W < m-1, rows are drawn in bulk and only the
       bands' cells are transformed;
-    - from then on, whole rows are, and a band is a slice of its
-      worker's arrivals.
-    Each value holds the bits of the whole row's transform.  Memory is at
-    most BAND_CELLS arrivals and, for bands read from rows, the rows from
-    2W blocks before them on, never n*m.  rows() draws rows afresh for
-    the check.
+    - from then on, whole rows are transformed once each into arrivals
+      kept by worker, and a step's band is its worker's run of them,
+      from the first row kept.
+    Each value holds the bits of the whole row's transform.  Memory is
+    never n*m: a narrower chunk holds at most BAND_CELLS arrivals and,
+    read from rows, the uniforms from 2W blocks before it on; the
+    arrivals by worker hold twice the rows a chunk reaches.  rows()
+    draws rows afresh for the check.
     """
 
     def __init__(self, spec: DistributionSpec, stream, producers: list[int], m: int, t):
         self._spec, self._stream, self._width = spec, stream, m - 1
         self._p, self._t = np.asarray(producers, dtype=np.int64), np.asarray(t)
         self.band_width, self.transformed = BAND_WIDTH, 0
-        self._k0, self._band = 0, []
         self._kept = (0, np.empty((0, self._width)))  # first row, uniforms from it on
+        self._rows = (0, 0, np.empty((m, 0)))  # first row, end row, arrivals by worker
 
     def rows(self, first: int, count: int) -> np.ndarray:
         """Rows first .. first+count-1 (blocks first+1 on), drawn afresh."""
         self._stream.seek(first * self._width)
         return sample_many(self._spec, self._stream, count * self._width)
 
-    def arrivals(self, k: int, widen: bool = False) -> memoryview:
-        """Step k's band; with widen, twice as wide (the chunk is rebuilt from k)."""
-        if widen:
-            self.band_width *= 2
-        elif 0 <= k - self._k0 < len(self._band):
-            return self._band[k - self._k0]
-        return self._build(k)
-
-    def _build(self, k: int) -> memoryview:
+    def _build(self, k: int):
         W, m1, p = self.band_width, self._width, self._p
-        by_position = BY_POSITION * W < m1
         k1 = min(len(p) + 1, k + max(1, BAND_CELLS // W))
         q = p[k - 1:k1 - 1]
+        # Rows need .. end-1 hold blocks k-W .. k1-2.
+        need, end = max(0, k - W - 1), max(k1 - 2, k - W, 1)
+        if W >= m1:
+            return self._from_rows(need, end, q) + (k1,)
+        by_position = BY_POSITION * W < m1
         if not by_position:
-            # Rows need .. end-1 hold blocks k-W .. k1-2.  Rows from block k-2W
-            # on stay kept, so a band widened to twice its width needs no redraw.
-            need, end = max(0, k - W - 1), max(k1 - 2, k - W, 1)
+            # Rows from block k-2W on stay kept, so a band widened to twice
+            # its width needs no redraw.
             first, u = self._kept
             if not first <= need <= first + len(u):
                 first, u = need, u[:0]
@@ -125,26 +132,61 @@ class DelayMatrix:
                 new = self._stream.uniforms((end - drawn) * m1).reshape(end - drawn, -1)
                 u = np.concatenate((u, new)) if len(u) else new
             self._kept = (lo, u)
-        if W >= m1:  # worker q's arrivals, blocks need+1 .. end, are one run
-            u, t = u[need - lo:end - lo], self._t[need + 1:end + 1, None]
-            pr, j = p[need:end, None], np.arange(m1 + 1)
-            a = np.pad(_transform(self._spec, u), ((0, 0), (0, 1)))[
-                np.arange(len(u))[:, None], np.where(j == pr, m1, j - (j > pr))]
-            a, start = memoryview((a + t).T.ravel()), q * len(u)
-            stop = start + np.arange(k - 1 - need, k1 - 1 - need)
-            band = [a[b:e] for b, e in zip(start.tolist(), stop.tolist())]
+        # The row of each cell (clamped at block 1) and its column.
+        rows = np.maximum(np.arange(k - W - 1, k1 - W - 1)[:, None] + np.arange(W), 0)
+        q, pr = q[:, None], p[rows]
+        cols = np.minimum(q - (q > pr), m1 - 1)
+        u = self._stream.at(rows * m1 + cols) if by_position else u[rows - lo, cols]
+        d = _transform(self._spec, u)
+        self.transformed += d.size
+        a = memoryview((self._t[rows + 1] + np.where(q == pr, 0.0, d)).ravel())
+        # Step k+s's cell for block i sits at s*W + W-1 - (k+s-1-i).
+        s = np.arange(k1 - k)
+        return a, (W - k + (W - 1) * s).tolist(), (k - W + s).tolist(), k1
+
+    def _from_rows(self, need: int, end: int, q):
+        """Rows need .. end-1 as arrivals by worker, each row transformed once.
+
+        The array holds twice the rows a chunk needs and is filled ahead;
+        when a chunk runs past its end, the rows still needed move to the
+        front, so each row moves about once.  A band widened past the
+        first row kept gets a new array, which takes over the rows kept."""
+        first, drawn, a = self._rows
+        if first <= need <= drawn and end - need <= a.shape[1]:
+            if end > first + a.shape[1]:
+                a[:, :drawn - need] = a[:, need - first:drawn - first]
+                first = need
+        else:
+            self._kept = None
+            b = np.empty((self._width + 1, 2 * (end - need)))
+            lo, hi = max(first, need), min(drawn, need + b.shape[1])
+            if lo < hi:  # kept rows the new array covers
+                b[:, lo - need:hi - need] = a[:, lo - first:hi - first]
+                self._fill(b, need, need, lo)
+            else:
+                hi = need
+            first, drawn, a = need, hi, b
+        # No step reads the last block's row.
+        last = max(end, min(first + a.shape[1], len(self._p) - 1))
+        self._fill(a, first, drawn, last)
+        self._rows = (first, max(drawn, last), a)
+        # Worker q's arrival from block i sits at q*cap + i-1 - first.
+        return (memoryview(a.ravel()), (q * a.shape[1] - first - 1).tolist(),
+                [first + 1] * len(q))
+
+    def _fill(self, a, first: int, r0: int, r1: int) -> None:
+        """Transform rows r0 .. r1-1 into a[:, r - first], about BAND_CELLS values at a time."""
+        m1, p = self._width, self._p
+        j, step = np.arange(m1 + 1), max(1, BAND_CELLS // max(1, m1))
+        for r in range(r0, r1, step):
+            stop = min(r1, r + step)
+            self._stream.seek(r * m1)
+            u = self._stream.uniforms((stop - r) * m1).reshape(stop - r, m1)
+            # A zero column appended at m-1 serves each producer's own entry.
+            d, pr = np.pad(_transform(self._spec, u), ((0, 0), (0, 1))), p[r:stop, None]
+            d = d[np.arange(stop - r)[:, None], np.where(j == pr, m1, j - (j > pr))]
+            a[:, r - first:stop - first] = (d + self._t[r + 1:stop + 1, None]).T
             self.transformed += u.size
-        else:  # the row of each cell a[w] (clamped at block 1) and its column
-            rows = np.maximum(np.arange(k - W - 1, k1 - W - 1)[:, None] + np.arange(W), 0)
-            q, pr = q[:, None], p[rows]
-            cols = np.minimum(q - (q > pr), m1 - 1)
-            u = self._stream.at(rows * m1 + cols) if by_position else u[rows - lo, cols]
-            d = _transform(self._spec, u)
-            a = memoryview((self._t[rows + 1] + np.where(q == pr, 0.0, d)).ravel())
-            band = [a[w:w + W] for w in range(0, len(a), W)]
-            self.transformed += d.size
-        self._k0, self._band = k, band
-        return band[0]
 
 
 def visible_height_naive(t, h, delays: DelayMatrix, strict: bool = True) -> None:
@@ -217,35 +259,44 @@ def _pruned_scan(t: list[float], delays: DelayMatrix, strict: bool):
     reaches z_i: every block at or before i has height at most z_i, so
     none can beat x.  Skipped blocks therefore never change the result;
     the origin is always visible, so every height is at least 2.
-    Arrivals come from step k's band; block i counts when its arrival is
-    below limit[k], which is t[k], or with strict False the next double up.
+    Arrivals are read in place from the chunk holding step k's band;
+    block i counts when its arrival is below limit[k], which is t[k], or
+    with strict False the next double up.
     """
     limit = t if strict else [math.nextafter(c, math.inf) for c in t]
     h = [1]
     z = [1]
+    top = 1
     scanned = 0
+    end = 1
     for k in range(1, len(t)):
+        if k == end:
+            a, offs, los, end = delays._build(k)
+            k0 = k
+        off = offs[k - k0]
+        lo = los[k - k0]
         t_k = limit[k]
-        a = delays.arrivals(k)
         x = 1
         i = k - 1
-        while True:
-            try:
-                # z[0] is 1 and x starts at 1, so the scan stops at the origin.
-                while x < z[i]:
-                    if h[i] > x and a[i - k] < t_k:
-                        x = h[i]
-                    i -= 1
-                break
-            except IndexError:
-                # a[i - k] ran past the band: widen it and go on from block i.
-                # Catching this keeps the per-pair work to the test and the read.
-                a = delays.arrivals(k, widen=True)
+        # z[0] is 1 and x starts at 1, so the scan stops at the origin.
+        while x < z[i]:
+            if i < lo:
+                # Below the band a[off + i] is another step's cell: widen
+                # the band, rebuilt from step k, and go on from block i.
+                delays.band_width *= 2
+                a, offs, los, end = delays._build(k)
+                k0, off, lo = k, offs[0], los[0]
+                continue
+            if h[i] > x and a[off + i] < t_k:
+                x = h[i]
+            i -= 1
         scanned += k - 1 - i
         x += 1
         h.append(x)
-        z.append(x if x > z[-1] else z[-1])
-    return h, z[-1], scanned
+        if x > top:
+            top = x
+        z.append(top)
+    return h, top, scanned
 
 
 def simulate_matrix(config: NetSimConfig, streams: StreamBundle | None = None,

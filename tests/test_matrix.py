@@ -101,7 +101,9 @@ class TestVisibility:
         # Step 2 tests block 1; step 3 tests blocks 2 and 1.
         assert scanned == 3
         # Step 3's band: block 1 is worker 0's own, block 2 arrives at 3.5.
-        assert delays.arrivals(3)[-2:].tolist() == [1.0, 3.5]
+        a, off, lo, end = delays._build(1)
+        assert end == 4 and lo[2] <= 1
+        assert [a[off[2] + i] for i in (1, 2)] == [1.0, 3.5]
         visible_height_naive(t, h, delays)
         with pytest.raises(InvariantError, match="block 3: 2 != 3"):
             visible_height_naive(t, h[:3] + [2], delays)
@@ -124,11 +126,30 @@ class TestVisibility:
         assert stream.reads == [(0, 3)]
         assert delays.transformed == 3
 
+    def test_read_below_a_band_widens_it(self, monkeypatch):
+        # Three workers, unit production, every delay 10: blocks 1 and 2
+        # are worker 0's, block 3 is worker 2's.  Bands one arrival wide
+        # share one flat chunk, so just below step 3's band (block 2 at
+        # worker 2) sits step 2's cell, block 1 at worker 0, its own
+        # producer, who has held it since t=1.  Step 3 must widen its band
+        # and read block 1 at worker 2, where it arrives at 11; reading
+        # the neighbouring cell would build block 3 at height 3.
+        monkeypatch.setattr(matrix, "BAND_WIDTH", 1)
+        config = NetSimConfig(m=3, n=4, alpha=constant(1.0), beta=constant(10.0), seed=0)
+        net = simulate_network(config, scripted_bundle([0.5] * 3, [0.1, 0.1, 0.9], [0.5] * 6))
+        assert net.height_series == (1, 2, 3, 2)
+        streams = scripted_bundle([0.5] * 3, [0.1, 0.1, 0.9], [0.5] * 6)
+        t, producers = draw_schedule(config, streams)
+        delays = DelayMatrix(config.beta, streams.delay, producers, config.m, t)
+        assert _pruned_scan(t.tolist(), delays, True) == ([1, 2, 3, 2], 3, 3)
+        assert delays.band_width == 2
+
     @pytest.mark.parametrize("band_cells", [2**16, 2])
     def test_entries_follow_network_draw_order(self, monkeypatch, band_cells):
         # Row i-1 holds block i's delays for recipients 0..m-1 skipping
         # the producer, in the order the network engine draws them; step
-        # k's band holds t[i] + d(i, producer_k) at a[i - k].
+        # k+s of a chunk built from step k holds t[i] + d(i, producer_{k+s})
+        # at a[off[s] + i] for i >= lo[s].
         monkeypatch.setattr(matrix, "BAND_CELLS", band_cells)
         m, producers, t = 3, [1, 0, 2, 1], [0.0, 0.5, 1.25, 2.0, 3.5]
         u = np.linspace(0.05, 0.95, len(producers) * (m - 1))
@@ -138,14 +159,15 @@ class TestVisibility:
             monkeypatch.setattr(matrix, "BAND_WIDTH", band_width)
             delays = DelayMatrix(exponential(1.0), ScriptedStream(u), producers, m, t)
             for k in range(1, len(t)):
-                a = delays.arrivals(k)
                 while True:
-                    blocks = range(max(1, k - len(a)), k)
-                    assert [a[i - k] for i in blocks] == \
-                        [t[i] + want[i - 1][producers[k - 1]] for i in blocks]
-                    if len(a) >= k - 1:
+                    a, off, lo, end = delays._build(k)
+                    for s, step in enumerate(range(k, end)):
+                        blocks = range(max(1, lo[s]), step)
+                        assert [a[off[s] + i] for i in blocks] == \
+                            [t[i] + want[i - 1][producers[step - 1]] for i in blocks]
+                    if lo[0] <= 1:
                         break
-                    a = delays.arrivals(k, widen=True)
+                    delays.band_width *= 2
 
 
 class TestHandTrace:
@@ -397,6 +419,55 @@ class TestBands:
         config = base_config(m=12, n=800, beta=gamma(shape=0.5, mean=30.0), seed=5)
         assert simulate_matrix(config).height_series == simulate_network(config).height_series
         assert widths[0] < config.m - 1 <= widths[-1]
+
+    @pytest.mark.parametrize("ratio", [1.0, 10.0])
+    def test_scan_calls_the_matrix_once_per_chunk(self, monkeypatch, ratio):
+        # At ratio 1 a step tests about 1.6 pairs, so a call into the
+        # matrix at every step (3,999 here) would cost more than the
+        # tests.  Every top-level call must build a new chunk where the
+        # last one ended, or the same step's chunk at twice the width:
+        # 2 calls at ratio 1, and 9 with 3 widenings at ratio 10.
+        calls, depth = [], [0]
+        for name, method in list(vars(DelayMatrix).items()):
+            if callable(method) and not name.startswith("__"):
+                def counted(delays, *args, _method=method, _name=name):
+                    depth[0] += 1
+                    try:
+                        out = _method(delays, *args)
+                    finally:
+                        depth[0] -= 1
+                    if not depth[0]:
+                        calls.append((_name, args, delays.band_width, out))
+                    return out
+
+                monkeypatch.setattr(DelayMatrix, name, counted)
+        n = 4000
+        simulate_matrix(base_config(m=100, n=n, beta=exponential(ratio), seed=1))
+        assert {name for name, *_ in calls} == {"_build"}
+        step, end, width = 0, 1, matrix.BAND_WIDTH
+        for _, (k,), w, chunk in calls:
+            assert (k, w) == (end, width) or (step <= k < end and w == 2 * width)
+            step, end, width = k, chunk[3], w
+        assert end == n
+        assert len(calls) < 20
+
+    @pytest.mark.parametrize("m, n, ratio, old_peak_mb", [(100, 4000, 1e4, 5.19),
+                                                          (200, 2000, 1e5, 15.84)])
+    def test_wide_bands_transform_each_row_about_once(self, m, n, ratio, old_peak_mb):
+        # Delays far longer than the run widen the bands past a row.  When
+        # each chunk of such bands transformed every row it reached, these
+        # runs transformed 52 and 105 times (n-1)(m-1) values, took 0.5 and
+        # 1.8 s, and peaked at old_peak_mb traced.
+        config = base_config(m=m, n=n, beta=exponential(ratio), seed=1)
+        tracemalloc.start()
+        try:
+            out = simulate_matrix(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.stats["delays_transformed"] <= 4 * (n - 1) * (m - 1)
+        assert peak <= old_peak_mb * 2**20
+        assert out.height_series == simulate_network(config).height_series
 
     def test_transforms_a_tenth_of_the_matrix(self):
         m, n = 1000, 4000
