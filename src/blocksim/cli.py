@@ -6,13 +6,18 @@ writes a CSV table, ``validate`` runs the cross-check suites, and
 ``replay`` re-executes a recorded manifest and verifies the outputs
 byte for byte.
 
-Configuration comes from flags, an optional JSON config file, the
-BLOCKSIM_SEED environment variable (for the seed only), and defaults,
-in that order of precedence, all resolved through one field table per
-command.  ``replay`` reads a manifest's params through the same table,
-as it would read a config file, with the manifest's base seed as its
-only flag.  Exit codes: 0 success, 1 validation or replay mismatch,
-2 usage or configuration error.
+Each command's config fields live in one table, ``_FIELDS``: a field's
+default, its parser and its help text.  The table makes the field's
+flag (``--tree-format`` for ``tree_format``), which click collects as
+plain text, so a value from a flag, from a JSON config file or from a
+replayed manifest goes through the same parser and fails the same way:
+exit 2 and one ``error:`` line.  A flag beats the config file, which
+beats BLOCKSIM_SEED (for the seed only) and then the default.  Config
+file keys are the field names (``reps``, ``tree_format``); a key that
+names no field exits 2.  ``replay`` reads a manifest's params as it
+would read a config file, with the manifest's base seed as its only
+flag.  Exit codes: 0 success, 1 validation or replay mismatch, 2 usage
+or configuration error.
 """
 
 from __future__ import annotations
@@ -35,18 +40,11 @@ from .manifest import (SCHEMA_VERSION, RunManifest, check_writable, load_manifes
 from .montecarlo import ENGINES, EXPERIMENTS, ExperimentPlan, engine_config, run_experiment
 from .validate import run_validation
 
-_ENGINE_CHOICES = tuple(ENGINES)
-_TREE_FORMATS = ("dot", "json")
-# Each kind by its own name and with dashes for underscores.
-_KIND_ALIASES = {alias: kind for kind in EXPERIMENTS
-                 for alias in dict.fromkeys((kind.replace("_", "-"), kind))}
-
-
 # ---------------------------------------------------------------------------
 # Config resolution helpers
 
 
-def _load_config_file(path) -> dict:
+def _load_config_file(path, command: str) -> dict:
     if path is None:
         return {}
     try:
@@ -55,6 +53,10 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
+    unknown = [repr(key) for key in doc if key not in _FIELDS[command]]
+    if unknown:
+        raise ConfigError(f"config file {path}: unknown key {', '.join(unknown)}; "
+                          f"{command} fields are {', '.join(_FIELDS[command])}")
     return doc
 
 
@@ -111,16 +113,14 @@ def _spec(value, key: str) -> DistributionSpec:
     raise ConfigError(f"{key} must be a spec string or object, got {value!r}")
 
 
-def _engine(value, key: str) -> str:
-    if value not in _ENGINE_CHOICES:
-        raise ConfigError(f"unknown engine {value!r}")
-    return value
-
-
-def _kind(value, key: str) -> str:
-    if not isinstance(value, str) or value not in _KIND_ALIASES:
-        raise ConfigError(f"unknown experiment kind {value!r}")
-    return _KIND_ALIASES[value]
+def _choice(what: str, names):
+    """A parser for one of ``names``; dashes in a value stand for underscores."""
+    def parse(value, key: str) -> str:
+        name = value.replace("-", "_") if isinstance(value, str) else None
+        if name not in names:
+            raise ConfigError(f"unknown {what} {value!r} (use {', '.join(names)})")
+        return name
+    return parse
 
 
 def _worker_count(value, key: str) -> int:
@@ -143,21 +143,39 @@ def _sweep(value, key: str) -> list[float]:
 
 
 _REQUIRED = object()
-# Each command's config fields, in resolution order, with their defaults.
-# A callable default is computed from the fields resolved before it.
+# Fields that both simulate and experiment read.
+_ALPHA = (_REQUIRED, _spec, "Production-time distribution, e.g. exp:1, gamma:0.5:2, const:1.")
+_BETA = (_REQUIRED, _spec, "Broadcast-delay distribution, e.g. exp:0.1, const:0.")
+_N = (_REQUIRED, _int_field, "Total blocks to produce, origin included.")
+_SEED = (_env_seed, _int_field, "Base seed (default: BLOCKSIM_SEED, else 0).")
+# Each command's config fields, in resolution order, as (default, parser,
+# help).  A callable default is computed from the fields resolved before it.
 _FIELDS = {
-    "simulate": {"engine": "matrix", "alpha": _REQUIRED, "beta": _REQUIRED,
-                 "m": None, "n": _REQUIRED, "seed": _env_seed},
+    "simulate": {
+        "engine": ("matrix", _choice("engine", ENGINES),
+                   f"Simulation engine: {', '.join(ENGINES)}."),
+        "alpha": _ALPHA, "beta": _BETA,
+        "m": (None, _worker_count, "Worker count (bounded engines)."),
+        "n": _N, "seed": _SEED,
+        "tree_format": ("dot", _choice("tree format", ("dot", "json")),
+                        "Format of the --tree-out file: dot or json."),
+    },
     "experiment": {
-        "kind": _REQUIRED, "alpha": _REQUIRED, "beta": _REQUIRED, "n": _REQUIRED,
-        "reps": lambda f: EXPERIMENTS[f["kind"]].reps,
-        "sweep": lambda f: EXPERIMENTS[f["kind"]].sweep,
-        "m": 100, "bins": 20, "engine": "infinite", "seed": _env_seed, "jobs": 1,
+        "kind": (_REQUIRED, _choice("experiment kind", EXPERIMENTS),
+                 f"Experiment family: {', '.join(k.replace('_', '-') for k in EXPERIMENTS)}."),
+        "alpha": _ALPHA, "beta": _BETA, "n": _N,
+        "reps": (lambda f: EXPERIMENTS[f["kind"]].reps, _int_field,
+                 "Replications per point (default: set by the kind)."),
+        "sweep": (lambda f: EXPERIMENTS[f["kind"]].sweep, _sweep,
+                  "Comma-separated worker counts (convergence) or mean ratios "
+                  "(efficiency) (default: set by the kind)."),
+        "m": (100, _worker_count, "Bounded-engine worker count for pdf-histogram/single."),
+        "bins": (20, _int_field, "Histogram bins."),
+        "engine": ("infinite", _choice("engine", ENGINES), "Engine for kind=single."),
+        "seed": _SEED,
+        "jobs": (1, _int_field, "Concurrent replication workers."),
     },
 }
-_PARSERS = {"engine": _engine, "kind": _kind, "alpha": _spec, "beta": _spec,
-            "m": _worker_count, "n": _int_field, "reps": _int_field, "sweep": _sweep,
-            "bins": _int_field, "seed": _int_field, "jobs": _int_field}
 
 
 def _resolve_fields(command: str, flags: dict, source: dict) -> dict:
@@ -168,15 +186,34 @@ def _resolve_fields(command: str, flags: dict, source: dict) -> dict:
     default is parsed.
     """
     fields = {}
-    for key, default in _FIELDS[command].items():
+    for key, (default, parse, _) in _FIELDS[command].items():
         value = flags[key] if flags.get(key) is not None else source.get(key)
         if value is None:
             value = default(fields) if callable(default) else default
         if value is _REQUIRED:
             raise ConfigError(f"missing {key}: no flag, config file or manifest sets it")
-        parse = _PARSERS.get(key)
-        fields[key] = parse(value, key) if parse and value is not None else value
+        fields[key] = value if value is None else parse(value, key)
     return fields
+
+
+def _input_options(command: str):
+    """One text option per field of the command, then --config and --manifest.
+
+    A field's option has no type and no default: click only collects
+    the text, and _resolve_fields parses it as it parses a config file.
+    """
+    options = []
+    for key, (default, _, text) in _FIELDS[command].items():
+        if not (callable(default) or default in (None, _REQUIRED)):
+            text = f"{text}  [default: {default}]"
+        options.append(click.option(f"--{key.replace('_', '-')}", key, metavar=key.upper(),
+                                    help=text))
+    options += [
+        click.option("--config", type=click.Path(),
+                     help="JSON config file; flags override its fields."),
+        click.option("--manifest", type=click.Path(),
+                     help="Manifest path (default: <out>.manifest.json).")]
+    return lambda fn: functools.reduce(lambda f, option: option(f), reversed(options), fn)
 
 
 def _guard(fn):
@@ -213,69 +250,88 @@ def _write_bytes(path: Path, data: str) -> str:
     return sha256_file(path)
 
 
-def run_simulate(fields: dict, tree_format: str | None, out_paths: dict):
+def run_simulate(fields: dict, out_paths: dict):
     """Execute one simulation run and write its files.
 
     fields are the resolved simulate fields; out_paths maps the roles
-    "outcome", "tree", "series" to target paths.  Returns the outcome
-    and {basename: sha256} for every file written.
+    "outcome", "tree", "series" to target paths.  Returns {basename:
+    sha256} for every file written, the lines to print and the run's
+    stream seeds.
     """
-    engine, n, seed = fields["engine"], fields["n"], fields["seed"]
+    engine, alpha, beta, n, seed = (fields[k] for k in ("engine", "alpha", "beta", "n", "seed"))
     want_tree = out_paths.get("tree") is not None
-
     if want_tree and engine != "network":
         raise ConfigError("--tree-out needs the network engine; "
                           "the closed-form engines track heights only")
-    if want_tree and tree_format not in _TREE_FORMATS:
-        raise ConfigError(f"unsupported tree format {tree_format!r} (use dot or json)")
 
-    outcome = ENGINES[engine](engine_config(engine, fields["alpha"], fields["beta"], n,
-                                            fields["m"], seed, record_tree=want_tree))
+    outcome = ENGINES[engine](engine_config(engine, alpha, beta, n, fields["m"], seed,
+                                            record_tree=want_tree))
 
     doc = {"engine": engine, "n": n, "seed": seed,
            "p_n": outcome.proportion, "height": outcome.height}
     render = {"outcome": lambda: json.dumps(doc, sort_keys=True, indent=2) + "\n",
-              "tree": lambda: export_tree(outcome.tree, tree_format),
+              "tree": lambda: export_tree(outcome.tree, fields["tree_format"]),
               "series": lambda: json.dumps({"height_series": list(outcome.height_series)}) + "\n"}
     digests = {}
     for role, text in render.items():
         if out_paths.get(role) is not None:
             path = Path(out_paths[role])
             digests[path.name] = _write_bytes(path, text())
-    return outcome, digests
+    lines = [f"p_n={outcome.proportion:.6f} height={outcome.height} n={n} engine={engine}",
+             f"regime={classify(alpha.mean, beta.mean)} "
+             f"(delay/production ratio {beta.mean / alpha.mean:g})"]
+    return digests, lines, outcome.seed_echo
 
 
-def run_experiment_files(fields: dict, out_paths: dict) -> dict[str, str]:
-    """Execute the experiment the resolved fields describe and write its CSV table."""
+def run_experiment_files(fields: dict, out_paths: dict):
+    """Execute the experiment the resolved fields describe and write its CSV table.
+
+    Returns {basename: sha256} of the table, the lines to print and no
+    stream seeds.
+    """
     plan = ExperimentPlan(
         kind=fields["kind"], alpha=fields["alpha"], beta=fields["beta"], n=fields["n"],
         base_seed=fields["seed"], replications=fields["reps"], sweep=tuple(fields["sweep"]),
         m=fields["m"], bins=fields["bins"], engine=fields["engine"])
     result = run_experiment(plan, jobs=fields["jobs"])
 
-    lines = [",".join(result.columns)]
+    csv = [",".join(result.columns)]
     for row in result.rows:
-        lines.append(",".join(repr(c) if isinstance(c, float) else str(c) for c in row))
+        csv.append(",".join(repr(c) if isinstance(c, float) else str(c) for c in row))
     table = Path(out_paths["table"])
-    digest = _write_bytes(table, "\n".join(lines) + "\n")
-    if result.note:
-        click.echo(result.note)
-    return {table.name: digest}
+    digests = {table.name: _write_bytes(table, "\n".join(csv) + "\n")}
+    wrote = f"wrote {out_paths['table']} ({len(digests)} file)"
+    return digests, [line for line in (result.note, wrote) if line], None
 
 
-def _finish_with_manifest(command: str, params: dict, base_seed: int,
-                          digests: dict, manifest_path, stream_seeds,
-                          started: float) -> None:
-    manifest = RunManifest(
-        command=command,
-        params=params,
-        base_seed=base_seed,
-        version=__version__,
-        outputs=digests,
-        stream_seeds=stream_seeds,
-        duration_s=round(time.perf_counter() - started, 6),
-    )
-    write_manifest(manifest, manifest_path)
+# Each command's output roles, the first one required, and its runner.  The
+# runner is looked up when it runs, so a wrapped module function is the one run.
+_RUNNERS = {
+    "simulate": (("outcome", "tree", "series"), lambda *a: run_simulate(*a)),
+    "experiment": (("table",), lambda *a: run_experiment_files(*a)),
+}
+
+
+def _run_command(command: str, flags: dict) -> None:
+    """Resolve the fields, check the targets, run, and record the manifest."""
+    started = time.perf_counter()
+    fields = _resolve_fields(command, flags, _load_config_file(flags["config"], command))
+    roles, run = _RUNNERS[command]
+    out_paths = {role: flags[role] for role in roles}
+    manifest_path = flags["manifest"] or out_paths[roles[0]] + ".manifest.json"
+    _check_targets(out_paths.values(), manifest_path)
+    digests, lines, stream_seeds = run(fields, out_paths)
+    for line in lines:
+        click.echo(line)
+
+    params = {**fields, "alpha": fields["alpha"].to_dict(), "beta": fields["beta"].to_dict(),
+              "output_names": {role: Path(p).name if p else None for role, p in out_paths.items()}}
+    if "reps" in params:
+        params["replications"] = params.pop("reps")
+    write_manifest(RunManifest(
+        command=command, params=params, base_seed=fields["seed"], version=__version__,
+        outputs=digests, stream_seeds=stream_seeds,
+        duration_s=round(time.perf_counter() - started, 6)), manifest_path)
 
 
 # ---------------------------------------------------------------------------
@@ -289,95 +345,27 @@ def main():
 
 
 @main.command()
-@click.option("--engine", type=click.Choice(_ENGINE_CHOICES), default=None,
-              help="Simulation engine (default: matrix).")
-@click.option("--alpha", default=None, metavar="SPEC",
-              help="Production-time distribution, e.g. exp:1, gamma:0.5:2, const:1.")
-@click.option("--beta", default=None, metavar="SPEC",
-              help="Broadcast-delay distribution, e.g. exp:0.1, const:0.")
-@click.option("--m", type=int, default=None, help="Worker count (bounded engines).")
-@click.option("--n", type=int, default=None,
-              help="Total blocks to produce, origin included.")
-@click.option("--seed", type=int, default=None,
-              help="Base seed (default: config file, then BLOCKSIM_SEED, then 0).")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="JSON config file; flags override its fields.")
-@click.option("--out", "out_path", type=click.Path(), default="outcome.json",
+@_input_options("simulate")
+@click.option("--out", "outcome", type=click.Path(), default="outcome.json",
               show_default=True, help="Outcome JSON path.")
-@click.option("--tree-out", type=click.Path(), default=None,
+@click.option("--tree-out", "tree", type=click.Path(),
               help="Write the block tree (network engine only).")
-@click.option("--tree-format", type=click.Choice(_TREE_FORMATS), default="dot",
-              show_default=True)
-@click.option("--series-out", type=click.Path(), default=None,
+@click.option("--series-out", "series", type=click.Path(),
               help="Write the per-block height series as JSON.")
-@click.option("--manifest", "manifest_path", type=click.Path(), default=None,
-              help="Manifest path (default: <out>.manifest.json).")
 @_guard
 def simulate(**flags):
     """Run one simulation and write the outcome files."""
-    started = time.perf_counter()
-    fields = _resolve_fields("simulate", flags, _load_config_file(flags["config_path"]))
-    alpha, beta = fields["alpha"], fields["beta"]
-    out_paths = {"outcome": flags["out_path"], "tree": flags["tree_out"],
-                 "series": flags["series_out"]}
-    params = {
-        **fields,
-        "alpha": alpha.to_dict(),
-        "beta": beta.to_dict(),
-        "tree_format": flags["tree_format"],
-        "output_names": {role: Path(p).name if p else None for role, p in out_paths.items()},
-    }
-    manifest_path = flags["manifest_path"] or flags["out_path"] + ".manifest.json"
-    _check_targets(out_paths.values(), manifest_path)
-    outcome, digests = run_simulate(fields, flags["tree_format"], out_paths)
-
-    click.echo(f"p_n={outcome.proportion:.6f} height={outcome.height} n={fields['n']} "
-               f"engine={fields['engine']}")
-    click.echo(f"regime={classify(alpha.mean, beta.mean)} "
-               f"(delay/production ratio {beta.mean / alpha.mean:g})")
-
-    _finish_with_manifest("simulate", params, fields["seed"], digests, manifest_path,
-                          outcome.seed_echo, started)
+    _run_command("simulate", flags)
 
 
 @main.command()
-@click.option("--kind", type=click.Choice(tuple(_KIND_ALIASES)), default=None,
-              help="Experiment family.")
-@click.option("--alpha", default=None, metavar="SPEC")
-@click.option("--beta", default=None, metavar="SPEC")
-@click.option("--n", type=int, default=None)
-@click.option("--reps", type=int, default=None,
-              help="Replications per point (default 100; 1000 for pdf-histogram).")
-@click.option("--sweep", default=None, metavar="LIST",
-              help="Comma-separated worker counts (convergence) or mean ratios "
-                   "(efficiency); efficiency defaults to a log grid 1e-3..1e2.")
-@click.option("--m", type=int, default=None,
-              help="Bounded-engine worker count for pdf-histogram/single (default 100).")
-@click.option("--bins", type=int, default=None, help="Histogram bins (default 20).")
-@click.option("--engine", type=click.Choice(_ENGINE_CHOICES), default=None,
-              help="Engine for kind=single (default infinite).")
-@click.option("--seed", type=int, default=None)
-@click.option("--jobs", type=int, default=None,
-              help="Concurrent replication workers (default 1).")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--out", "out_path", type=click.Path(), default="experiment.csv",
+@_input_options("experiment")
+@click.option("--out", "table", type=click.Path(), default="experiment.csv",
               show_default=True, help="CSV table path.")
-@click.option("--manifest", "manifest_path", type=click.Path(), default=None)
 @_guard
 def experiment(**flags):
     """Run a sweep experiment and write its CSV table."""
-    started = time.perf_counter()
-    fields = _resolve_fields("experiment", flags, _load_config_file(flags["config_path"]))
-    out_path = flags["out_path"]
-    params = {**fields, "alpha": fields["alpha"].to_dict(), "beta": fields["beta"].to_dict(),
-              "output_names": {"table": Path(out_path).name}}
-    params["replications"] = params.pop("reps")
-    manifest_path = flags["manifest_path"] or out_path + ".manifest.json"
-    _check_targets([out_path], manifest_path)
-    digests = run_experiment_files(fields, {"table": out_path})
-    click.echo(f"wrote {out_path} ({len(digests)} file)")
-    _finish_with_manifest("experiment", params, fields["seed"], digests, manifest_path,
-                          None, started)
+    _run_command("experiment", flags)
 
 
 @main.command()
@@ -385,11 +373,11 @@ def experiment(**flags):
 @click.option("--inject-fault", is_flag=True,
               help="Flip the matrix engine to non-strict visibility; the "
                    "equivalence suite must then fail (self-test of the suite).")
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", metavar="SEED", help=_SEED[2])
 @_guard
 def validate(quick, inject_fault, seed):
     """Run the engine cross-check suites; exit 1 on any failure."""
-    base_seed = _env_seed() if seed is None else seed
+    base_seed = _env_seed() if seed is None else _int_field(seed, "seed")
     results = run_validation(base_seed=base_seed, quick=quick,
                              strict_visibility=not inject_fault)
     all_ok = True
@@ -402,33 +390,36 @@ def validate(quick, inject_fault, seed):
 
 
 @main.command()
-@click.argument("manifest_file", type=click.Path(exists=True))
+@click.argument("manifest_file", type=click.Path())
 @click.option("--out-dir", type=click.Path(), default="replay-out", show_default=True,
               help="Directory for the re-created outputs.")
 @click.option("--check/--no-check", default=True, show_default=True,
               help="Compare digests against the manifest.")
 @_guard
 def replay(manifest_file, out_dir, check):
-    """Re-run a recorded command and verify byte-identical outputs."""
+    """Re-run a recorded command and verify byte-identical outputs.
+
+    Prints what the recorded command printed, then one line per output.
+    """
     manifest = load_manifest(manifest_file)
     if (manifest.version, manifest.schema_version) != (__version__, SCHEMA_VERSION):
         raise ConfigError(
             f"manifest was written by blocksim {manifest.version} (schema "
             f"{manifest.schema_version}); this is blocksim {__version__} (schema "
             f"{SCHEMA_VERSION})")
-    if manifest.command not in _FIELDS:
+    if manifest.command not in _RUNNERS:
         raise ConfigError(f"manifest records unknown command {manifest.command!r}")
     params, out_dir = manifest.params, Path(out_dir)
     # The table's reps field is recorded as replications.
     source = {**params, "reps": params.get("replications")}
     fields = _resolve_fields(manifest.command, {"seed": manifest.base_seed}, source)
-    names = _output_names(params, ("outcome",) if manifest.command == "simulate" else ("table",))
+    roles, run = _RUNNERS[manifest.command]
+    names = _output_names(params, roles[:1])
     out_paths = {role: (out_dir / name if name else None) for role, name in names.items()}
     _check_targets(out_paths.values())
-    if manifest.command == "simulate":
-        _, digests = run_simulate(fields, params.get("tree_format"), out_paths)
-    else:
-        digests = run_experiment_files(fields, out_paths)
+    digests, lines, _ = run(fields, out_paths)
+    for line in lines:
+        click.echo(line)
 
     if not check:
         click.echo(f"re-created {len(digests)} file(s) in {out_dir}")

@@ -1,14 +1,16 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from blocksim import __version__, montecarlo, network
+from blocksim import __version__, cli, montecarlo, network
 from blocksim.blocktree import BlockTree
 from blocksim.cli import main
 from blocksim.distributions import exponential
@@ -136,10 +138,6 @@ class TestSimulateErrors:
             "--beta", BETA, "--n", "10", "--out", str(tmp_path / "o.json")])
         assert result.exit_code == 2
 
-    def test_unknown_engine_is_usage_error(self, runner, tmp_path):
-        result = runner.invoke(main, simulate_args(tmp_path, "--engine", "warp"))
-        assert result.exit_code == 2
-
     @pytest.mark.parametrize("args, message", [
         (["simulate", "--engine", "matrix", "--m", str(10**20), "--n", "3"],
          f"worker count m must be <= 2147483647, got {10**20}"),
@@ -230,6 +228,75 @@ class TestSimulateErrors:
                                       "--out", str(tmp_path)])
         assert result.exit_code == 2
         assert result.output.startswith(f"error: cannot write {tmp_path}: ")
+
+
+SIM = ["simulate", "--alpha", ALPHA, "--beta", BETA]
+
+
+class TestOneInputPath:
+    @pytest.mark.parametrize("argv, named", [
+        ([*SIM, "--n", "20", "--m", "x"], "m must be an integer, got 'x'"),
+        ([*SIM, "--m", "3", "--n", "1.5"], "n must be an integer, got '1.5'"),
+        ([*SIM, "--n", "20", "--m", "3", "--engine", "warp"], "unknown engine 'warp'"),
+        (["experiment", "--alpha", ALPHA, "--beta", BETA, "--n", "20", "--reps", "1",
+          "--kind", "bogus"], "unknown experiment kind 'bogus'"),
+        ([*SIM, "--engine", "network", "--n", "20", "--m", "3", "--tree-out", "t.dot",
+          "--tree-format", "svg"], "unknown tree format 'svg'"),
+        (["validate", "--quick", "--seed", "1.5"], "seed must be an integer, got '1.5'"),
+        (["simulate", "--config", "missing.json"], "cannot read config file missing.json"),
+        (["replay", "missing.json"], "cannot read manifest missing.json"),
+    ], ids=["m", "n", "engine", "kind", "tree-format", "validate-seed", "config", "replay"])
+    def test_bad_input_is_one_error_line_and_writes_nothing(self, runner, tmp_path, argv,
+                                                             named):
+        # A flag's text goes through the parser a config file's value goes
+        # through, so a bad flag fails as a bad config value does.
+        with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 2
+            [line] = result.output.splitlines()
+            assert line.startswith(f"error: {named}")
+            assert list(Path(cwd).iterdir()) == []
+
+    @pytest.mark.parametrize("command, key", [("experiment", "replications"),
+                                              ("simulate", "reps"), ("simulate", "tree-format")])
+    def test_config_key_that_names_no_field_exits_2(self, runner, tmp_path, command, key):
+        # A key no field reads was once ignored: replications ran the
+        # kind's default count and the manifest recorded that instead.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**BASE_CONFIGS[command], key: 3}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 2
+        [line] = result.output.splitlines()
+        assert line.startswith(f"error: config file {config}: unknown key '{key}'; ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("command, paths", [
+        ("simulate", ["--config", "--manifest", "--out", "--tree-out", "--series-out"]),
+        ("experiment", ["--config", "--manifest", "--out"])])
+    def test_help_lists_one_flag_per_field(self, runner, command, paths):
+        from blocksim.cli import _FIELDS
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        flags = re.findall(r"^  (--[a-z-]+)", result.output, re.MULTILINE)
+        fields = [f"--{key.replace('_', '-')}" for key in _FIELDS[command]]
+        assert sorted(flags) == sorted([*fields, *paths, "--help"])
+        # click collects text only: no field option has a type of its own.
+        options = [p for p in main.commands[command].params if p.name in _FIELDS[command]]
+        assert [p.type for p in options] == [click.STRING] * len(fields)
+
+    @pytest.mark.parametrize("flag, env, seed", [("5", "7", 5), ("0", "7", 0), (None, "7", 7),
+                                                 (None, None, 0)])
+    def test_validate_seed_is_flag_then_env_then_zero(self, runner, monkeypatch, flag, env,
+                                                      seed):
+        seen = []
+        monkeypatch.setattr(cli, "run_validation",
+                            lambda base_seed, **kwargs: seen.append(base_seed) or [])
+        if env is not None:
+            monkeypatch.setenv("BLOCKSIM_SEED", env)
+        result = runner.invoke(main, ["validate", "--quick", *(["--seed", flag] if flag else [])])
+        assert result.exit_code == 0, result.output
+        assert seen == [seed]
 
 
 class TestConfigResolution:
@@ -391,6 +458,7 @@ PRECEDENCE = {
     ("simulate", "m"): ("5", 4, 5, 4, None),
     ("simulate", "n"): ("25", 30, 25, 30, MISSING),
     ("simulate", "seed"): ("8", 17, 8, 17, 0),
+    ("simulate", "tree_format"): ("dot", "json", "dot", "json", "dot"),
     ("experiment", "kind"): ("pdf-histogram", "efficiency", "pdf_histogram", "efficiency",
                              MISSING),
     ("experiment", "alpha"): SPEC_CASES["alpha"],
@@ -442,7 +510,7 @@ class TestFieldTable:
             return load_manifest(f"{out}.manifest.json").params[param]
 
         doc = {**BASE_CONFIGS[command], key: value}
-        assert params(doc, f"--{key}", flag) == from_flag
+        assert params(doc, f"--{key.replace('_', '-')}", flag) == from_flag
         assert params(doc) == from_config
         del doc[key]
         assert params(doc) == default
@@ -763,7 +831,26 @@ class TestReplay:
                                          lambda params: params.pop("seed"),
                                          env={"BLOCKSIM_SEED": "99"})
         assert result.exit_code == 0, result.output
-        assert result.output == "o.json: match\n"
+        assert result.output.endswith("\no.json: match\n")
+
+    @pytest.mark.parametrize("argv, outputs", [
+        (["simulate", "--engine", "network", "--alpha", ALPHA, "--beta", BETA, "--m", "3",
+          "--n", "30", "--seed", "2", "--out", "o.json", "--tree-out", "t.dot"],
+         ["o.json", "t.dot"]),
+        (["experiment", "--kind", "efficiency", "--alpha", ALPHA, "--beta", BETA, "--n", "20",
+          "--reps", "2", "--sweep", "0.5,2", "--seed", "1", "--out", "e.csv"], ["e.csv"]),
+    ], ids=["simulate", "experiment"])
+    def test_replay_prints_what_the_command_printed(self, runner, tmp_path, argv, outputs):
+        # Both commands: the recorded command's lines, with its outputs now
+        # under --out-dir, then one verdict line per output.
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            recorded = runner.invoke(main, argv)
+            assert recorded.exit_code == 0, recorded.output
+            manifest = f"{argv[argv.index('--out') + 1]}.manifest.json"
+            result = runner.invoke(main, ["replay", manifest, "--out-dir", "replayed"])
+        assert result.exit_code == 0, result.output
+        assert result.output == (recorded.output.replace("wrote ", "wrote replayed/")
+                                 + "".join(f"{name}: match\n" for name in outputs))
 
     def test_unknown_tree_format_writes_nothing(self, runner, tmp_path):
         argv = ["simulate", "--engine", "network", "--alpha", ALPHA, "--beta", BETA,
@@ -772,7 +859,7 @@ class TestReplay:
         result, written = self.replay_manifest(
             runner, tmp_path, argv, lambda params: params.update(tree_format="svg"))
         assert result.exit_code == 2
-        assert result.output == "error: unsupported tree format 'svg' (use dot or json)\n"
+        assert result.output == "error: unknown tree format 'svg' (use dot, json)\n"
         assert written == []
 
     def test_out_dir_that_is_a_file_exits_2(self, runner, tmp_path):
@@ -932,17 +1019,19 @@ class TestMalformedValues:
                                     "n": 20, "m": 3}))
         output = self.one_line_exit_2(runner.invoke(main, [
             "simulate", "--config", str(path), "--out", str(tmp_path / "o.json")]))
-        assert output == "error: unknown engine 'warp'\n"
+        assert output == "error: unknown engine 'warp' (use network, matrix, infinite)\n"
         runner.invoke(main, simulate_args(tmp_path, "--seed", "2"))
         manifest = tmp_path / "outcome.json.manifest.json"
         doc = json.loads(manifest.read_text())
         doc["params"]["engine"] = "warp"
         manifest.write_text(json.dumps(doc))
-        assert self.replay(runner, tmp_path, manifest) == "error: unknown engine 'warp'\n"
+        assert self.replay(runner, tmp_path, manifest) == output
 
     @pytest.mark.parametrize("field, value, message", [
-        ("kind", "scatter", "error: unknown experiment kind 'scatter'\n"),
-        ("engine", "warp", "error: unknown engine 'warp'\n")], ids=["kind", "engine"])
+        ("kind", "scatter", "error: unknown experiment kind 'scatter' "
+                            "(use convergence, efficiency, pdf_histogram, single)\n"),
+        ("engine", "warp", "error: unknown engine 'warp' (use network, matrix, infinite)\n")],
+        ids=["kind", "engine"])
     def test_unknown_experiment_name_from_config_or_manifest(self, runner, tmp_path,
                                                              field, value, message):
         path = tmp_path / "config.json"
