@@ -18,8 +18,8 @@ from .distributions import (DistributionSpec, chi_squared, constant, exponential
 from .errors import ConfigError
 from .infinite import InfSimConfig, simulate_infinite
 from .matrix import simulate_matrix, visible_height_naive
-from .montecarlo import (ExperimentPlan, ExperimentResult, McEstimate, predicted_p,
-                         prediction_warning, run_experiment, run_replications)
+from .montecarlo import (ExperimentResult, McEstimate, predicted_p, prediction_warning,
+                         run_experiment, run_replications)
 from .network import NetSimConfig, SimOutcome, simulate_network
 from .rng import SampleStream, StreamBundle, mix64
 from .validate import run_validation

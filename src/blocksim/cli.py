@@ -37,7 +37,7 @@ from .distributions import DistributionSpec, parse_spec, spec_from_dict
 from .errors import ConfigError
 from .manifest import (SCHEMA_VERSION, RunManifest, check_writable, load_manifest, sha256_file,
                        write_manifest, write_text)
-from .montecarlo import ENGINES, EXPERIMENTS, ExperimentPlan, engine_config, run_experiment
+from .montecarlo import ENGINES, EXPERIMENTS, engine_config, run_experiment
 from .validate import run_validation
 
 # ---------------------------------------------------------------------------
@@ -289,11 +289,7 @@ def run_experiment_files(fields: dict, out_paths: dict):
     Returns {basename: sha256} of the table, the lines to print and no
     stream seeds.
     """
-    plan = ExperimentPlan(
-        kind=fields["kind"], alpha=fields["alpha"], beta=fields["beta"], n=fields["n"],
-        base_seed=fields["seed"], replications=fields["reps"], sweep=tuple(fields["sweep"]),
-        m=fields["m"], bins=fields["bins"], engine=fields["engine"])
-    result = run_experiment(plan, jobs=fields["jobs"])
+    result = run_experiment(**fields)
 
     csv = [",".join(result.columns)]
     for row in result.rows:

@@ -18,7 +18,9 @@ times, makes creation times strictly increasing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
+import sys
 
 import numpy as np
 
@@ -184,10 +186,26 @@ def with_mean(spec: DistributionSpec, mean: float) -> DistributionSpec:
     return DistributionSpec(spec.kind, mean)
 
 
-def require_production_role(spec: DistributionSpec, what: str = "production distribution") -> None:
-    """Production times must be strictly positive (constant 0 is delay-only)."""
+def require_production_role(spec: DistributionSpec, n: int,
+                            what: str = "production distribution") -> None:
+    """Production times must be strictly positive (constant 0 is delay-only),
+    and no n-1 of them may sum past the largest double, so every creation
+    time stays finite."""
     if spec.mean <= 0:
         raise ConfigError(f"{what} must have positive mean, got {spec.mean}")
+    # Summing n-1 draws in sequence rounds the sum up by less than n * 2**-53
+    # of it; twice that also covers the rounding of this product.
+    if (n - 1) * _largest_draw(spec) * (1 + n * 2.0**-52) > sys.float_info.max:
+        raise ConfigError(f"{what} {spec.kind}:{spec.mean:g} can overflow creation "
+                          f"times: {n - 1} draws may sum past {sys.float_info.max:g}")
+
+
+@functools.lru_cache(maxsize=64)
+def _largest_draw(spec: DistributionSpec) -> float:
+    """The largest value a draw can take, inf if it overflows: the transform
+    of the largest uniform a stream yields, (2**53 - 1) * 2**-53."""
+    with np.errstate(over="ignore"):
+        return float(_transform(spec, np.array([1.0 - 2.0**-53]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ class InfSimConfig:
 
     def __post_init__(self):
         check_count("block count n", self.n)
-        require_production_role(self.alpha)
+        require_production_role(self.alpha, self.n)
 
 
 def simulate_infinite(config: InfSimConfig, streams: StreamBundle | None = None,

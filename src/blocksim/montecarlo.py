@@ -12,8 +12,8 @@ one run_replication_sets call.
 
 Seeding is two-level: replication r of a set that was handed
 ``base_seed`` runs with seed mix64(base_seed, r), and set i of an
-experiment is handed mix64(plan seed, i).  Everything downstream is
-deterministic given the plan.
+experiment is handed mix64(seed, i) from the experiment's seed.
+Everything downstream is deterministic given the experiment's fields.
 """
 
 from __future__ import annotations
@@ -60,28 +60,6 @@ class McEstimate:
     quantiles: dict
     replications: int
     values: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class ExperimentPlan:
-    """One experiment: what to sweep, how often, and from which seed.
-
-    sweep holds worker counts for convergence and mean ratios for
-    efficiency; it is ignored by pdf_histogram and single runs.  m is
-    the bounded-engine worker count for pdf_histogram (and network or
-    matrix single runs); engine only matters for kind="single".
-    """
-
-    kind: str
-    alpha: DistributionSpec
-    beta: DistributionSpec
-    n: int
-    base_seed: int
-    replications: int
-    sweep: tuple[float, ...]
-    m: int
-    bins: int
-    engine: str
 
 
 @dataclass(frozen=True)
@@ -205,17 +183,16 @@ def default_ratio_grid() -> tuple[float, ...]:
     return tuple(float(r) for r in np.logspace(-3.0, 2.0, 51))
 
 
-def _convergence(plan: ExperimentPlan):
-    """The matrix engine per worker count in plan.sweep, then the unbounded
+def _convergence(alpha, beta, n, sweep, **_):
+    """The matrix engine per worker count in sweep, then the unbounded
     engine as the final row (m column "inf")."""
-    for m in plan.sweep:
+    for m in sweep:
         if not (math.isfinite(m) and m == int(m) and m >= 1):
             raise ConfigError("convergence sweep: worker counts must be "
                               f"finite integers >= 1, got {m!r}")
-    workers = [int(m) for m in plan.sweep]
-    sets = [("matrix", engine_config("matrix", plan.alpha, plan.beta, plan.n, m))
-            for m in workers]
-    sets.append(("infinite", engine_config("infinite", plan.alpha, plan.beta, plan.n)))
+    workers = [int(m) for m in sweep]
+    sets = [("matrix", engine_config("matrix", alpha, beta, n, m)) for m in workers]
+    sets.append(("infinite", engine_config("infinite", alpha, beta, n)))
 
     def finish(estimates):
         rows = [(m, est.mean, est.quantiles[0.25], est.quantiles[0.75], est.replications)
@@ -225,20 +202,19 @@ def _convergence(plan: ExperimentPlan):
     return sets, finish
 
 
-def _efficiency(plan: ExperimentPlan):
-    """The unbounded engine per ratio r in plan.sweep, its delay rescaled to
+def _efficiency(alpha, beta, n, sweep, **_):
+    """The unbounded engine per ratio r in sweep, its delay rescaled to
     mean r * alpha_mean; rows pair each measurement with predicted_p."""
-    betas = [with_mean(plan.beta, float(ratio) * plan.alpha.mean) for ratio in plan.sweep]
-    sets = [("infinite", engine_config("infinite", plan.alpha, beta, plan.n))
-            for beta in betas]
+    betas = [with_mean(beta, float(ratio) * alpha.mean) for ratio in sweep]
+    sets = [("infinite", engine_config("infinite", alpha, b, n)) for b in betas]
 
     def finish(estimates):
         rows, warned = [], []
-        for ratio, beta, est in zip(plan.sweep, betas, estimates):
-            pred = predicted_p(plan.alpha.mean, beta.mean)
-            if prediction_warning(plan.alpha.mean, beta.mean):
+        for ratio, b, est in zip(sweep, betas, estimates):
+            pred = predicted_p(alpha.mean, b.mean)
+            if prediction_warning(alpha.mean, b.mean):
                 warned.append(float(ratio))
-            rows.append((float(ratio), plan.alpha.mean, beta.mean, est.mean,
+            rows.append((float(ratio), alpha.mean, b.mean, est.mean,
                          est.std_error, pred, abs(est.mean - pred)))
         note = (f"note: prediction is unreliable at ratios > 1 (sweep hit: "
                 f"{', '.join(f'{r:g}' for r in warned)})" if warned else "")
@@ -247,18 +223,18 @@ def _efficiency(plan: ExperimentPlan):
     return sets, finish
 
 
-def _pdf_histogram(plan: ExperimentPlan):
-    """The matrix engine with plan.m workers and the unbounded engine, binned
-    on shared edges, with their two-sample Kolmogorov-Smirnov distance."""
-    if plan.bins < 1:
-        raise ConfigError(f"histogram bin count must be >= 1, got {plan.bins}")
-    sets = [("matrix", engine_config("matrix", plan.alpha, plan.beta, plan.n, plan.m)),
-            ("infinite", engine_config("infinite", plan.alpha, plan.beta, plan.n))]
+def _pdf_histogram(alpha, beta, n, m, bins, **_):
+    """The matrix engine with m workers and the unbounded engine, binned on
+    shared edges, with their two-sample Kolmogorov-Smirnov distance."""
+    if bins < 1:
+        raise ConfigError(f"histogram bin count must be >= 1, got {bins}")
+    sets = [("matrix", engine_config("matrix", alpha, beta, n, m)),
+            ("infinite", engine_config("infinite", alpha, beta, n))]
 
     def finish(estimates):
         est_m, est_inf = estimates
         edges = np.histogram_bin_edges(np.asarray(est_m.values + est_inf.values),
-                                       bins=plan.bins)
+                                       bins=bins)
         dens_m, _ = np.histogram(est_m.values, bins=edges, density=True)
         dens_inf, _ = np.histogram(est_inf.values, bins=edges, density=True)
         rows = [(float(edges[i]), float(edges[i + 1]), float(dens_m[i]), float(dens_inf[i]))
@@ -273,9 +249,9 @@ def _pdf_histogram(plan: ExperimentPlan):
     return sets, finish
 
 
-def _single(plan: ExperimentPlan):
-    """plan.engine at fixed parameters, one row per replication."""
-    sets = [(plan.engine, engine_config(plan.engine, plan.alpha, plan.beta, plan.n, plan.m))]
+def _single(alpha, beta, n, m, engine, **_):
+    """engine at fixed parameters, one row per replication."""
+    sets = [(engine, engine_config(engine, alpha, beta, n, m))]
     return sets, lambda estimates: (list(enumerate(estimates[0].values)), {}, "")
 
 
@@ -283,10 +259,12 @@ class Experiment(NamedTuple):
     """One experiment kind.
 
     columns name its table's columns, stable and recorded in manifests.
-    driver checks a plan, then returns the (engine, config) sets the
-    kind runs and a function that turns their estimates into the rows,
-    the extras and the note printed on stdout ("" for none).  reps and
-    sweep are the plan defaults; a kind with a default sweep needs one.
+    driver takes the experiment's fields as keywords, names the ones it
+    reads and ignores the rest; it checks them, then returns the
+    (engine, config) sets the kind runs and a function that turns their
+    estimates into the rows, the extras and the note printed on stdout
+    ("" for none).  reps and sweep are the kind's defaults; a kind with a
+    default sweep needs one.
     """
 
     columns: tuple[str, ...]
@@ -307,19 +285,21 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
-    """Run the plan's kind: every set in one run_replication_sets call.
+def run_experiment(kind: str, reps: int, seed: int, jobs: int = 1,
+                   **fields) -> ExperimentResult:
+    """Run one experiment kind: every set in one run_replication_sets call.
 
-    Set i runs plan.replications times from base seed
-    mix64(plan.base_seed, i).
+    fields are the keywords the kind's driver reads (alpha, beta, n and
+    some of sweep, m, bins, engine); others are ignored.  Set i runs reps
+    times from base seed mix64(seed, i).
     """
-    experiment = EXPERIMENTS[plan.kind]
-    if experiment.sweep and not plan.sweep:
-        raise ConfigError(f"{plan.kind} experiment needs a non-empty sweep")
-    sets, finish = experiment.driver(plan)
+    experiment = EXPERIMENTS[kind]
+    if experiment.sweep and not fields.get("sweep"):
+        raise ConfigError(f"{kind} experiment needs a non-empty sweep")
+    sets, finish = experiment.driver(**fields)
     estimates = run_replication_sets(
-        [(engine, config, plan.replications, mix64(plan.base_seed, i))
-         for i, (engine, config) in enumerate(sets)], jobs)
+        [(engine, config, reps, mix64(seed, i)) for i, (engine, config) in enumerate(sets)],
+        jobs)
     rows, extras, note = finish(estimates)
     return ExperimentResult(experiment.columns, tuple(rows), extras, note)
 

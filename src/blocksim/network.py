@@ -34,8 +34,8 @@ from .errors import ConfigError
 from .rng import StreamBundle
 
 # Delay values per row block, of max(1, ROW_VALUES // (m-1)) rows.  2**16
-# (the matrix engine's size) runs as fast at short delays and files fewer
-# pieces at long ones, but costs about 11 MB more peak memory at m=1000.
+# values per block run as fast at short delays and file fewer pieces at
+# long ones, but cost about 11 MB more peak memory at m=1000.
 ROW_VALUES = 2**12
 
 # The largest worker or block count a config accepts: one array of that
@@ -69,7 +69,7 @@ class NetSimConfig:
     def __post_init__(self):
         check_count("worker count m", self.m)
         check_count("block count n", self.n)
-        require_production_role(self.alpha)
+        require_production_role(self.alpha, self.n)
 
 
 @dataclass(frozen=True)

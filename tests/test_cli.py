@@ -102,6 +102,11 @@ class TestSimulate:
         assert (tmp_path / "tree.dot").read_text().startswith("digraph")
 
 
+OVERFLOW_SIM = ["simulate", "--alpha", "exp:1e308", "--beta", "exp:1", "--n", "50", "--m", "3"]
+OVERFLOW_EXPERIMENT = ["experiment", "--kind", "efficiency", "--alpha", "exp:1e307",
+                       "--beta", "exp:1", "--n", "200", "--reps", "2", "--sweep", "1"]
+
+
 class TestSimulateErrors:
     def test_bad_spec_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -229,8 +234,34 @@ class TestSimulateErrors:
         assert result.exit_code == 2
         assert result.output.startswith(f"error: cannot write {tmp_path}: ")
 
+    @pytest.mark.parametrize("argv", [
+        [*OVERFLOW_SIM, "--engine", "network", "--tree-out", "t.json"],
+        [*OVERFLOW_SIM, "--engine", "matrix"],
+        [*OVERFLOW_SIM, "--engine", "infinite"],
+        [*OVERFLOW_EXPERIMENT, "--jobs", "1"],
+        [*OVERFLOW_EXPERIMENT, "--jobs", "2"],
+    ], ids=["network-tree", "matrix", "infinite", "efficiency-1-job", "efficiency-2-jobs"])
+    def test_production_times_that_can_overflow_exit_2(self, runner, tmp_path, argv):
+        # Finite parameters whose creation times could sum past the largest
+        # double are rejected before any run, so nothing is drawn or written.
+        with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 2
+            [line] = result.output.splitlines()
+            assert line.startswith("error: production distribution exponential:")
+            assert "draws may sum past" in line
+            assert list(Path(cwd).iterdir()) == []
 
-SIM = ["simulate", "--alpha", ALPHA, "--beta", BETA]
+    @pytest.mark.parametrize("engine", ["network", "matrix", "infinite"])
+    def test_production_times_that_cannot_overflow_run(self, runner, tmp_path, engine):
+        result = runner.invoke(main, [
+            "simulate", "--engine", engine, "--alpha", "exp:1e300", "--beta", "exp:1e300",
+            "--n", "1000", "--m", "3", "--out", str(tmp_path / "o.json")])
+        assert result.exit_code == 0
+        assert result.output.startswith("p_n=")
+
+
+SIM =["simulate", "--alpha", ALPHA, "--beta", BETA]
 
 
 class TestOneInputPath:

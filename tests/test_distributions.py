@@ -40,8 +40,18 @@ class TestSpecValidation:
     def test_constant_zero_is_delay_only(self):
         spec = constant(0.0)
         with pytest.raises(ConfigError):
-            require_production_role(spec)
-        require_production_role(constant(1.5))
+            require_production_role(spec, 10)
+        require_production_role(constant(1.5), 10)
+
+    def test_creation_times_that_can_overflow_rejected(self):
+        top = float(np.finfo(float).max)
+        require_production_role(exponential(1e300), 1000)
+        require_production_role(exponential(1e308), 1)  # no draws, no sum
+        require_production_role(constant(top / 3), 3)
+        for spec, n in [(exponential(1e308), 2), (exponential(1e300), 10**7),
+                        (constant(top / 3), 5), (gamma(shape=0.01, mean=1e303), 200)]:
+            with pytest.raises(ConfigError, match="can overflow creation times"):
+                require_production_role(spec, n)
 
     @pytest.mark.parametrize("make", [
         lambda: exponential(float("nan")),

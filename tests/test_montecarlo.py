@@ -1,15 +1,16 @@
 from concurrent.futures import ProcessPoolExecutor
+import inspect
 import warnings
 
 import numpy as np
 import pytest
 
-from blocksim import montecarlo
+from blocksim import cli, montecarlo
 from blocksim.distributions import constant, exponential
 from blocksim.errors import ConfigError
-from blocksim.montecarlo import (EXPERIMENTS, ExperimentPlan, default_ratio_grid,
-                                 predicted_p, prediction_warning, run_experiment,
-                                 run_replication_sets, run_replications, two_sample_ks)
+from blocksim.montecarlo import (EXPERIMENTS, default_ratio_grid, predicted_p,
+                                 prediction_warning, run_experiment, run_replication_sets,
+                                 run_replications, two_sample_ks)
 from blocksim.infinite import InfSimConfig
 from blocksim.network import NetSimConfig
 from blocksim.rng import mix64
@@ -107,9 +108,9 @@ class TestPoolSize:
         assert pooled == run_replications("infinite", inf_config(n=20), reps, base_seed=2)
 
     def test_small_experiment_at_six_jobs(self, recording_pool):
-        plan = small_plans()["single"]
-        assert run_experiment(plan, jobs=6) == run_experiment(plan, jobs=1)
-        assert recording_pool == [plan.replications]
+        fields = small_experiments()["single"]
+        assert run_experiment(**fields, jobs=6) == run_experiment(**fields, jobs=1)
+        assert recording_pool == [fields["reps"]]
 
 
 @pytest.fixture
@@ -126,42 +127,34 @@ def pools(monkeypatch, cpus):
     return started
 
 
-# Every plan field a test leaves out, at the CLI's default where it has one.
-PLAN_FIELDS = dict(replications=100, sweep=(), m=100, bins=20, engine="infinite")
-
-
-def make_plan(**fields):
-    return ExperimentPlan(**{**PLAN_FIELDS, **fields})
-
-
-def small_plans():
-    common = dict(alpha=exponential(1.0), beta=exponential(0.5), n=60, base_seed=3,
-                  replications=4)
+def small_experiments():
+    """Each kind with only the fields its driver reads."""
+    common = dict(alpha=exponential(1.0), beta=exponential(0.5), n=60, seed=3, reps=4)
     return {
-        "convergence": make_plan(kind="convergence", sweep=(2, 3, 5), **common),
-        "efficiency": make_plan(kind="efficiency", sweep=(0.1, 1.0, 10.0), **common),
-        "pdf_histogram": make_plan(kind="pdf_histogram", m=4, bins=5, **common),
-        "single": make_plan(kind="single", engine="matrix", m=4, **common),
+        "convergence": dict(kind="convergence", sweep=(2, 3, 5), **common),
+        "efficiency": dict(kind="efficiency", sweep=(0.1, 1.0, 10.0), **common),
+        "pdf_histogram": dict(kind="pdf_histogram", m=4, bins=5, **common),
+        "single": dict(kind="single", engine="matrix", m=4, **common),
     }
 
 
 class TestOnePoolPerExperiment:
     @pytest.mark.parametrize("kind", ["convergence", "efficiency"])
     def test_one_pool_at_two_jobs(self, pools, kind):
-        run_experiment(small_plans()[kind], jobs=2)
+        run_experiment(**small_experiments()[kind], jobs=2)
         assert pools == [2]
 
     @pytest.mark.parametrize("kind", ["convergence", "efficiency"])
     def test_no_pool_at_one_job(self, pools, kind):
-        run_experiment(small_plans()[kind], jobs=1)
+        run_experiment(**small_experiments()[kind], jobs=1)
         assert pools == []
 
     @pytest.mark.parametrize("kind", ["convergence", "efficiency", "pdf_histogram",
                                       "single"])
     def test_jobs_do_not_change_results(self, kind):
-        plan = small_plans()[kind]
-        serial = run_experiment(plan, jobs=1)
-        pooled = run_experiment(plan, jobs=2)
+        fields = small_experiments()[kind]
+        serial = run_experiment(**fields, jobs=1)
+        pooled = run_experiment(**fields, jobs=2)
         assert pooled.rows == serial.rows
         assert pooled.extras == serial.extras
 
@@ -188,26 +181,24 @@ class TestPrediction:
             predicted_p(1.0, -0.1)
 
 
-class TestPlanValidation:
+class TestFieldValidation:
     def test_sweep_required(self):
         with pytest.raises(ConfigError):
-            run_experiment(make_plan(kind="convergence", alpha=exponential(1.0),
-                                     beta=exponential(0.1), n=100, base_seed=0))
+            run_experiment("convergence", 100, 0, alpha=exponential(1.0),
+                           beta=exponential(0.1), n=100, sweep=())
 
 
 class TestConvergenceSweepValidation:
     @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 2.5, 0, -3])
     def test_non_integer_worker_count_rejected(self, bad):
         with pytest.raises(ConfigError, match="finite integers >= 1"):
-            run_experiment(make_plan(kind="convergence", alpha=exponential(1.0),
-                                     beta=exponential(0.1), n=40, base_seed=0,
-                                     replications=2, sweep=(2, bad)))
+            run_experiment("convergence", 2, 0, alpha=exponential(1.0),
+                           beta=exponential(0.1), n=40, sweep=(2, bad))
 
     def test_integral_floats_accepted(self):
-        plan = make_plan(kind="convergence", alpha=exponential(1.0),
-                         beta=exponential(0.1), n=40, base_seed=0,
-                         replications=2, sweep=(2.0, 5.0))
-        assert [row[0] for row in run_experiment(plan).rows] == [2, 5, "inf"]
+        result = run_experiment("convergence", 2, 0, alpha=exponential(1.0),
+                                beta=exponential(0.1), n=40, sweep=(2.0, 5.0))
+        assert [row[0] for row in result.rows] == [2, 5, "inf"]
 
 
 class TestDefaultRatioGrid:
@@ -226,10 +217,8 @@ class TestDefaultRatioGrid:
 
 class TestConvergenceExperiment:
     def test_table_shape_and_inf_row(self):
-        plan = make_plan(kind="convergence", alpha=exponential(1.0),
-                         beta=exponential(0.1), n=80, base_seed=7,
-                         replications=5, sweep=(2, 5, 10))
-        result = run_experiment(plan)
+        result = run_experiment("convergence", 5, 7, alpha=exponential(1.0),
+                                beta=exponential(0.1), n=80, sweep=(2, 5, 10))
         assert result.columns == ("m", "mean_p", "q25", "q75", "replications")
         assert len(result.rows) == 4
         assert [row[0] for row in result.rows] == [2, 5, 10, "inf"]
@@ -238,18 +227,15 @@ class TestConvergenceExperiment:
             assert row[4] == 5
 
     def test_deterministic(self):
-        plan = make_plan(kind="convergence", alpha=exponential(1.0),
-                         beta=exponential(0.1), n=60, base_seed=8,
-                         replications=3, sweep=(2, 4))
-        assert run_experiment(plan) == run_experiment(plan)
+        fields = dict(kind="convergence", reps=3, seed=8, alpha=exponential(1.0),
+                      beta=exponential(0.1), n=60, sweep=(2, 4))
+        assert run_experiment(**fields) == run_experiment(**fields)
 
 
 class TestEfficiencyExperiment:
     def test_rows_track_prediction(self):
-        plan = make_plan(kind="efficiency", alpha=exponential(1.0),
-                         beta=constant(1.0), n=400, base_seed=9,
-                         replications=20, sweep=(0.01, 0.1))
-        result = run_experiment(plan)
+        result = run_experiment("efficiency", 20, 9, alpha=exponential(1.0),
+                                beta=constant(1.0), n=400, sweep=(0.01, 0.1))
         assert result.columns == ("ratio", "alpha_mean", "beta_mean", "mean_p", "std_err",
                                   "predicted_p", "abs_error")
         for ratio, a_mean, b_mean, mean_p, std_err, pred, err in result.rows:
@@ -261,19 +247,15 @@ class TestEfficiencyExperiment:
         assert result.extras["chaotic_ratios"] == []
 
     def test_chaotic_ratios_flagged(self):
-        plan = make_plan(kind="efficiency", alpha=exponential(1.0),
-                         beta=exponential(1.0), n=60, base_seed=10,
-                         replications=2, sweep=(0.5, 2.0, 50.0))
-        result = run_experiment(plan)
+        result = run_experiment("efficiency", 2, 10, alpha=exponential(1.0),
+                                beta=exponential(1.0), n=60, sweep=(0.5, 2.0, 50.0))
         assert result.extras["chaotic_ratios"] == [2.0, 50.0]
 
 
 class TestHistogramExperiment:
     def test_bins_and_extras(self):
-        plan = make_plan(kind="pdf_histogram", alpha=exponential(1.0),
-                         beta=exponential(0.1), n=100, base_seed=11,
-                         replications=40, m=10, bins=12)
-        result = run_experiment(plan)
+        result = run_experiment("pdf_histogram", 40, 11, alpha=exponential(1.0),
+                                beta=exponential(0.1), n=100, m=10, bins=12)
         assert result.columns == ("bin_left", "bin_right", "density_Am", "density_Ainf")
         assert len(result.rows) == 12
         for left, right, dm, di in result.rows:
@@ -290,34 +272,39 @@ class TestHistogramExperiment:
     @pytest.mark.parametrize("bins", [0, -4])
     def test_bins_below_one_rejected(self, bins):
         with pytest.raises(ConfigError, match="bin count must be >= 1"):
-            run_experiment(make_plan(kind="pdf_histogram", alpha=exponential(1.0),
-                                     beta=exponential(0.1), n=40, base_seed=0,
-                                     replications=4, bins=bins))
+            run_experiment("pdf_histogram", 4, 0, alpha=exponential(1.0),
+                           beta=exponential(0.1), n=40, m=100, bins=bins)
 
 
 class TestSingleExperiment:
     def test_rows_enumerate_values(self):
-        plan = make_plan(kind="single", alpha=exponential(1.0),
-                         beta=exponential(0.1), n=80, base_seed=12,
-                         replications=6)
-        result = run_experiment(plan)
+        result = run_experiment("single", 6, 12, alpha=exponential(1.0),
+                                beta=exponential(0.1), n=80, m=None, engine="infinite")
         assert result.columns == ("replication", "p_n")
         assert [row[0] for row in result.rows] == list(range(6))
         assert tuple(row[1] for row in result.rows) == run_replications(
             "infinite", inf_config(n=80), 6, mix64(12, 0)).values
 
     def test_bounded_engine_requires_m(self):
-        plan = make_plan(kind="single", alpha=exponential(1.0),
-                         beta=exponential(0.1), n=80, base_seed=12,
-                         replications=3, m=6, engine="matrix")
-        result = run_experiment(plan)
+        result = run_experiment("single", 3, 12, alpha=exponential(1.0),
+                                beta=exponential(0.1), n=80, m=6, engine="matrix")
         assert len(result.rows) == 3
 
     def test_dispatcher_routes_by_kind(self):
-        for kind, plan in small_plans().items():
-            result = run_experiment(plan)
+        for kind, fields in small_experiments().items():
+            result = run_experiment(**fields)
             assert result.columns == EXPERIMENTS[kind].columns
             assert result.rows and all(len(row) == len(result.columns) for row in result.rows)
+
+
+def test_drivers_read_only_cli_fields():
+    """Every field a driver or run_experiment names is one the CLI resolves."""
+    named = {kind: experiment.driver for kind, experiment in EXPERIMENTS.items()}
+    named["run_experiment"] = run_experiment
+    for name, fn in named.items():
+        params = [p.name for p in inspect.signature(fn).parameters.values()
+                  if p.kind is not p.VAR_KEYWORD]
+        assert params and set(params) <= set(cli._FIELDS["experiment"]), name
 
 
 class TestKs:
