@@ -16,7 +16,7 @@ from .distributions import (DistributionSpec, chi_squared, constant, exponential
                             gamma, mixture_cdf, parse_spec, sample_many,
                             sup_gap_bound, with_mean)
 from .errors import ConfigError
-from .infinite import InfSimConfig, simulate_infinite
+from .infinite import simulate_infinite
 from .matrix import simulate_matrix, visible_height_naive
 from .montecarlo import (ExperimentResult, McEstimate, predicted_p, prediction_warning,
                          run_experiment, run_replications)

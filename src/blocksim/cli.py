@@ -37,7 +37,8 @@ from .distributions import DistributionSpec, parse_spec, spec_from_dict
 from .errors import ConfigError
 from .manifest import (SCHEMA_VERSION, RunManifest, check_writable, load_manifest, sha256_file,
                        write_manifest, write_text)
-from .montecarlo import ENGINES, EXPERIMENTS, engine_config, run_experiment
+from .montecarlo import ENGINES, EXPERIMENTS, run_experiment
+from .network import NetSimConfig
 from .validate import run_validation
 
 # ---------------------------------------------------------------------------
@@ -264,8 +265,8 @@ def run_simulate(fields: dict, out_paths: dict):
         raise ConfigError("--tree-out needs the network engine; "
                           "the closed-form engines track heights only")
 
-    outcome = ENGINES[engine](engine_config(engine, alpha, beta, n, fields["m"], seed,
-                                            record_tree=want_tree))
+    outcome = ENGINES[engine](NetSimConfig(m=fields["m"], n=n, alpha=alpha, beta=beta,
+                                           seed=seed, record_tree=want_tree))
 
     doc = {"engine": engine, "n": n, "seed": seed,
            "p_n": outcome.proportion, "height": outcome.height}

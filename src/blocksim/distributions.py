@@ -204,8 +204,7 @@ def require_production_role(spec: DistributionSpec, n: int,
 def _largest_draw(spec: DistributionSpec) -> float:
     """The largest value a draw can take, inf if it overflows: the transform
     of the largest uniform a stream yields, (2**53 - 1) * 2**-53."""
-    with np.errstate(over="ignore"):
-        return float(_transform(spec, np.array([1.0 - 2.0**-53]))[0])
+    return float(_transform(spec, np.array([1.0 - 2.0**-53]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +215,14 @@ def _transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF transform of uniforms in [0, 1)."""
     if spec.kind == "constant":
         return np.full_like(u, spec.mean)
-    if spec.kind == "exponential":
-        vals = -spec.mean * np.log1p(-u)
-    else:
-        from scipy.special import gammaincinv  # only gamma kinds pay its import time
-        vals = gammaincinv(_gamma_shape(spec), u) * spec.scale
+    # A draw past the largest double becomes inf: as a delay, an arrival
+    # that is never seen.  Production draws are checked not to overflow.
+    with np.errstate(over="ignore"):
+        if spec.kind == "exponential":
+            vals = -spec.mean * np.log1p(-u)
+        else:
+            from scipy.special import gammaincinv  # only gamma kinds pay its import time
+            vals = gammaincinv(_gamma_shape(spec), u) * spec.scale
     return np.maximum(vals, _TINY)
 
 

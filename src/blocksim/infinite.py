@@ -11,10 +11,10 @@ not corrected, there.
 The visibility scan supports the same pruning as the matrix engine.
 Draw contract: pairs (i, k) are scanned in descending i and every
 scanned pair consumes exactly one delay draw.  Pruning stops the scan
-early and so consumes fewer draws; pass ``align_draws=True`` to consume
-a full block of k-1 draws per step regardless, which makes pruned and
-unpruned runs read the identical draw for every pair and return
-identical results.
+early and so consumes fewer draws; ``scan="aligned"`` consumes a full
+block of k-1 draws per step regardless, which makes the pruned scan
+read the identical draw for every pair that the unpruned
+``scan="full"`` reads, and return identical results.
 
 The pruned scan reads delays by index from a buffer of consecutive
 delay-stream values that starts at 1,024 values and doubles up to
@@ -30,13 +30,10 @@ step's pairs at once in numpy, so comparing the two checks the pruning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .distributions import (DistributionSpec, creation_times, require_production_role,
-                            sample_many)
-from .network import SimOutcome, check_count
+from .distributions import DistributionSpec, creation_times, sample_many
+from .network import NetSimConfig, SimOutcome
 from .rng import StreamBundle
 
 # Size of the first delay buffer of a run and the cap its doubling stops at.
@@ -44,41 +41,32 @@ FIRST_BUFFER = 1 << 10
 MAX_BUFFER = 1 << 14
 
 
-@dataclass(frozen=True)
-class InfSimConfig:
-    """Run parameters for the unbounded-worker engine."""
-
-    n: int
-    alpha: DistributionSpec
-    beta: DistributionSpec
-    seed: int
-    use_pruning: bool = True
-
-    def __post_init__(self):
-        check_count("block count n", self.n)
-        require_production_role(self.alpha, self.n)
-
-
-def simulate_infinite(config: InfSimConfig, streams: StreamBundle | None = None,
-                      *, align_draws: bool = False) -> SimOutcome:
+def simulate_infinite(config: NetSimConfig, streams: StreamBundle | None = None,
+                      *, scan: str = "pruned") -> SimOutcome:
     """Run the unbounded-worker engine and return the resulting outcome.
 
     Creation times come from the production substream through
     creation_times, as in the bounded engines, and visibility
     draws from the delay substream; the producer substream is unused
-    since producers are all distinct by assumption.
+    since producers are all distinct by assumption.  config.m and
+    config.record_tree are ignored.  scan picks the visibility scan:
+    "pruned", "aligned" (pruned under the full-block draw contract) or
+    "full" (unpruned).
     """
+    if scan not in ("pruned", "aligned", "full"):
+        raise ValueError(f"unknown scan {scan!r}: use pruned, aligned or full")
     if streams is None:
         streams = StreamBundle.for_run(config.seed)
     n = config.n
 
     t = creation_times(config.alpha, streams.production, n)
     full_block = (n - 1) * (n - 2) // 2
-    if config.use_pruning:
-        h, final, scanned = _pruned_scan(config.beta, streams.delay, t.tolist(), align_draws)
-    else:
+    if scan == "full":
         (h, final), scanned = _full_scan(config.beta, streams.delay, t), full_block
-    consumed = full_block if align_draws or not config.use_pruning else scanned
+    else:
+        h, final, scanned = _pruned_scan(config.beta, streams.delay, t.tolist(),
+                                         scan == "aligned")
+    consumed = scanned if scan == "pruned" else full_block
 
     return SimOutcome(
         height=final,
@@ -91,7 +79,7 @@ def simulate_infinite(config: InfSimConfig, streams: StreamBundle | None = None,
     )
 
 
-def _pruned_scan(beta: DistributionSpec, delay, t: list[float], align_draws: bool):
+def _pruned_scan(beta: DistributionSpec, delay, t: list[float], aligned: bool):
     """Heights of the pruned scan, the highest, and the number of pairs tested."""
     n = len(t)
     h = [1]
@@ -124,10 +112,10 @@ def _pruned_scan(beta: DistributionSpec, delay, t: list[float], align_draws: boo
                 delays = sample_many(beta, delay, size)
                 # An aligned run skips most of each refill, so it reads the
                 # draws it reaches from the array instead of converting all.
-                delays = memoryview(delays) if align_draws else delays.tolist()
+                delays = memoryview(delays) if aligned else delays.tolist()
                 size = min(2 * size, MAX_BUFFER)
         scanned += k - 1 - i
-        if align_draws:
+        if aligned:
             j += i  # skip the draws of the i pairs the scan did not reach
         x += 1
         h.append(x)

@@ -26,9 +26,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .distributions import DistributionSpec, with_mean
+from .distributions import with_mean
 from .errors import ConfigError
-from .infinite import InfSimConfig, simulate_infinite
+from .infinite import simulate_infinite
 from .matrix import simulate_matrix
 from .network import NetSimConfig, simulate_network
 from .rng import mix64
@@ -38,17 +38,6 @@ ENGINES = {
     "matrix": simulate_matrix,
     "infinite": simulate_infinite,
 }
-
-
-def engine_config(engine: str, alpha: DistributionSpec, beta: DistributionSpec, n: int,
-                  m: int | None = None, seed: int = 0, record_tree: bool = False):
-    """The config an ENGINES entry runs on: InfSimConfig for the unbounded
-    engine, which ignores m, and NetSimConfig for the bounded ones."""
-    if engine == "infinite":
-        return InfSimConfig(n=n, alpha=alpha, beta=beta, seed=seed)
-    if m is None:
-        raise ConfigError(f"the {engine} engine needs a worker count --m")
-    return NetSimConfig(m=m, n=n, alpha=alpha, beta=beta, seed=seed, record_tree=record_tree)
 
 
 @dataclass(frozen=True)
@@ -191,8 +180,8 @@ def _convergence(alpha, beta, n, sweep, **_):
             raise ConfigError("convergence sweep: worker counts must be "
                               f"finite integers >= 1, got {m!r}")
     workers = [int(m) for m in sweep]
-    sets = [("matrix", engine_config("matrix", alpha, beta, n, m)) for m in workers]
-    sets.append(("infinite", engine_config("infinite", alpha, beta, n)))
+    config = NetSimConfig(n=n, alpha=alpha, beta=beta, seed=0, record_tree=False)
+    sets = [("matrix", replace(config, m=m)) for m in workers] + [("infinite", config)]
 
     def finish(estimates):
         rows = [(m, est.mean, est.quantiles[0.25], est.quantiles[0.75], est.replications)
@@ -206,7 +195,7 @@ def _efficiency(alpha, beta, n, sweep, **_):
     """The unbounded engine per ratio r in sweep, its delay rescaled to
     mean r * alpha_mean; rows pair each measurement with predicted_p."""
     betas = [with_mean(beta, float(ratio) * alpha.mean) for ratio in sweep]
-    sets = [("infinite", engine_config("infinite", alpha, b, n)) for b in betas]
+    sets = [("infinite", NetSimConfig(n=n, alpha=alpha, beta=b, seed=0)) for b in betas]
 
     def finish(estimates):
         rows, warned = [], []
@@ -228,8 +217,8 @@ def _pdf_histogram(alpha, beta, n, m, bins, **_):
     shared edges, with their two-sample Kolmogorov-Smirnov distance."""
     if bins < 1:
         raise ConfigError(f"histogram bin count must be >= 1, got {bins}")
-    sets = [("matrix", engine_config("matrix", alpha, beta, n, m)),
-            ("infinite", engine_config("infinite", alpha, beta, n))]
+    config = NetSimConfig(m=m, n=n, alpha=alpha, beta=beta, seed=0, record_tree=False)
+    sets = [("matrix", config), ("infinite", config)]
 
     def finish(estimates):
         est_m, est_inf = estimates
@@ -251,7 +240,8 @@ def _pdf_histogram(alpha, beta, n, m, bins, **_):
 
 def _single(alpha, beta, n, m, engine, **_):
     """engine at fixed parameters, one row per replication."""
-    sets = [(engine, engine_config(engine, alpha, beta, n, m))]
+    sets = [(engine, NetSimConfig(m=m, n=n, alpha=alpha, beta=beta, seed=0,
+                                  record_tree=False))]
     return sets, lambda estimates: (list(enumerate(estimates[0].values)), {}, "")
 
 

@@ -51,15 +51,17 @@ def check_count(name: str, count: int) -> None:
         raise ConfigError(f"{name} must be <= {MAX_COUNT}, got {count}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class NetSimConfig:
-    """Run parameters for the bounded-worker engines.
+    """Run parameters for every engine.
 
     n counts every block including the origin, so n=1 produces nothing.
-    record_tree keeps parent/producer/time records for the full tree.
+    m is the worker count the bounded engines need and the unbounded
+    engine ignores.  record_tree keeps parent/producer/time records for
+    the full tree; only the event-driven engine builds one.
     """
 
-    m: int
+    m: int | None = None
     n: int
     alpha: DistributionSpec
     beta: DistributionSpec
@@ -67,7 +69,8 @@ class NetSimConfig:
     record_tree: bool = True
 
     def __post_init__(self):
-        check_count("worker count m", self.m)
+        if self.m is not None:
+            check_count("worker count m", self.m)
         check_count("block count n", self.n)
         require_production_role(self.alpha, self.n)
 
@@ -104,6 +107,8 @@ def draw_schedule(config: NetSimConfig, streams: StreamBundle):
     creation_times), producers[k-1] the worker that made block k.
     """
     m, n = config.m, config.n
+    if m is None:
+        raise ConfigError("the network and matrix engines need a worker count --m")
     t = creation_times(config.alpha, streams.production, n)
     producer_u = streams.producer.uniforms(n - 1)
     producers = np.minimum((producer_u * m).astype(np.int64), m - 1)

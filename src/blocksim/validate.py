@@ -4,8 +4,9 @@ Three suites, runnable from the CLI: exact agreement of the event-driven
 and delay-matrix engines under shared seeds, exact agreement of the
 pruned visibility scans with full scans on every step (for the matrix
 engine one sort-and-merge full scan per finished run, for the unbounded
-engine an unpruned run of the same draws), and the analytic bound on the gap
-between a delay-matrix entry's mixture CDF and the delay CDF.
+engine a ``scan="aligned"`` run against a ``scan="full"`` run of the
+same draws), and the analytic bound on the gap between a delay-matrix
+entry's mixture CDF and the delay CDF.
 
 The equivalence suite mixes continuous configs with tie-rich ones
 (constant production and a constant delay at an integer multiple), where
@@ -28,7 +29,7 @@ import numpy as np
 from .distributions import (DistributionSpec, cdf, constant, exponential, gamma,
                             chi_squared, mixture_cdf, sup_gap_bound)
 from .errors import InvariantError
-from .infinite import InfSimConfig, simulate_infinite
+from .infinite import simulate_infinite
 from .matrix import simulate_matrix
 from .network import NetSimConfig, simulate_network
 from .rng import SampleStream, mix64
@@ -107,8 +108,7 @@ def check_pruning(base_seed: int = 0, runs: int = 50,
     Sweeps delay/production ratios 0.01, 1, and 10 (one full-size run
     each), with the remaining runs at randomized smaller sizes.  Each
     matrix run is checked against the full scan of its own draws; each
-    pruned unbounded run under the full-block draw contract must match
-    the unpruned engine bit for bit.
+    unbounded run's aligned scan must match its full scan bit for bit.
     """
     stream = SampleStream(base_seed, _CONFIG_STREAM_ID + 1)
     steps = 0
@@ -123,15 +123,13 @@ def check_pruning(base_seed: int = 0, runs: int = 50,
         cfg = NetSimConfig(m=m, n=n, alpha=exponential(1.0),
                            beta=exponential(ratio), seed=mix64(base_seed, 7000 + i),
                            record_tree=False)
-        inf_cfg = InfSimConfig(n=min(n, 600), alpha=exponential(1.0),
-                               beta=exponential(ratio), seed=mix64(base_seed, 8000 + i))
+        inf_cfg = replace(cfg, n=min(n, 600), seed=mix64(base_seed, 8000 + i))
         run = f"run {i} (m={m}, n={n}, ratio={ratio:g})"
         try:
             simulate_matrix(cfg, check_pruning=True)
             run = f"unbounded engine run {i} (n={inf_cfg.n}, ratio={ratio:g})"
-            compare_scans(simulate_infinite(inf_cfg, align_draws=True).height_series,
-                          simulate_infinite(replace(inf_cfg, use_pruning=False))
-                          .height_series)
+            compare_scans(simulate_infinite(inf_cfg, scan="aligned").height_series,
+                          simulate_infinite(inf_cfg, scan="full").height_series)
         except InvariantError as exc:
             return CheckResult("pruning_exactness", False, f"{run}: {exc}")
         steps += n - 1

@@ -25,7 +25,7 @@ from click.testing import CliRunner
 
 from blocksim.cli import main as cli_main
 from blocksim.distributions import constant, exponential
-from blocksim.infinite import InfSimConfig, simulate_infinite
+from blocksim.infinite import simulate_infinite
 from blocksim.matrix import simulate_matrix
 from blocksim.montecarlo import run_replications, two_sample_ks
 from blocksim.network import NetSimConfig, simulate_network
@@ -75,7 +75,7 @@ def test_criterion_03_efficiency_prediction():
     ratios = (0.01, 0.1, 0.5, 1.0)
 
     def mean_error(beta, ratio, base_seed):
-        cfg = InfSimConfig(n=2000, alpha=exponential(1.0), beta=beta, seed=0)
+        cfg = NetSimConfig(n=2000, alpha=exponential(1.0), beta=beta, seed=0)
         est = run_replications("infinite", cfg, 200, base_seed=base_seed)
         return abs(est.mean - 1.0 / (1.0 + ratio)), est.std_error
 
@@ -109,7 +109,7 @@ def test_criterion_04_convergence_in_worker_count():
     n, reps = 1000, 100
     alpha, beta = exponential(1.0), exponential(0.1)
     inf_est = run_replications(
-        "infinite", InfSimConfig(n=n, alpha=alpha, beta=beta, seed=0),
+        "infinite", NetSimConfig(n=n, alpha=alpha, beta=beta, seed=0),
         reps, base_seed=4200)
 
     gaps, ses = [], []
@@ -145,7 +145,7 @@ def test_criterion_05_outcome_distributions_close():
                      record_tree=False),
         1000, base_seed=5100)
     est_inf = run_replications(
-        "infinite", InfSimConfig(n=n, alpha=alpha, beta=beta, seed=0),
+        "infinite", NetSimConfig(n=n, alpha=alpha, beta=beta, seed=0),
         1000, base_seed=5200)
     ks = two_sample_ks(est_m.values, est_inf.values)
     assert ks < 0.1, f"KS distance {ks:.4f}"
@@ -157,7 +157,7 @@ def test_criterion_05_outcome_distributions_close():
                      record_tree=False),
         100, base_seed=5300)
     cha_inf = run_replications(
-        "infinite", InfSimConfig(n=n, alpha=alpha, beta=chaotic, seed=0),
+        "infinite", NetSimConfig(n=n, alpha=alpha, beta=chaotic, seed=0),
         100, base_seed=5400)
     shift = cha_inf.mean - cha_m.mean
     warnings.warn(f"chaotic-regime shift of the unbounded approximation: "
@@ -192,8 +192,7 @@ def test_criterion_07_trivial_regimes_exact():
                                    beta=constant(0.0), seed=seed,
                                    record_tree=False)
             assert engine(nodelay).proportion == 1.0
-        inf_cfg = InfSimConfig(n=300, alpha=alpha, beta=constant(0.0),
-                               seed=seed)
+        inf_cfg = NetSimConfig(n=300, alpha=alpha, beta=constant(0.0), seed=seed)
         assert simulate_infinite(inf_cfg).proportion == 1.0
 
 
@@ -233,7 +232,7 @@ def test_criterion_09_pruned_engine_scaling():
 
     def timed(n, seed):
         started = time.process_time()
-        out = simulate_infinite(InfSimConfig(n=n, alpha=alpha, beta=beta, seed=seed))
+        out = simulate_infinite(NetSimConfig(n=n, alpha=alpha, beta=beta, seed=seed))
         assert 0.0 < out.proportion <= 1.0
         return time.process_time() - started
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -138,10 +139,19 @@ class TestSimulateErrors:
         assert result.exit_code == 2
 
     def test_bounded_engine_needs_m(self, runner, tmp_path):
-        result = runner.invoke(main, [
-            "simulate", "--engine", "network", "--alpha", ALPHA,
-            "--beta", BETA, "--n", "10", "--out", str(tmp_path / "o.json")])
-        assert result.exit_code == 2
+        # One config serves every engine; only the bounded ones need m.
+        argv = ["simulate", "--alpha", ALPHA, "--beta", BETA, "--n", "10"]
+        for engine in ("network", "matrix"):
+            with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+                result = runner.invoke(main, [*argv, "--engine", engine])
+                assert result.exit_code == 2
+                assert result.output == ("error: the network and matrix engines need "
+                                         "a worker count --m\n")
+                assert list(Path(cwd).iterdir()) == []
+        result = runner.invoke(main, [*argv, "--engine", "infinite",
+                                      "--out", str(tmp_path / "o.json")])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith("p_n=")
 
     @pytest.mark.parametrize("args, message", [
         (["simulate", "--engine", "matrix", "--m", str(10**20), "--n", "3"],
@@ -150,13 +160,16 @@ class TestSimulateErrors:
          f"worker count m must be <= 2147483647, got {10**12}"),
         (["simulate", "--engine", "infinite", "--n", str(10**20)],
          f"block count n must be <= 2147483647, got {10**20}"),
+        (["simulate", "--engine", "infinite", "--m", str(10**12), "--n", "3"],
+         f"worker count m must be <= 2147483647, got {10**12}"),
         (["experiment", "--kind", "convergence", "--sweep", "1e20", "--n", "3",
           "--reps", "1"],
          f"worker count m must be <= 2147483647, got {10**20}"),
         (["experiment", "--kind", "efficiency", "--sweep", "1", "--n", str(2**31),
           "--reps", "1"],
          f"block count n must be <= 2147483647, got {2**31}"),
-    ], ids=["matrix-m", "network-m", "infinite-n", "convergence-sweep", "efficiency-n"])
+    ], ids=["matrix-m", "network-m", "infinite-n", "infinite-m", "convergence-sweep",
+          "efficiency-n"])
     def test_count_above_bound_exits_2(self, runner, tmp_path, args, message):
         # Every engine config rejects the count before any run starts, so
         # nothing is drawn or written.
@@ -259,6 +272,19 @@ class TestSimulateErrors:
             "--n", "1000", "--m", "3", "--out", str(tmp_path / "o.json")])
         assert result.exit_code == 0
         assert result.output.startswith("p_n=")
+
+    @pytest.mark.parametrize("engine", ["network", "matrix"])
+    def test_delays_past_the_largest_double_are_never_seen(self, runner, tmp_path, engine):
+        # Such a delay draw is inf: an arrival that never comes, with no
+        # overflow warning on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, [
+                "simulate", "--engine", engine, "--alpha", "exp:1", "--beta", "exp:1e308",
+                "--n", "2000", "--m", "5", "--seed", "4", "--out", str(tmp_path / "o.json")])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[0] == f"p_n=0.206000 height=412 n=2000 engine={engine}"
+        assert len(result.output.splitlines()) == 2
 
 
 SIM =["simulate", "--alpha", ALPHA, "--beta", BETA]

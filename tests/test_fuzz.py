@@ -34,7 +34,7 @@ from blocksim import __version__, matrix, network
 from blocksim.cli import main
 from blocksim.distributions import constant, exponential, gamma
 from blocksim.errors import InvariantError
-from blocksim.infinite import InfSimConfig, simulate_infinite
+from blocksim.infinite import simulate_infinite
 from blocksim.manifest import SCHEMA_VERSION
 from blocksim.matrix import DelayMatrix, simulate_matrix, visible_height_naive
 from blocksim.network import NetSimConfig, draw_schedule, simulate_network
@@ -47,7 +47,7 @@ CLI_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
 
 
 @st.composite
-def engine_configs(draw):
+def run_configs(draw):
     m = draw(st.integers(1, 8))
     n = draw(st.integers(1, 200))
     seed = draw(st.integers(0, 2**32))
@@ -64,7 +64,7 @@ def engine_configs(draw):
 
 class TestEngineEquivalence:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(engine_configs())
+    @given(run_configs())
     # Gamma production of shape 0.05: 78 of these 399 draws are below
     # half an ulp of the time so far.
     @example(NetSimConfig(m=3, n=400, alpha=gamma(shape=0.05, mean=1.0),
@@ -141,7 +141,7 @@ class TestDrawModes:
 
 class TestNetworkRowBlocks:
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.one_of(engine_configs(), band_configs()))
+    @given(st.one_of(run_configs(), band_configs()))
     @example(NetSimConfig(m=1, n=300, alpha=exponential(1.0), beta=exponential(1.0),
                           seed=3))
     # Messages outlive many row blocks at every size.
@@ -172,11 +172,6 @@ def matrix_check(config, series, strict=True):
     visible_height_naive(t, series, delays, strict)
 
 
-def unbounded(config, **overrides):
-    return InfSimConfig(n=config.n, alpha=config.alpha, beta=config.beta,
-                        seed=config.seed, **overrides)
-
-
 def first_difference(a, b):
     return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), None)
 
@@ -197,7 +192,7 @@ def caught_at(check, k):
 
 class TestFullScanCheck:
     @CHECK_SETTINGS
-    @given(engine_configs(), st.booleans())
+    @given(run_configs(), st.booleans())
     def test_reference_series_pass(self, config, strict):
         # The event-driven engine is the strict reference; the lenient
         # comparison has only the matrix engine's fault hook.
@@ -206,11 +201,11 @@ class TestFullScanCheck:
         matrix_check(config, series, strict)
         # The aligned pruned scan and the unpruned engine read the same
         # draw for every pair.
-        compare_scans(simulate_infinite(unbounded(config), align_draws=True).height_series,
-                      simulate_infinite(unbounded(config, use_pruning=False)).height_series)
+        compare_scans(simulate_infinite(config, scan="aligned").height_series,
+                      simulate_infinite(config, scan="full").height_series)
 
     @CHECK_SETTINGS
-    @given(engine_configs(), st.data())
+    @given(run_configs(), st.data())
     def test_one_step_off_is_caught_there(self, config, data):
         if config.n < 2:
             return
@@ -218,30 +213,29 @@ class TestFullScanCheck:
         series = list(simulate_network(config).height_series)
         series[k] += 1
         caught_at(lambda: matrix_check(config, series), k)
-        aligned = list(simulate_infinite(unbounded(config), align_draws=True).height_series)
+        aligned = list(simulate_infinite(config, scan="aligned").height_series)
         aligned[k] += 1
-        plain = simulate_infinite(unbounded(config, use_pruning=False)).height_series
+        plain = simulate_infinite(config, scan="full").height_series
         caught_at(lambda: compare_scans(aligned, plain), k)
 
     @CHECK_SETTINGS
     @example(SHIFT_CONFIG)
-    @given(engine_configs())
+    @given(run_configs())
     def test_draws_one_position_off_are_caught(self, config):
         # An unpruned engine reading each pair's draw one stream position
         # past the full-block formula's: an off-by-one between the engines.
-        cfg = unbounded(config, use_pruning=False)
-        streams = StreamBundle.for_run(cfg.seed)
+        streams = StreamBundle.for_run(config.seed)
         streams.delay.seek(1)
-        shifted = simulate_infinite(cfg, streams).height_series
-        k = first_difference(shifted, simulate_infinite(cfg).height_series)
+        shifted = simulate_infinite(config, streams, scan="full").height_series
+        k = first_difference(shifted, simulate_infinite(config, scan="full").height_series)
         if config == SHIFT_CONFIG:
             assert k is not None
-        aligned = simulate_infinite(unbounded(config), align_draws=True).height_series
+        aligned = simulate_infinite(config, scan="aligned").height_series
         caught_at(lambda: compare_scans(aligned, shifted), k)
 
     @CHECK_SETTINGS
     @example(TIE_CONFIG)
-    @given(engine_configs())
+    @given(run_configs())
     def test_lenient_scan_is_caught(self, config):
         # <= in place of < in the pruned scan, checked with <.
         pruned = matrix._pruned_scan

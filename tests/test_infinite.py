@@ -6,7 +6,8 @@ import pytest
 from blocksim.distributions import constant, exponential, gamma
 from blocksim import infinite
 from blocksim.errors import ConfigError, InvariantError
-from blocksim.infinite import InfSimConfig, simulate_infinite
+from blocksim.infinite import simulate_infinite
+from blocksim.network import NetSimConfig
 from blocksim.rng import StreamBundle
 
 
@@ -14,7 +15,7 @@ def base_config(**overrides):
     params = dict(n=300, alpha=exponential(1.0), beta=exponential(0.1),
                   seed=21)
     params.update(overrides)
-    return InfSimConfig(**params)
+    return NetSimConfig(**params)
 
 
 class TestTrivialRegimes:
@@ -65,7 +66,7 @@ class TestStructure:
 class TestDrawAccounting:
     def test_unpruned_consumes_every_pair(self):
         n = 120
-        out = simulate_infinite(base_config(n=n, use_pruning=False))
+        out = simulate_infinite(base_config(n=n), scan="full")
         assert out.stats["delay_draws"] == (n - 1) * (n - 2) // 2
         assert out.stats["pairs_tested"] == out.stats["delay_draws"]
 
@@ -77,7 +78,7 @@ class TestDrawAccounting:
 
     def test_aligned_pruning_reports_full_consumption(self):
         n = 120
-        out = simulate_infinite(base_config(n=n), align_draws=True)
+        out = simulate_infinite(base_config(n=n), scan="aligned")
         assert out.stats["delay_draws"] == (n - 1) * (n - 2) // 2
         assert out.stats["pairs_tested"] < out.stats["delay_draws"]
 
@@ -89,19 +90,15 @@ class TestDrawAccounting:
 class TestPruningExactness:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_aligned_pruned_equals_unpruned(self, seed):
-        pruned = simulate_infinite(base_config(seed=seed, n=400),
-                                   align_draws=True)
-        plain = simulate_infinite(base_config(seed=seed, n=400,
-                                              use_pruning=False))
+        pruned = simulate_infinite(base_config(seed=seed, n=400), scan="aligned")
+        plain = simulate_infinite(base_config(seed=seed, n=400), scan="full")
         assert pruned.height_series == plain.height_series
         assert pruned.height == plain.height
 
     def test_aligned_pruned_equals_unpruned_gamma(self):
         beta = gamma(shape=2, mean=0.5)
-        pruned = simulate_infinite(base_config(seed=8, beta=beta, n=400),
-                                   align_draws=True)
-        plain = simulate_infinite(base_config(seed=8, beta=beta, n=400,
-                                              use_pruning=False))
+        pruned = simulate_infinite(base_config(seed=8, beta=beta, n=400), scan="aligned")
+        plain = simulate_infinite(base_config(seed=8, beta=beta, n=400), scan="full")
         assert pruned.height_series == plain.height_series
 
 
@@ -114,20 +111,20 @@ class TestUnprunedScan:
         monkeypatch.setattr(infinite, "MAX_BUFFER", buffer)
         for config in (base_config(n=150, beta=exponential(5.0), seed=4),
                        base_config(n=90, alpha=constant(1.0), beta=constant(2.0))):
-            aligned = simulate_infinite(config, align_draws=True).height_series
-            plain = simulate_infinite(replace(config, use_pruning=False)).height_series
+            aligned = simulate_infinite(config, scan="aligned").height_series
+            plain = simulate_infinite(config, scan="full").height_series
             assert plain == aligned
 
     def test_origin_only_and_two_blocks(self):
-        assert simulate_infinite(base_config(n=1, use_pruning=False)).height_series == (1,)
-        assert simulate_infinite(base_config(n=2, use_pruning=False)).height_series == (1, 2)
+        assert simulate_infinite(base_config(n=1), scan="full").height_series == (1,)
+        assert simulate_infinite(base_config(n=2), scan="full").height_series == (1, 2)
 
     def test_simultaneous_arrival_is_not_visible(self):
         # Creation every 1.0, every delay exactly 1.0: block i's news
         # reaches block i+1 exactly at its creation, so only blocks two or
         # more steps back count.
-        out = simulate_infinite(base_config(n=6, alpha=constant(1.0), beta=constant(1.0),
-                                            use_pruning=False))
+        out = simulate_infinite(base_config(n=6, alpha=constant(1.0), beta=constant(1.0)),
+                                scan="full")
         assert out.height_series == (1, 2, 2, 3, 3, 4)
 
 
@@ -144,7 +141,7 @@ class TestDeterminism:
 
     def test_lazy_and_aligned_are_distinct_draw_orders(self):
         a = simulate_infinite(base_config(n=500))
-        b = simulate_infinite(base_config(n=500), align_draws=True)
+        b = simulate_infinite(base_config(n=500), scan="aligned")
         assert a.height_series != b.height_series
         assert abs(a.proportion - b.proportion) < 0.1
 
@@ -170,9 +167,8 @@ class TestPinnedDraws:
         ("unpruned", 400, exponential(5.0), 11, 142, 79401, 79401, "7dba67b5a7247bdc"),
     ])
     def test_outputs_unchanged(self, mode, n, beta, seed, height, pairs, draws, digest):
-        out = simulate_infinite(base_config(n=n, beta=beta, seed=seed,
-                                            use_pruning=mode != "unpruned"),
-                                align_draws=mode == "aligned")
+        out = simulate_infinite(base_config(n=n, beta=beta, seed=seed),
+                                scan="full" if mode == "unpruned" else mode)
         assert out.height == height
         assert out.stats["pairs_tested"] == pairs
         assert out.stats["delay_draws"] == draws
@@ -193,3 +189,12 @@ class TestConfigValidation:
     def test_zero_production_time_rejected(self):
         with pytest.raises(ConfigError):
             base_config(alpha=constant(0.0))
+
+    def test_unknown_scan_rejected(self):
+        # A misspelt scan must not run the pruned scan under another name.
+        with pytest.raises(ValueError, match="unknown scan 'unpruned'"):
+            simulate_infinite(base_config(n=20), scan="unpruned")
+
+    def test_worker_count_ignored(self):
+        a = simulate_infinite(base_config())
+        assert simulate_infinite(base_config(m=3, record_tree=True)) == a

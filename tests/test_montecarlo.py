@@ -11,7 +11,6 @@ from blocksim.errors import ConfigError
 from blocksim.montecarlo import (EXPERIMENTS, default_ratio_grid, predicted_p,
                                  prediction_warning, run_experiment, run_replication_sets,
                                  run_replications, two_sample_ks)
-from blocksim.infinite import InfSimConfig
 from blocksim.network import NetSimConfig
 from blocksim.rng import mix64
 
@@ -19,7 +18,7 @@ from blocksim.rng import mix64
 def inf_config(**overrides):
     params = dict(n=150, alpha=exponential(1.0), beta=exponential(0.1), seed=0)
     params.update(overrides)
-    return InfSimConfig(**params)
+    return NetSimConfig(**params)
 
 
 def net_config(**overrides):

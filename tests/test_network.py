@@ -9,7 +9,6 @@ from blocksim import network
 from blocksim.blocktree import export_tree
 from blocksim.distributions import constant, exponential, gamma
 from blocksim.errors import ConfigError
-from blocksim.infinite import InfSimConfig
 from blocksim.montecarlo import ENGINES
 from blocksim.network import NetSimConfig, delivery_sweep, simulate_network
 from blocksim.rng import StreamBundle
@@ -210,8 +209,7 @@ class TestOutcome:
     def test_every_engine_returns_the_same_record(self, engine):
         # No config field selects what a run returns: every engine gives
         # the per-block heights, and p_n is the height over n.
-        spec = dict(n=300, alpha=exponential(1.0), beta=exponential(1.0), seed=5)
-        config = InfSimConfig(**spec) if engine == "infinite" else NetSimConfig(m=6, **spec)
+        config = NetSimConfig(m=6, n=300, alpha=exponential(1.0), beta=exponential(1.0), seed=5)
         out = ENGINES[engine](config)
         assert len(out.height_series) == out.n == 300
         assert max(out.height_series) == out.height

@@ -88,7 +88,7 @@ class TestFaultInjection:
             "real = v.simulate_infinite",
             "def bumped(config, *args, **kwargs):",
             "    out = real(config, *args, **kwargs)",
-            "    if not kwargs.get('align_draws'):",
+            "    if kwargs.get('scan') != 'aligned':",
             "        return out",
             "    series = list(out.height_series)",
             "    series[5] += 1",
