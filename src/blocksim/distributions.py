@@ -19,8 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import functools
+import importlib.util
 import math
 import sys
+import types
 
 import numpy as np
 
@@ -221,13 +223,39 @@ def _transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
         if spec.kind == "exponential":
             vals = -spec.mean * np.log1p(-u)
         else:
-            from scipy.special import gammaincinv  # only gamma kinds pay its import time
+            gammaincinv, _ = _gamma_ufuncs()  # only the gamma kinds load scipy
             vals = gammaincinv(_gamma_shape(spec), u) * spec.scale
     return np.maximum(vals, _TINY)
 
 
 def _gamma_shape(spec: DistributionSpec) -> float:
     return spec.shape if spec.kind == "gamma" else spec.shape / 2.0
+
+
+@functools.cache
+def _gamma_ufuncs():
+    """scipy's (gammaincinv, gammainc), from the extension that holds them.
+
+    ``import scipy.special`` costs ten times as much: it loads scipy's
+    array-API shim, and with it numpy.f2py and numpy.testing.  The
+    extension is loaded under a stub package that leaves sys.modules at
+    once, so a later ``import scipy.special`` binds the same ufuncs.  If
+    scipy moves them, the public import serves them.
+    """
+    if "scipy.special" not in sys.modules:
+        try:
+            stub = types.ModuleType("scipy.special")
+            stub.__path__ = importlib.util.find_spec("scipy.special").submodule_search_locations
+            sys.modules["scipy.special"] = stub
+            try:
+                ufuncs = importlib.import_module("scipy.special._ufuncs")
+            finally:
+                del sys.modules["scipy.special"]
+            return ufuncs.gammaincinv, ufuncs.gammainc
+        except (ImportError, AttributeError):
+            pass
+    from scipy.special import gammainc, gammaincinv
+    return gammaincinv, gammainc
 
 
 def sample_many(spec: DistributionSpec, stream, size: int) -> np.ndarray:
@@ -294,7 +322,7 @@ def cdf(spec: DistributionSpec, r):
     elif spec.kind == "exponential":
         out = np.where(r >= 0, -np.expm1(-np.maximum(r, 0.0) / spec.mean), 0.0)
     else:
-        from scipy.special import gammainc
+        _, gammainc = _gamma_ufuncs()
         out = np.where(r >= 0, gammainc(_gamma_shape(spec), np.maximum(r, 0.0) / spec.scale), 0.0)
     return out if out.ndim else float(out)
 

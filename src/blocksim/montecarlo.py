@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -75,6 +74,9 @@ def _run_one(engine_name: str, config) -> float:
 # keep both workers busy until the end.
 POOL_CHUNK = 10
 
+# Imported by the first run at jobs > 1, so no other command pays for it.
+ProcessPoolExecutor = None
+
 
 def run_replication_sets(sets, jobs: int = 1) -> list[McEstimate]:
     """Run several replication sets and aggregate each one.
@@ -99,6 +101,9 @@ def run_replication_sets(sets, jobs: int = 1) -> list[McEstimate]:
         counts.append(replications)
 
     if jobs > 1:
+        global ProcessPoolExecutor
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, min(POOL_CHUNK, len(configs) // (jobs * 4)))
         # No more workers than chunks to run or CPUs this process may use.
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

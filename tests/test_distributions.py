@@ -1,3 +1,5 @@
+import ast
+import json
 import math
 import os
 from pathlib import Path
@@ -237,6 +239,51 @@ class TestCdfs:
         assert gap <= 0.2
 
 
+# Blocks the extension while it is loaded under the stub package, as a
+# scipy whose layout moved the ufuncs would.
+BLOCK_LEAN_LOAD = """
+import sys
+class Block:
+    def find_spec(self, name, path=None, target=None):
+        if (name == "scipy.special._ufuncs"
+                and not hasattr(sys.modules.get("scipy.special"), "__file__")):
+            raise ImportError("no ufuncs under the stub")
+sys.meta_path.insert(0, Block())
+"""
+
+# Draws and CDFs of every gamma-family spec validate and the replay corpus
+# use, first through blocksim, then through the public scipy.special.
+LEAN_THEN_PUBLIC = """
+import json
+import sys
+import numpy as np
+from blocksim import distributions as d
+specs = [d.gamma(shape=0.5, mean=2.0), d.gamma(shape=2.0, mean=1.0),
+         d.gamma(shape=2.0, mean=1.5), d.gamma(shape=2.5, mean=1.0),
+         d.chi_squared(3.0), d.chi_squared(4.0)]
+u = np.concatenate((np.random.default_rng(7).random(100_000), [0.0, 1 - 2.0**-53]))
+r = np.concatenate((np.linspace(-1.0, 40.0, 10_001), [0.0, 5e-324, np.inf]))
+ours = [(d._transform(s, u), np.asarray(d.cdf(s, r))) for s in specs]
+shim_before = "scipy.special._support_alternative_backends" in sys.modules
+import scipy.special
+from scipy.stats import ks_2samp
+public = []
+for s in specs:
+    k, theta = (s.shape, s.mean / s.shape) if s.kind == "gamma" else (s.shape / 2, 2.0)
+    public.append((np.maximum(scipy.special.gammaincinv(k, u) * theta, d._TINY),
+                   np.where(r >= 0, scipy.special.gammainc(k, np.maximum(r, 0.0) / theta), 0.0)))
+print(json.dumps({
+    "shim_before": shim_before,
+    "bits_equal": [a.tobytes() == b.tobytes() for pair in zip(ours, public)
+                   for a, b in zip(*pair)],
+    "same_ufuncs": d._gamma_ufuncs() == (scipy.special.gammaincinv, scipy.special.gammainc),
+    "real_package": sys.modules["scipy.special"] is scipy.special
+                    and hasattr(scipy.special, "__file__"),
+    "ks": float(ks_2samp(ours[0][0][:500], ours[1][0][:500]).statistic),
+}))
+"""
+
+
 class TestImportCost:
     def scipy_modules(self, script):
         """Lines script prints in a fresh interpreter, then the scipy modules loaded."""
@@ -265,3 +312,37 @@ class TestImportCost:
         *printed, loaded = self.scipy_modules(script)
         assert printed[0].startswith("ks_distance=")
         assert loaded == "[]"
+
+    def test_gamma_simulate_loads_only_the_ufuncs(self, tmp_path):
+        # The package import loads scipy's array-API shim, and with it
+        # numpy.f2py and numpy.testing; the draws need only the extension.
+        script = ("import sys\nfrom blocksim.cli import main\n"
+                  "main(['simulate', '--engine', 'infinite', '--alpha', 'exp:1',"
+                  " '--beta', 'gamma:2:0.5', '--n', '200', '--seed', '1',"
+                  f" '--out', {str(tmp_path / 'o.json')!r}], standalone_mode=False)\n"
+                  "print([m for m in ('numpy.f2py', 'numpy.testing') if m in sys.modules])")
+        *printed, loaded = self.scipy_modules(script)
+        loaded = ast.literal_eval(loaded)
+        assert printed[0].startswith("p_n=")
+        assert printed[-1] == "[]"
+        assert "scipy.special._ufuncs" in loaded
+        assert "scipy.special._support_alternative_backends" not in loaded
+        assert "scipy.special" not in loaded  # the stub package is gone
+
+    def test_cli_import_leaves_the_pool_unloaded(self):
+        # Only --jobs > 1 starts a pool; its modules cost about 13 ms.
+        script = ("import sys, blocksim.cli\nprint(sorted(m for m in sys.modules"
+                  " if m in ('concurrent.futures.process', 'multiprocessing')))")
+        assert self.scipy_modules(script) == ["[]", "[]"]
+
+    @pytest.mark.parametrize("blocked", [False, True], ids=["lean", "fallback"])
+    def test_gamma_bits_and_interop(self, blocked):
+        *printed, _ = self.scipy_modules((BLOCK_LEAN_LOAD if blocked else "")
+                                         + LEAN_THEN_PUBLIC)
+        result = json.loads(printed[-1])
+        # The lean load skips the package; the fallback is the public import.
+        assert result["shim_before"] is blocked
+        assert result["bits_equal"] == [True] * 12
+        assert result["same_ufuncs"]
+        assert result["real_package"]
+        assert 0 < result["ks"] <= 1
