@@ -132,10 +132,10 @@ def _worker_count(value, key: str) -> int:
 
 
 def _sweep(value, key: str) -> list[float]:
-    """A sweep from a comma-separated string or a list of numbers."""
+    """A sweep from a comma-separated string or a list of numbers, not booleans."""
     if isinstance(value, str):
         value = [x for x in value.split(",") if x.strip()]
-    if not isinstance(value, (list, tuple)):
+    if not isinstance(value, (list, tuple)) or any(isinstance(x, bool) for x in value):
         raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
     try:
         return [float(x) for x in value]

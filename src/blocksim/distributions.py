@@ -188,18 +188,17 @@ def with_mean(spec: DistributionSpec, mean: float) -> DistributionSpec:
     return DistributionSpec(spec.kind, mean)
 
 
-def require_production_role(spec: DistributionSpec, n: int,
-                            what: str = "production distribution") -> None:
+def require_production_role(spec: DistributionSpec, n: int) -> None:
     """Production times must be strictly positive (constant 0 is delay-only),
     and no n-1 of them may sum past the largest double, so every creation
     time stays finite."""
     if spec.mean <= 0:
-        raise ConfigError(f"{what} must have positive mean, got {spec.mean}")
+        raise ConfigError(f"production distribution must have positive mean, got {spec.mean}")
     # Summing n-1 draws in sequence rounds the sum up by less than n * 2**-53
     # of it; twice that also covers the rounding of this product.
     if (n - 1) * _largest_draw(spec) * (1 + n * 2.0**-52) > sys.float_info.max:
-        raise ConfigError(f"{what} {spec.kind}:{spec.mean:g} can overflow creation "
-                          f"times: {n - 1} draws may sum past {sys.float_info.max:g}")
+        raise ConfigError(f"production distribution {spec.kind}:{spec.mean:g} can overflow "
+                          f"creation times: {n - 1} draws may sum past {sys.float_info.max:g}")
 
 
 @functools.lru_cache(maxsize=64)

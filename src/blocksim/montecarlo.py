@@ -18,6 +18,7 @@ Everything downstream is deterministic given the experiment's fields.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -65,8 +66,12 @@ class ExperimentResult:
     note: str
 
 
-def _run_one(engine_name: str, config) -> float:
-    return ENGINES[engine_name](config).proportion
+def _run_one(engine: str, config, where: tuple[int, int]) -> float:
+    """One replication's proportion; a failure names ``where``, its (set, replication)."""
+    try:
+        return ENGINES[engine](config).proportion
+    except Exception as exc:
+        raise RuntimeError(f"set {where[0]}, replication {where[1]} failed: {exc}") from exc
 
 
 # Replications per task handed to a pool worker.  Run costs vary widely
@@ -87,43 +92,35 @@ def run_replication_sets(sets, jobs: int = 1) -> list[McEstimate]:
     jobs > 1 every (set, replication) pair of the whole batch is spread
     over one process pool of at most ``jobs`` workers, so an experiment
     starts at most one pool.  Results are reduced in replication order,
-    so the estimates are deterministic regardless of ``jobs``.
+    so the estimates are deterministic regardless of ``jobs``.  A failing
+    replication raises a RuntimeError naming its set and replication,
+    whatever ``jobs`` is.
     """
     if jobs < 1:
         raise ConfigError(f"job count must be >= 1, got {jobs}")
-    engines, configs, indices, counts = [], [], [], []
-    for engine, config, replications, base_seed in sets:
-        if replications < 1:
-            raise ConfigError("replication count must be >= 1")
-        engines += [engine] * replications
-        configs += [replace(config, seed=mix64(base_seed, r)) for r in range(replications)]
-        indices += range(replications)
-        counts.append(replications)
+    counts = [replications for _, _, replications, _ in sets]
+    if any(count < 1 for count in counts):
+        raise ConfigError("replication count must be >= 1")
+    tasks = [(engine, replace(config, seed=mix64(base_seed, r)), (i, r))
+             for i, (engine, config, replications, base_seed) in enumerate(sets)
+             for r in range(replications)]
 
     if jobs > 1:
         global ProcessPoolExecutor
         if ProcessPoolExecutor is None:
             from concurrent.futures import ProcessPoolExecutor
-        chunk = max(1, min(POOL_CHUNK, len(configs) // (jobs * 4)))
+        chunk = max(1, min(POOL_CHUNK, len(tasks) // (jobs * 4)))
         # No more workers than chunks to run or CPUs this process may use.
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
-        workers = min(jobs, -(-len(configs) // chunk), cpus)
+        workers = min(jobs, -(-len(tasks) // chunk), cpus)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_run_one, engines, configs, chunksize=chunk))
+            values = list(pool.map(_run_one, *zip(*tasks), chunksize=chunk))
     else:
-        values = []
-        for engine, config, r in zip(engines, configs, indices):
-            try:
-                values.append(_run_one(engine, config))
-            except Exception as exc:
-                raise RuntimeError(f"replication {r} failed: {exc}") from exc
+        values = [_run_one(*task) for task in tasks]
 
-    estimates, done = [], 0
-    for replications in counts:
-        estimates.append(_estimate(values[done:done + replications]))
-        done += replications
-    return estimates
+    return [_estimate(values[end - count:end])
+            for count, end in zip(counts, itertools.accumulate(counts))]
 
 
 def run_replications(engine, config, replications: int, base_seed: int,

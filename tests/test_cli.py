@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -126,6 +127,17 @@ class TestSimulateErrors:
         assert result.output.startswith("error:")
         assert len(result.output.strip().splitlines()) == 1
         assert not (tmp_path / "o.json").exists()
+
+    def test_full_disk_exits_2(self, runner, tmp_path, monkeypatch):
+        # Root writes past permissions, so the failing write is simulated.
+        def full(path, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(Path, "write_text", full)
+        result = runner.invoke(main, simulate_args(tmp_path))
+        assert result.exit_code == 2
+        assert result.output == (f"error: cannot write {tmp_path / 'outcome.json'}: "
+                                 f"{os.strerror(errno.ENOSPC)}\n")
 
     def test_tree_out_needs_network(self, runner, tmp_path):
         result = runner.invoke(main, simulate_args(
@@ -389,6 +401,23 @@ class TestConfigResolution:
         result = runner.invoke(main, ["simulate", "--config", str(path),
                                       "--out", str(tmp_path / "o.json")])
         assert result.exit_code == 0, result.output
+
+    def test_config_file_not_an_object_exits_2(self, runner, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps([ALPHA, BETA]))
+        result = runner.invoke(main, ["simulate", "--config", str(path),
+                                      "--out", str(tmp_path / "o.json")])
+        assert result.exit_code == 2
+        assert result.output == "error: config file must hold a JSON object\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_distribution_object_without_mean_exits_2(self, runner, tmp_path):
+        path = self.write_config(tmp_path, alpha={"kind": "exponential"})
+        result = runner.invoke(main, ["simulate", "--config", str(path),
+                                      "--out", str(tmp_path / "o.json")])
+        assert result.exit_code == 2
+        assert result.output == "error: distribution dict needs a 'mean' field\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_chi_squared_object_without_parameter_exits_2(self, runner, tmp_path):
         path = self.write_config(tmp_path, beta={"kind": "chi_squared"})
@@ -982,6 +1011,16 @@ class TestMalformedManifest:
         path.write_text(json.dumps(doc))
         assert "base_seed must be an integer" in self.replay(runner, tmp_path, path)
 
+    @pytest.mark.parametrize("name, value", [("outputs", ["outcome.json"]),
+                                             ("params", "n=50")])
+    def test_section_not_an_object(self, runner, tmp_path, name, value):
+        path, doc = self.recorded(runner, tmp_path)
+        doc[name] = value
+        path.write_text(json.dumps(doc))
+        output = self.replay(runner, tmp_path, path)
+        assert output == f"error: manifest {path}: {name} must be a JSON object\n"
+        assert not (tmp_path / "replayed").exists()
+
     def test_missing_params(self, runner, tmp_path):
         path, doc = self.recorded(runner, tmp_path)
         del doc["params"]["alpha"]
@@ -1039,6 +1078,24 @@ class TestMalformedValues:
         doc["params"]["sweep"] = sweep
         path.write_text(json.dumps(doc))
         assert "sweep" in self.replay(runner, tmp_path, path)
+
+    @pytest.mark.parametrize("kind, sweep", [("convergence", [True, 2]),
+                                             ("efficiency", [False, 1])])
+    def test_boolean_in_sweep_from_config_or_manifest(self, runner, tmp_path, kind, sweep):
+        # true once ran a convergence row at m=1, and false an efficiency
+        # row at ratio 0, both ending in exit 0.
+        message = f"error: sweep must be a list of numbers, got {sweep!r}\n"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": kind, "alpha": ALPHA, "beta": BETA, "n": 30,
+                                      "reps": 2, "sweep": sweep}))
+        assert self.one_line_exit_2(runner.invoke(main, [
+            "experiment", "--config", str(config), "--out", str(tmp_path / "c.csv")])) == message
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        manifest, doc = self.experiment_manifest(runner, tmp_path)
+        doc["params"].update(kind=kind, sweep=sweep)
+        manifest.write_text(json.dumps(doc))
+        assert self.replay(runner, tmp_path, manifest) == message
+        assert not (tmp_path / "replayed").exists()
 
     @pytest.mark.parametrize("field, value", [("engine", ["x"]), ("kind", ["x"]),
                                               ("alpha", 5)])

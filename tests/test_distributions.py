@@ -113,6 +113,10 @@ class TestSerialization:
         assert gamma(shape=2, mean=4).to_dict() == {
             "kind": "gamma", "mean": 4.0, "shape": 2.0}
 
+    def test_dict_that_is_not_an_object(self):
+        with pytest.raises(ConfigError, match="a distribution must be a JSON object"):
+            spec_from_dict(["exponential", 1.0])
+
     def test_chi_squared_dict_without_mean(self):
         assert spec_from_dict({"kind": "chi_squared", "shape": 5}) == chi_squared(5)
 
@@ -231,6 +235,12 @@ class TestCdfs:
     def test_sup_gap_bound_values(self):
         assert sup_gap_bound(2) == 1.0
         assert sup_gap_bound(1000) == 0.002
+
+    def test_no_workers_rejected(self):
+        with pytest.raises(ConfigError, match="worker count m must be >= 1, got 0"):
+            mixture_cdf(exponential(1.0), 0, 0.5)
+        with pytest.raises(ConfigError, match="worker count m must be >= 1, got 0"):
+            sup_gap_bound(0)
 
     def test_grid_gap_within_bound(self):
         r = np.linspace(0, 50, 20001)

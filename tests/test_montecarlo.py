@@ -1,5 +1,6 @@
 from concurrent.futures import ProcessPoolExecutor
 import inspect
+import multiprocessing
 import warnings
 
 import numpy as np
@@ -92,6 +93,52 @@ class TestReplicationSets:
         with pytest.raises(ConfigError):
             run_replication_sets([("infinite", inf_config(), 2, 0),
                                   ("infinite", inf_config(), 0, 1)])
+
+
+class TestFailingReplication:
+    """One failing replication raises a RuntimeError naming its set and
+    replication, with the engine's message, at every job count."""
+
+    SETS = [("matrix", net_config(n=40), 3, 31), ("matrix", net_config(n=40), 3, 32)]
+    MESSAGE = r"^set 1, replication 2 failed: boom$"
+
+    @pytest.fixture(autouse=True)
+    def broken(self, monkeypatch):
+        """The matrix engine fails on the seed of set 1's replication 2 only."""
+        real = montecarlo.ENGINES["matrix"]
+
+        def engine(config):
+            if config.seed == mix64(32, 2):
+                raise ValueError("boom")
+            return real(config)
+
+        monkeypatch.setitem(montecarlo.ENGINES, "matrix", engine)
+
+    def test_serial(self):
+        with pytest.raises(RuntimeError, match=self.MESSAGE) as info:
+            run_replication_sets(self.SETS)
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_recording_pool(self, recording_pool):
+        with pytest.raises(RuntimeError, match=self.MESSAGE) as info:
+            run_replication_sets(self.SETS, jobs=2)
+        assert recording_pool == [2]
+        assert isinstance(info.value.__cause__, ValueError)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="workers see the patched engine only when forked")
+    def test_two_worker_pool(self, monkeypatch, cpus):
+        sizes = []
+
+        def forking_pool(max_workers):
+            sizes.append(max_workers)
+            return ProcessPoolExecutor(max_workers, mp_context=multiprocessing.get_context("fork"))
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", forking_pool)
+        with pytest.raises(RuntimeError, match=self.MESSAGE):
+            run_replication_sets(self.SETS, jobs=2)
+        assert sizes == [2]
+
 
 class TestPoolSize:
     @pytest.mark.parametrize("jobs, reps, cpu_count, workers", [

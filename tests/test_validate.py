@@ -3,7 +3,10 @@ from pathlib import Path
 import subprocess
 import sys
 
+import numpy as np
+
 import blocksim
+from blocksim import validate
 from blocksim.validate import (CheckResult, check_equivalence,
                                check_mixture_bound, check_pruning,
                                run_validation)
@@ -102,6 +105,17 @@ class TestFaultInjection:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "unbounded engine run 0" in proc.stdout
         assert "scan mismatch at block 5" in proc.stdout
+
+    def test_mixture_gap_past_the_bound_is_caught(self, monkeypatch):
+        # Shifted by 2.5/m, the gap exceeds 2/m at the first kind and m.
+        real = validate.mixture_cdf
+        monkeypatch.setattr(validate, "mixture_cdf",
+                            lambda spec, m, r: np.asarray(real(spec, m, r)) + 2.5 / m)
+        result = check_mixture_bound(grid_points=200)
+        assert not result.passed
+        assert result.name == "mixture_cdf_bound"
+        assert result.detail.startswith("exponential, m=1: sup gap ")
+        assert result.detail.endswith(" > 2.000000")
 
     def test_fault_propagates_through_run_validation(self):
         results = run_validation(base_seed=0, quick=True,
