@@ -5,11 +5,17 @@ Blocks are numbered in creation order; block 0 is the unique origin.
 The tree is stored as a parent array (block k attaches to parent[k] < k),
 which keeps a tree of n blocks in O(n) memory.  Height is a node count:
 the origin-only tree has height 1.
+
+The exporters build their text SLICE values at a time: each slice is
+formatted on its own (by json.dumps, or as dot lines) and the pieces are
+joined once, so the bytes are those of one json.dumps of the whole tree
+while the memory the export takes stays near twice the text.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -19,6 +25,9 @@ from .errors import ConfigError
 # documented convention and callers should surface the raw ratio too.
 SLOW_BELOW = 0.01
 CHAOTIC_ABOVE = 100.0
+
+# Values per slice when a file is built from a tree's or a run's numbers.
+SLICE = 4096
 
 
 @dataclass(frozen=True)
@@ -49,6 +58,9 @@ class BlockTree:
             raise ValueError("producers must cover blocks 1..n-1")
         if self.times[0] != 0.0:
             raise ValueError("origin creation time must be 0")
+        # Times strictly increase, so a finite last time makes every one finite.
+        if not math.isfinite(self.times[-1]):
+            raise ValueError(f"creation times must be finite, got {self.times[-1]}")
         for k in range(1, n):
             if not (0 <= self.parents[k - 1] < k):
                 raise ValueError(f"block {k} must attach to an earlier block")
@@ -82,22 +94,35 @@ def classify(alpha_mean: float, beta_mean: float) -> str:
 # Export
 
 
+def sliced_json(doc: dict, separators: tuple[str, str]) -> str:
+    """``json.dumps(doc, separators=separators)`` for a dict of sequences,
+    each formatted SLICE values at a time: only one slice's number
+    strings exist at once, not one per value of the whole doc."""
+    item, key = separators
+    parts = ["{"]
+    for i, (name, values) in enumerate(doc.items()):
+        parts += [item if i else "", json.dumps(name), key, "["]
+        for start in range(0, len(values), SLICE):
+            chunk = json.dumps(values[start:start + SLICE], separators=separators)
+            parts += [item if start else "", chunk[1:-1]]
+        parts.append("]")
+    parts.append("}")
+    return "".join(parts)
+
+
 def tree_to_json(tree: BlockTree) -> str:
-    doc = {
-        "parents": list(tree.parents),
-        "producers": list(tree.producers),
-        "times": list(tree.times),
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    return sliced_json({"parents": tree.parents, "producers": tree.producers,
+                        "times": tree.times}, (",", ":"))
 
 
 def tree_to_dot(tree: BlockTree) -> str:
     """DOT digraph with one edge child -> parent per non-origin block."""
-    lines = ["digraph blocktree {"]
-    for k in range(1, tree.n_blocks):
-        lines.append(f"  {k} -> {tree.parents[k - 1]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    parts = ["digraph blocktree {\n"]
+    for start in range(1, tree.n_blocks, SLICE):
+        edges = enumerate(tree.parents[start - 1:start - 1 + SLICE], start)
+        parts.append("".join(f"  {k} -> {p};\n" for k, p in edges))
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def export_tree(tree: BlockTree, fmt: str) -> str:

@@ -32,7 +32,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .blocktree import classify, export_tree
+from .blocktree import classify, export_tree, sliced_json
 from .distributions import DistributionSpec, parse_spec, spec_from_dict
 from .errors import ConfigError
 from .manifest import (SCHEMA_VERSION, RunManifest, check_writable, load_manifest, sha256_file,
@@ -235,9 +235,16 @@ def _guard(fn):
 # Core runners, shared between the direct commands and replay
 
 
-def _check_targets(outputs, manifest=None) -> None:
-    """Fail before anything runs or prints if a target cannot be written."""
-    outputs = [p for p in outputs if p is not None]
+def _check_targets(out_paths: dict, manifest=None) -> None:
+    """Fail before anything runs or prints if a target cannot be written,
+    or if two targets (out_paths by role, and the manifest) are one file."""
+    seen = {}
+    for role, path in [*out_paths.items(), ("manifest", manifest)]:
+        if path is not None:
+            other = seen.setdefault(Path(path).resolve(), role)
+            if other != role:
+                raise ConfigError(f"the {other} and {role} outputs are both {path}")
+    outputs = [p for p in out_paths.values() if p is not None]
     for path in outputs:
         check_writable(path, make_parents=True)
     if manifest is not None:
@@ -272,7 +279,8 @@ def run_simulate(fields: dict, out_paths: dict):
            "p_n": outcome.proportion, "height": outcome.height}
     render = {"outcome": lambda: json.dumps(doc, sort_keys=True, indent=2) + "\n",
               "tree": lambda: export_tree(outcome.tree, fields["tree_format"]),
-              "series": lambda: json.dumps({"height_series": list(outcome.height_series)}) + "\n"}
+              "series": lambda: sliced_json({"height_series": outcome.height_series},
+                                            (", ", ": ")) + "\n"}
     digests = {}
     for role, text in render.items():
         if out_paths.get(role) is not None:
@@ -316,7 +324,7 @@ def _run_command(command: str, flags: dict) -> None:
     roles, run = _RUNNERS[command]
     out_paths = {role: flags[role] for role in roles}
     manifest_path = flags["manifest"] or out_paths[roles[0]] + ".manifest.json"
-    _check_targets(out_paths.values(), manifest_path)
+    _check_targets(out_paths, manifest_path)
     digests, lines, stream_seeds = run(fields, out_paths)
     for line in lines:
         click.echo(line)
@@ -413,7 +421,7 @@ def replay(manifest_file, out_dir, check):
     roles, run = _RUNNERS[manifest.command]
     names = _output_names(params, roles[:1])
     out_paths = {role: (out_dir / name if name else None) for role, name in names.items()}
-    _check_targets(out_paths.values())
+    _check_targets(out_paths)
     digests, lines, _ = run(fields, out_paths)
     for line in lines:
         click.echo(line)

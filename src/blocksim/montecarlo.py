@@ -196,7 +196,12 @@ def _convergence(alpha, beta, n, sweep, **_):
 def _efficiency(alpha, beta, n, sweep, **_):
     """The unbounded engine per ratio r in sweep, its delay rescaled to
     mean r * alpha_mean; rows pair each measurement with predicted_p."""
-    betas = [with_mean(beta, float(ratio) * alpha.mean) for ratio in sweep]
+    betas = []
+    for ratio in sweep:
+        try:
+            betas.append(with_mean(beta, float(ratio) * alpha.mean))
+        except ConfigError as exc:
+            raise ConfigError(f"efficiency sweep ratio {ratio:g}: {exc}") from None
     sets = [("infinite", NetSimConfig(n=n, alpha=alpha, beta=b, seed=0)) for b in betas]
 
     def finish(estimates):

@@ -368,6 +368,94 @@ class TestOneInputPath:
         assert seen == [seed]
 
 
+class TestOneFilePerOutput:
+    NETWORK = ["simulate", "--engine", "network", "--m", "3", "--n", "50",
+               "--alpha", ALPHA, "--beta", BETA]
+
+    @pytest.fixture
+    def no_engine_runs(self, monkeypatch):
+        def engine(config):
+            raise AssertionError("an engine ran")
+        for name in montecarlo.ENGINES:
+            monkeypatch.setitem(montecarlo.ENGINES, name, engine)
+
+    @pytest.mark.parametrize("args, message", [
+        ([*NETWORK, "--out", "x.json", "--series-out", "x.json"],
+         "the outcome and series outputs are both x.json"),
+        ([*NETWORK, "--out", "y.json", "--manifest", "y.json"],
+         "the outcome and manifest outputs are both y.json"),
+        ([*NETWORK, "--out", "z.json", "--tree-out", "z.json"],
+         "the outcome and tree outputs are both z.json"),
+        ([*NETWORK, "--tree-out", "new/../t.json", "--series-out", "t.json"],
+         "the tree and series outputs are both t.json"),
+        ([*NETWORK, "--series-out", "outcome.json.manifest.json"],
+         "the series and manifest outputs are both outcome.json.manifest.json"),
+        (["experiment", "--kind", "single", "--reps", "2", "--n", "20", "--alpha", ALPHA,
+          "--beta", BETA, "--out", "t.csv", "--manifest", "./t.csv"],
+         "the table and manifest outputs are both ./t.csv"),
+    ], ids=["series", "manifest", "tree", "tree-series", "default-manifest", "experiment"])
+    def test_two_roles_naming_one_file_exit_2(self, runner, tmp_path, monkeypatch,
+                                             no_engine_runs, args, message):
+        # One output used to overwrite the other and the command exited 0.
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_replayed_output_names_naming_one_file_exit_2(self, runner, tmp_path):
+        runner.invoke(main, [*self.NETWORK, "--out", str(tmp_path / "o.json"),
+                             "--series-out", str(tmp_path / "s.json")])
+        manifest = tmp_path / "o.json.manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["params"]["output_names"]["series"] = "o.json"
+        manifest.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["replay", str(manifest),
+                                      "--out-dir", str(tmp_path / "replayed")])
+        assert result.exit_code == 2
+        assert result.output == ("error: the outcome and series outputs are both "
+                                 f"{tmp_path / 'replayed' / 'o.json'}\n")
+        assert not (tmp_path / "replayed").exists()
+
+
+class TestEfficiencySweepErrors:
+    CASES = [
+        ({"sweep": [0]}, "efficiency sweep ratio 0: exponential distribution needs mean > 0"),
+        ({"sweep": [0.5, -1]},
+         "efficiency sweep ratio -1: exponential distribution needs mean > 0"),
+        ({"sweep": [1e300], "alpha": "exp:1e10"},
+         "efficiency sweep ratio 1e+300: exponential mean must be finite, got inf"),
+    ]
+
+    def fields(self, **changes):
+        return {"kind": "efficiency", "alpha": ALPHA, "beta": BETA, "n": 20, "reps": 2,
+                **changes}
+
+    def flags(self, fields):
+        return [arg for key, value in fields.items() for arg in (
+            f"--{key}", ",".join(map(str, value)) if isinstance(value, list) else str(value))]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("changes, message", CASES, ids=["zero", "negative", "overflow"])
+    def test_error_names_the_ratio(self, runner, tmp_path, source, changes, message):
+        fields = self.fields(**changes)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(fields))
+        args = self.flags(fields) if source == "flag" else ["--config", str(config)]
+        result = runner.invoke(main, ["experiment", *args, "--out", str(tmp_path / "e.csv")])
+        assert result.exit_code == 2
+        assert result.output == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_zero_constant_delay_runs(self, runner, tmp_path):
+        out = tmp_path / "e.csv"
+        result = runner.invoke(main, ["experiment", *self.flags(self.fields(
+            beta="const:1", sweep=[0, 1])), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert [line.split(",")[:3] for line in out.read_text().splitlines()[1:]] == [
+            ["0.0", "1.0", "0.0"], ["1.0", "1.0", "1.0"]]
+
+
 class TestConfigResolution:
     def write_config(self, tmp_path, **fields):
         doc = {"engine": "infinite", "alpha": ALPHA, "beta": BETA, "n": 40}
