@@ -385,12 +385,9 @@ def validate(quick, inject_fault, seed):
     base_seed = _env_seed() if seed is None else _int_field(seed, "seed")
     results = run_validation(base_seed=base_seed, quick=quick,
                              strict_visibility=not inject_fault)
-    all_ok = True
     for res in results:
-        mark = "ok" if res.passed else "FAIL"
-        click.echo(f"[{mark}] {res.name}: {res.detail}")
-        all_ok = all_ok and res.passed
-    if not all_ok:
+        click.echo(f"[{'ok' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
+    if not all(res.passed for res in results):
         sys.exit(1)
 
 
@@ -429,13 +426,9 @@ def replay(manifest_file, out_dir, check):
     if not check:
         click.echo(f"re-created {len(digests)} file(s) in {out_dir}")
         return
-    bad = []
-    for name, digest in manifest.outputs.items():
-        got = digests.get(name)
-        status = "match" if got == digest else "MISMATCH"
-        if got != digest:
-            bad.append(name)
-        click.echo(f"{name}: {status}")
+    bad = [name for name, digest in manifest.outputs.items() if digests.get(name) != digest]
+    for name in manifest.outputs:
+        click.echo(f"{name}: {'MISMATCH' if name in bad else 'match'}")
     if bad:
         click.echo(f"replay differs for: {', '.join(bad)}", err=True)
         sys.exit(1)

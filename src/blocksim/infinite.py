@@ -10,11 +10,11 @@ not corrected, there.
 
 The visibility scan supports the same pruning as the matrix engine.
 Draw contract: pairs (i, k) are scanned in descending i and every
-scanned pair consumes exactly one delay draw.  Pruning stops the scan
-early and so consumes fewer draws; ``scan="aligned"`` consumes a full
-block of k-1 draws per step regardless, which makes the pruned scan
-read the identical draw for every pair that the unpruned
-``scan="full"`` reads, and return identical results.
+scanned pair consumes exactly one delay draw, so pruning consumes fewer
+draws.  A run with ``check_pruning`` consumes a full block of k-1 draws
+per step regardless, which puts the draw of every pair at a fixed place
+(so its series differs from an unchecked run's), and afterwards checks
+every step's height against the full scan of those draws.
 
 The pruned scan reads delays by index from a buffer of consecutive
 delay-stream values that starts at 1,024 values and doubles up to
@@ -24,8 +24,7 @@ scan did not reach, and a refill seeks the stream to the first draw
 still wanted, so skipped draws past the buffer's end are never
 transformed; the scan reads the draws it reaches straight from the
 transformed array, so the skipped ones are not converted to Python
-floats either.  The unpruned scan shares no code with it: it tests each
-step's pairs at once in numpy, so comparing the two checks the pruning.
+floats either.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import DistributionSpec, creation_times, sample_many
+from .errors import InvariantError
 from .network import NetSimConfig, SimOutcome
 from .rng import StreamBundle
 
@@ -42,31 +42,26 @@ MAX_BUFFER = 1 << 14
 
 
 def simulate_infinite(config: NetSimConfig, streams: StreamBundle | None = None,
-                      *, scan: str = "pruned") -> SimOutcome:
+                      *, check_pruning: bool = False) -> SimOutcome:
     """Run the unbounded-worker engine and return the resulting outcome.
 
     Creation times come from the production substream through
     creation_times, as in the bounded engines, and visibility
     draws from the delay substream; the producer substream is unused
     since producers are all distinct by assumption.  config.m and
-    config.record_tree are ignored.  scan picks the visibility scan:
-    "pruned", "aligned" (pruned under the full-block draw contract) or
-    "full" (unpruned).
+    config.record_tree are ignored.  ``check_pruning`` runs the pruned
+    scan under the full-block draw contract, then raises InvariantError
+    at the first step where it differs from the full scan (_check_scan).
     """
-    if scan not in ("pruned", "aligned", "full"):
-        raise ValueError(f"unknown scan {scan!r}: use pruned, aligned or full")
     if streams is None:
         streams = StreamBundle.for_run(config.seed)
     n = config.n
 
     t = creation_times(config.alpha, streams.production, n)
-    full_block = (n - 1) * (n - 2) // 2
-    if scan == "full":
-        (h, final), scanned = _full_scan(config.beta, streams.delay, t), full_block
-    else:
-        h, final, scanned = _pruned_scan(config.beta, streams.delay, t.tolist(),
-                                         scan == "aligned")
-    consumed = scanned if scan == "pruned" else full_block
+    start = streams.delay.position
+    h, final, scanned = _pruned_scan(config.beta, streams.delay, t.tolist(), check_pruning)
+    if check_pruning:
+        _check_scan(config.beta, streams.delay, start, t, h)
 
     return SimOutcome(
         height=final,
@@ -75,13 +70,12 @@ def simulate_infinite(config: NetSimConfig, streams: StreamBundle | None = None,
         seed_echo=streams.seed_echo(),
         stats={"mean_scan_window": scanned / (n - 1) if n > 1 else 0.0,
                "pairs_tested": scanned,
-               "delay_draws": consumed},
+               "delay_draws": (n - 1) * (n - 2) // 2 if check_pruning else scanned},
     )
 
 
 def _pruned_scan(beta: DistributionSpec, delay, t: list[float], aligned: bool):
     """Heights of the pruned scan, the highest, and the number of pairs tested."""
-    n = len(t)
     h = [1]
     z = [1]
     delays: list[float] | memoryview = []
@@ -89,7 +83,7 @@ def _pruned_scan(beta: DistributionSpec, delay, t: list[float], aligned: bool):
     start = delay.position  # delay-stream position of delays[0]
     size = FIRST_BUFFER
     scanned = 0
-    for k in range(1, n):
+    for k in range(1, len(t)):
         t_k = t[k]
         x = 1
         i = k - 1
@@ -123,22 +117,30 @@ def _pruned_scan(beta: DistributionSpec, delay, t: list[float], aligned: bool):
     return h, z[-1], scanned
 
 
-def _full_scan(beta: DistributionSpec, delay, t: np.ndarray) -> tuple[list[int], int]:
-    """Heights of the unpruned scan, and the highest of them.
+def _check_scan(beta: DistributionSpec, delay, start: int, t: np.ndarray, h) -> None:
+    """Raise InvariantError at the first step whose height is not the full scan's.
 
-    Draws are read in sequence, about MAX_BUFFER values at a time: step
-    k's k-1 draws, for pairs i = k-1 down to 1, start (k-1)(k-2)/2
-    values into the run's draws.
+    The full scan gives step k the height 1 + max(1, max{h[i] : 1 <= i < k,
+    t[i] + d(i, k) < t[k]}) from the run's own heights, with d(i, k) the
+    full-block draw of pair (i, k) counted from delay position start.  It
+    shares no code with _pruned_scan: given the heights, steps are
+    independent, so each chunk of about MAX_BUFFER pairs is one expression.
     """
-    h = np.ones(len(t), dtype=np.int64)
-    k0 = 1
-    while k0 < len(t):
-        k1 = min(len(t), k0 + max(1, MAX_BUFFER // (k0 + 128)))
-        first = (k0 - 1) * (k0 - 2) // 2
-        d = sample_many(beta, delay, (k1 - 1) * (k1 - 2) // 2 - first)
-        for k in range(k0, k1):
-            b = (k - 1) * (k - 2) // 2 - first
-            seen = t[k - 1:0:-1] + d[b:b + k - 1] < t[k]
-            h[k] = 1 + h[k - 1:0:-1][seen].max(initial=1)
+    h = np.asarray(h, dtype=np.int64)
+    best = np.ones(len(h), dtype=np.int64)
+    delay.seek(start)
+    k0 = 2  # step 1 tests no pair
+    while k0 < len(h):
+        k1 = min(len(h), k0 + max(1, MAX_BUFFER // (k0 + 128)))
+        # Step k tests pairs i = k-1 down to 1, from heads[k - k0] on.
+        widths = np.arange(k0 - 1, k1 - 1)
+        heads = np.cumsum(widths) - widths
+        d = sample_many(beta, delay, int(widths.sum()))
+        i = np.repeat(widths + heads, widths) - np.arange(len(d))
+        seen = t[i] + d < np.repeat(t[k0:k1], widths)
+        best[k0:k1] = np.maximum.reduceat(np.where(seen, h[i], 1), heads)
         k0 = k1
-    return h.tolist(), int(h.max())
+    bad = np.flatnonzero(best[1:] + 1 != h[1:])
+    if bad.size:
+        k = bad[0] + 1
+        raise InvariantError(f"scan mismatch at block {k}: {h[k]} != {best[k] + 1}")

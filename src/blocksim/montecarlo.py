@@ -30,7 +30,7 @@ from .distributions import with_mean
 from .errors import ConfigError
 from .infinite import simulate_infinite
 from .matrix import simulate_matrix
-from .network import NetSimConfig, simulate_network
+from .network import NetSimConfig, check_count, simulate_network
 from .rng import mix64
 
 ENGINES = {
@@ -79,6 +79,8 @@ def _run_one(engine: str, config, where: tuple[int, int]) -> float:
 # keep both workers busy until the end.
 POOL_CHUNK = 10
 
+MAX_BINS = 2**20  # histogram bins, one table row each
+
 # Imported by the first run at jobs > 1, so no other command pays for it.
 ProcessPoolExecutor = None
 
@@ -99,8 +101,8 @@ def run_replication_sets(sets, jobs: int = 1) -> list[McEstimate]:
     if jobs < 1:
         raise ConfigError(f"job count must be >= 1, got {jobs}")
     counts = [replications for _, _, replications, _ in sets]
-    if any(count < 1 for count in counts):
-        raise ConfigError("replication count must be >= 1")
+    for count in counts:
+        check_count("replication count", count)
     tasks = [(engine, replace(config, seed=mix64(base_seed, r)), (i, r))
              for i, (engine, config, replications, base_seed) in enumerate(sets)
              for r in range(replications)]
@@ -181,6 +183,7 @@ def _convergence(alpha, beta, n, sweep, **_):
         if not (math.isfinite(m) and m == int(m) and m >= 1):
             raise ConfigError("convergence sweep: worker counts must be "
                               f"finite integers >= 1, got {m!r}")
+        check_count("worker count m", int(m) if m < 2**53 else m)  # no ".0", no 301 digits
     workers = [int(m) for m in sweep]
     config = NetSimConfig(n=n, alpha=alpha, beta=beta, seed=0, record_tree=False)
     sets = [("matrix", replace(config, m=m)) for m in workers] + [("infinite", config)]
@@ -224,6 +227,8 @@ def _pdf_histogram(alpha, beta, n, m, bins, **_):
     shared edges, with their two-sample Kolmogorov-Smirnov distance."""
     if bins < 1:
         raise ConfigError(f"histogram bin count must be >= 1, got {bins}")
+    if bins > MAX_BINS:
+        raise ConfigError(f"histogram bin count must be <= {MAX_BINS}, got {bins}")
     config = NetSimConfig(m=m, n=n, alpha=alpha, beta=beta, seed=0, record_tree=False)
     sets = [("matrix", config), ("infinite", config)]
 

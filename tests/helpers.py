@@ -3,12 +3,27 @@
 ScriptedStream stands in for a SampleStream, whose docstring states the
 stream protocol, so that tests can inject hand-chosen draws into the
 engines; ks_distance is the one-sample reference for sampled
-distributions.
+distributions; faulty_pruned_scan is the unbounded engine's pruned scan
+with an injected fault, for the tests of its full-scan check.
 """
 
 import numpy as np
 
+from blocksim import infinite
 from blocksim.distributions import DistributionSpec, cdf
+
+
+def faulty_pruned_scan(skip=0, bump=None, by=1):
+    """infinite._pruned_scan reading from ``skip`` draws on, step ``bump`` moved by ``by``."""
+    pruned = infinite._pruned_scan
+
+    def scan(beta, delay, t, aligned):
+        delay.seek(delay.position + skip)
+        h, top, scanned = pruned(beta, delay, t, aligned)
+        if bump is not None:
+            h[bump] += by
+        return h, top, scanned
+    return scan
 
 
 class ScriptedStream:

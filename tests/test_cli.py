@@ -32,6 +32,14 @@ def runner():
     return CliRunner()
 
 
+@pytest.fixture
+def no_engine_runs(monkeypatch):
+    def engine(config):
+        raise AssertionError("an engine ran")
+    for name in montecarlo.ENGINES:
+        monkeypatch.setitem(montecarlo.ENGINES, name, engine)
+
+
 def simulate_args(tmp_path, *extra, out="outcome.json"):
     return ["simulate", "--alpha", ALPHA, "--beta", BETA, "--n", "50",
             "--m", "4", "--out", str(tmp_path / out), *extra]
@@ -176,7 +184,7 @@ class TestSimulateErrors:
          f"worker count m must be <= 2147483647, got {10**12}"),
         (["experiment", "--kind", "convergence", "--sweep", "1e20", "--n", "3",
           "--reps", "1"],
-         f"worker count m must be <= 2147483647, got {10**20}"),
+         "worker count m must be <= 2147483647, got 1e+20"),
         (["experiment", "--kind", "efficiency", "--sweep", "1", "--n", str(2**31),
           "--reps", "1"],
          f"block count n must be <= 2147483647, got {2**31}"),
@@ -371,14 +379,6 @@ class TestOneInputPath:
 class TestOneFilePerOutput:
     NETWORK = ["simulate", "--engine", "network", "--m", "3", "--n", "50",
                "--alpha", ALPHA, "--beta", BETA]
-
-    @pytest.fixture
-    def no_engine_runs(self, monkeypatch):
-        def engine(config):
-            raise AssertionError("an engine ran")
-        for name in montecarlo.ENGINES:
-            monkeypatch.setitem(montecarlo.ENGINES, name, engine)
-
     @pytest.mark.parametrize("args, message", [
         ([*NETWORK, "--out", "x.json", "--series-out", "x.json"],
          "the outcome and series outputs are both x.json"),
@@ -416,6 +416,41 @@ class TestOneFilePerOutput:
         assert result.output == ("error: the outcome and series outputs are both "
                                  f"{tmp_path / 'replayed' / 'o.json'}\n")
         assert not (tmp_path / "replayed").exists()
+
+
+class TestExperimentBounds:
+    """Sizes past a bound exit 2 before any run: no engine runs, no file is written."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["--kind", "pdf-histogram", "--bins", "100000000000"],
+         "histogram bin count must be <= 1048576, got 100000000000"),
+        (["--kind", "pdf-histogram", "--bins", str(montecarlo.MAX_BINS + 1)],
+         "histogram bin count must be <= 1048576, got 1048577"),
+        (["--kind", "single", "--reps", "3000000000"],
+         "replication count must be <= 2147483647, got 3000000000"),
+        (["--kind", "single", "--reps", "0"], "replication count must be >= 1"),
+        (["--kind", "convergence", "--sweep", "2,1e300"],
+         "worker count m must be <= 2147483647, got 1e+300"),
+        (["--kind", "convergence", "--sweep", "2147483648"],
+         "worker count m must be <= 2147483647, got 2147483648"),
+    ], ids=["bins", "bins-past-cap", "reps", "reps-zero", "sweep", "sweep-past-cap"])
+    def test_exits_2_before_any_run(self, runner, tmp_path, monkeypatch,
+                                    no_engine_runs, args, message):
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, ["experiment", "--alpha", ALPHA, "--beta", BETA,
+                                      "--n", "50", "--reps", "2", *args])
+        assert result.exit_code == 2
+        assert result.output == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bounds_themselves_are_accepted(self):
+        spec = dict(alpha=exponential(1.0), beta=exponential(0.1), n=20)
+        sets, _ = montecarlo.EXPERIMENTS["pdf_histogram"].driver(
+            **spec, m=3, bins=montecarlo.MAX_BINS)
+        assert [engine for engine, _ in sets] == ["matrix", "infinite"]
+        sets, _ = montecarlo.EXPERIMENTS["convergence"].driver(
+            **spec, sweep=[float(network.MAX_COUNT)])
+        assert sets[0][1].m == network.MAX_COUNT
 
 
 class TestEfficiencySweepErrors:

@@ -8,7 +8,10 @@ would share a creation time unless it is made strictly increasing.  The
 check tests hold the whole-run full-scan checks of both scanning engines
 to reference series, and
 require each injected fault to be reported at the first block it
-changes; the matrix engine's check must also give the same verdict as a
+changes (for the unbounded engine, a checked run's pruned scan with one
+step bumped or reading one stream position off; a checked run uses the
+full-block draw contract, so its series differs from an unchecked
+run's); the matrix engine's check must also give the same verdict as a
 per-pair full scan written here, strict and lenient, on series with one
 height off by one or none.  The CLI tests feed generated config files and manifests to
 ``simulate``, ``experiment`` and ``replay``:
@@ -30,7 +33,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from blocksim import __version__, matrix, network
+from blocksim import __version__, infinite, matrix, network
 from blocksim.cli import main
 from blocksim.distributions import constant, exponential, gamma
 from blocksim.errors import InvariantError
@@ -39,8 +42,8 @@ from blocksim.manifest import SCHEMA_VERSION
 from blocksim.matrix import DelayMatrix, simulate_matrix, visible_height_naive
 from blocksim.network import NetSimConfig, draw_schedule, simulate_network
 from conftest import checked
+from helpers import faulty_pruned_scan
 from blocksim.rng import StreamBundle
-from blocksim.validate import compare_scans
 
 CLI_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
                         suppress_health_check=[HealthCheck.too_slow])
@@ -199,10 +202,7 @@ class TestFullScanCheck:
         series = (simulate_network(config).height_series if strict else
                   simulate_matrix(config, strict_visibility=False).height_series)
         matrix_check(config, series, strict)
-        # The aligned pruned scan and the unpruned engine read the same
-        # draw for every pair.
-        compare_scans(simulate_infinite(config, scan="aligned").height_series,
-                      simulate_infinite(config, scan="full").height_series)
+        simulate_infinite(config, check_pruning=True)
 
     @CHECK_SETTINGS
     @given(run_configs(), st.data())
@@ -213,25 +213,24 @@ class TestFullScanCheck:
         series = list(simulate_network(config).height_series)
         series[k] += 1
         caught_at(lambda: matrix_check(config, series), k)
-        aligned = list(simulate_infinite(config, scan="aligned").height_series)
-        aligned[k] += 1
-        plain = simulate_infinite(config, scan="full").height_series
-        caught_at(lambda: compare_scans(aligned, plain), k)
+        with mock.patch.object(infinite, "_pruned_scan", faulty_pruned_scan(bump=k)):
+            caught_at(lambda: simulate_infinite(config, check_pruning=True), k)
 
     @CHECK_SETTINGS
     @example(SHIFT_CONFIG)
     @given(run_configs())
     def test_draws_one_position_off_are_caught(self, config):
-        # An unpruned engine reading each pair's draw one stream position
-        # past the full-block formula's: an off-by-one between the engines.
+        # A pruned scan reading each pair's draw one stream position past
+        # the full-block formula's: an off-by-one between scan and check.
         streams = StreamBundle.for_run(config.seed)
         streams.delay.seek(1)
-        shifted = simulate_infinite(config, streams, scan="full").height_series
-        k = first_difference(shifted, simulate_infinite(config, scan="full").height_series)
+        shifted = simulate_infinite(config, streams, check_pruning=True).height_series
+        k = first_difference(shifted,
+                             simulate_infinite(config, check_pruning=True).height_series)
         if config == SHIFT_CONFIG:
             assert k is not None
-        aligned = simulate_infinite(config, scan="aligned").height_series
-        caught_at(lambda: compare_scans(aligned, shifted), k)
+        with mock.patch.object(infinite, "_pruned_scan", faulty_pruned_scan(skip=1)):
+            caught_at(lambda: simulate_infinite(config, check_pruning=True), k)
 
     @CHECK_SETTINGS
     @example(TIE_CONFIG)

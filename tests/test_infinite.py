@@ -9,6 +9,7 @@ from blocksim.errors import ConfigError, InvariantError
 from blocksim.infinite import simulate_infinite
 from blocksim.network import NetSimConfig
 from blocksim.rng import StreamBundle
+from helpers import faulty_pruned_scan
 
 
 def base_config(**overrides):
@@ -65,10 +66,11 @@ class TestStructure:
 
 class TestDrawAccounting:
     def test_unpruned_consumes_every_pair(self):
+        # The check's unpruned scan re-reads every pair's draw of the block.
         n = 120
-        out = simulate_infinite(base_config(n=n), scan="full")
-        assert out.stats["delay_draws"] == (n - 1) * (n - 2) // 2
-        assert out.stats["pairs_tested"] == out.stats["delay_draws"]
+        streams = StreamBundle.for_run(21)
+        simulate_infinite(base_config(n=n), streams, check_pruning=True)
+        assert streams.delay.position == (n - 1) * (n - 2) // 2
 
     def test_lazy_pruning_consumes_only_scanned_pairs(self):
         n = 120
@@ -78,7 +80,7 @@ class TestDrawAccounting:
 
     def test_aligned_pruning_reports_full_consumption(self):
         n = 120
-        out = simulate_infinite(base_config(n=n), scan="aligned")
+        out = simulate_infinite(base_config(n=n), check_pruning=True)
         assert out.stats["delay_draws"] == (n - 1) * (n - 2) // 2
         assert out.stats["pairs_tested"] < out.stats["delay_draws"]
 
@@ -88,43 +90,64 @@ class TestDrawAccounting:
 
 
 class TestPruningExactness:
+    # A checked run raises InvariantError where its pruned scan and the
+    # unpruned scan of the same draws (the check) disagree, so passing
+    # runs are exact.
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_aligned_pruned_equals_unpruned(self, seed):
-        pruned = simulate_infinite(base_config(seed=seed, n=400), scan="aligned")
-        plain = simulate_infinite(base_config(seed=seed, n=400), scan="full")
-        assert pruned.height_series == plain.height_series
-        assert pruned.height == plain.height
+        out = simulate_infinite(base_config(seed=seed, n=400), check_pruning=True)
+        assert out.height == max(out.height_series)
 
     def test_aligned_pruned_equals_unpruned_gamma(self):
         beta = gamma(shape=2, mean=0.5)
-        pruned = simulate_infinite(base_config(seed=8, beta=beta, n=400), scan="aligned")
-        plain = simulate_infinite(base_config(seed=8, beta=beta, n=400), scan="full")
-        assert pruned.height_series == plain.height_series
+        simulate_infinite(base_config(seed=8, beta=beta, n=400), check_pruning=True)
+
+    @pytest.mark.parametrize("k, by", [(1, 1), (5, 1), (5, -1), (149, 1)])
+    def test_bumped_scan_is_caught_at_its_block(self, monkeypatch, k, by):
+        monkeypatch.setattr(infinite, "_pruned_scan", faulty_pruned_scan(bump=k, by=by))
+        config = base_config(n=150, beta=exponential(5.0), seed=4)
+        with pytest.raises(InvariantError, match=f"scan mismatch at block {k}:"):
+            simulate_infinite(config, check_pruning=True)
+        # An unchecked run does not look.
+        simulate_infinite(config)
+
+    def test_check_reads_from_the_run_start(self):
+        # Streams moved with seek before the run: the check re-reads the
+        # block from where the run began, not from position 0.
+        config = base_config(n=150, beta=exponential(5.0), seed=4)
+        streams = StreamBundle.for_run(config.seed)
+        streams.delay.seek(3)
+        moved = simulate_infinite(config, streams, check_pruning=True)
+        assert moved.height_series != simulate_infinite(config, check_pruning=True).height_series
 
 
 class TestUnprunedScan:
-    @pytest.mark.parametrize("buffer", [1, 7, 2**14])
+    """The check's unpruned scan, on the edges of its chunks and of the model.
+
+    "Aligned" is the full-block draw contract a checked run uses.
+    """
+
+    @pytest.mark.parametrize("buffer", [1, 7, 2**11, 2**14])
     def test_matches_aligned_across_chunks(self, monkeypatch, buffer):
-        # The vectorized unpruned scan reads its draws in chunks of whole
-        # steps; chunk size changes which values are drawn together, never
-        # which draw a pair gets.
+        # The check reads its draws in chunks of whole steps, and the
+        # pruned scan in buffers, both sized by MAX_BUFFER; their sizes
+        # change which values are drawn together, never which draw a pair gets.
+        configs = (base_config(n=150, beta=exponential(5.0), seed=4),
+                   base_config(n=90, alpha=constant(1.0), beta=constant(2.0)))
+        expected = [simulate_infinite(c, check_pruning=True) for c in configs]
         monkeypatch.setattr(infinite, "MAX_BUFFER", buffer)
-        for config in (base_config(n=150, beta=exponential(5.0), seed=4),
-                       base_config(n=90, alpha=constant(1.0), beta=constant(2.0))):
-            aligned = simulate_infinite(config, scan="aligned").height_series
-            plain = simulate_infinite(config, scan="full").height_series
-            assert plain == aligned
+        assert [simulate_infinite(c, check_pruning=True) for c in configs] == expected
 
     def test_origin_only_and_two_blocks(self):
-        assert simulate_infinite(base_config(n=1), scan="full").height_series == (1,)
-        assert simulate_infinite(base_config(n=2), scan="full").height_series == (1, 2)
+        assert simulate_infinite(base_config(n=1), check_pruning=True).height_series == (1,)
+        assert simulate_infinite(base_config(n=2), check_pruning=True).height_series == (1, 2)
 
     def test_simultaneous_arrival_is_not_visible(self):
         # Creation every 1.0, every delay exactly 1.0: block i's news
         # reaches block i+1 exactly at its creation, so only blocks two or
         # more steps back count.
         out = simulate_infinite(base_config(n=6, alpha=constant(1.0), beta=constant(1.0)),
-                                scan="full")
+                                check_pruning=True)
         assert out.height_series == (1, 2, 2, 3, 3, 4)
 
 
@@ -141,18 +164,19 @@ class TestDeterminism:
 
     def test_lazy_and_aligned_are_distinct_draw_orders(self):
         a = simulate_infinite(base_config(n=500))
-        b = simulate_infinite(base_config(n=500), scan="aligned")
+        b = simulate_infinite(base_config(n=500), check_pruning=True)
         assert a.height_series != b.height_series
         assert abs(a.proportion - b.proportion) < 0.1
 
 
 class TestPinnedDraws:
-    """Outputs of the three modes, recorded before the one-loop scan.
+    """Outputs of unchecked and checked runs, recorded before the one-loop scan.
 
     Each case reads past at least one buffer refill: the pruned runs
     past the first buffer (one of them past the 16,384-value cap), the
-    full-block runs past many.  The digest is the first 16 hex digits of
-    the sha256 of repr(height_series).
+    checked ("aligned") runs, under the full-block contract, past many.
+    The digest is the first 16 hex digits of the sha256 of
+    repr(height_series).
     """
 
     @pytest.mark.parametrize("mode, n, beta, seed, height, pairs, draws, digest", [
@@ -163,12 +187,10 @@ class TestPinnedDraws:
         ("pruned", 2000, exponential(100.0), 5, 211, 33115, 33115, "a50bd9b3794010de"),
         ("aligned", 120, exponential(0.5), 3, 87, 162, 7021, "730a3623b29e0258"),
         ("aligned", 400, exponential(5.0), 11, 142, 1375, 79401, "7dba67b5a7247bdc"),
-        ("unpruned", 120, exponential(0.5), 3, 87, 7021, 7021, "730a3623b29e0258"),
-        ("unpruned", 400, exponential(5.0), 11, 142, 79401, 79401, "7dba67b5a7247bdc"),
     ])
     def test_outputs_unchanged(self, mode, n, beta, seed, height, pairs, draws, digest):
         out = simulate_infinite(base_config(n=n, beta=beta, seed=seed),
-                                scan="full" if mode == "unpruned" else mode)
+                                check_pruning=mode == "aligned")
         assert out.height == height
         assert out.stats["pairs_tested"] == pairs
         assert out.stats["delay_draws"] == draws
@@ -189,11 +211,6 @@ class TestConfigValidation:
     def test_zero_production_time_rejected(self):
         with pytest.raises(ConfigError):
             base_config(alpha=constant(0.0))
-
-    def test_unknown_scan_rejected(self):
-        # A misspelt scan must not run the pruned scan under another name.
-        with pytest.raises(ValueError, match="unknown scan 'unpruned'"):
-            simulate_infinite(base_config(n=20), scan="unpruned")
 
     def test_worker_count_ignored(self):
         a = simulate_infinite(base_config())

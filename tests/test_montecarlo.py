@@ -94,6 +94,13 @@ class TestReplicationSets:
             run_replication_sets([("infinite", inf_config(), 2, 0),
                                   ("infinite", inf_config(), 0, 1)])
 
+    def test_set_past_count_bound_rejected_before_any_run(self, monkeypatch):
+        # The bound of every count: no task list of billions is built.
+        monkeypatch.setitem(montecarlo.ENGINES, "infinite", None)
+        with pytest.raises(ConfigError, match="replication count must be <= 2147483647"):
+            run_replication_sets([("infinite", inf_config(), 2, 0),
+                                  ("infinite", inf_config(), 2**31, 1)])
+
 
 class TestFailingReplication:
     """One failing replication raises a RuntimeError naming its set and

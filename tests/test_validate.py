@@ -24,6 +24,23 @@ class TestSuites:
         assert result.passed, result.detail
         assert result.name == "pruning_exactness"
 
+    def test_unbounded_config_runs_unchecked_then_checked_from_there(self, monkeypatch):
+        # Two unbounded runs per config on one stream bundle, so the
+        # checked run's check re-reads its block from a moved position.
+        calls = []
+        real = validate.simulate_infinite
+
+        def recording(config, streams, **kwargs):
+            calls.append((config.n, streams, streams.delay.position,
+                          kwargs.get("check_pruning", False)))
+            return real(config, streams, **kwargs)
+        monkeypatch.setattr(validate, "simulate_infinite", recording)
+        assert check_pruning(base_seed=0, runs=4, max_n=400).passed
+        assert len(calls) == 8
+        for first, second in zip(calls[::2], calls[1::2]):
+            assert (first[0], first[2], first[3]) == (second[0], 0, False)
+            assert second[1] is first[1] and second[2] > 0 and second[3]
+
     def test_mixture_bound_passes(self):
         result = check_mixture_bound(grid_points=2000)
         assert result.passed, result.detail
@@ -82,22 +99,20 @@ class TestFaultInjection:
         assert "scan mismatch at block 5" in proc.stdout
 
     def test_unbounded_mismatch_fails_suite_under_optimize(self):
-        # The infinite half of the suite: an aligned run that disagrees
-        # with the unpruned engine at block 5 fails it, naming run and block.
+        # The unbounded half of the suite: a pruned scan that disagrees
+        # with the full scan at block 5 fails it, naming run and block.
         script = "\n".join([
-            "import dataclasses, sys",
-            "import blocksim.validate as v",
+            "import sys",
+            "import blocksim.infinite as inf",
+            "from blocksim.validate import check_pruning",
             "assert False, 'asserts must be stripped in this run'",
-            "real = v.simulate_infinite",
-            "def bumped(config, *args, **kwargs):",
-            "    out = real(config, *args, **kwargs)",
-            "    if kwargs.get('scan') != 'aligned':",
-            "        return out",
-            "    series = list(out.height_series)",
-            "    series[5] += 1",
-            "    return dataclasses.replace(out, height_series=tuple(series))",
-            "v.simulate_infinite = bumped",
-            "result = v.check_pruning(runs=1, max_n=50)",
+            "pruned = inf._pruned_scan",
+            "def bumped(*args):",
+            "    h, top, scanned = pruned(*args)",
+            "    h[5] += 1",
+            "    return h, top, scanned",
+            "inf._pruned_scan = bumped",
+            "result = check_pruning(runs=1, max_n=50)",
             "print(result.detail)",
             "sys.exit(1 if result.passed else 0)",
         ])
