@@ -237,13 +237,22 @@ def _guard(fn):
 
 def _check_targets(out_paths: dict, manifest=None) -> None:
     """Fail before anything runs or prints if a target cannot be written,
-    or if two targets (out_paths by role, and the manifest) are one file."""
+    if two targets (out_paths by role, and the manifest) are one file, or
+    if two outputs share a name: the manifest keys their digests by name,
+    and replay writes them into one directory."""
     seen = {}
     for role, path in [*out_paths.items(), ("manifest", manifest)]:
         if path is not None:
             other = seen.setdefault(Path(path).resolve(), role)
             if other != role:
                 raise ConfigError(f"the {other} and {role} outputs are both {path}")
+    named = {}
+    for role, path in out_paths.items():
+        if path is not None:
+            other = named.setdefault(Path(path).name, role)
+            if other != role:
+                raise ConfigError(f"the {other} and {role} outputs are both named "
+                                  f"{Path(path).name}")
     outputs = [p for p in out_paths.values() if p is not None]
     for path in outputs:
         check_writable(path, make_parents=True)

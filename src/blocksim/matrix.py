@@ -25,12 +25,11 @@ and fetches the chunk again from that step.  An arrival counts when it
 is below the step's limit, the creation time t[k]; the lenient fault
 hook (strict=False) raises the limit to the next double above t[k], so
 the pair test is one comparison either way.  check_pruning certifies
-the stop after the run with a full scan (visible_height_naive) that
-sorts each chunk of rows' arrivals together with the steps they can
-reach and makes its own < or <= comparison through the sort's tie
-order: every step's height must equal the full scan of the run's own
-history.  It draws every row once, O(n*m) draws, and tests no pair one
-by one.
+the run afterwards with pruning.check_scan, shared with the unbounded
+engine, over the pairs each step tested: visible_height_naive reads
+their cells by stream position, apart from the bands, and makes its
+own < or <= comparison, so a checked run reads about as many cells
+again as the scan, never the whole matrix.
 """
 
 from __future__ import annotations
@@ -39,9 +38,9 @@ import math
 
 import numpy as np
 
-from .distributions import DistributionSpec, _transform, sample_many
-from .errors import InvariantError
+from .distributions import DistributionSpec, _transform
 from .network import NetSimConfig, SimOutcome, draw_schedule
+from .pruning import check_scan
 from .rng import StreamBundle
 
 # A chunk of bands W arrivals wide covers max(1, BAND_CELLS // W) steps.
@@ -62,12 +61,6 @@ BAND_WIDTH, BAND_CELLS = 8, 2**14
 # m-1=48; 51 and 55 at W=16, m-1=64; 62 and 52 at W=16, m-1=96; 58 and
 # 51 at W=32, m-1=256; 1116 and 136 at W=8, m-1=999.
 BY_POSITION = 6
-
-# Cells per chunk of rows the full-scan check draws, about 128 kB; the
-# chunk's sort holds its rows' cells at the workers of the steps inside
-# its delay window, plus those steps, a few such arrays at a time.
-CHECK_CELLS = 2**14
-
 
 class DelayMatrix:
     """The delay matrix as chunks of per-step bands of arrivals, drawn on demand.
@@ -94,8 +87,7 @@ class DelayMatrix:
     Each value holds the bits of the whole row's transform.  Memory is
     never n*m: a narrower chunk holds at most BAND_CELLS arrivals and,
     read from rows, the uniforms from 2W blocks before it on; the
-    arrivals by worker hold twice the rows a chunk reaches.  rows()
-    draws rows afresh for the check.
+    arrivals by worker hold twice the rows a chunk reaches.
     """
 
     def __init__(self, spec: DistributionSpec, stream, producers: list[int], m: int, t):
@@ -104,11 +96,6 @@ class DelayMatrix:
         self.band_width, self.transformed = BAND_WIDTH, 0
         self._kept = (0, np.empty((0, self._width)))  # first row, uniforms from it on
         self._rows = (0, 0, np.empty((m, 0)))  # first row, end row, arrivals by worker
-
-    def rows(self, first: int, count: int) -> np.ndarray:
-        """Rows first .. first+count-1 (blocks first+1 on), drawn afresh."""
-        self._stream.seek(first * self._width)
-        return sample_many(self._spec, self._stream, count * self._width)
 
     def _build(self, k: int):
         W, m1, p = self.band_width, self._width, self._p
@@ -189,71 +176,32 @@ class DelayMatrix:
             self.transformed += u.size
 
 
-def visible_height_naive(t, h, delays: DelayMatrix, strict: bool = True) -> None:
-    """Raise InvariantError at the first step whose height is not the full scan's.
+def visible_height_naive(t, h, widths, delays: DelayMatrix, strict: bool = True) -> None:
+    """check_scan of a matrix run: raise InvariantError at the first step
+    whose height the cells its scan tested do not prove to be the full scan's.
 
-    The full scan gives step k the height 1 + max(1, max{h[i] : 1 <= i < k,
-    t[i] + d(i, producer_k) < t[k]}) from the run's own history, so a run
-    that passes took the full scan's value at every step.  It shares no
-    code with _pruned_scan.  Rows are drawn afresh, each once, about
-    CHECK_CELLS cells at a time; for each chunk of rows:
-    - the steps made after the chunk's last arrival see the whole chunk,
-      so they get its best height, spread with one running max at the end;
-    - the steps in between are merged with the chunk's arrivals at their
-      producers in one lexsort by worker, time and a tie key, and a
-      running max per worker gives each step the best height its
-      producer has seen.
-    The cost is O(n*m) draws plus a sort of each chunk's cells in the
-    columns of the steps inside its delay window, not O(n^2) pair tests.
+    Each tested cell is read by its stream position, (i-1)(m-1) + j -
+    [j > producer_i] for block i at worker j = producer_k, with
+    stream.at, and transformed; a producer's own cell is 0.  So the check
+    shares neither the bands nor the pair test with _pruned_scan, and it
+    reads the cells the scan tested, not n*m.  (The name, kept because the
+    benchmark's trace wraps it, is that of the full scan it replaced.)
     """
-    t, h = np.asarray(t), np.asarray(h, dtype=np.int64)
-    n, m = len(h), delays._width + 1
-    p = delays._p
-    step = max(1, CHECK_CELLS // m)
-    # late[k]: the best height of a chunk that every step from k on sees whole.
-    best, late = np.ones(n, dtype=np.int64), np.ones(n + 1, dtype=np.int64)
-    for i0 in range(1, n, step):
-        p_i = p[i0 - 1:i0 - 1 + step, None]
-        i1 = i0 + len(p_i)
-        # A zero column appended at m-1 serves each producer's own entry.
-        rows = np.pad(delays.rows(i0 - 1, len(p_i)).reshape(len(p_i), m - 1),
-                      ((0, 0), (0, 1)))
-        ti, hi = t[i0:i1], h[i0:i1]
-        last = (ti + rows.max(1)).max()
-        k1 = max(i1, int(np.searchsorted(t, last, "right" if strict else "left")))
-        late[k1] = max(late[k1], hi.max())
-        if k1 == i0 + 1:
-            continue
-        # Steps i0+1 .. k1-1, against the chunk's arrivals at their producers.
-        ks = np.arange(i0 + 1, k1)
-        workers, col = np.unique(p[i0:k1 - 1], return_inverse=True)
-        arrival = rows[np.arange(len(p_i))[:, None],
-                       np.where(workers == p_i, m - 1, workers - (workers > p_i))]
-        arrival += ti[:, None]
-        # Ties with t[k]: queries have tie key 2k, arrivals 2i+1 when lenient
-        # (seen by step k iff i < k) and 2n+1 when strict (never seen).
-        tie = 2 * np.arange(i0, i1) + 1 if not strict else np.full(len(hi), 2 * n + 1)
-        cells, w = arrival.size, len(workers)
-        order = np.lexsort((np.concatenate((np.repeat(tie, w), 2 * ks)),
-                            np.concatenate((arrival.ravel(), t[ks])),
-                            np.concatenate((np.tile(np.arange(w), len(hi)), col))))
-        # The worker in the high 32 bits keeps each worker's running max apart.
-        key = np.concatenate((np.add.outer(hi, np.arange(w) << 32).ravel(),
-                              col.astype(np.int64) << 32))
-        seen = np.maximum.accumulate(key[order])
-        q = np.flatnonzero(order >= cells)
-        found = np.empty(len(ks), dtype=np.int64)
-        found[order[q] - cells] = seen[q] & 0xFFFFFFFF
-        best[ks] = np.maximum(best[ks], found)
-    best = np.maximum(best, np.maximum.accumulate(late[:n]))
-    bad = np.flatnonzero(best[1:] + 1 != h[1:])
-    if bad.size:
-        k = bad[0] + 1
-        raise InvariantError(f"scan mismatch at block {k}: {h[k]} != {best[k] + 1}")
+    m1, p = delays._width, delays._p
+
+    def cells(i, k):
+        pi, q = p[i - 1], p[k - 1]
+        other = q != pi
+        d = np.zeros(len(i))
+        q, pi = q[other], pi[other]
+        d[other] = _transform(delays._spec, delays._stream.at((i[other] - 1) * m1 + q - (q > pi)))
+        return d
+
+    check_scan(t, h, widths, cells, strict)
 
 
 def _pruned_scan(t: list[float], delays: DelayMatrix, strict: bool):
-    """Heights of the pruned scan, the highest, and the number of pairs tested.
+    """Heights of the pruned scan, the highest, and each step's width (pairs tested).
 
     Step k scans i = k-1 downward and stops once the running best x
     reaches z_i: every block at or before i has height at most z_i, so
@@ -267,7 +215,7 @@ def _pruned_scan(t: list[float], delays: DelayMatrix, strict: bool):
     h = [1]
     z = [1]
     top = 1
-    scanned = 0
+    widths = [0]
     end = 1
     for k in range(1, len(t)):
         if k == end:
@@ -290,13 +238,13 @@ def _pruned_scan(t: list[float], delays: DelayMatrix, strict: bool):
             if h[i] > x and a[off + i] < t_k:
                 x = h[i]
             i -= 1
-        scanned += k - 1 - i
+        widths.append(k - 1 - i)
         x += 1
         h.append(x)
         if x > top:
             top = x
         z.append(top)
-    return h, top, scanned
+    return h, top, widths
 
 
 def simulate_matrix(config: NetSimConfig, streams: StreamBundle | None = None,
@@ -313,12 +261,13 @@ def simulate_matrix(config: NetSimConfig, streams: StreamBundle | None = None,
     layout makes safe.  One pruned scan (_pruned_scan) then places the
     whole run.
 
-    ``check_pruning`` checks the finished run against the full scan
-    (visible_height_naive) and raises InvariantError at the first step
-    that differs.  ``strict_visibility=False`` is the validation suite's
-    fault hook: both scans then count an arrival at the very instant a
-    block is made as visible, the pruned scan by raising each step's
-    limit to the next double above its creation time.
+    ``check_pruning`` checks the finished run over the pairs its scan
+    tested (visible_height_naive) and raises InvariantError at the first
+    step whose height they do not prove to be the full scan's; it moves
+    no stream and changes no stat.  ``strict_visibility=False`` is the
+    validation suite's fault hook: both scans then count an arrival at
+    the very instant a block is made as visible, the pruned scan by
+    raising each step's limit to the next double above its creation time.
     """
     if streams is None:
         streams = StreamBundle.for_run(config.seed)
@@ -326,9 +275,10 @@ def simulate_matrix(config: NetSimConfig, streams: StreamBundle | None = None,
 
     t, producers = draw_schedule(config, streams)
     delays = DelayMatrix(config.beta, streams.delay, producers, config.m, t)
-    h, final, scanned = _pruned_scan(t.tolist(), delays, strict_visibility)
+    h, final, widths = _pruned_scan(t.tolist(), delays, strict_visibility)
     if check_pruning:
-        visible_height_naive(t, h, delays, strict_visibility)
+        visible_height_naive(t, h, widths, delays, strict_visibility)
+    scanned = sum(widths)
 
     return SimOutcome(
         height=final,

@@ -3,9 +3,9 @@
 Three suites, runnable from the CLI: exact agreement of the event-driven
 and delay-matrix engines under shared seeds, exact agreement of the
 pruned visibility scans with full scans on every step (each engine's
-``check_pruning`` run, which for the unbounded engine uses the
-full-block draw contract, so its series differs from an unchecked one),
-and the analytic bound on the gap between a delay-matrix entry's
+``check_pruning`` run, checked over the pairs its scan tested by
+pruning.check_scan, with an unchecked run's outputs), and the analytic
+bound on the gap between a delay-matrix entry's
 mixture CDF and the delay CDF.
 
 The equivalence suite mixes continuous configs with tie-rich ones
@@ -100,9 +100,10 @@ def check_pruning(base_seed: int = 0, runs: int = 50,
 
     Sweeps delay/production ratios 0.01, 1, and 10 (one full-size run
     each), with the remaining runs at randomized smaller sizes.  Each
-    run of either engine is checked against the full scan of its own
-    draws and heights.  An unbounded config runs unchecked first, as
-    ``simulate`` runs it, so its checked run starts from moved streams.
+    run of either engine is checked over the pairs its scan tested: the
+    tested pairs must prove every height the full scan's.  An unbounded
+    config runs unchecked first, as ``simulate`` runs it, so its checked
+    run starts from moved streams.
     """
     stream = SampleStream(base_seed, _CONFIG_STREAM_ID + 1)
     steps = 0

@@ -3,27 +3,45 @@
 ScriptedStream stands in for a SampleStream, whose docstring states the
 stream protocol, so that tests can inject hand-chosen draws into the
 engines; ks_distance is the one-sample reference for sampled
-distributions; faulty_pruned_scan is the unbounded engine's pruned scan
-with an injected fault, for the tests of its full-scan check.
+distributions; faulty_pruned_scan and mutated_scan are an engine's
+pruned scan with an injected fault, for the tests of the pruning check.
 """
+
+import inspect
 
 import numpy as np
 
-from blocksim import infinite
 from blocksim.distributions import DistributionSpec, cdf
 
 
-def faulty_pruned_scan(skip=0, bump=None, by=1):
-    """infinite._pruned_scan reading from ``skip`` draws on, step ``bump`` moved by ``by``."""
-    pruned = infinite._pruned_scan
+def faulty_pruned_scan(engine, bump=None, by=1, stop=None, skip=0):
+    """engine._pruned_scan with step ``bump`` moved by ``by``, step
+    ``stop`` reporting one pair fewer than it tested (a scan that stops
+    one pair early and keeps its height), or, for the unbounded engine,
+    every draw read ``skip`` stream positions on."""
+    pruned = engine._pruned_scan
 
-    def scan(beta, delay, t, aligned):
-        delay.seek(delay.position + skip)
-        h, top, scanned = pruned(beta, delay, t, aligned)
+    def scan(*args):
+        if skip:
+            args[1].seek(args[1].position + skip)
+        h, top, widths = pruned(*args)
         if bump is not None:
             h[bump] += by
-        return h, top, scanned
+        if stop is not None:
+            widths[stop] -= 1
+        return h, top, widths
     return scan
+
+
+def mutated_scan(engine, old, new):
+    """engine._pruned_scan compiled from its source with ``old``, which
+    must occur once, replaced by ``new``."""
+    source = inspect.getsource(engine._pruned_scan)
+    if source.count(old) != 1:
+        raise ValueError(f"{old!r} occurs {source.count(old)} times in the scan")
+    namespace = dict(vars(engine))
+    exec(compile(source.replace(old, new), engine.__file__, "exec"), namespace)
+    return namespace["_pruned_scan"]
 
 
 class ScriptedStream:

@@ -54,8 +54,8 @@ def test_criterion_02_pruned_scan_exact():
     """Pruned visibility scan equals the naive scan on every step.
 
     50 randomized runs up to n=2000 spanning delay/production ratios
-    0.01, 1, and 10, plus the unbounded engine's full-scan check under
-    the full-block draw contract.  Zero tolerance.
+    0.01, 1, and 10, of both scanning engines, each checked over the
+    pairs its scan tested.  Zero tolerance.
     """
     result = check_pruning(base_seed=0, runs=50, max_n=2000)
     assert result.passed, result.detail

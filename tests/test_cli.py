@@ -393,10 +393,17 @@ class TestOneFilePerOutput:
         (["experiment", "--kind", "single", "--reps", "2", "--n", "20", "--alpha", ALPHA,
           "--beta", BETA, "--out", "t.csv", "--manifest", "./t.csv"],
          "the table and manifest outputs are both ./t.csv"),
-    ], ids=["series", "manifest", "tree", "tree-series", "default-manifest", "experiment"])
+        ([*NETWORK, "--out", "a/r.json", "--tree-out", "b/r.json"],
+         "the outcome and tree outputs are both named r.json"),
+        ([*NETWORK, "--tree-out", "a/t.json", "--series-out", "b/t.json"],
+         "the tree and series outputs are both named t.json"),
+    ], ids=["series", "manifest", "tree", "tree-series", "default-manifest", "experiment",
+            "tree-named", "tree-series-named"])
     def test_two_roles_naming_one_file_exit_2(self, runner, tmp_path, monkeypatch,
                                              no_engine_runs, args, message):
         # One output used to overwrite the other and the command exited 0.
+        # Two of one name in different directories would share one digest
+        # in the manifest, and replay writes both into one directory.
         monkeypatch.chdir(tmp_path)
         result = runner.invoke(main, args)
         assert result.exit_code == 2

@@ -1,19 +1,21 @@
-"""Generated inputs: engine equivalence, the full-scan checks, and the CLI's input boundary.
+"""Generated inputs: engine equivalence, the pruning check, and the CLI's input boundary.
 
 The engine test runs the event-driven and delay-matrix engines over
 generated small configs, tie-rich constant/constant ones included, and
 requires identical height series; so does an example whose production
 draws are often too small to move the time, where consecutive blocks
 would share a creation time unless it is made strictly increasing.  The
-check tests hold the whole-run full-scan checks of both scanning engines
-to reference series, and
-require each injected fault to be reported at the first block it
-changes (for the unbounded engine, a checked run's pruned scan with one
-step bumped or reading one stream position off; a checked run uses the
-full-block draw contract, so its series differs from an unchecked
-run's); the matrix engine's check must also give the same verdict as a
-per-pair full scan written here, strict and lenient, on series with one
-height off by one or none.  The CLI tests feed generated config files and manifests to
+check tests hold the pruning check of both scanning engines to reference
+series, and require each injected fault to be reported at its block: a
+height bumped by one or a step that reports one pair fewer, at a drawn
+step of either engine; and, at the first step whose height or width is
+not the pruned scan's, a scan bounded by z[i-1] instead of z[i] (either
+engine), one reading each draw one stream position off (unbounded), one
+that never widens its band or compares with <= (matrix).  The matrix
+engine's check must also give the same verdict as a per-pair full scan
+written here, strict and lenient, on series with one height off by one
+or none, with the check's chunks 1, 7 or the default number of pairs.
+The CLI tests feed generated config files and manifests to
 ``simulate``, ``experiment`` and ``replay``:
 every run must end with exit 0, or with exit 2 and a one-line message,
 never with a traceback; and every valid config file must give a manifest
@@ -31,18 +33,17 @@ from unittest import mock
 from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 import numpy as np
-import pytest
 
-from blocksim import __version__, infinite, matrix, network
+from blocksim import __version__, infinite, matrix, network, pruning
 from blocksim.cli import main
-from blocksim.distributions import constant, exponential, gamma
+from blocksim.distributions import constant, exponential, gamma, sample_many
 from blocksim.errors import InvariantError
 from blocksim.infinite import simulate_infinite
 from blocksim.manifest import SCHEMA_VERSION
 from blocksim.matrix import DelayMatrix, simulate_matrix, visible_height_naive
 from blocksim.network import NetSimConfig, draw_schedule, simulate_network
 from conftest import checked
-from helpers import faulty_pruned_scan
+from helpers import faulty_pruned_scan, mutated_scan
 from blocksim.rng import StreamBundle
 
 CLI_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
@@ -165,44 +166,69 @@ CHECK_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 TIE_CONFIG = NetSimConfig(m=3, n=60, alpha=constant(1.0), beta=constant(2.0), seed=9)
 SHIFT_CONFIG = NetSimConfig(m=2, n=150, alpha=exponential(1.0), beta=exponential(1.0),
                             seed=5)
+BAND_CONFIG = NetSimConfig(m=6, n=150, alpha=exponential(1.0), beta=exponential(4.0), seed=0)
+EARLY_STOP = ("while x < z[i]:", "while x < z[i - 1]:")
 
 
-def matrix_check(config, series, strict=True):
-    """The matrix engine's full-scan check of a series, on the config's draws."""
-    streams = StreamBundle.for_run(config.seed)
-    t, producers = draw_schedule(config, streams)
-    delays = DelayMatrix(config.beta, streams.delay, producers, config.m, t)
-    visible_height_naive(t, series, delays, strict)
+def scan_of(engine, config, scan=None, **kwargs):
+    """The (height, width) of each step of a checked run of config on
+    engine, with ``scan`` in place of its pruned scan, and the message of
+    the InvariantError the check raised, None if it passed."""
+    results = []
+    real = scan or engine._pruned_scan
+    simulate = simulate_infinite if engine is infinite else simulate_matrix
+    with mock.patch.object(engine, "_pruned_scan",
+                           lambda *args: results.append(real(*args)) or results[-1]):
+        try:
+            simulate(config, check_pruning=True, **kwargs)
+            error = None
+        except InvariantError as exc:
+            error = str(exc)
+    h, _, widths = results[0]
+    return list(zip(h, widths)), error
 
 
 def first_difference(a, b):
     return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), None)
 
 
-def caught_at(check, k):
-    """check() raises the scan mismatch at block k, or passes if k is None.
+def caught_where_it_departs(engine, config, scan, **kwargs):
+    """The check of a run whose pruned scan is ``scan`` raises at the
+    first step whose height or width is not the pruned scan's, and passes
+    if there is none; returns that step.
 
-    A faulty series that agrees with the right one before block k gives
-    the full scan the right history up to k, so the fault first shows
-    at the first block where the two series differ.
+    The steps before it match the right run, draws and all, so the check
+    sees the right history up to it.  A scan that tested too few pairs
+    fails the stop bound there, one that tested too many fails the third
+    condition, and a wrong height the first, whether or not the height
+    differs.
     """
+    right, error = scan_of(engine, config, **kwargs)
+    assert error is None
+    faulty, error = scan_of(engine, config, scan, **kwargs)
+    k = first_difference(faulty, right)
     if k is None:
-        check()
+        assert error is None
     else:
-        with pytest.raises(InvariantError, match=f"scan mismatch at block {k}:"):
-            check()
+        assert (error or "").startswith(f"scan mismatch at block {k}:"), error
+    return k
 
 
 class TestFullScanCheck:
     @CHECK_SETTINGS
-    @given(run_configs(), st.booleans())
-    def test_reference_series_pass(self, config, strict):
+    @given(run_configs())
+    @example(NetSimConfig(m=3, n=1, alpha=exponential(1.0), beta=exponential(1.0), seed=1))
+    @example(NetSimConfig(m=3, n=2, alpha=exponential(1.0), beta=exponential(1.0), seed=1))
+    @example(NetSimConfig(m=1, n=80, alpha=exponential(1.0), beta=exponential(4.0), seed=1))
+    def test_reference_series_pass(self, config):
         # The event-driven engine is the strict reference; the lenient
         # comparison has only the matrix engine's fault hook.
-        series = (simulate_network(config).height_series if strict else
-                  simulate_matrix(config, strict_visibility=False).height_series)
-        matrix_check(config, series, strict)
-        simulate_infinite(config, check_pruning=True)
+        checked = simulate_matrix(config, check_pruning=True)
+        assert checked == simulate_matrix(config)
+        assert checked.height_series == simulate_network(config).height_series
+        assert (simulate_matrix(config, check_pruning=True, strict_visibility=False)
+                == simulate_matrix(config, strict_visibility=False))
+        assert simulate_infinite(config, check_pruning=True) == simulate_infinite(config)
 
     @CHECK_SETTINGS
     @given(run_configs(), st.data())
@@ -210,27 +236,33 @@ class TestFullScanCheck:
         if config.n < 2:
             return
         k = data.draw(st.integers(1, config.n - 1))
-        series = list(simulate_network(config).height_series)
-        series[k] += 1
-        caught_at(lambda: matrix_check(config, series), k)
-        with mock.patch.object(infinite, "_pruned_scan", faulty_pruned_scan(bump=k)):
-            caught_at(lambda: simulate_infinite(config, check_pruning=True), k)
+        by = data.draw(st.sampled_from([-1, 1]))
+        for engine in (infinite, matrix):
+            _, error = scan_of(engine, config, faulty_pruned_scan(engine, bump=k, by=by))
+            assert (error or "").startswith(f"scan mismatch at block {k}:"), error
+
+    @CHECK_SETTINGS
+    @given(run_configs(), st.data())
+    def test_early_stop_is_caught_there(self, config, data):
+        # At a drawn step, reporting one pair fewer with the same height;
+        # every step from 2 on tests at least one pair.  Then a scan that
+        # stops one pair early at every step it can, bounded by z[i-1].
+        for engine in (infinite, matrix):
+            if config.n > 2:
+                k = data.draw(st.integers(2, config.n - 1))
+                _, error = scan_of(engine, config, faulty_pruned_scan(engine, stop=k))
+                assert (error or "").startswith(f"scan mismatch at block {k}:"), error
+            caught_where_it_departs(engine, config, mutated_scan(engine, *EARLY_STOP))
 
     @CHECK_SETTINGS
     @example(SHIFT_CONFIG)
     @given(run_configs())
     def test_draws_one_position_off_are_caught(self, config):
         # A pruned scan reading each pair's draw one stream position past
-        # the full-block formula's: an off-by-one between scan and check.
-        streams = StreamBundle.for_run(config.seed)
-        streams.delay.seek(1)
-        shifted = simulate_infinite(config, streams, check_pruning=True).height_series
-        k = first_difference(shifted,
-                             simulate_infinite(config, check_pruning=True).height_series)
+        # the draw contract's: an off-by-one between scan and check.
+        k = caught_where_it_departs(infinite, config, faulty_pruned_scan(infinite, skip=1))
         if config == SHIFT_CONFIG:
             assert k is not None
-        with mock.patch.object(infinite, "_pruned_scan", faulty_pruned_scan(skip=1)):
-            caught_at(lambda: simulate_infinite(config, check_pruning=True), k)
 
     @CHECK_SETTINGS
     @example(TIE_CONFIG)
@@ -238,21 +270,27 @@ class TestFullScanCheck:
     def test_lenient_scan_is_caught(self, config):
         # <= in place of < in the pruned scan, checked with <.
         pruned = matrix._pruned_scan
-
-        def lenient(t, delays, strict):
-            return pruned(t, delays, False)
-
-        k = first_difference(simulate_matrix(config, strict_visibility=False).height_series,
-                             simulate_matrix(config).height_series)
+        k = caught_where_it_departs(matrix, config,
+                                    lambda t, delays, strict: pruned(t, delays, False))
         if config == TIE_CONFIG:
             assert k is not None
-        with mock.patch.object(matrix, "_pruned_scan", lenient):
-            caught_at(lambda: simulate_matrix(config, check_pruning=True), k)
+
+    @CHECK_SETTINGS
+    @example(BAND_CONFIG)
+    @given(run_configs())
+    def test_cells_below_the_band_are_caught(self, config):
+        # A scan that never widens its band reads other steps' cells below it.
+        with mock.patch.object(matrix, "BAND_WIDTH", 1):
+            k = caught_where_it_departs(matrix, config,
+                                        mutated_scan(matrix, "if i < lo:", "if False:"))
+        if config == BAND_CONFIG:
+            assert k is not None
 
 
 @st.composite
 def check_cases(draw):
-    """A run's config, its visibility rule, and at most one height bumped by 1."""
+    """A run's config, its visibility rule, its series with at most one
+    height off by 1, its scan's widths, and the check's chunk size."""
     m = draw(st.one_of(st.integers(1, 40), st.integers(41, 3000)))
     kind = draw(st.sampled_from(["exponential", "gamma", "constant"]))
     if kind == "constant":
@@ -266,18 +304,19 @@ def check_cases(draw):
     config = NetSimConfig(m=m, n=draw(st.integers(1, 700)), alpha=alpha, beta=beta,
                           seed=draw(st.integers(0, 2**32)))
     strict = draw(st.booleans())
-    series = list(simulate_matrix(config, strict_visibility=strict).height_series)
+    steps, _ = scan_of(matrix, config, strict_visibility=strict)
+    series, widths = (list(column) for column in zip(*steps))
     if config.n > 1 and draw(st.booleans()):
         series[draw(st.integers(1, config.n - 1))] += draw(st.sampled_from([-1, 1]))
-    return config, strict, series
+    return config, strict, series, widths, draw(st.sampled_from([1, 7, pruning.CHECK_PAIRS]))
 
 
 def per_pair_check(config, series, strict):
     """The full scan of the definition: every step against every earlier block."""
     streams = StreamBundle.for_run(config.seed)
     t, producers = draw_schedule(config, streams)
-    rows = DelayMatrix(config.beta, streams.delay, producers, config.m, t).rows(
-        0, config.n - 1).reshape(config.n - 1, config.m - 1)
+    m1 = config.m - 1
+    rows = sample_many(config.beta, streams.delay, (config.n - 1) * m1).reshape(config.n - 1, m1)
     # d[i-1, j] is block i's delay to worker j, 0 at its own producer.
     d = np.array([np.insert(row, p, 0.0) for row, p in zip(rows, producers)])
     h = np.asarray(series)
@@ -291,12 +330,24 @@ def per_pair_check(config, series, strict):
 
 
 class TestSortMergeCheck:
+    """The check against the full scan, on the pairs the pruned scan tested.
+
+    A series that is the run's own but for one height passes the check's
+    stop bound up to that height's step, where the pairs tested hold the
+    full scan's best, so the check names the step and the two heights
+    that the full scan does.
+    """
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(check_cases())
     def test_agrees_with_per_pair_scan(self, case):
-        config, strict, series = case
+        config, strict, series, widths, chunk = case
+        streams = StreamBundle.for_run(config.seed)
+        t, producers = draw_schedule(config, streams)
+        delays = DelayMatrix(config.beta, streams.delay, producers, config.m, t)
         try:
-            matrix_check(config, series, strict)
+            with mock.patch.object(pruning, "CHECK_PAIRS", chunk):
+                visible_height_naive(t, series, widths, delays, strict)
             message = None
         except InvariantError as exc:
             message = str(exc)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from blocksim.distributions import constant, exponential, gamma
-from blocksim import infinite
+from blocksim import infinite, pruning
 from blocksim.errors import ConfigError, InvariantError
 from blocksim.infinite import simulate_infinite
 from blocksim.network import NetSimConfig
@@ -65,12 +65,16 @@ class TestStructure:
 
 
 class TestDrawAccounting:
-    def test_unpruned_consumes_every_pair(self):
-        # The check's unpruned scan re-reads every pair's draw of the block.
-        n = 120
-        streams = StreamBundle.for_run(21)
-        simulate_infinite(base_config(n=n), streams, check_pruning=True)
-        assert streams.delay.position == (n - 1) * (n - 2) // 2
+    def test_checked_run_leaves_the_streams_of_an_unchecked_one(self):
+        # The check reads the tested pairs' draws again from the run's
+        # start, then puts the delay stream back where the run left it.
+        positions = []
+        for check in (False, True):
+            streams = StreamBundle.for_run(21)
+            simulate_infinite(base_config(n=120), streams, check_pruning=check)
+            positions.append([s.position for s in
+                              (streams.production, streams.producer, streams.delay)])
+        assert positions[0] == positions[1]
 
     def test_lazy_pruning_consumes_only_scanned_pairs(self):
         n = 120
@@ -78,25 +82,19 @@ class TestDrawAccounting:
         assert out.stats["delay_draws"] == out.stats["pairs_tested"]
         assert out.stats["delay_draws"] < (n - 1) * (n - 2) // 2
 
-    def test_aligned_pruning_reports_full_consumption(self):
-        n = 120
-        out = simulate_infinite(base_config(n=n), check_pruning=True)
-        assert out.stats["delay_draws"] == (n - 1) * (n - 2) // 2
-        assert out.stats["pairs_tested"] < out.stats["delay_draws"]
-
     def test_mean_scan_window_small_in_slow_regime(self):
         out = simulate_infinite(base_config(beta=constant(0.0), n=200))
         assert out.stats["mean_scan_window"] == pytest.approx(198 / 199)
 
 
 class TestPruningExactness:
-    # A checked run raises InvariantError where its pruned scan and the
-    # unpruned scan of the same draws (the check) disagree, so passing
-    # runs are exact.
+    # A checked run ("aligned" in the names) raises InvariantError at the
+    # first step whose height the pairs its scan tested do not prove to be
+    # the full scan's (the unpruned scan), so passing runs are exact.
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_aligned_pruned_equals_unpruned(self, seed):
         out = simulate_infinite(base_config(seed=seed, n=400), check_pruning=True)
-        assert out.height == max(out.height_series)
+        assert out == simulate_infinite(base_config(seed=seed, n=400))
 
     def test_aligned_pruned_equals_unpruned_gamma(self):
         beta = gamma(shape=2, mean=0.5)
@@ -104,38 +102,47 @@ class TestPruningExactness:
 
     @pytest.mark.parametrize("k, by", [(1, 1), (5, 1), (5, -1), (149, 1)])
     def test_bumped_scan_is_caught_at_its_block(self, monkeypatch, k, by):
-        monkeypatch.setattr(infinite, "_pruned_scan", faulty_pruned_scan(bump=k, by=by))
+        monkeypatch.setattr(infinite, "_pruned_scan", faulty_pruned_scan(infinite, bump=k, by=by))
         config = base_config(n=150, beta=exponential(5.0), seed=4)
         with pytest.raises(InvariantError, match=f"scan mismatch at block {k}:"):
             simulate_infinite(config, check_pruning=True)
         # An unchecked run does not look.
         simulate_infinite(config)
 
-    def test_check_reads_from_the_run_start(self):
-        # Streams moved with seek before the run: the check re-reads the
-        # block from where the run began, not from position 0.
+    @pytest.mark.parametrize("k", [2, 5, 149])
+    def test_early_stop_is_caught_at_its_block(self, monkeypatch, k):
+        # Every step from 2 on tests at least the block before it.
+        monkeypatch.setattr(infinite, "_pruned_scan", faulty_pruned_scan(infinite, stop=k))
         config = base_config(n=150, beta=exponential(5.0), seed=4)
-        streams = StreamBundle.for_run(config.seed)
-        streams.delay.seek(3)
-        moved = simulate_infinite(config, streams, check_pruning=True)
-        assert moved.height_series != simulate_infinite(config, check_pruning=True).height_series
+        with pytest.raises(InvariantError, match=f"scan mismatch at block {k}:"):
+            simulate_infinite(config, check_pruning=True)
+
+    def test_check_reads_from_the_run_start(self):
+        # Streams moved with seek before the run: the check reads the
+        # tested pairs' draws from where the run began, not from position 0.
+        config = base_config(n=150, beta=exponential(5.0), seed=4)
+        runs = []
+        for check in (False, True):
+            streams = StreamBundle.for_run(config.seed)
+            streams.delay.seek(3)
+            runs.append(simulate_infinite(config, streams, check_pruning=check))
+        assert runs[0] == runs[1]
+        assert runs[1].height_series != simulate_infinite(config).height_series
 
 
 class TestUnprunedScan:
-    """The check's unpruned scan, on the edges of its chunks and of the model.
-
-    "Aligned" is the full-block draw contract a checked run uses.
-    """
+    """Checked runs ("aligned") on the edges of the check's chunks and of the model."""
 
     @pytest.mark.parametrize("buffer", [1, 7, 2**11, 2**14])
     def test_matches_aligned_across_chunks(self, monkeypatch, buffer):
         # The check reads its draws in chunks of whole steps, and the
-        # pruned scan in buffers, both sized by MAX_BUFFER; their sizes
+        # pruned scan in buffers, here both of the same size; their sizes
         # change which values are drawn together, never which draw a pair gets.
         configs = (base_config(n=150, beta=exponential(5.0), seed=4),
                    base_config(n=90, alpha=constant(1.0), beta=constant(2.0)))
-        expected = [simulate_infinite(c, check_pruning=True) for c in configs]
+        expected = [simulate_infinite(c) for c in configs]
         monkeypatch.setattr(infinite, "MAX_BUFFER", buffer)
+        monkeypatch.setattr(pruning, "CHECK_PAIRS", buffer)
         assert [simulate_infinite(c, check_pruning=True) for c in configs] == expected
 
     def test_origin_only_and_two_blocks(self):
@@ -162,21 +169,18 @@ class TestDeterminism:
         b = simulate_infinite(replace(base_config(), seed=22))
         assert a.height_series != b.height_series
 
-    def test_lazy_and_aligned_are_distinct_draw_orders(self):
+    def test_checked_run_equals_unchecked_run(self):
         a = simulate_infinite(base_config(n=500))
         b = simulate_infinite(base_config(n=500), check_pruning=True)
-        assert a.height_series != b.height_series
-        assert abs(a.proportion - b.proportion) < 0.1
+        assert a == b
 
 
 class TestPinnedDraws:
-    """Outputs of unchecked and checked runs, recorded before the one-loop scan.
+    """Outputs of pruned runs, recorded before the one-loop scan, unchecked and checked.
 
-    Each case reads past at least one buffer refill: the pruned runs
-    past the first buffer (one of them past the 16,384-value cap), the
-    checked ("aligned") runs, under the full-block contract, past many.
-    The digest is the first 16 hex digits of the sha256 of
-    repr(height_series).
+    Each case reads past the first buffer (one of them past the
+    16,384-value cap).  The digest is the first 16 hex digits of the
+    sha256 of repr(height_series).
     """
 
     @pytest.mark.parametrize("mode, n, beta, seed, height, pairs, draws, digest", [
@@ -185,16 +189,14 @@ class TestPinnedDraws:
         ("pruned", 1500, gamma(shape=2.0, mean=2.0), 29, 642, 3913, 3913,
          "af2fac16e49712d2"),
         ("pruned", 2000, exponential(100.0), 5, 211, 33115, 33115, "a50bd9b3794010de"),
-        ("aligned", 120, exponential(0.5), 3, 87, 162, 7021, "730a3623b29e0258"),
-        ("aligned", 400, exponential(5.0), 11, 142, 1375, 79401, "7dba67b5a7247bdc"),
     ])
     def test_outputs_unchanged(self, mode, n, beta, seed, height, pairs, draws, digest):
-        out = simulate_infinite(base_config(n=n, beta=beta, seed=seed),
-                                check_pruning=mode == "aligned")
-        assert out.height == height
-        assert out.stats["pairs_tested"] == pairs
-        assert out.stats["delay_draws"] == draws
-        assert hashlib.sha256(repr(out.height_series).encode()).hexdigest()[:16] == digest
+        for check in (False, True):
+            out = simulate_infinite(base_config(n=n, beta=beta, seed=seed), check_pruning=check)
+            assert out.height == height
+            assert out.stats["pairs_tested"] == pairs
+            assert out.stats["delay_draws"] == draws
+            assert hashlib.sha256(repr(out.height_series).encode()).hexdigest()[:16] == digest
 
     def test_short_run_transforms_one_small_buffer(self):
         streams = StreamBundle.for_run(4)

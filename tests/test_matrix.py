@@ -6,13 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blocksim import matrix
+from blocksim import matrix, pruning
 from blocksim.distributions import constant, exponential, gamma, sample_many
 from blocksim.errors import InvariantError
 from blocksim.matrix import DelayMatrix, _pruned_scan, simulate_matrix, visible_height_naive
 from blocksim.network import NetSimConfig, draw_schedule, simulate_network
 from blocksim.rng import ROLE_DELAY, ROLE_PRODUCER, ROLE_PRODUCTION, SampleStream, StreamBundle
-from helpers import ScriptedStream
+from helpers import ScriptedStream, faulty_pruned_scan
 
 
 def scripted_bundle(production, producer, delay):
@@ -53,10 +53,11 @@ class SeekLogStream(SampleStream):
 
 
 def check_two_workers(t, h, producers, strict=True):
-    """Whole-run check of a two-worker run with every delay 1.5."""
+    """Check of a four-block two-worker run with every delay 1.5, whose
+    steps 2 and 3 test every earlier block but the origin."""
     delays = DelayMatrix(constant(1.5), ScriptedStream([0.5] * len(producers)),
                          producers=producers, m=2, t=t)
-    visible_height_naive(t, h, delays, strict)
+    visible_height_naive(t, h, [0, 0, 1, 2], delays, strict)
 
 
 def run_inputs(config):
@@ -64,6 +65,14 @@ def run_inputs(config):
     streams = StreamBundle.for_run(config.seed)
     t, producers = draw_schedule(config, streams)
     return t, DelayMatrix(config.beta, streams.delay, producers, config.m, t)
+
+
+def scanned(config):
+    """Creation times, heights and widths of a run's pruned scan, and a
+    delay matrix drawn afresh for its check."""
+    t, delays = run_inputs(config)
+    h, _, widths = _pruned_scan(t.tolist(), delays, True)
+    return t, h, widths, run_inputs(config)[1]
 
 
 class TestVisibility:
@@ -96,17 +105,21 @@ class TestVisibility:
         t = [0.0, 1.0, 2.0, 3.0]
         delays = DelayMatrix(constant(1.5), RecordingStream([0.5] * 3),
                              producers=[0, 1, 0], m=2, t=t)
-        h, top, scanned = _pruned_scan(t, delays, True)
+        h, top, widths = _pruned_scan(t, delays, True)
         assert (h, top) == ([1, 2, 2, 3], 3)
         # Step 2 tests block 1; step 3 tests blocks 2 and 1.
-        assert scanned == 3
+        assert widths == [0, 0, 1, 2]
         # Step 3's band: block 1 is worker 0's own, block 2 arrives at 3.5.
         a, off, lo, end = delays._build(1)
         assert end == 4 and lo[2] <= 1
         assert [a[off[2] + i] for i in (1, 2)] == [1.0, 3.5]
-        visible_height_naive(t, h, delays)
+        visible_height_naive(t, h, widths, delays)
         with pytest.raises(InvariantError, match="block 3: 2 != 3"):
-            visible_height_naive(t, h[:3] + [2], delays)
+            visible_height_naive(t, h[:3] + [2], widths, delays)
+        # Stopped before block 1 with block 2 unseen: block 1 could be higher.
+        with pytest.raises(InvariantError, match="block 3: it stopped above block 1, "
+                                                 "where heights reach 2 > 1"):
+            visible_height_naive(t, [1, 2, 2, 2], [0, 0, 1, 1], delays)
 
     def test_pruned_skips_blocks_behind_running_best(self, monkeypatch):
         # Once x reaches z_i the scan stops, so early blocks are skipped;
@@ -117,7 +130,7 @@ class TestVisibility:
         stream = RecordingStream([0.5] * 4)
         t = [0.0, 1.0, 2.0, 3.0, 4.0]
         delays = DelayMatrix(constant(0.1), stream, producers=[0, 0, 0, 0], m=2, t=t)
-        assert _pruned_scan(t, delays, True) == ([1, 2, 3, 4, 5], 5, 3)
+        assert _pruned_scan(t, delays, True) == ([1, 2, 3, 4, 5], 5, [0, 0, 1, 1, 1])
         # Steps 2 to 4 each test only the block before them: 3 of the
         # 6 pairs.  The band never widened, the rows of blocks 1 to 3
         # were drawn once and transformed once, and block 4's row, which
@@ -125,6 +138,23 @@ class TestVisibility:
         assert delays.band_width == 1
         assert stream.reads == [(0, 3)]
         assert delays.transformed == 3
+        # A scan that went on to block 1 once block 2 gave it height 3.
+        with pytest.raises(InvariantError, match="block 3: it tested block 1 with its best "
+                                                 "already 3 >= 2"):
+            visible_height_naive(t, [1, 2, 3, 4, 5], [0, 0, 1, 2, 1], delays)
+
+    @pytest.mark.parametrize("chunk", [1, 7, pruning.CHECK_PAIRS])
+    def test_step_that_tested_no_pair(self, monkeypatch, chunk):
+        # Every block extends worker 0's chain.  Step 2, reporting no pair
+        # tested, has the best 1, not that of step 3's first pair (block 2,
+        # seen at once), whether or not the two share a chunk.
+        monkeypatch.setattr(pruning, "CHECK_PAIRS", chunk)
+        t = [0.0, 1.0, 2.0, 3.0, 4.0]
+        delays = DelayMatrix(constant(0.1), ScriptedStream([0.5] * 4), producers=[0, 0, 0, 0],
+                             m=2, t=t)
+        with pytest.raises(InvariantError, match="block 2: it stopped above block 1, "
+                                                 "where heights reach 2 > 1"):
+            visible_height_naive(t, [1, 2, 2, 3, 4], [0, 0, 0, 1, 1], delays)
 
     def test_read_below_a_band_widens_it(self, monkeypatch):
         # Three workers, unit production, every delay 10: blocks 1 and 2
@@ -141,7 +171,7 @@ class TestVisibility:
         streams = scripted_bundle([0.5] * 3, [0.1, 0.1, 0.9], [0.5] * 6)
         t, producers = draw_schedule(config, streams)
         delays = DelayMatrix(config.beta, streams.delay, producers, config.m, t)
-        assert _pruned_scan(t.tolist(), delays, True) == ([1, 2, 3, 2], 3, 3)
+        assert _pruned_scan(t.tolist(), delays, True) == ([1, 2, 3, 2], 3, [0, 0, 1, 2])
         assert delays.band_width == 2
 
     @pytest.mark.parametrize("band_cells", [2**16, 2])
@@ -185,15 +215,19 @@ class TestHandTrace:
         assert out.height_series == (1, 2, 2, 3, 3)
 
     def test_naive_scan_same_trace(self):
+        # Step 2 tests block 1, unseen; steps 3 and 4 test the block
+        # before them, unseen, and their producer's own block before that.
         config, streams = self.run_trace()
         t, producers = draw_schedule(config, streams)
         delays = DelayMatrix(config.beta, streams.delay, producers, config.m, t)
-        visible_height_naive(t, [1, 2, 2, 3, 3], delays)
+        widths = [0, 0, 1, 2, 2]
+        assert _pruned_scan(t.tolist(), delays, True) == ([1, 2, 2, 3, 3], 3, widths)
+        visible_height_naive(t, [1, 2, 2, 3, 3], widths, delays)
         for k in range(1, 5):
             series = [1, 2, 2, 3, 3]
             series[k] += 1
             with pytest.raises(InvariantError, match=f"scan mismatch at block {k}:"):
-                visible_height_naive(t, series, delays)
+                visible_height_naive(t, series, widths, delays)
 
 
 class TestAgainstNetworkEngine:
@@ -223,13 +257,13 @@ class TestAgainstNetworkEngine:
 class TestScanVariants:
     def test_pruned_equals_naive_heights(self):
         config = base_config(seed=3)
-        series = list(simulate_matrix(config).height_series)
-        t, delays = run_inputs(config)
-        visible_height_naive(t, series, delays)
+        t, series, widths, delays = scanned(config)
+        assert series == list(simulate_matrix(config).height_series)
+        visible_height_naive(t, series, widths, delays)
         for k in (1, 57, 199):
             bumped = series[:k] + [series[k] + 1] + series[k + 1:]
             with pytest.raises(InvariantError, match=f"scan mismatch at block {k}:"):
-                visible_height_naive(t, bumped, delays)
+                visible_height_naive(t, bumped, widths, delays)
 
     def test_zero_delay_scan_window(self):
         n = 100
@@ -267,15 +301,14 @@ class TestRowBlocks:
         assert checked.height_series == net.height_series
 
     def test_scan_mismatch_raises(self, monkeypatch):
-        pruned = matrix._pruned_scan
+        monkeypatch.setattr(matrix, "_pruned_scan", faulty_pruned_scan(matrix, bump=5))
+        with pytest.raises(InvariantError, match="scan mismatch at block 5:"):
+            simulate_matrix(base_config(n=50), check_pruning=True)
 
-        def bumped(t, delays, strict):
-            h, top, scanned = pruned(t, delays, strict)
-            h[5] += 1
-            return h, top, scanned
-
-        monkeypatch.setattr(matrix, "_pruned_scan", bumped)
-        with pytest.raises(InvariantError, match="scan mismatch at block 5"):
+    @pytest.mark.parametrize("fault", [dict(bump=5, by=-1), dict(stop=5)], ids=["lower", "early"])
+    def test_lowered_height_and_early_stop_raise(self, monkeypatch, fault):
+        monkeypatch.setattr(matrix, "_pruned_scan", faulty_pruned_scan(matrix, **fault))
+        with pytest.raises(InvariantError, match="scan mismatch at block 5:"):
             simulate_matrix(base_config(n=50), check_pruning=True)
 
     def test_memory_bounded_by_blocks(self):
@@ -315,20 +348,21 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("cells, band_cells", [(7, 12), (1, 5), (2**14, 2**16)])
     def test_check_across_chunks_and_row_blocks(self, monkeypatch, cells, band_cells):
-        monkeypatch.setattr(matrix, "CHECK_CELLS", cells)
+        # Chunks of the check of 7 pairs, of one step each, and the default.
+        monkeypatch.setattr(pruning, "CHECK_PAIRS", cells)
         monkeypatch.setattr(matrix, "BAND_CELLS", band_cells)
         for config in (base_config(n=120, beta=exponential(3.0), seed=2),
                        base_config(m=3, n=60, alpha=constant(1.0), beta=constant(2.0))):
-            series = list(simulate_matrix(config, check_pruning=True).height_series)
-            t, delays = run_inputs(config)
+            t, series, widths, delays = scanned(config)
+            assert series == list(simulate_matrix(config, check_pruning=True).height_series)
             for k in (1, 30, len(series) - 1):
                 bumped = series[:k] + [series[k] + 1] + series[k + 1:]
                 with pytest.raises(InvariantError, match=f"scan mismatch at block {k}:"):
-                    visible_height_naive(t, bumped, delays)
+                    visible_height_naive(t, bumped, widths, delays)
 
     def test_check_memory_bounded(self):
-        # The check reads every entry of the matrix, one row block and one
-        # chunk at a time; the whole matrix would take 8 MB as float64.
+        # The check reads the cells the scan tested, a chunk of steps at a
+        # time; the whole matrix would take 8 MB as float64.
         config = base_config(m=1000, n=1000, beta=exponential(1.0), seed=1)
         tracemalloc.start()
         try:
@@ -338,40 +372,58 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert peak < 6 * 2**20
 
-    @pytest.mark.parametrize("cells", [5, matrix.CHECK_CELLS])
-    def test_check_draws_each_row_once(self, monkeypatch, cells):
-        monkeypatch.setattr(matrix, "CHECK_CELLS", cells)
-        drawn = []
-        rows = DelayMatrix.rows
-
-        def counted(self, first, count):
-            drawn.append(count)
-            return rows(self, first, count)
-
-        monkeypatch.setattr(DelayMatrix, "rows", counted)
+    @pytest.mark.parametrize("cells", [5, pruning.CHECK_PAIRS])
+    def test_check_reads_the_tested_cells(self, monkeypatch, cells):
+        # Each tested pair's cell at its stream position, and nothing else:
+        # no draw in order, no producer's own cell, none at m=1.
+        monkeypatch.setattr(pruning, "CHECK_PAIRS", cells)
         for config in (base_config(m=1, n=300), base_config(m=40, n=500, beta=exponential(100.0)),
                        base_config(m=3, n=60, alpha=constant(1.0), beta=constant(2.0))):
-            drawn.clear()
-            simulate_matrix(config, check_pruning=True)
-            assert sum(drawn) == config.n - 1
+            t, h, widths, delays = scanned(config)
+            read, at = [], delays._stream.at
+            delays._stream.at = lambda positions: read.extend(positions.tolist()) or at(positions)
+            delays._stream.uniforms = None
+            visible_height_naive(t, h, widths, delays)
+            m1, p = config.m - 1, [None, *delays._p.tolist()]
+            want = [(i - 1) * m1 + p[k] - (p[k] > p[i])
+                    for k in range(1, config.n) for i in range(k - 1, k - 1 - widths[k], -1)
+                    if p[k] != p[i]]
+            assert read == want
+            assert config.m > 1 or read == []
 
     def test_check_scales_past_quadratic(self):
         # A pair-by-pair full scan tests about n^2/2 = 5*10^9 pairs here
-        # and takes minutes; the sorted merge takes well under a second.
+        # and takes minutes; the check reads the 2.7*10^5 pairs the scan
+        # tested in well under a second.
         config = base_config(m=3, n=10**5, beta=exponential(10.0), seed=1)
-        series = list(simulate_matrix(config).height_series)
-        t, delays = run_inputs(config)
+        t, series, widths, delays = scanned(config)
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            visible_height_naive(t, series, delays)
+            visible_height_naive(t, series, widths, delays)
             seconds = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # About 5 arrays of n values and one chunk of CHECK_CELLS cells.
+        # About 5 arrays of n values and one chunk of CHECK_PAIRS pairs.
         assert peak < 8 * 2**20
         assert seconds < 20
+
+    def test_check_at_a_million_workers(self):
+        # The full scan would read all 10^9 cells; the check reads the
+        # cells the scan tested, by position.
+        config = base_config(m=10**6, n=10**3, beta=exponential(1.0), seed=1)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            checked = simulate_matrix(config, check_pruning=True)
+            seconds = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert seconds < 20
+        assert checked == simulate_matrix(config)
 
 
 class TestBands:

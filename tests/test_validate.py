@@ -86,9 +86,9 @@ class TestFaultInjection:
             "assert False, 'asserts must be stripped in this run'",
             "pruned = mx._pruned_scan",
             "def bumped(t, delays, strict):",
-            "    h, top, scanned = pruned(t, delays, strict)",
+            "    h, top, widths = pruned(t, delays, strict)",
             "    h[5] += 1",
-            "    return h, top, scanned",
+            "    return h, top, widths",
             "mx._pruned_scan = bumped",
             "result = check_pruning(runs=1, max_n=50)",
             "print(result.detail)",
@@ -108,9 +108,9 @@ class TestFaultInjection:
             "assert False, 'asserts must be stripped in this run'",
             "pruned = inf._pruned_scan",
             "def bumped(*args):",
-            "    h, top, scanned = pruned(*args)",
+            "    h, top, widths = pruned(*args)",
             "    h[5] += 1",
-            "    return h, top, scanned",
+            "    return h, top, widths",
             "inf._pruned_scan = bumped",
             "result = check_pruning(runs=1, max_n=50)",
             "print(result.detail)",
@@ -120,6 +120,30 @@ class TestFaultInjection:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "unbounded engine run 0" in proc.stdout
         assert "scan mismatch at block 5" in proc.stdout
+
+    def test_early_stop_fails_suite_under_optimize(self):
+        # Step 5 of either engine reports one pair fewer than it tested, so
+        # the pairs left give another height or stop short of the bound.
+        for engine, run in (("matrix", "run 0 (m="), ("infinite", "unbounded engine run 0")):
+            script = "\n".join([
+                "import sys",
+                f"import blocksim.{engine} as engine",
+                "from blocksim.validate import check_pruning",
+                "assert False, 'asserts must be stripped in this run'",
+                "pruned = engine._pruned_scan",
+                "def early(*args):",
+                "    h, top, widths = pruned(*args)",
+                "    widths[5] -= 1",
+                "    return h, top, widths",
+                "engine._pruned_scan = early",
+                "result = check_pruning(runs=1, max_n=50)",
+                "print(result.detail)",
+                "sys.exit(1 if result.passed else 0)",
+            ])
+            proc = run_optimized(script)
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            assert proc.stdout.startswith(run), proc.stdout
+            assert "scan mismatch at block 5:" in proc.stdout
 
     def test_mixture_gap_past_the_bound_is_caught(self, monkeypatch):
         # Shifted by 2.5/m, the gap exceeds 2/m at the first kind and m.
