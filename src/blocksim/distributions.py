@@ -86,6 +86,12 @@ class DistributionSpec:
             )
         if self.mean <= 0:
             raise ConfigError(f"{self.kind} distribution needs mean > 0")
+        # scipy's gammaincinv is NaN at a subnormal shape, and a scale of 0
+        # or inf times a draw of inf or 0 is NaN.
+        if _gamma_shape(self) < sys.float_info.min:
+            raise ConfigError(f"{self.kind} shape {self.shape:g} is too small to sample")
+        if not 0 < self.scale < math.inf:
+            raise ConfigError(f"{self.kind} scale mean/shape must be finite and > 0")
 
     @property
     def scale(self) -> float:

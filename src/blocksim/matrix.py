@@ -9,12 +9,12 @@ heights only; use the event-driven engine to materialize trees.
 
 The matrix is never held whole.  Each step reads a band of arrivals
 t[i] + d(i, producer) from the blocks just before it, in place, from a
-flat chunk that serves many steps (see DelayMatrix).  A band much
-narrower than a row reads its cells from the delay substream by
-position, so a run's time and memory follow the cells it reads, not
-n*m; wider bands come from rows drawn on demand, only their cells
-transformed, and once a band is a row wide each row is transformed
-once and kept by worker while bands can reach it.
+flat chunk that serves many steps (see DelayMatrix).  A band narrower
+than a row reads its cells from the delay substream by position
+(SampleStream.at, which draws a dense set in order), so a run's time
+and memory follow the cells it reads, not n*m; once a band is a row
+wide each row is transformed once and kept by worker while bands can
+reach it.
 
 One loop (_pruned_scan) places the whole run, as in the unbounded
 engine: each step scans backward and stops as soon as the running best
@@ -44,23 +44,13 @@ from .pruning import check_scan
 from .rng import StreamBundle
 
 # A chunk of bands W arrivals wide covers max(1, BAND_CELLS // W) steps.
-# Narrower than a row, it holds at most BAND_CELLS arrivals; read from
-# rows, it draws about that many new rows, at most BY_POSITION *
-# BAND_CELLS uniforms (under 1 MB), and keeps the rows from 2W blocks
-# before it on.  From a row wide on, arrivals are kept by worker for
-# twice the W + BAND_CELLS // W rows a chunk reaches, and transformed
-# about BAND_CELLS values at a time.  A step's band starts BAND_WIDTH
-# arrivals wide.
+# Narrower than a row, it holds at most BAND_CELLS arrivals, read by
+# position: at most rng.DENSE * BAND_CELLS uniforms are drawn, rng.SLICE
+# (512 KB) at a time.  From a row wide on, arrivals are kept by worker for twice the
+# W + BAND_CELLS // W rows a chunk reaches, and transformed about
+# BAND_CELLS values at a time.  A step's band starts BAND_WIDTH arrivals
+# wide.
 BAND_WIDTH, BAND_CELLS = 8, 2**14
-
-# A band W arrivals wide reads its cells by stream position when
-# BY_POSITION * W < m-1 (at 1, every band narrower than a row does), and
-# from rows drawn in bulk otherwise.  Building the bands of a run with
-# n=4,000 on one core of a 2-core Xeon VM cost, in ns per cell from bulk
-# rows and by position: 99 and 116 at W=8, m-1=24; 111 and 82 at W=8,
-# m-1=48; 51 and 55 at W=16, m-1=64; 62 and 52 at W=16, m-1=96; 58 and
-# 51 at W=32, m-1=256; 1116 and 136 at W=8, m-1=999.
-BY_POSITION = 6
 
 class DelayMatrix:
     """The delay matrix as chunks of per-step bands of arrivals, drawn on demand.
@@ -76,17 +66,15 @@ class DelayMatrix:
     cells, so the reader tests i >= lo[s] itself; doubling band_width
     and building from the step again reaches further back.  A step's
     band holds at least its W = band_width blocks before it, and the
-    chunk is built in numpy in one of three ways:
-    - while BY_POSITION * W < m-1, each cell is read from the stream by
-      its position (stream.at) and transformed, and no row is kept;
-    - otherwise, while W < m-1, rows are drawn in bulk and only the
-      bands' cells are transformed;
+    chunk is built in numpy in one of two ways:
+    - while W < m-1, each cell is read from the stream by its position
+      (stream.at, which draws the cells' span in order when they fill
+      it densely) and transformed, and no row is kept;
     - from then on, whole rows are transformed once each into arrivals
       kept by worker, and a step's band is its worker's run of them,
       from the first row kept.
     Each value holds the bits of the whole row's transform.  Memory is
-    never n*m: a narrower chunk holds at most BAND_CELLS arrivals and,
-    read from rows, the uniforms from 2W blocks before it on; the
+    never n*m: a narrower chunk holds at most BAND_CELLS arrivals; the
     arrivals by worker hold twice the rows a chunk reaches.
     """
 
@@ -94,37 +82,20 @@ class DelayMatrix:
         self._spec, self._stream, self._width = spec, stream, m - 1
         self._p, self._t = np.asarray(producers, dtype=np.int64), np.asarray(t)
         self.band_width, self.transformed = BAND_WIDTH, 0
-        self._kept = (0, np.empty((0, self._width)))  # first row, uniforms from it on
         self._rows = (0, 0, np.empty((m, 0)))  # first row, end row, arrivals by worker
 
     def _build(self, k: int):
         W, m1, p = self.band_width, self._width, self._p
         k1 = min(len(p) + 1, k + max(1, BAND_CELLS // W))
         q = p[k - 1:k1 - 1]
-        # Rows need .. end-1 hold blocks k-W .. k1-2.
-        need, end = max(0, k - W - 1), max(k1 - 2, k - W, 1)
         if W >= m1:
-            return self._from_rows(need, end, q) + (k1,)
-        by_position = BY_POSITION * W < m1
-        if not by_position:
-            # Rows from block k-2W on stay kept, so a band widened to twice
-            # its width needs no redraw.
-            first, u = self._kept
-            if not first <= need <= first + len(u):
-                first, u = need, u[:0]
-            lo, drawn = max(first, k - 2 * W - 1), first + len(u)
-            u = u[lo - first:]
-            if end > drawn:
-                self._stream.seek(drawn * m1)
-                new = self._stream.uniforms((end - drawn) * m1).reshape(end - drawn, -1)
-                u = np.concatenate((u, new)) if len(u) else new
-            self._kept = (lo, u)
+            # Rows need .. end-1 hold blocks k-W .. k1-2.
+            return self._from_rows(max(0, k - W - 1), max(k1 - 2, k - W, 1), q) + (k1,)
         # The row of each cell (clamped at block 1) and its column.
         rows = np.maximum(np.arange(k - W - 1, k1 - W - 1)[:, None] + np.arange(W), 0)
         q, pr = q[:, None], p[rows]
         cols = np.minimum(q - (q > pr), m1 - 1)
-        u = self._stream.at(rows * m1 + cols) if by_position else u[rows - lo, cols]
-        d = _transform(self._spec, u)
+        d = _transform(self._spec, self._stream.at(rows * m1 + cols))
         self.transformed += d.size
         a = memoryview((self._t[rows + 1] + np.where(q == pr, 0.0, d)).ravel())
         # Step k+s's cell for block i sits at s*W + W-1 - (k+s-1-i).
@@ -144,7 +115,6 @@ class DelayMatrix:
                 a[:, :drawn - need] = a[:, need - first:drawn - first]
                 first = need
         else:
-            self._kept = None
             b = np.empty((self._width + 1, 2 * (end - need)))
             lo, hi = max(first, need), min(drawn, need + b.shape[1])
             if lo < hi:  # kept rows the new array covers

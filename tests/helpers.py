@@ -3,11 +3,15 @@
 ScriptedStream stands in for a SampleStream, whose docstring states the
 stream protocol, so that tests can inject hand-chosen draws into the
 engines; ks_distance is the one-sample reference for sampled
-distributions; faulty_pruned_scan and mutated_scan are an engine's
-pruned scan with an injected fault, for the tests of the pruning check.
+distributions; unbounded_height_law is the exact law of the unbounded
+model's height at small n; faulty_pruned_scan and mutated_scan are an
+engine's pruned scan with an injected fault, for the tests of the
+pruning check.
 """
 
+from fractions import Fraction
 import inspect
+import itertools
 
 import numpy as np
 
@@ -99,3 +103,39 @@ def ks_distance(samples, spec: DistributionSpec) -> float:
     hi = np.max(np.arange(1, n + 1) / n - f)
     lo = np.max(f - np.arange(0, n) / n)
     return float(max(hi, lo))
+
+
+def unbounded_height_law(n: int, delay_ratio) -> dict[int, Fraction]:
+    """The exact law of the unbounded model's final height, {height: P}.
+
+    Blocks 0 .. n-1, block 0 the origin; production times are
+    exponential of mean a and delays exponential of mean b = delay_ratio
+    * a.  Given the creation times t, each pair (i, k), 1 <= i < k < n,
+    is visible independently with probability 1 - e^{-(t_k - t_i)/b},
+    and block k's height is 1 + max(1, the heights of the blocks visible
+    to it).  Expanding each visible pair's factor gives a pattern's
+    probability as a sum of terms +-e^{-sum_g c_g G_g / b}, where the gap
+    G_g = t_g - t_{g-1} is exponential of mean a and c_g counts the
+    term's pairs that span it.  The gaps are independent and E[e^{-c G/b}]
+    = 1/(1 + c a/b), so every term, and the law, is an exact rational.
+    """
+    r = Fraction(delay_ratio)
+    pairs = [(i, k) for k in range(2, n) for i in range(1, k)]
+
+    def mean(term):  # E[e^{-sum over the term's pairs of (t_k - t_i)/b}]
+        out = Fraction(1)
+        for g in range(1, n):
+            out /= 1 + sum(i < g <= k for i, k in term) / r
+        return out
+
+    law: dict[int, Fraction] = {}
+    for visible in itertools.product((False, True), repeat=len(pairs)):
+        h = [1]
+        for k in range(1, n):
+            h.append(1 + max([1] + [h[i] for (i, j), v in zip(pairs, visible) if j == k and v]))
+        seen = [p for p, v in zip(pairs, visible) if v]
+        unseen = [p for p, v in zip(pairs, visible) if not v]
+        p = sum((-1) ** sum(chosen) * mean(unseen + list(itertools.compress(seen, chosen)))
+                for chosen in itertools.product((0, 1), repeat=len(seen)))
+        law[max(h)] = law.get(max(h), 0) + p
+    return law

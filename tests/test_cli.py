@@ -126,6 +126,8 @@ class TestSimulateErrors:
 
     @pytest.mark.parametrize("alpha, beta", [
         (ALPHA, "exp:nan"), (ALPHA, "exp:inf"), ("gamma:1:nan", BETA),
+        # Finite, but the draws would be NaN.
+        ("gamma:1:5e-324", BETA), (ALPHA, "gamma:1e300:1e-10"), (ALPHA, "chi2:1e-308"),
     ])
     def test_non_finite_parameter_exits_2(self, runner, tmp_path, alpha, beta):
         result = runner.invoke(main, [

@@ -6,6 +6,7 @@ from pathlib import Path
 import subprocess
 import sys
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -63,10 +64,29 @@ class TestSpecValidation:
         lambda: gamma(shape=2.0, mean=float("inf")),
         lambda: chi_squared(float("inf")),
         lambda: DistributionSpec("exponential", "fast"),
+        # Draws that would be NaN: a subnormal shape (scipy's gammaincinv
+        # is NaN there), or a scale mean/shape of inf or 0.
+        lambda: gamma(shape=5e-324, mean=1.0),
+        lambda: chi_squared(1e-308),
+        lambda: gamma(shape=1e-10, mean=1e300),
+        lambda: gamma(shape=2.0, mean=5e-324),
     ])
     def test_non_finite_or_non_numeric_rejected(self, make):
         with pytest.raises(ConfigError):
             make()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.booleans(), st.floats(-323, 308), st.floats(-323, 308))
+    def test_accepted_gamma_kinds_never_draw_nan(self, is_gamma, log_shape, log_mean):
+        # Shape and mean log-uniform over the doubles; specs that are
+        # rejected are not drawn from.
+        try:
+            spec = (gamma(shape=10.0**log_shape, mean=10.0**log_mean) if is_gamma
+                    else chi_squared(10.0**log_shape))
+        except ConfigError:
+            return
+        u = np.array([0.0, 2.0**-53, 1e-10, 0.5, 1.0 - 2.0**-53])
+        assert not np.isnan(_transform(spec, u)).any()
 
     @pytest.mark.parametrize("mean, shape", [(True, 2.0), (1.0, True), (False, None)])
     def test_boolean_parameters_rejected(self, mean, shape):

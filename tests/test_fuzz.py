@@ -34,7 +34,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 import numpy as np
 
-from blocksim import __version__, infinite, matrix, network, pruning
+from blocksim import __version__, infinite, matrix, network, pruning, rng
 from blocksim.cli import main
 from blocksim.distributions import constant, exponential, gamma, sample_many
 from blocksim.errors import InvariantError
@@ -130,15 +130,17 @@ class TestDrawModes:
     @example(NetSimConfig(m=300, n=200, alpha=constant(1.0), beta=constant(3.0),
                           seed=4), False, 1)
     def test_reading_by_position_matches_bulk_rows(self, config, strict, band_width):
-        # BY_POSITION 1 reads every band narrower than a row by position;
-        # 2**62 reads none that way.
+        # DENSE 0 reads every set of positions through pcg; 2**62 draws
+        # every set in order, at SLICE 1 in slices of the set's size.
         outs = []
-        for by_position in (1, 2**62):
-            with mock.patch.multiple(matrix, BY_POSITION=by_position, BAND_WIDTH=band_width):
+        for dense, slice_ in ((0, rng.SLICE), (2**62, rng.SLICE), (2**62, 1)):
+            with mock.patch.object(rng, "DENSE", dense), \
+                    mock.patch.object(rng, "SLICE", slice_), \
+                    mock.patch.object(matrix, "BAND_WIDTH", band_width):
                 out = simulate_matrix(config, check_pruning=True, strict_visibility=strict)
             outs.append((out.height_series, out.stats["pairs_tested"],
                          out.stats["delays_transformed"]))
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
         if strict:
             assert outs[0][0] == simulate_network(config).height_series
 

@@ -1,5 +1,7 @@
-import hashlib
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
+import hashlib
 
 import pytest
 
@@ -9,7 +11,7 @@ from blocksim.errors import ConfigError, InvariantError
 from blocksim.infinite import simulate_infinite
 from blocksim.network import NetSimConfig
 from blocksim.rng import StreamBundle
-from helpers import faulty_pruned_scan
+from helpers import faulty_pruned_scan, unbounded_height_law
 
 
 def base_config(**overrides):
@@ -203,6 +205,33 @@ class TestPinnedDraws:
         out = simulate_infinite(base_config(n=200, seed=4), streams)
         assert out.stats["delay_draws"] < 1024
         assert streams.delay.position == 1024
+
+
+class TestExactLaw:
+    # R runs per config at seeds 0 .. R-1, under 1 s in all.  The Pearson
+    # chi-squared thresholds are the 0.999 quantiles for the law's cells
+    # minus one, fixed in advance: a failure is the engine's until shown
+    # otherwise, not a reason to move R, the seeds or the threshold.
+    R = 3000
+    CHI2_999 = {2: 13.82, 3: 16.27}
+
+    def test_law_by_hand(self):
+        # Height 4 needs pairs (1, 2) and (2, 3) visible, over disjoint
+        # gaps, each with probability a/(a+b).
+        assert unbounded_height_law(4, 1)[4] == Fraction(1, 4)
+        assert unbounded_height_law(5, 3)[5] == Fraction(1, 4) ** 3
+        assert sum(unbounded_height_law(5, 3).values()) == 1
+
+    @pytest.mark.parametrize("n, ratio", [(4, 1), (5, 3)])
+    def test_engine_follows_the_law(self, n, ratio):
+        law = unbounded_height_law(n, ratio)
+        counts = Counter(
+            simulate_infinite(NetSimConfig(n=n, alpha=exponential(1.0),
+                                           beta=exponential(float(ratio)), seed=seed)).height
+            for seed in range(self.R))
+        assert set(counts) <= set(law)
+        chi2 = sum((counts[h] - self.R * p) ** 2 / (self.R * p) for h, p in law.items())
+        assert chi2 < self.CHI2_999[len(law) - 1], (counts, law)
 
 
 class TestConfigValidation:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blocksim.distributions import _transform, chi_squared, exponential, gamma, sample_many
-from blocksim.rng import (ROLE_DELAY, ROLE_PRODUCER, ROLE_PRODUCTION,
+from blocksim.rng import (DENSE, ROLE_DELAY, ROLE_PRODUCER, ROLE_PRODUCTION, SLICE,
                           SampleStream, StreamBundle, mix64)
 from helpers import ScriptedStream
 
@@ -73,8 +73,69 @@ class TestSampleStream:
             assert s.position == pos + k
 
 
+class DrawLogStream(SampleStream):
+    """Seeded stream that logs the size of every in-order draw."""
+
+    def __init__(self, base_seed, stream_id):
+        super().__init__(base_seed, stream_id)
+        self.draws = []
+
+    def uniforms(self, size):
+        self.draws.append(size)
+        return super().uniforms(size)
+
+
+_SHUFFLE = np.random.default_rng(5)
+
+# Sets of positions and whether at() draws them in order: a set spanning
+# at most DENSE values per position is dense, any other is read by pcg.
+# A dense span past max(SLICE, size of the set) is drawn in slices.
+AT_SETS = {
+    "dense-sorted": (np.arange(100, 400), True),
+    "dense-unsorted-repeats": (_SHUFFLE.permutation(np.r_[np.arange(500, 800, 3), 500, 797, 650]),
+                               True),
+    "dense-2d": (np.arange(4090, 4102).reshape(3, 4)[::-1], True),
+    "dense-0d": (np.array(1234), True),
+    "dense-at-the-bound": (np.array([10, 10 + 2 * DENSE - 1]), True),
+    "dense-three-slices": (_SHUFFLE.permutation(np.arange(1000, 1000 + 2 * SLICE + 10, DENSE)),
+                           True),
+    "dense-slices-of-the-set-size": (np.arange(5, 5 + DENSE * 3 * SLICE, DENSE)[::-1], True),
+    "sparse-past-the-bound": (np.array([10, 10 + 2 * DENSE]), False),
+    "sparse-sorted": (np.sort(_SHUFFLE.choice(20_000, 50, replace=False)), False),
+    "sparse-unsorted-repeats": (np.r_[19_999, 3, 9000, 3, 19_999, 4095, 4096], False),
+    "empty": (np.array([], dtype=np.int64), False),
+}
+
+
 class TestAt:
     SEEDS = [(0, 0), (11, 3), (2024, ROLE_DELAY), (2**64 - 1, 7)]
+
+    @pytest.mark.parametrize("moved", [0, 7000])
+    @pytest.mark.parametrize("name", AT_SETS)
+    def test_dense_and_sparse_sets(self, name, moved):
+        pos, dense = AT_SETS[name]
+        whole = SampleStream(11, 3).uniforms(moved + int(pos.max(initial=0)) + 10)
+        s = DrawLogStream(11, 3)
+        s.uniforms(moved)
+        s.draws.clear()
+        got = s.at(pos)
+        assert got.shape == pos.shape
+        assert np.array_equal(got, whole[pos]), PCG64_CHANGED
+        # In-order draws of the set's span, a slice at a time, or none.
+        span, step = int(pos.max() - pos.min()) + 1 if dense else 0, max(SLICE, pos.size)
+        assert s.draws == [min(step, span - i) for i in range(0, span, step)]
+        assert sum(s.draws) <= DENSE * pos.size
+        assert s.position == moved
+        assert np.array_equal(s.uniforms(5), whole[moved:moved + 5])
+
+    @pytest.mark.parametrize("pos", [[2, -1, 0, 1], [-1, 10**6]], ids=["dense", "sparse"])
+    def test_negative_positions_raise(self, pos):
+        s = DrawLogStream(11, 3)
+        s.uniforms(40)
+        with pytest.raises(ValueError):
+            s.at(pos)
+        assert s.position == 40
+        assert s.draws == [40]
 
     @pytest.mark.parametrize("seed, stream_id", SEEDS)
     def test_unsorted_and_repeated_positions(self, seed, stream_id):
