@@ -21,6 +21,9 @@ from .errors import ConfigError
 # Version of the manifest layout and of the CSV schemas it points at.
 SCHEMA_VERSION = 1
 
+# Characters encoded and written at a time by write_text.
+WRITE_SLICE = 1 << 16
+
 
 @dataclass
 class RunManifest:
@@ -43,12 +46,16 @@ def sha256_file(path) -> str:
 
 
 def write_text(path, data: str, make_parents: bool = False) -> None:
-    """Write ``data`` to ``path``; a path that cannot be written raises ConfigError."""
+    """Write ``data`` to ``path`` as UTF-8; a path that cannot be written
+    raises ConfigError.  The text is encoded and written WRITE_SLICE
+    characters at a time, so no encoded copy of the whole text is made."""
     path = Path(path)
     try:
         if make_parents:
             path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(data)
+        with path.open("wb") as f:
+            for start in range(0, len(data), WRITE_SLICE):
+                f.write(data[start:start + WRITE_SLICE].encode())
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 

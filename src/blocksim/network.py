@@ -18,6 +18,10 @@ arrives in; a row block's messages are stably sorted by arrival from
 send order (block, then recipient) and cut at each block's creation
 time.  A message carries only the announced block; its height, all
 the adoption rule compares, is read when it applies.
+
+The delivery loop reads heights and producers from Python lists, its
+hot path; the tree is kept in numpy arrays, the drawn times and
+producers as they are and the parents written into a preallocated one.
 """
 
 from __future__ import annotations
@@ -166,7 +170,7 @@ def simulate_network(config: NetSimConfig, streams: StreamBundle | None = None) 
 
     tip_block = [0] * m
     tip_height = [1] * m
-    parents: list[int] = []
+    parents = np.zeros(n - 1, dtype=np.int64)
     heights = [1] * n
 
     # A message's id is block * m + recipient, so ascending ids are send
@@ -198,13 +202,13 @@ def simulate_network(config: NetSimConfig, streams: StreamBundle | None = None) 
         for block, lo, hi in zip(range(first + 1, last + 1), [0] + cuts, cuts):
             delivery_sweep(recipients[lo:hi], blocks[lo:hi], heights, tip_block, tip_height)
             w = producers[block - 1]
-            parents.append(tip_block[w])
+            parents[block - 1] = tip_block[w]
             h = tip_height[w] + 1
             heights[block] = h
             tip_block[w] = block
             tip_height[w] = h
 
-    tree = (BlockTree(parents=parents, times=t.tolist(), producers=producers)
+    tree = (BlockTree(parents=parents, times=t, producers=producer_array)
             if config.record_tree else None)
     return SimOutcome(
         height=max(heights),

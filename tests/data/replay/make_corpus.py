@@ -30,6 +30,11 @@ COMMANDS = {
     "simulate-network-json-tree": SIM + [
         "--engine", "network", "--beta", "exp:0.5", "--m", "4", "--seed", "11",
         "--tree-out", "tree.json", "--tree-format", "json"],
+    # Spans several 4,096-value export slices and 64 KiB write slices.
+    "simulate-network-json-tree-large": [
+        "simulate", "--alpha", "exp:1", "--n", "12000", "--out", "outcome.json",
+        "--engine", "network", "--beta", "exp:0.5", "--m", "100", "--seed", "16",
+        "--tree-out", "tree.json", "--tree-format", "json", "--series-out", "series.json"],
     "simulate-network-dot-tree-series": SIM + [
         "--engine", "network", "--beta", "gamma:2:0.5", "--m", "5", "--seed", "12",
         "--tree-out", "tree.dot", "--series-out", "series.json"],

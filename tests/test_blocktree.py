@@ -62,6 +62,69 @@ class TestValidation:
         with pytest.raises(ValueError):
             BlockTree(parents=(0,), times=(0.0, 1.0), producers=(1, 2))
 
+    @pytest.mark.parametrize("fields, message", [
+        # Once read as parents (0, 1) and producers (0, 1).
+        (dict(parents=(0.7, True), times=(0.0, 1.0, 2.0), producers=(0, 1.9)),
+         "parents must hold integers"),
+        (dict(parents=(0, True), times=(0.0, 1.0, 2.0), producers=(0, 1)),
+         "parents must hold integers"),
+        (dict(parents=(True,), times=(0.0, 1.0), producers=(0,)),
+         "parents must hold integers"),
+        (dict(parents=(0, 0), times=(0.0, 1.0, 2.0), producers=(0, 1.9)),
+         "producers must hold integers"),
+        (dict(parents=(0,), times=(0.0, 1.0), producers=(np.True_,)),
+         "producers must hold integers"),
+        # Once read as the numbers the strings spell.
+        (dict(parents=("0",), times=("0", "1"), producers=(0,)),
+         "parents must hold integers"),
+        (dict(parents=(0,), times=("0", "1"), producers=(0,)),
+         "times must hold numbers"),
+        (dict(parents=(0,), times=(0.0, True), producers=(0,)),
+         "times must hold numbers"),
+        (dict(parents=(0,), times=(0.0, None), producers=(0,)),
+         "times must hold numbers"),
+        (dict(parents=(0,), times=((0.0, 1.0),), producers=(0,)),
+         "times must be a flat sequence"),
+        (dict(parents=(0, 0), times=(0.0, 1.0, 2.0), producers=(0, -1)),
+         "block 2 has a negative producer"),
+    ])
+    def test_values_are_not_changed_to_fit(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BlockTree(**fields)
+
+    def test_empty_sequences_of_any_type(self):
+        for empty in ((), [], np.asarray([]), np.zeros(0, dtype=np.int64)):
+            assert BlockTree(parents=empty, times=(0,), producers=empty).n_blocks == 1
+
+    @pytest.mark.parametrize("parents, times, producers, message", [
+        ((0, 0, 5, 9), (0.0, 1.0, 2.0, 3.0, 4.0), (0, 0, 0, 0),
+         "block 3 must attach to an earlier block"),
+        ((0, 0, 5, 9), (0.0, 1.0, 1.0, 3.0, 4.0), (0, 0, 0, 0),
+         "creation times must be strictly increasing"),
+        ((0, 0, 5, 9), (0.0, 1.0, 2.0, 3.0, 4.0), (0, -1, 0, 0),
+         "block 2 has a negative producer"),
+        # One block that breaks two rules is reported for its parent.
+        ((0, 2, 0), (0.0, 1.0, 0.5, 3.0), (0, 0, 0),
+         "block 2 must attach to an earlier block"),
+    ])
+    def test_earliest_bad_block_is_named(self, parents, times, producers, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BlockTree(parents=parents, times=times, producers=producers)
+
+    def test_fields_are_read_only_arrays_kept_without_a_copy(self):
+        times = np.array([0.0, 1.0, 2.5])
+        tree = BlockTree(parents=[0, 1], times=times, producers=np.array([3, 0]))
+        assert (tree.parents.dtype, tree.times.dtype, tree.producers.dtype) == (
+            np.int64, np.float64, np.int64)
+        assert np.shares_memory(tree.times, times)
+        for field in (tree.parents, tree.times, tree.producers):
+            with pytest.raises(ValueError):
+                field[0] = 1
+        assert times.flags.writeable
+        assert tree == BlockTree(parents=(0, 1), times=(0, 1, 2.5), producers=(3, 0))
+        assert tree != BlockTree(parents=(0, 0), times=(0, 1, 2.5), producers=(3, 0))
+        assert tree != "tree"
+
 
 class TestClassify:
     def test_regimes(self):
@@ -154,8 +217,8 @@ class TestSlicedExport:
     @pytest.mark.parametrize("base", [1.0, 1e16])
     def test_tree_bytes(self, n, base):
         tree = ulp_tree(n, base)
-        doc = {"parents": list(tree.parents), "producers": list(tree.producers),
-               "times": list(tree.times)}
+        doc = {"parents": tree.parents.tolist(), "producers": tree.producers.tolist(),
+               "times": tree.times.tolist()}
         assert tree_to_json(tree) == json.dumps(doc, separators=(",", ":"))
         assert tree_to_dot(tree) == one_edge_per_line(tree)
 

@@ -16,7 +16,7 @@ from blocksim import __version__, cli, montecarlo, network
 from blocksim.blocktree import BlockTree
 from blocksim.cli import main
 from blocksim.distributions import exponential
-from blocksim.manifest import SCHEMA_VERSION, load_manifest
+from blocksim.manifest import SCHEMA_VERSION, WRITE_SLICE, load_manifest
 
 ALPHA = "exp:1"
 BETA = "exp:0.1"
@@ -138,16 +138,56 @@ class TestSimulateErrors:
         assert len(result.output.strip().splitlines()) == 1
         assert not (tmp_path / "o.json").exists()
 
-    def test_full_disk_exits_2(self, runner, tmp_path, monkeypatch):
-        # Root writes past permissions, so the failing write is simulated.
-        def full(path, data):
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+    @staticmethod
+    def fill_disk(monkeypatch, room):
+        """Let each file opened for writing take ``room`` writes, then fail
+        the next as a full disk would; return the paths whose write failed.
+        Root writes past permissions, so the failing write is simulated."""
+        failed = []
+        real_open = Path.open
 
-        monkeypatch.setattr(Path, "write_text", full)
+        class FullDisk:
+            def __init__(self, path, f):
+                self.path, self.f, self.room = path, f, room
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                if self.room == 0:
+                    failed.append(self.path)
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self.path))
+                self.room -= 1
+                return self.f.write(data)
+
+        def open_(path, mode="r", *args, **kwargs):
+            f = real_open(path, mode, *args, **kwargs)
+            return FullDisk(path, f) if "w" in mode else f
+
+        monkeypatch.setattr(Path, "open", open_)
+        return failed
+
+    def test_full_disk_exits_2(self, runner, tmp_path, monkeypatch):
+        self.fill_disk(monkeypatch, room=0)
         result = runner.invoke(main, simulate_args(tmp_path))
         assert result.exit_code == 2
         assert result.output == (f"error: cannot write {tmp_path / 'outcome.json'}: "
                                  f"{os.strerror(errno.ENOSPC)}\n")
+
+    def test_full_disk_on_a_later_slice_exits_2(self, runner, tmp_path, monkeypatch):
+        # The outcome file and the tree file's first 64 KiB are written;
+        # the tree's second slice finds the disk full.
+        failed = self.fill_disk(monkeypatch, room=1)
+        tree = tmp_path / "tree.json"
+        result = runner.invoke(main, simulate_args(tmp_path, "--tree-out", str(tree),
+                                                   "--engine", "network", "--n", "5000"))
+        assert result.exit_code == 2
+        assert result.output == f"error: cannot write {tree}: {os.strerror(errno.ENOSPC)}\n"
+        assert failed == [tree]
+        assert tree.stat().st_size == WRITE_SLICE
 
     def test_tree_out_needs_network(self, runner, tmp_path):
         result = runner.invoke(main, simulate_args(

@@ -64,14 +64,14 @@ class TestDeliverySweep:
         streams = scripted_bundle([0.5] * 3, producer_uniforms([0, 1, 0], 2), [0.5] * 3)
         out, calls = record_sweeps(monkeypatch, config, streams)
         assert calls == [[], [], [(1, 1)]]
-        assert out.tree.parents == (0, 0, 1)
+        assert out.tree.parents.tolist() == [0, 0, 1]
 
     def test_strictly_earlier_arrival_applies(self, monkeypatch):
         config = NetSimConfig(m=2, n=4, alpha=constant(1.0), beta=constant(0.5), seed=0)
         streams = scripted_bundle([0.5] * 3, producer_uniforms([0, 1, 0], 2), [0.5] * 3)
         out, calls = record_sweeps(monkeypatch, config, streams)
         assert calls == [[], [(1, 1)], [(0, 2)]]
-        assert out.tree.parents == (0, 1, 2)
+        assert out.tree.parents.tolist() == [0, 1, 2]
 
     def test_equal_height_keeps_incumbent(self):
         tips, heights = [4], [3]
@@ -100,7 +100,7 @@ class TestDeliverySweep:
         assert calls == [[], [], [(1, 1), (2, 1), (0, 2), (2, 2)]]
         # Worker 2 adopts block 1 and keeps it against block 2, of equal
         # height, so it builds block 3 on block 1.
-        assert out.tree.parents == (0, 0, 1)
+        assert out.tree.parents.tolist() == [0, 0, 1]
 
     def test_only_recipient_updated(self):
         tips, heights = [0, 0], [1, 1]
@@ -121,7 +121,7 @@ class TestDeliverySweep:
                                       [0.9] * 3 + [0.5] * 3 + [0.0] * 3 + [0.9] * 3)
             out, calls = record_sweeps(monkeypatch, config, streams)
             assert calls == [[], [], [], [(0, 2), (2, 2), (3, 2), (0, 3), (1, 3), (3, 3)]]
-            assert out.tree.parents == (0, 0, 0, 2)
+            assert out.tree.parents.tolist() == [0, 0, 0, 2]
 
     def test_equal_arrivals_within_a_block_apply_in_recipient_order(self, monkeypatch):
         # One row of 99 delays taking two values: long enough, with runs
@@ -170,9 +170,9 @@ class TestHandTrace:
         out = self.run_trace(5)
         assert out.height == 3
         assert out.proportion == pytest.approx(3 / 5)
-        assert out.tree.parents == (0, 0, 1, 2)
-        assert out.tree.producers == (0, 1, 0, 1)
-        assert out.tree.times == (0.0, 1.0, 2.0, 3.0, 4.0)
+        assert out.tree.parents.tolist() == [0, 0, 1, 2]
+        assert out.tree.producers.tolist() == [0, 1, 0, 1]
+        assert out.tree.times.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert out.height_series == (1, 2, 2, 3, 3)
         assert out.positions == (3, 4)
 
@@ -190,13 +190,13 @@ class TestTrivialRegimes:
     def test_single_worker_is_pure_chain(self):
         out = checked(simulate_network(base_config(m=1, n=50)))
         assert out.proportion == 1.0
-        assert out.tree.parents == tuple(range(49))
+        assert out.tree.parents.tolist() == list(range(49))
         assert out.stats["messages_sent"] == 0
 
     def test_zero_delay_is_pure_chain(self):
         out = checked(simulate_network(base_config(beta=constant(0.0), n=100)))
         assert out.proportion == 1.0
-        assert out.tree.parents == tuple(range(99))
+        assert out.tree.parents.tolist() == list(range(99))
 
     def test_origin_only_run(self):
         out = simulate_network(base_config(n=1))
@@ -371,6 +371,24 @@ class TestMemory:
         config = NetSimConfig(m=1000, n=1000, alpha=exponential(1.0),
                               beta=exponential(1.0), seed=1, record_tree=False)
         assert self.traced_peak(config) < 6 * 2**20
+
+    def test_tree_is_kept_as_flat_arrays(self):
+        # The tree's 30,000 numbers take 0.23 MB as int64/float64 arrays.
+        # Held as Python ints and floats, copied into tuples when the tree
+        # was built, the outcome kept 1.13 MB and the run peaked at 1.82 MB.
+        config = NetSimConfig(m=100, n=10_000, alpha=exponential(1.0),
+                              beta=exponential(1.0), seed=1, record_tree=True)
+        # A first run makes what any run makes once, about 0.7 MB.
+        simulate_network(replace(config, n=10))
+        tracemalloc.start()
+        try:
+            out = simulate_network(config)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.tree.n_blocks == config.n
+        assert kept < 0.85 * 2**20
+        assert peak < 1.5 * 2**20
 
     def test_long_delays_keep_messages_in_flight_as_arrays(self):
         # Delays of 100 production times keep about 100,000 messages in
