@@ -9,6 +9,7 @@ reproduce the digests bit for bit; the replay command automates that.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import hashlib
 import json
@@ -48,15 +49,21 @@ def sha256_file(path) -> str:
 def write_text(path, data: str, make_parents: bool = False) -> None:
     """Write ``data`` to ``path`` as UTF-8; a path that cannot be written
     raises ConfigError.  The text is encoded and written WRITE_SLICE
-    characters at a time, so no encoded copy of the whole text is made."""
-    path = Path(path)
+    characters at a time, so no encoded copy of the whole text is made.
+    A write that fails once the file is open removes it, so no truncated
+    file is left; a path that could not be opened stays as it was."""
+    path, opened = Path(path), False
     try:
         if make_parents:
             path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("wb") as f:
+            opened = True
             for start in range(0, len(data), WRITE_SLICE):
                 f.write(data[start:start + WRITE_SLICE].encode())
     except OSError as exc:
+        if opened:
+            with contextlib.suppress(OSError):
+                path.unlink()
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 

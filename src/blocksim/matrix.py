@@ -27,9 +27,9 @@ hook (strict=False) raises the limit to the next double above t[k], so
 the pair test is one comparison either way.  check_pruning certifies
 the run afterwards with pruning.check_scan, shared with the unbounded
 engine, over the pairs each step tested: visible_height_naive reads
-their cells by stream position, apart from the bands, and makes its
-own < or <= comparison, so a checked run reads about as many cells
-again as the scan, never the whole matrix.
+their cells by stream position, apart from the bands, so a checked run
+reads about as many cells again as the scan, never the whole matrix; it
+certifies only <, so a lenient run fails it where a tie counts.
 """
 
 from __future__ import annotations
@@ -105,23 +105,18 @@ class DelayMatrix:
     def _from_rows(self, need: int, end: int, q):
         """Rows need .. end-1 as arrivals by worker, each row transformed once.
 
-        The array holds twice the rows a chunk needs and is filled ahead;
-        when a chunk runs past its end, the rows still needed move to the
-        front, so each row moves about once.  A band widened past the
-        first row kept gets a new array, which takes over the rows kept."""
+        The array holds rows from first on, one per column, filled ahead.
+        When rows need .. end-1 are not all in it, it is rebased at need:
+        in place if they fit, else in a new array twice their size.  The
+        kept rows it still covers move once, and the rows before them,
+        which a widened band reaches, are transformed."""
         first, drawn, a = self._rows
-        if first <= need <= drawn and end - need <= a.shape[1]:
-            if end > first + a.shape[1]:
-                a[:, :drawn - need] = a[:, need - first:drawn - first]
-                first = need
-        else:
-            b = np.empty((self._width + 1, 2 * (end - need)))
-            lo, hi = max(first, need), min(drawn, need + b.shape[1])
-            if lo < hi:  # kept rows the new array covers
-                b[:, lo - need:hi - need] = a[:, lo - first:hi - first]
-                self._fill(b, need, need, lo)
-            else:
-                hi = need
+        if need < first or end > first + a.shape[1]:
+            b = a if end - need <= a.shape[1] else np.empty((self._width + 1, 2 * (end - need)))
+            hi = max(need, min(drawn, need + b.shape[1]))
+            lo = max(first, need)  # kept rows lo .. hi-1 move
+            b[:, lo - need:hi - need] = a[:, lo - first:hi - first]
+            self._fill(b, need, need, lo)
             first, drawn, a = need, hi, b
         # No step reads the last block's row.
         last = max(end, min(first + a.shape[1], len(self._p) - 1))
@@ -146,7 +141,7 @@ class DelayMatrix:
             self.transformed += u.size
 
 
-def visible_height_naive(t, h, widths, delays: DelayMatrix, strict: bool = True) -> None:
+def visible_height_naive(t, h, widths, delays: DelayMatrix) -> None:
     """check_scan of a matrix run: raise InvariantError at the first step
     whose height the cells its scan tested do not prove to be the full scan's.
 
@@ -167,7 +162,7 @@ def visible_height_naive(t, h, widths, delays: DelayMatrix, strict: bool = True)
         d[other] = _transform(delays._spec, delays._stream.at((i[other] - 1) * m1 + q - (q > pi)))
         return d
 
-    check_scan(t, h, widths, cells, strict)
+    check_scan(t, h, widths, cells)
 
 
 def _pruned_scan(t: list[float], delays: DelayMatrix, strict: bool):
@@ -235,9 +230,10 @@ def simulate_matrix(config: NetSimConfig, streams: StreamBundle | None = None,
     tested (visible_height_naive) and raises InvariantError at the first
     step whose height they do not prove to be the full scan's; it moves
     no stream and changes no stat.  ``strict_visibility=False`` is the
-    validation suite's fault hook: both scans then count an arrival at
-    the very instant a block is made as visible, the pruned scan by
-    raising each step's limit to the next double above its creation time.
+    validation suite's fault hook: the pruned scan then counts an arrival
+    at the very instant a block is made as visible, by raising each
+    step's limit to the next double above its creation time, and the
+    check, which keeps <, fails at the first step a tie changes.
     """
     if streams is None:
         streams = StreamBundle.for_run(config.seed)
@@ -247,7 +243,7 @@ def simulate_matrix(config: NetSimConfig, streams: StreamBundle | None = None,
     delays = DelayMatrix(config.beta, streams.delay, producers, config.m, t)
     h, final, widths = _pruned_scan(t.tolist(), delays, strict_visibility)
     if check_pruning:
-        visible_height_naive(t, h, widths, delays, strict_visibility)
+        visible_height_naive(t, h, widths, delays)
     scanned = sum(widths)
 
     return SimOutcome(

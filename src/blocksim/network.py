@@ -170,7 +170,8 @@ def simulate_network(config: NetSimConfig, streams: StreamBundle | None = None) 
 
     tip_block = [0] * m
     tip_height = [1] * m
-    parents = np.zeros(n - 1, dtype=np.int64)
+    record = config.record_tree
+    parents = np.zeros(n - 1, dtype=np.int64) if record else None
     heights = [1] * n
 
     # A message's id is block * m + recipient, so ascending ids are send
@@ -202,14 +203,14 @@ def simulate_network(config: NetSimConfig, streams: StreamBundle | None = None) 
         for block, lo, hi in zip(range(first + 1, last + 1), [0] + cuts, cuts):
             delivery_sweep(recipients[lo:hi], blocks[lo:hi], heights, tip_block, tip_height)
             w = producers[block - 1]
-            parents[block - 1] = tip_block[w]
+            if record:
+                parents[block - 1] = tip_block[w]
             h = tip_height[w] + 1
             heights[block] = h
             tip_block[w] = block
             tip_height[w] = h
 
-    tree = (BlockTree(parents=parents, times=t, producers=producer_array)
-            if config.record_tree else None)
+    tree = BlockTree(parents=parents, times=t, producers=producer_array) if record else None
     return SimOutcome(
         height=max(heights),
         n=n,

@@ -6,7 +6,7 @@ counts, at height 1.  Both scanning engines test blocks i = k-1, k-2, ...
 while the best found is below z_i, the highest of blocks 0..i, and
 report each step's width w_k, the number of pairs it tested.
 check_scan reads the delays of those pairs only.  With best_k the
-largest h[i] among them whose arrival beats t_k (1 if none), and
+largest h[i] among them whose arrival is below t_k (1 if none), and
 before_k the same over all but the last, it requires at every step k:
 - h[k] = 1 + best_k;
 - z[k-1-w_k] <= best_k: no block the scan skipped is higher than what
@@ -30,20 +30,19 @@ from .errors import InvariantError
 CHECK_PAIRS = 2**14
 
 
-def check_scan(t, h, widths, delays, strict: bool = True) -> None:
+def check_scan(t, h, widths, delays) -> None:
     """Raise InvariantError at the first step that fails a condition above.
 
     widths[k] is step k's width, with widths[0] = 0 for the origin.
     delays(i, k) returns the delays of the pairs (i[p], k[p]) in scan
     order (step by step, i from k-1 down), a chunk of steps at a time
-    from step 1 on.  An arrival t[i] + delay counts when below t[k], or
-    with strict False at most t[k].  Given the heights, steps are
-    independent, so each chunk is one expression and a reduceat per step.
+    from step 1 on.  An arrival t[i] + delay counts only when below t[k],
+    the model's rule, whatever rule the scan used.  Given the heights,
+    steps are independent, so each chunk is one expression and a reduceat per step.
     """
     t, h = np.asarray(t), np.asarray(h, dtype=np.int64)
     w = np.asarray(widths, dtype=np.int64)
     ends, z = np.cumsum(w), np.maximum.accumulate(h)
-    seen = np.less if strict else np.less_equal
     k0 = 1
     while k0 < len(h):
         k1 = max(k0 + 1, int(np.searchsorted(ends, ends[k0 - 1] + CHECK_PAIRS, "right")))
@@ -54,7 +53,7 @@ def check_scan(t, h, widths, delays, strict: bool = True) -> None:
         if tested.size:
             k = np.repeat(ks, wc)
             i = k - 1 - np.arange(len(k)) + np.repeat(heads, wc)
-            found = np.where(seen(t[i] + delays(i, k), t[k]), h[i], 1)
+            found = np.where(t[i] + delays(i, k) < t[k], h[i], 1)
             best[tested] = np.maximum.reduceat(found, heads[tested])
             found[heads[tested] + wc[tested] - 1] = 1
             before[tested] = np.maximum.reduceat(found, heads[tested])

@@ -16,7 +16,7 @@ from blocksim import __version__, cli, montecarlo, network
 from blocksim.blocktree import BlockTree
 from blocksim.cli import main
 from blocksim.distributions import exponential
-from blocksim.manifest import SCHEMA_VERSION, WRITE_SLICE, load_manifest
+from blocksim.manifest import SCHEMA_VERSION, load_manifest
 
 ALPHA = "exp:1"
 BETA = "exp:0.1"
@@ -176,10 +176,13 @@ class TestSimulateErrors:
         assert result.exit_code == 2
         assert result.output == (f"error: cannot write {tmp_path / 'outcome.json'}: "
                                  f"{os.strerror(errno.ENOSPC)}\n")
+        # The file opened for the failed write is removed, not left empty.
+        assert list(tmp_path.iterdir()) == []
 
     def test_full_disk_on_a_later_slice_exits_2(self, runner, tmp_path, monkeypatch):
         # The outcome file and the tree file's first 64 KiB are written;
-        # the tree's second slice finds the disk full.
+        # the tree's second slice finds the disk full, and the truncated
+        # tree file is removed.
         failed = self.fill_disk(monkeypatch, room=1)
         tree = tmp_path / "tree.json"
         result = runner.invoke(main, simulate_args(tmp_path, "--tree-out", str(tree),
@@ -187,7 +190,8 @@ class TestSimulateErrors:
         assert result.exit_code == 2
         assert result.output == f"error: cannot write {tree}: {os.strerror(errno.ENOSPC)}\n"
         assert failed == [tree]
-        assert tree.stat().st_size == WRITE_SLICE
+        assert not tree.exists()
+        assert (tmp_path / "outcome.json").exists()
 
     def test_tree_out_needs_network(self, runner, tmp_path):
         result = runner.invoke(main, simulate_args(

@@ -13,8 +13,9 @@ not the pruned scan's, a scan bounded by z[i-1] instead of z[i] (either
 engine), one reading each draw one stream position off (unbounded), one
 that never widens its band or compares with <= (matrix).  The matrix
 engine's check must also give the same verdict as a per-pair full scan
-written here, strict and lenient, on series with one height off by one
-or none, with the check's chunks 1, 7 or the default number of pairs.
+written here with the model's <, on strict and lenient series with one
+height off by one or none, with the check's chunks 1, 7 or the default
+number of pairs.
 The CLI tests feed generated config files and manifests to
 ``simulate``, ``experiment`` and ``replay``:
 every run must end with exit 0, or with exit 2 and a one-line message,
@@ -132,12 +133,13 @@ class TestDrawModes:
     def test_reading_by_position_matches_bulk_rows(self, config, strict, band_width):
         # DENSE 0 reads every set of positions through pcg; 2**62 draws
         # every set in order, at SLICE 1 in slices of the set's size.
+        # The check certifies only <, so only strict runs are checked.
         outs = []
         for dense, slice_ in ((0, rng.SLICE), (2**62, rng.SLICE), (2**62, 1)):
             with mock.patch.object(rng, "DENSE", dense), \
                     mock.patch.object(rng, "SLICE", slice_), \
                     mock.patch.object(matrix, "BAND_WIDTH", band_width):
-                out = simulate_matrix(config, check_pruning=True, strict_visibility=strict)
+                out = simulate_matrix(config, check_pruning=strict, strict_visibility=strict)
             outs.append((out.height_series, out.stats["pairs_tested"],
                          out.stats["delays_transformed"]))
         assert outs[0] == outs[1] == outs[2]
@@ -223,13 +225,14 @@ class TestFullScanCheck:
     @example(NetSimConfig(m=3, n=2, alpha=exponential(1.0), beta=exponential(1.0), seed=1))
     @example(NetSimConfig(m=1, n=80, alpha=exponential(1.0), beta=exponential(4.0), seed=1))
     def test_reference_series_pass(self, config):
-        # The event-driven engine is the strict reference; the lenient
-        # comparison has only the matrix engine's fault hook.
+        # The event-driven engine is the strict reference.  The matrix
+        # engine's lenient fault hook passes the check, which keeps the
+        # model's <, exactly when every step is the strict run's.
         checked = simulate_matrix(config, check_pruning=True)
         assert checked == simulate_matrix(config)
         assert checked.height_series == simulate_network(config).height_series
-        assert (simulate_matrix(config, check_pruning=True, strict_visibility=False)
-                == simulate_matrix(config, strict_visibility=False))
+        lenient, error = scan_of(matrix, config, strict_visibility=False)
+        assert (error is None) == (lenient == scan_of(matrix, config)[0])
         assert simulate_infinite(config, check_pruning=True) == simulate_infinite(config)
 
     @CHECK_SETTINGS
@@ -313,8 +316,9 @@ def check_cases(draw):
     return config, strict, series, widths, draw(st.sampled_from([1, 7, pruning.CHECK_PAIRS]))
 
 
-def per_pair_check(config, series, strict):
-    """The full scan of the definition: every step against every earlier block."""
+def per_pair_check(config, series):
+    """The full scan of the definition: every step against every earlier
+    block whose arrival is below its creation time."""
     streams = StreamBundle.for_run(config.seed)
     t, producers = draw_schedule(config, streams)
     m1 = config.m - 1
@@ -324,20 +328,27 @@ def per_pair_check(config, series, strict):
     h = np.asarray(series)
     for k in range(1, config.n):
         arrival = t[1:k] + d[:k - 1, producers[k - 1]]
-        seen = arrival < t[k] if strict else arrival <= t[k]
-        best = h[1:k][seen].max(initial=1)
+        best = h[1:k][arrival < t[k]].max(initial=1)
         if h[k] != best + 1:
             return f"scan mismatch at block {k}: {h[k]} != {best + 1}"
     return None
 
 
+def named_block(message):
+    """The block a scan mismatch message names, infinity for None."""
+    return math.inf if message is None else int(message.split()[4].rstrip(":"))
+
+
 class TestSortMergeCheck:
     """The check against the full scan, on the pairs the pruned scan tested.
 
-    A series that is the run's own but for one height passes the check's
-    stop bound up to that height's step, where the pairs tested hold the
-    full scan's best, so the check names the step and the two heights
-    that the full scan does.
+    A series that is the strict run's own but for one height passes the
+    check's stop bound up to that height's step, where the pairs tested
+    hold the full scan's best, so the check names the step and the two
+    heights that the full scan does.  A lenient run's pairs need not hold
+    the full scan's best, so there the check only never names a block
+    later than the full scan: every step it passes has the full scan's
+    height.
     """
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -349,11 +360,15 @@ class TestSortMergeCheck:
         delays = DelayMatrix(config.beta, streams.delay, producers, config.m, t)
         try:
             with mock.patch.object(pruning, "CHECK_PAIRS", chunk):
-                visible_height_naive(t, series, widths, delays, strict)
+                visible_height_naive(t, series, widths, delays)
             message = None
         except InvariantError as exc:
             message = str(exc)
-        assert message == per_pair_check(config, series, strict)
+        want = per_pair_check(config, series)
+        if strict:
+            assert message == want
+        else:
+            assert named_block(message) <= named_block(want), (message, want)
 
 
 # Values a hand-edited file may hold where the program expects another

@@ -1,8 +1,14 @@
+import errno
 import hashlib
 import json
+import os
+from pathlib import Path
 
+import pytest
+
+from blocksim.errors import ConfigError
 from blocksim.manifest import (SCHEMA_VERSION, RunManifest, load_manifest,
-                               sha256_file, write_manifest)
+                               sha256_file, write_manifest, write_text)
 
 
 def sample_manifest():
@@ -41,6 +47,20 @@ class TestManifestIo:
         write_manifest(sample_manifest(), b)
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().endswith("\n")
+
+    def test_a_file_that_cannot_be_opened_stays(self, tmp_path, monkeypatch):
+        # Only a file the failed write opened is removed.
+        path = tmp_path / "outcome.json"
+        path.write_text("kept")
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+        monkeypatch.setattr(Path, "open", refuse)
+        with pytest.raises(ConfigError, match=f"cannot write {path}: "):
+            write_text(path, "new")
+        monkeypatch.undo()
+        assert path.read_text() == "kept"
 
 
 class TestSha256:
