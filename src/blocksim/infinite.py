@@ -17,19 +17,19 @@ by pruning.check_scan, which reads the tested pairs' draws again from
 the run's start.
 
 The pruned scan reads delays from a buffer of consecutive delay-stream
-values that starts at 1,024 values and doubles up to 16,384, so a short
-run transforms few values it never reads.
+values.  Each refill draws the mean width so far times the steps left,
+at most MAX_BUFFER: every step from 2 on tests a pair, so the first is
+the n-2 draws every run reads, and a run transforms few it never reads.
 """
 
 from __future__ import annotations
 
 from .distributions import DistributionSpec, creation_times, sample_many
 from .network import NetSimConfig, SimOutcome
-from .pruning import check_scan
+from .pruning import check_scan, scan_outcome
 from .rng import StreamBundle
 
-# Size of the first delay buffer of a run and the cap its doubling stops at.
-FIRST_BUFFER = 1 << 10
+# The most values one refill of the delay buffer draws.
 MAX_BUFFER = 1 << 14
 
 
@@ -48,9 +48,8 @@ def simulate_infinite(config: NetSimConfig, streams: StreamBundle | None = None,
     """
     if streams is None:
         streams = StreamBundle.for_run(config.seed)
-    n = config.n
 
-    t = creation_times(config.alpha, streams.production, n)
+    t = creation_times(config.alpha, streams.production, config.n)
     delay, start = streams.delay, streams.delay.position
     h, final, widths = _pruned_scan(config.beta, delay, t.tolist())
     if check_pruning:
@@ -59,16 +58,8 @@ def simulate_infinite(config: NetSimConfig, streams: StreamBundle | None = None,
         check_scan(t, h, widths, lambda i, k: sample_many(config.beta, delay, len(i)))
         delay.seek(end)
 
-    scanned = sum(widths)
-    return SimOutcome(
-        height=final,
-        n=n,
-        height_series=tuple(h),
-        seed_echo=streams.seed_echo(),
-        stats={"mean_scan_window": scanned / (n - 1) if n > 1 else 0.0,
-               "pairs_tested": scanned,
-               "delay_draws": scanned},
-    )
+    # One draw per tested pair, the draw contract.
+    return scan_outcome(h, final, widths, streams, delay_draws=sum(widths))
 
 
 def _pruned_scan(beta: DistributionSpec, delay, t: list[float]):
@@ -78,7 +69,7 @@ def _pruned_scan(beta: DistributionSpec, delay, t: list[float]):
     widths = [0]
     delays: list[float] = []
     j = 0  # index in delays of the draw for the next pair
-    size = FIRST_BUFFER
+    read = 0  # draws of the buffers used up
     for k in range(1, len(t)):
         t_k = t[k]
         x = 1
@@ -96,9 +87,11 @@ def _pruned_scan(beta: DistributionSpec, delay, t: list[float]):
                 # delays[j] ran past the buffer: the next draws refill it.
                 # Catching this, instead of testing j on every pair, keeps
                 # the scan's per-pair work to the bound test and the read.
+                # The mean width so far times the steps left (step 1 tests no pair).
+                read += len(delays)
                 j = 0
+                size = min(MAX_BUFFER, (len(t) - k) * max(1, read // (k - 1)))
                 delays = sample_many(beta, delay, size).tolist()
-                size = min(2 * size, MAX_BUFFER)
         widths.append(k - 1 - i)
         x += 1
         h.append(x)

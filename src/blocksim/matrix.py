@@ -27,9 +27,10 @@ hook (strict=False) raises the limit to the next double above t[k], so
 the pair test is one comparison either way.  check_pruning certifies
 the run afterwards with pruning.check_scan, shared with the unbounded
 engine, over the pairs each step tested: visible_height_naive reads
-their cells by stream position, apart from the bands, so a checked run
-reads about as many cells again as the scan, never the whole matrix; it
-certifies only <, so a lenient run fails it where a tie counts.
+their cells through DelayMatrix.pair_delays, the reader the narrow
+bands are built with, so a checked run reads about as many cells again
+as the scan, never the whole matrix; it certifies only <, so a lenient
+run fails it where a tie counts.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, _transform
 from .network import NetSimConfig, SimOutcome, draw_schedule
-from .pruning import check_scan
+from .pruning import check_scan, scan_outcome
 from .rng import StreamBundle
 
 # A chunk of bands W arrivals wide covers max(1, BAND_CELLS // W) steps.
@@ -58,7 +59,8 @@ class DelayMatrix:
     Row i-1 holds block i's m-1 delays in recipient order skipping the
     producer, the event-driven engine's draw order, so entry (i, j) of a
     non-producer column sits at stream position (i-1)(m-1) + j -
-    [j > producer_i]; the producer's own entry is 0.
+    [j > producer_i]; the producer's own entry is 0.  pair_delays is the
+    one reader of cells by that position.
 
     _build(k) serves steps k .. end-1 as (a, off, lo, end): step k+s
     reads t[i] + d(i, producer_{k+s}) at a[off[s] + i] for every block i
@@ -67,9 +69,9 @@ class DelayMatrix:
     and building from the step again reaches further back.  A step's
     band holds at least its W = band_width blocks before it, and the
     chunk is built in numpy in one of two ways:
-    - while W < m-1, each cell is read from the stream by its position
-      (stream.at, which draws the cells' span in order when they fill
-      it densely) and transformed, and no row is kept;
+    - while W < m-1, each cell is read through pair_delays (stream.at,
+      which draws the cells' span in order when they fill it densely),
+      and no row is kept;
     - from then on, whole rows are transformed once each into arrivals
       kept by worker, and a step's band is its worker's run of them,
       from the first row kept.
@@ -85,22 +87,30 @@ class DelayMatrix:
         self._rows = (0, 0, np.empty((m, 0)))  # first row, end row, arrivals by worker
 
     def _build(self, k: int):
-        W, m1, p = self.band_width, self._width, self._p
+        W, p = self.band_width, self._p
         k1 = min(len(p) + 1, k + max(1, BAND_CELLS // W))
-        q = p[k - 1:k1 - 1]
-        if W >= m1:
+        if W >= self._width:
             # Rows need .. end-1 hold blocks k-W .. k1-2.
-            return self._from_rows(max(0, k - W - 1), max(k1 - 2, k - W, 1), q) + (k1,)
-        # The row of each cell (clamped at block 1) and its column.
-        rows = np.maximum(np.arange(k - W - 1, k1 - W - 1)[:, None] + np.arange(W), 0)
-        q, pr = q[:, None], p[rows]
-        cols = np.minimum(q - (q > pr), m1 - 1)
-        d = _transform(self._spec, self._stream.at(rows * m1 + cols))
+            return self._from_rows(max(0, k - W - 1), max(k1 - 2, k - W, 1),
+                                   p[k - 1:k1 - 1]) + (k1,)
+        # The block of each cell, clamped at block 1.
+        i = np.maximum(np.arange(k - W, k1 - W)[:, None] + np.arange(W), 1)
+        d = self.pair_delays(i, np.arange(k, k1)[:, None])
         self.transformed += d.size
-        a = memoryview((self._t[rows + 1] + np.where(q == pr, 0.0, d)).ravel())
+        a = memoryview((self._t[i] + d).ravel())
         # Step k+s's cell for block i sits at s*W + W-1 - (k+s-1-i).
         s = np.arange(k1 - k)
         return a, (W - k + (W - 1) * s).tolist(), (k - W + s).tolist(), k1
+
+    def pair_delays(self, i, k):
+        """The delays of blocks i to the producers of steps k, broadcast over arrays.
+
+        Each cell is read from the stream at its layout position with
+        stream.at and transformed; a pair that shares a producer gets 0.
+        The reads are not counted in transformed."""
+        pi, q = self._p[i - 1], self._p[k - 1]
+        d = _transform(self._spec, self._stream.at((i - 1) * self._width + q - (q > pi)))
+        return np.where(q == pi, 0.0, d)
 
     def _from_rows(self, need: int, end: int, q):
         """Rows need .. end-1 as arrivals by worker, each row transformed once.
@@ -145,24 +155,13 @@ def visible_height_naive(t, h, widths, delays: DelayMatrix) -> None:
     """check_scan of a matrix run: raise InvariantError at the first step
     whose height the cells its scan tested do not prove to be the full scan's.
 
-    Each tested cell is read by its stream position, (i-1)(m-1) + j -
-    [j > producer_i] for block i at worker j = producer_k, with
-    stream.at, and transformed; a producer's own cell is 0.  So the check
-    shares neither the bands nor the pair test with _pruned_scan, and it
+    Each tested cell is read through delays.pair_delays, the bands' cell
+    reader, by its stream position.  So the check shares only the cell
+    reader with _pruned_scan, not the bands or the pair test, and it
     reads the cells the scan tested, not n*m.  (The name, kept because the
     benchmark's trace wraps it, is that of the full scan it replaced.)
     """
-    m1, p = delays._width, delays._p
-
-    def cells(i, k):
-        pi, q = p[i - 1], p[k - 1]
-        other = q != pi
-        d = np.zeros(len(i))
-        q, pi = q[other], pi[other]
-        d[other] = _transform(delays._spec, delays._stream.at((i[other] - 1) * m1 + q - (q > pi)))
-        return d
-
-    check_scan(t, h, widths, cells)
+    check_scan(t, h, widths, delays.pair_delays)
 
 
 def _pruned_scan(t: list[float], delays: DelayMatrix, strict: bool):
@@ -237,21 +236,10 @@ def simulate_matrix(config: NetSimConfig, streams: StreamBundle | None = None,
     """
     if streams is None:
         streams = StreamBundle.for_run(config.seed)
-    n = config.n
 
     t, producers = draw_schedule(config, streams)
     delays = DelayMatrix(config.beta, streams.delay, producers, config.m, t)
     h, final, widths = _pruned_scan(t.tolist(), delays, strict_visibility)
     if check_pruning:
         visible_height_naive(t, h, widths, delays)
-    scanned = sum(widths)
-
-    return SimOutcome(
-        height=final,
-        n=n,
-        height_series=tuple(h),
-        seed_echo=streams.seed_echo(),
-        stats={"mean_scan_window": scanned / (n - 1) if n > 1 else 0.0,
-               "pairs_tested": scanned,
-               "delays_transformed": delays.transformed},
-    )
+    return scan_outcome(h, final, widths, streams, delays_transformed=delays.transformed)

@@ -107,7 +107,7 @@ def run_replication_sets(sets, jobs: int = 1) -> list[McEstimate]:
              for i, (engine, config, replications, base_seed) in enumerate(sets)
              for r in range(replications)]
 
-    if jobs > 1:
+    if jobs > 1 and tasks:
         global ProcessPoolExecutor
         if ProcessPoolExecutor is None:
             from concurrent.futures import ProcessPoolExecutor

@@ -17,7 +17,8 @@ history whatever the skipped pairs' delays are, and the third makes w_k
 the width the pruned scan of those delays has.  So a run that passes
 took the full scan's height at every step without a skipped pair read,
 and a faulty scan is caught at the first step whose height or width is
-not the pruned scan's.
+not the pruned scan's.  scan_outcome builds both engines' outcome from
+the same widths.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvariantError
+from .network import SimOutcome
 
 # Pairs per chunk of steps the check reads at once; a step is never split.
 CHECK_PAIRS = 2**14
@@ -70,3 +72,12 @@ def check_scan(t, h, widths, delays) -> None:
             raise InvariantError(f"scan mismatch at block {k}: it tested block {stop + 1} "
                                  f"with its best already {before[s]} >= {z[stop + 1]}")
         k0 = k1
+
+
+def scan_outcome(h, top, widths, streams, **stats) -> SimOutcome:
+    """The outcome of a scanned run of len(h) blocks, top the highest: its
+    stats are mean_scan_window and pairs_tested, from the widths, then stats."""
+    n, scanned = len(h), sum(widths)
+    return SimOutcome(height=top, n=n, height_series=tuple(h), seed_echo=streams.seed_echo(),
+                      stats={"mean_scan_window": scanned / (n - 1) if n > 1 else 0.0,
+                             "pairs_tested": scanned, **stats})

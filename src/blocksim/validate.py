@@ -1,9 +1,9 @@
 """On-demand cross-checks between the engines and the closed forms.
 
 Three suites, runnable from the CLI: exact agreement of the event-driven
-and delay-matrix engines under shared seeds, exact agreement of the
-pruned visibility scans with full scans on every step (each engine's
-``check_pruning`` run, checked over the pairs its scan tested by
+and delay-matrix engines' height series under shared seeds, exact
+agreement of the pruned visibility scans with full scans on every step
+(each engine's ``check_pruning`` run, checked over the pairs its scan tested by
 pruning.check_scan, with an unchecked run's outputs), and the analytic
 bound on the gap between a delay-matrix entry's
 mixture CDF and the delay CDF.
@@ -56,7 +56,7 @@ def _random_beta(u_kind: float, mean: float) -> DistributionSpec:
 
 def check_equivalence(base_seed: int = 0, configs: int = 100,
                       strict_visibility: bool = True) -> CheckResult:
-    """Event-driven vs delay-matrix proportion, exact, shared seeds.
+    """Event-driven vs delay-matrix height series, exact, shared seeds.
 
     Draws ``configs`` randomized configs (workers 2..20, blocks 10..500,
     exponential production, delay kind in {exponential, gamma,
@@ -79,17 +79,18 @@ def check_equivalence(base_seed: int = 0, configs: int = 100,
 
     mismatches = []
     for cfg in cases:
-        p_net = simulate_network(cfg).proportion
-        p_mat = simulate_matrix(cfg, strict_visibility=strict_visibility).proportion
-        if p_net != p_mat:
-            mismatches.append((cfg.m, cfg.n, cfg.beta.kind, p_net, p_mat))
+        net = simulate_network(cfg).height_series
+        mat = simulate_matrix(cfg, strict_visibility=strict_visibility).height_series
+        if net != mat:
+            mismatches.append((cfg, net, mat))
     if mismatches:
-        first = mismatches[0]
+        cfg, net, mat = mismatches[0]
+        b = next(b for b, (x, y) in enumerate(zip(net, mat)) if x != y)
         return CheckResult(
             "engine_equivalence", False,
             f"{len(mismatches)}/{len(cases)} configs disagree; first: "
-            f"m={first[0]} n={first[1]} beta={first[2]} "
-            f"network={first[3]:.6f} matrix={first[4]:.6f}")
+            f"m={cfg.m} n={cfg.n} beta={cfg.beta.kind}, block {b}: "
+            f"network height {net[b]}, matrix {mat[b]}")
     return CheckResult("engine_equivalence", True,
                        f"{len(cases)} configs agree exactly")
 

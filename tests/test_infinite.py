@@ -200,11 +200,20 @@ class TestPinnedDraws:
             assert out.stats["delay_draws"] == draws
             assert hashlib.sha256(repr(out.height_series).encode()).hexdigest()[:16] == digest
 
-    def test_short_run_transforms_one_small_buffer(self):
+    def test_refills_follow_the_run(self):
+        # Refills are sized from the run, so a run draws at most a tenth
+        # more delays than it reads, plus two; a short run, whose first
+        # refill of n-2 draws already covers it, draws exactly what it reads.
+        for beta in (exponential(0.01), exponential(1.0), exponential(100.0), constant(2.0)):
+            for n in (3, 10, 200, 2000):
+                for seed in range(5):
+                    streams = StreamBundle.for_run(seed)
+                    draws = simulate_infinite(base_config(n=n, beta=beta, seed=seed),
+                                              streams).stats["delay_draws"]
+                    assert streams.delay.position <= draws + draws // 10 + 2, (beta, n, seed)
         streams = StreamBundle.for_run(4)
         out = simulate_infinite(base_config(n=200, seed=4), streams)
-        assert out.stats["delay_draws"] < 1024
-        assert streams.delay.position == 1024
+        assert streams.delay.position == out.stats["delay_draws"]
 
 
 class TestExactLaw:

@@ -392,8 +392,10 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("cells", [5, pruning.CHECK_PAIRS])
     def test_check_reads_the_tested_cells(self, monkeypatch, cells):
-        # Each tested pair's cell at its stream position, and nothing else:
-        # no producer's own cell, none at m=1; the stream does not move.
+        # Each tested pair's cell at its stream position, in scan order, and
+        # nothing else; a producer pair's position is read too, and its
+        # delay zeroed, so at m=1 every read is position 0.  The stream
+        # does not move.
         monkeypatch.setattr(pruning, "CHECK_PAIRS", cells)
         for config in (base_config(m=1, n=300), base_config(m=40, n=500, beta=exponential(100.0)),
                        base_config(m=3, n=60, alpha=constant(1.0), beta=constant(2.0))):
@@ -404,10 +406,9 @@ class TestRowBlocks:
             visible_height_naive(t, h, widths, delays)
             m1, p = config.m - 1, [None, *delays._p.tolist()]
             want = [(i - 1) * m1 + p[k] - (p[k] > p[i])
-                    for k in range(1, config.n) for i in range(k - 1, k - 1 - widths[k], -1)
-                    if p[k] != p[i]]
+                    for k in range(1, config.n) for i in range(k - 1, k - 1 - widths[k], -1)]
             assert read == want
-            assert config.m > 1 or read == []
+            assert config.m > 1 or set(read) == {0}
             assert stream.position == position
 
     def test_check_scales_past_quadratic(self):

@@ -89,6 +89,12 @@ class TestReplicationSets:
         sets = [("infinite", inf_config(), 5, 21), ("matrix", net_config(), 6, 22)]
         assert run_replication_sets(sets, jobs=2) == run_replication_sets(sets)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_empty_batch_starts_no_pool(self, pools, jobs):
+        # No task, no pool: the result does not depend on jobs.
+        assert run_replication_sets([], jobs=jobs) == []
+        assert pools == []
+
     def test_any_empty_set_rejected(self):
         with pytest.raises(ConfigError):
             run_replication_sets([("infinite", inf_config(), 2, 0),

@@ -6,10 +6,14 @@ import sys
 import numpy as np
 
 import blocksim
-from blocksim import validate
+from blocksim import matrix, validate
+from blocksim.distributions import exponential
+from blocksim.matrix import simulate_matrix
+from blocksim.network import NetSimConfig, simulate_network
 from blocksim.validate import (CheckResult, check_equivalence,
                                check_mixture_bound, check_pruning,
                                run_validation)
+from helpers import faulty_pruned_scan
 
 
 class TestSuites:
@@ -75,6 +79,17 @@ class TestFaultInjection:
                                    strict_visibility=False)
         assert not result.passed
         assert "disagree" in result.detail
+
+    def test_series_fault_that_keeps_p_n_is_caught(self, monkeypatch):
+        # Block 5's height moves and the highest does not, so p_n is
+        # unchanged: only the series shows the fault, named at its block.
+        monkeypatch.setattr(matrix, "_pruned_scan", faulty_pruned_scan(matrix, bump=5))
+        config = NetSimConfig(m=3, n=40, alpha=exponential(1.0), beta=exponential(0.5), seed=1)
+        assert simulate_matrix(config).proportion == simulate_network(config).proportion
+        result = check_equivalence(base_seed=0, configs=5)
+        assert not result.passed
+        assert result.detail.startswith("8/8 configs disagree; first: ")
+        assert ", block 5: network height " in result.detail
 
     def test_scan_mismatch_fails_suite_under_optimize(self):
         # ``python -O`` strips assert statements; the pruning suite must
