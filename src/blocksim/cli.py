@@ -17,7 +17,8 @@ file keys are the field names (``reps``, ``tree_format``); a key that
 names no field exits 2.  ``replay`` reads a manifest's params as it
 would read a config file, with the manifest's base seed as its only
 flag.  Exit codes: 0 success, 1 validation or replay mismatch, 2 usage
-or configuration error.
+or configuration error, 3 the run failed (out of memory, or a pool
+worker died); no manifest is written for a failed run.
 """
 
 from __future__ import annotations
@@ -32,9 +33,16 @@ from pathlib import Path
 import click
 
 from . import __version__
+
+# blocksim calls no BLAS routine, but numpy's and scipy's OpenBLAS each
+# start a thread pool when they load, and its idle threads spin on CPU.
+# One thread starts none.  A caller's own value wins; library imports
+# leave the environment alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .blocktree import classify, export_tree, sliced_json
 from .distributions import DistributionSpec, parse_spec, spec_from_dict
-from .errors import ConfigError
+from .errors import ConfigError, RunError
 from .manifest import (SCHEMA_VERSION, RunManifest, check_writable, load_manifest, sha256_file,
                        write_manifest, write_text)
 from .montecarlo import ENGINES, EXPERIMENTS, run_experiment
@@ -217,8 +225,20 @@ def _input_options(command: str):
     return lambda fn: functools.reduce(lambda f, option: option(f), reversed(options), fn)
 
 
+def _run_failures() -> tuple:
+    """The exceptions of a run that failed on valid input.
+
+    Called only once an exception reaches ``_guard``, so the pool's
+    module loads for no command that raised none.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+    return RunError, MemoryError, BrokenProcessPool
+
+
 def _guard(fn):
-    """Map configuration errors to exit code 2 with a clean message."""
+    """Map configuration errors to exit code 2, and failed runs to exit
+    code 3, each with one ``error:`` line; any other exception is a bug
+    and keeps its traceback."""
 
     @functools.wraps(fn)
     def wrapped(*args, **kwargs):
@@ -227,6 +247,11 @@ def _guard(fn):
         except ConfigError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
+        except Exception as exc:
+            if not isinstance(exc, _run_failures()):
+                raise
+            click.echo(f"error: {str(exc) or type(exc).__name__}", err=True)
+            sys.exit(3)
 
     return wrapped
 

@@ -14,3 +14,11 @@ class InvariantError(RuntimeError):
     Used instead of ``assert``, which ``python -O`` removes, so that the
     checks the validation suite relies on always run.
     """
+
+
+class RunError(RuntimeError):
+    """Raised when a replication runs out of memory, naming it.
+
+    The CLI maps this to exit code 3 (the run failed), as it does a bare
+    MemoryError and a dead pool worker.
+    """

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .distributions import with_mean
-from .errors import ConfigError
+from .errors import ConfigError, RunError
 from .infinite import simulate_infinite
 from .matrix import simulate_matrix
 from .network import NetSimConfig, check_count, simulate_network
@@ -71,7 +71,8 @@ def _run_one(engine: str, config, where: tuple[int, int]) -> float:
     try:
         return ENGINES[engine](config).proportion
     except Exception as exc:
-        raise RuntimeError(f"set {where[0]}, replication {where[1]} failed: {exc}") from exc
+        error = RunError if isinstance(exc, MemoryError) else RuntimeError
+        raise error(f"set {where[0]}, replication {where[1]} failed: {exc}") from exc
 
 
 # Replications per task handed to a pool worker.  Run costs vary widely
@@ -95,8 +96,8 @@ def run_replication_sets(sets, jobs: int = 1) -> list[McEstimate]:
     over one process pool of at most ``jobs`` workers, so an experiment
     starts at most one pool.  Results are reduced in replication order,
     so the estimates are deterministic regardless of ``jobs``.  A failing
-    replication raises a RuntimeError naming its set and replication,
-    whatever ``jobs`` is.
+    replication raises a RuntimeError (a RunError when it ran out of
+    memory) naming its set and replication, whatever ``jobs`` is.
     """
     if jobs < 1:
         raise ConfigError(f"job count must be >= 1, got {jobs}")

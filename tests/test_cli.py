@@ -1,11 +1,13 @@
 import errno
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
@@ -16,6 +18,7 @@ from blocksim import __version__, cli, montecarlo, network
 from blocksim.blocktree import BlockTree
 from blocksim.cli import main
 from blocksim.distributions import exponential
+from blocksim.errors import InvariantError
 from blocksim.manifest import SCHEMA_VERSION, load_manifest
 
 ALPHA = "exp:1"
@@ -1351,6 +1354,111 @@ class TestMalformedValues:
         output = self.one_line_exit_2(runner.invoke(main, [
             "experiment", "--config", str(path), "--out", str(tmp_path / "t.csv")]))
         assert repr(value) in output
+
+
+class TestRunFailures:
+    """A run that fails on valid input (out of memory, a dead pool worker)
+    exits 3 with one ``error:`` line and writes no file; any other
+    exception is a bug and keeps its traceback."""
+
+    @pytest.fixture
+    def forking_pool(self, monkeypatch):
+        """Real pool workers, forked, so they see the patched engine."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("workers see the patched engine only when forked")
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", lambda max_workers: (
+            ProcessPoolExecutor(max_workers, mp_context=multiprocessing.get_context("fork"))))
+
+    @staticmethod
+    def patch_engine(monkeypatch, fail):
+        def engine(config):
+            fail()
+        monkeypatch.setitem(montecarlo.ENGINES, "matrix", engine)
+
+    @staticmethod
+    def experiment(runner, tmp_path, jobs):
+        return runner.invoke(main, [
+            "experiment", "--kind", "single", "--engine", "matrix", "--alpha", ALPHA,
+            "--beta", BETA, "--n", "30", "--m", "4", "--reps", "4", "--jobs", str(jobs),
+            "--out", str(tmp_path / "t.csv")])
+
+    @staticmethod
+    def one_line_exit_3(result, tmp_path) -> str:
+        assert result.exit_code == 3, result.output
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []  # neither the output nor a manifest
+        return result.stderr
+
+    @pytest.mark.parametrize("message, line", [("Unable to allocate 229. MiB", None),
+                                               ("", "MemoryError")], ids=["numpy", "bare"])
+    def test_simulate_out_of_memory(self, runner, tmp_path, monkeypatch, message, line):
+        def fail():
+            raise MemoryError(message)
+        self.patch_engine(monkeypatch, fail)
+        stderr = self.one_line_exit_3(runner.invoke(main, simulate_args(tmp_path)), tmp_path)
+        assert stderr == f"error: {line or message}\n"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_experiment_out_of_memory(self, runner, tmp_path, monkeypatch, forking_pool, jobs):
+        def fail():
+            raise MemoryError("Unable to allocate 229. MiB")
+        self.patch_engine(monkeypatch, fail)
+        stderr = self.one_line_exit_3(self.experiment(runner, tmp_path, jobs), tmp_path)
+        assert stderr == "error: set 0, replication 0 failed: Unable to allocate 229. MiB\n"
+
+    def test_dead_pool_worker(self, runner, tmp_path, monkeypatch, forking_pool):
+        self.patch_engine(monkeypatch, lambda: os._exit(1))
+        stderr = self.one_line_exit_3(self.experiment(runner, tmp_path, 2), tmp_path)
+        assert "terminated abruptly" in stderr
+
+    def test_other_exceptions_keep_their_traceback(self, runner, tmp_path, monkeypatch):
+        def fail():
+            raise InvariantError("scan disagrees")
+        self.patch_engine(monkeypatch, fail)
+        result = runner.invoke(main, simulate_args(tmp_path))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, InvariantError)
+        result = self.experiment(runner, tmp_path, 1)
+        assert result.exit_code == 1
+        assert type(result.exception) is RuntimeError
+        assert str(result.exception) == "set 0, replication 0 failed: scan disagrees"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestStartup:
+    """The CLI loads OpenBLAS with one thread unless the caller chose a
+    count; a library import leaves the environment alone."""
+
+    @staticmethod
+    def run(script, **env):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**{k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"},
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               **env}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip().splitlines()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_cli_starts_no_blas_threads(self):
+        # Both numpy's OpenBLAS and scipy's, which the gamma ufuncs load.
+        assert self.run(
+            "import os, blocksim.cli\n"
+            "from blocksim import distributions\n"
+            "distributions._gamma_ufuncs()\n"
+            "print(len(os.listdir('/proc/self/task')))\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))") == ["1", "1"]
+
+    def test_callers_value_wins(self):
+        assert self.run("import os, blocksim.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])",
+                        OPENBLAS_NUM_THREADS="3") == ["3"]
+
+    def test_library_import_leaves_the_environment_alone(self):
+        assert self.run("import os, blocksim.network\n"
+                        "print(os.environ.get('OPENBLAS_NUM_THREADS'))") == ["None"]
 
 
 class TestVersion:

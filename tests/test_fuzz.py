@@ -339,7 +339,7 @@ def named_block(message):
     return math.inf if message is None else int(message.split()[4].rstrip(":"))
 
 
-class TestSortMergeCheck:
+class TestCheckScan:
     """The check against the full scan, on the pairs the pruned scan tested.
 
     A series that is the strict run's own but for one height passes the

@@ -9,6 +9,7 @@ from blocksim.distributions import constant, exponential, gamma
 from blocksim import infinite, pruning
 from blocksim.errors import ConfigError, InvariantError
 from blocksim.infinite import simulate_infinite
+from blocksim.matrix import simulate_matrix
 from blocksim.network import NetSimConfig
 from blocksim.rng import StreamBundle
 from helpers import faulty_pruned_scan, unbounded_height_law
@@ -238,6 +239,23 @@ class TestExactLaw:
             simulate_infinite(NetSimConfig(n=n, alpha=exponential(1.0),
                                            beta=exponential(float(ratio)), seed=seed)).height
             for seed in range(self.R))
+        self.assert_follows(counts, law)
+
+    @pytest.mark.parametrize("n, ratio", [(4, 1), (5, 3)])
+    def test_bounded_engine_at_huge_m_follows_the_law(self, n, ratio):
+        # With m = 2^31 - 1 workers, two of n <= 5 blocks share a producer
+        # with probability about 1e-8, so every pair reads a fresh delay
+        # cell and the bounded model is the unbounded one.  This checks
+        # draw_schedule, the matrix engine's cell reader and its scan
+        # against the model, not against another engine.
+        law = unbounded_height_law(n, ratio)
+        counts = Counter(
+            simulate_matrix(NetSimConfig(m=2**31 - 1, n=n, alpha=exponential(1.0),
+                                         beta=exponential(float(ratio)), seed=seed)).height
+            for seed in range(self.R))
+        self.assert_follows(counts, law)
+
+    def assert_follows(self, counts, law):
         assert set(counts) <= set(law)
         chi2 = sum((counts[h] - self.R * p) ** 2 / (self.R * p) for h, p in law.items())
         assert chi2 < self.CHI2_999[len(law) - 1], (counts, law)
