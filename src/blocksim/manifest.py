@@ -50,8 +50,8 @@ def write_text(path, data: str, make_parents: bool = False) -> None:
     """Write ``data`` to ``path`` as UTF-8; a path that cannot be written
     raises ConfigError.  The text is encoded and written WRITE_SLICE
     characters at a time, so no encoded copy of the whole text is made.
-    A write that fails once the file is open removes it, so no truncated
-    file is left; a path that could not be opened stays as it was."""
+    Any exception once the file is open removes it, so no truncated file
+    is left; a path that could not be opened stays as it was."""
     path, opened = Path(path), False
     try:
         if make_parents:
@@ -60,10 +60,12 @@ def write_text(path, data: str, make_parents: bool = False) -> None:
             opened = True
             for start in range(0, len(data), WRITE_SLICE):
                 f.write(data[start:start + WRITE_SLICE].encode())
-    except OSError as exc:
+    except BaseException as exc:
         if opened:
             with contextlib.suppress(OSError):
                 path.unlink()
+        if not isinstance(exc, OSError):
+            raise
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 

@@ -14,7 +14,7 @@ than a row reads its cells from the delay substream by position
 (SampleStream.at, which draws a dense set in order), so a run's time
 and memory follow the cells it reads, not n*m; once a band is a row
 wide each row is transformed once and kept by worker while bands can
-reach it.
+reach it.  Both modes find a cell's stream position by DelayMatrix._cells.
 
 One loop (_pruned_scan) places the whole run, as in the unbounded
 engine: each step scans backward and stops as soon as the running best
@@ -59,8 +59,8 @@ class DelayMatrix:
     Row i-1 holds block i's m-1 delays in recipient order skipping the
     producer, the event-driven engine's draw order, so entry (i, j) of a
     non-producer column sits at stream position (i-1)(m-1) + j -
-    [j > producer_i]; the producer's own entry is 0.  pair_delays is the
-    one reader of cells by that position.
+    [j > producer_i]; the producer's own entry is 0.  _cells is the one
+    place that layout is written, for pair_delays and _fill alike.
 
     _build(k) serves steps k .. end-1 as (a, off, lo, end): step k+s
     reads t[i] + d(i, producer_{k+s}) at a[off[s] + i] for every block i
@@ -72,9 +72,9 @@ class DelayMatrix:
     - while W < m-1, each cell is read through pair_delays (stream.at,
       which draws the cells' span in order when they fill it densely),
       and no row is kept;
-    - from then on, whole rows are transformed once each into arrivals
-      kept by worker, and a step's band is its worker's run of them,
-      from the first row kept.
+    - from then on, whole rows are drawn in order and transformed once
+      each, then placed by _cells into arrivals kept by worker, and a
+      step's band is its worker's run of them, from the first row kept.
     Each value holds the bits of the whole row's transform.  Memory is
     never n*m: a narrower chunk holds at most BAND_CELLS arrivals; the
     arrivals by worker hold twice the rows a chunk reaches.
@@ -102,15 +102,19 @@ class DelayMatrix:
         s = np.arange(k1 - k)
         return a, (W - k + (W - 1) * s).tolist(), (k - W + s).tolist(), k1
 
+    def _cells(self, i, q):
+        """The stream positions of block i's delays to workers q, and where q is i's producer."""
+        pi = self._p[i - 1]
+        return (i - 1) * self._width + q - (q > pi), q == pi
+
     def pair_delays(self, i, k):
         """The delays of blocks i to the producers of steps k, broadcast over arrays.
 
-        Each cell is read from the stream at its layout position with
-        stream.at and transformed; a pair that shares a producer gets 0.
-        The reads are not counted in transformed."""
-        pi, q = self._p[i - 1], self._p[k - 1]
-        d = _transform(self._spec, self._stream.at((i - 1) * self._width + q - (q > pi)))
-        return np.where(q == pi, 0.0, d)
+        Each cell is read with stream.at at its _cells position and
+        transformed, or is 0 where the pair shares a producer; transformed
+        does not count these reads."""
+        cells, own = self._cells(i, self._p[k - 1])
+        return np.where(own, 0.0, _transform(self._spec, self._stream.at(cells)))
 
     def _from_rows(self, need: int, end: int, q):
         """Rows need .. end-1 as arrivals by worker, each row transformed once.
@@ -137,17 +141,17 @@ class DelayMatrix:
                 [first + 1] * len(q))
 
     def _fill(self, a, first: int, r0: int, r1: int) -> None:
-        """Transform rows r0 .. r1-1 into a[:, r - first], about BAND_CELLS values at a time."""
-        m1, p = self._width, self._p
-        j, step = np.arange(m1 + 1), max(1, BAND_CELLS // max(1, m1))
+        """Rows r0 .. r1-1, drawn in order and transformed, placed in a[:, r - first] by _cells."""
+        m1 = self._width
+        q, step = np.arange(m1 + 1)[:, None], max(1, BAND_CELLS // max(1, m1))
         for r in range(r0, r1, step):
             stop = min(r1, r + step)
             self._stream.seek(r * m1)
-            u = self._stream.uniforms((stop - r) * m1).reshape(stop - r, m1)
-            # A zero column appended at m-1 serves each producer's own entry.
-            d, pr = np.pad(_transform(self._spec, u), ((0, 0), (0, 1))), p[r:stop, None]
-            d = d[np.arange(stop - r)[:, None], np.where(j == pr, m1, j - (j > pr))]
-            a[:, r - first:stop - first] = (d + self._t[r + 1:stop + 1, None]).T
+            u = self._stream.uniforms((stop - r) * m1)
+            # One zero appended after the rows serves each producer's own cell.
+            cells, own = self._cells(np.arange(r + 1, stop + 1), q)
+            d = np.append(_transform(self._spec, u), 0.0)[np.where(own, u.size, cells - r * m1)]
+            a[:, r - first:stop - first] = d + self._t[r + 1:stop + 1]
             self.transformed += u.size
 
 

@@ -147,7 +147,7 @@ def check_mixture_bound(grid_points: int = 10**4) -> CheckResult:
         base = np.asarray(cdf(spec, r))
         for m in (1, 2, 10, 100):
             gap = float(np.max(np.abs(np.asarray(mixture_cdf(spec, m, r)) - base)))
-            if gap > sup_gap_bound(m):
+            if not gap <= sup_gap_bound(m):  # a NaN gap fails too
                 return CheckResult(
                     "mixture_cdf_bound", False,
                     f"{spec.kind}, m={m}: sup gap {gap:.6f} > {sup_gap_bound(m):.6f}")

@@ -1,0 +1,111 @@
+"""The mutation table: faults the tests must catch, and a runner that checks they do.
+
+Each row is a mutant: a file under src/blocksim/, the exact text it
+replaces (found exactly once under src/), the replacement, and the test
+node ids of which at least one must fail once the fault is in.  Tier-1
+checks that each row's text occurs exactly once (tests/test_mutants.py),
+so a refactor that moves a row's text must update the row.
+
+    python tests/mutants.py
+
+copies src/ to a temporary directory, applies one mutant at a time, and
+runs only that row's tests against the copy, stopping at the first
+failure.  It prints each mutant's outcome and time, and exits 1 if any
+mutant survives: its tests all pass, or pytest could not run them.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/blocksim/
+    text: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    # The delay layout is written once, in DelayMatrix._cells, and both band
+    # modes read it there, so the pruning check cannot see a layout fault:
+    # the scan and the check read the same wrong cells.  Contract (a), the
+    # match with the event-driven engine, is the guard.  Swapping (q > pi)
+    # for (q >= pi) moves only the producer's own pairs, which the mask
+    # zeroes, so it is equivalent and has no row.
+    Mutant("cells-row-off-by-one", "matrix.py",
+           "(i - 1) * self._width", "i * self._width",
+           ("tests/test_matrix.py::TestAgainstNetworkEngine::test_exact_match_on_random_configs",
+            "tests/test_matrix.py::TestVisibility::test_entries_follow_network_draw_order")),
+    Mutant("fill-loses-producer-zero", "matrix.py",
+           "np.where(own, u.size, cells - r * m1)", "np.minimum(cells - r * m1, u.size)",
+           ("tests/test_matrix.py::TestAgainstNetworkEngine::test_exact_match_on_random_configs",
+            "tests/test_matrix.py::TestRowBlocks::test_pruning_check_on_chaotic_ratio")),
+    Mutant("pair-delays-producer-one", "matrix.py",
+           "np.where(own, 0.0, _transform", "np.where(own, 1.0, _transform",
+           ("tests/test_matrix.py::TestAgainstNetworkEngine::test_exact_match_on_random_configs",
+            "tests/test_matrix.py::TestRowBlocks::test_pruning_check_on_chaotic_ratio")),
+    # nan > bound is false, so a NaN gap passed the mixture check.
+    Mutant("mixture-check-passes-nan", "validate.py",
+           "if not gap <= sup_gap_bound(m):", "if gap > sup_gap_bound(m):",
+           ("tests/test_validate.py::TestFaultInjection::test_nan_gap_is_caught",)),
+    # A MemoryError part way through a write left the file truncated.
+    Mutant("write-keeps-file-on-memory-error", "manifest.py",
+           "except BaseException as exc:", "except OSError as exc:",
+           ("tests/test_manifest.py::TestManifestIo::test_a_write_that_runs_out_of_memory_leaves_no_file",)),
+)
+
+
+def occurrences(text: str) -> dict[str, int]:
+    """How often ``text`` occurs in each file under src/blocksim/ that holds it."""
+    counts = {path.name: path.read_text().count(text)
+              for path in sorted((SRC / "blocksim").glob("*.py"))}
+    return {name: count for name, count in counts.items() if count}
+
+
+def caught(mutant: Mutant, copy: Path) -> bool:
+    """Apply ``mutant`` to a fresh copy of src/ at ``copy`` and run its tests
+    there; True when pytest reports a failed test (exit status 1)."""
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    if occurrences(mutant.text) != {mutant.file: 1}:
+        sys.exit(f"{mutant.name}: its text must occur once under src/, in {mutant.file}")
+    path = copy / "blocksim" / mutant.file
+    path.write_text(path.read_text().replace(mutant.text, mutant.replacement))
+    env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    if proc.returncode not in (0, 1):
+        print(proc.stdout)
+    return proc.returncode == 1
+
+
+def main() -> int:
+    survivors = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for mutant in MUTANTS:
+            start = time.perf_counter()
+            ok = caught(mutant, Path(scratch) / "src")
+            print(f"{'caught' if ok else 'SURVIVED'} {mutant.name} "
+                  f"in {time.perf_counter() - start:.1f} s", flush=True)
+            if not ok:
+                survivors.append(mutant.name)
+    if survivors:
+        print(f"{len(survivors)} mutant(s) survived: {', '.join(survivors)}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from blocksim.errors import ConfigError
-from blocksim.manifest import (SCHEMA_VERSION, RunManifest, load_manifest,
-                               sha256_file, write_manifest, write_text)
+from blocksim.manifest import (SCHEMA_VERSION, WRITE_SLICE, RunManifest,
+                               load_manifest, sha256_file, write_manifest,
+                               write_text)
 
 
 def sample_manifest():
@@ -61,6 +62,20 @@ class TestManifestIo:
             write_text(path, "new")
         monkeypatch.undo()
         assert path.read_text() == "kept"
+
+    def test_a_write_that_runs_out_of_memory_leaves_no_file(self, tmp_path):
+        # The first slice is written; the second cannot be made.  The file
+        # goes, and the MemoryError keeps its type (the CLI exits 3 on it).
+        class OutOfMemoryAfterOneSlice(str):
+            def __getitem__(self, key):
+                if key.start:
+                    raise MemoryError
+                return super().__getitem__(key)
+
+        path = tmp_path / "tree.json"
+        with pytest.raises(MemoryError):
+            write_text(path, OutOfMemoryAfterOneSlice("x" * (WRITE_SLICE + 1)))
+        assert not path.exists()
 
 
 class TestSha256:

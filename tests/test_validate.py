@@ -171,6 +171,13 @@ class TestFaultInjection:
         assert result.detail.startswith("exponential, m=1: sup gap ")
         assert result.detail.endswith(" > 2.000000")
 
+    def test_nan_gap_is_caught(self, monkeypatch):
+        # nan > bound is false: the check must fail a gap it cannot bound.
+        monkeypatch.setattr(validate, "cdf", lambda spec, r: np.full(np.shape(r), np.nan))
+        result = check_mixture_bound(grid_points=200)
+        assert not result.passed
+        assert result.detail == "exponential, m=1: sup gap nan > 2.000000"
+
     def test_fault_propagates_through_run_validation(self):
         results = run_validation(base_seed=0, quick=True,
                                  strict_visibility=False)
