@@ -1,18 +1,19 @@
 """Replication harness and the experiments built on it.
 
 run_replication_sets runs a batch of replication sets, each a named
-engine run R times on independent substreams, over at most one process
-pool, and aggregates each set's proportion estimates; run_replications
-is its one-set form.  EXPERIMENTS is the table of experiment kinds:
-convergence of the bounded engine toward the unbounded one as the
-worker count grows, efficiency as a function of the delay/production
-mean ratio, paired outcome histograms of the two engines, and
-replications of one engine.  run_experiment runs any kind's sets with
-one run_replication_sets call.
+engine run R times on independent substreams, and aggregates each set's
+proportion estimates; run_replications is its one-set form.  Each task,
+serial or in a pool worker, is a chunk of one set's replications.
+
+EXPERIMENTS is the table of experiment kinds: convergence of the bounded
+engine toward the unbounded one as the worker count grows, efficiency
+as a function of the delay/production mean ratio, paired outcome
+histograms of the two engines, and replications of one engine.
+run_experiment runs any kind's sets with one run_replication_sets call.
 
 Seeding is two-level: replication r of a set that was handed
-``base_seed`` runs with seed mix64(base_seed, r), and set i of an
-experiment is handed mix64(seed, i) from the experiment's seed.
+``base_seed`` runs on the streams of seed mix64(base_seed, r), and set i
+of an experiment is handed mix64(seed, i) from the experiment's seed.
 Everything downstream is deterministic given the experiment's fields.
 """
 
@@ -31,7 +32,7 @@ from .errors import ConfigError, RunError
 from .infinite import simulate_infinite
 from .matrix import simulate_matrix
 from .network import NetSimConfig, check_count, simulate_network
-from .rng import mix64
+from .rng import StreamBundle, mix64
 
 ENGINES = {
     "network": simulate_network,
@@ -66,18 +67,28 @@ class ExperimentResult:
     note: str
 
 
-def _run_one(engine: str, config, where: tuple[int, int]) -> float:
-    """One replication's proportion; a failure names ``where``, its (set, replication)."""
-    try:
-        return ENGINES[engine](config).proportion
-    except Exception as exc:
-        error = RunError if isinstance(exc, MemoryError) else RuntimeError
-        raise error(f"set {where[0]}, replication {where[1]} failed: {exc}") from exc
+def _run_chunk(engine: str, config, base_seed: int, index: int,
+               first: int, stop: int) -> list[float]:
+    """The proportions of replications first..stop-1 of set ``index``, in order.
+
+    Replication r runs ENGINES[engine] on config and the streams of seed
+    mix64(base_seed, r).  A failure raises a RuntimeError (a RunError when
+    it ran out of memory) naming the set and the replication.
+    """
+    run = ENGINES[engine]
+    values = []
+    for r in range(first, stop):
+        try:
+            values.append(run(config, StreamBundle.for_run(mix64(base_seed, r))).proportion)
+        except Exception as exc:
+            error = RunError if isinstance(exc, MemoryError) else RuntimeError
+            raise error(f"set {index}, replication {r} failed: {exc}") from exc
+    return values
 
 
-# Replications per task handed to a pool worker.  Run costs vary widely
-# within one experiment (they rise with the delay ratio), so small chunks
-# keep both workers busy until the end.
+# Replications per chunk, the task handed to a pool worker.  Run costs
+# vary widely within one experiment (they rise with the delay ratio), so
+# small chunks keep both workers busy until the end.
 POOL_CHUNK = 10
 
 MAX_BINS = 2**20  # histogram bins, one table row each
@@ -90,38 +101,37 @@ def run_replication_sets(sets, jobs: int = 1) -> list[McEstimate]:
     """Run several replication sets and aggregate each one.
 
     sets is a sequence of (engine, config, replications, base_seed);
-    each yields one McEstimate, in order.  Replication r of a set runs
-    engine, a name from ENGINES, with seed mix64(base_seed, r).  With
-    jobs > 1 every (set, replication) pair of the whole batch is spread
-    over one process pool of at most ``jobs`` workers, so an experiment
-    starts at most one pool.  Results are reduced in replication order,
-    so the estimates are deterministic regardless of ``jobs``.  A failing
-    replication raises a RuntimeError (a RunError when it ran out of
-    memory) naming its set and replication, whatever ``jobs`` is.
+    each yields one McEstimate, in order.  Each set is cut into chunks of
+    at most POOL_CHUNK consecutive replications, each one _run_chunk call.
+    With jobs > 1 the chunks of the whole batch are spread over one
+    process pool of at most ``jobs`` workers, so an experiment starts at
+    most one pool.  Results are reduced in replication order, so the
+    estimates are deterministic regardless of ``jobs``.  A failing
+    replication raises as _run_chunk says, whatever ``jobs`` is.
     """
     if jobs < 1:
         raise ConfigError(f"job count must be >= 1, got {jobs}")
     counts = [replications for _, _, replications, _ in sets]
     for count in counts:
         check_count("replication count", count)
-    tasks = [(engine, replace(config, seed=mix64(base_seed, r)), (i, r))
+    chunk = max(1, min(POOL_CHUNK, sum(counts) // (jobs * 4)))
+    tasks = [(engine, config, base_seed, i, r, min(r + chunk, replications))
              for i, (engine, config, replications, base_seed) in enumerate(sets)
-             for r in range(replications)]
+             for r in range(0, replications, chunk)]
 
     if jobs > 1 and tasks:
         global ProcessPoolExecutor
         if ProcessPoolExecutor is None:
             from concurrent.futures import ProcessPoolExecutor
-        chunk = max(1, min(POOL_CHUNK, len(tasks) // (jobs * 4)))
         # No more workers than chunks to run or CPUs this process may use.
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
-        workers = min(jobs, -(-len(tasks) // chunk), cpus)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_run_one, *zip(*tasks), chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks), cpus)) as pool:
+            chunks = list(pool.map(_run_chunk, *zip(*tasks)))
     else:
-        values = [_run_one(*task) for task in tasks]
+        chunks = [_run_chunk(*task) for task in tasks]
 
+    values = list(itertools.chain.from_iterable(chunks))
     return [_estimate(values[end - count:end])
             for count, end in zip(counts, itertools.accumulate(counts))]
 
@@ -130,20 +140,34 @@ def run_replications(engine, config, replications: int, base_seed: int,
                      jobs: int = 1) -> McEstimate:
     """Run ``engine`` R times and aggregate the proportion estimates.
 
-    engine is a name from ENGINES.  Replication r runs with seed
-    mix64(base_seed, r), overriding config.seed.  The one-set call of
+    engine is a name from ENGINES.  Replication r runs on the streams of
+    seed mix64(base_seed, r); config.seed is not read.  The one-set call of
     run_replication_sets.
     """
     return run_replication_sets([(engine, config, replications, base_seed)], jobs)[0]
 
 
 def _estimate(values: list[float]) -> McEstimate:
+    """Mean, standard error and quartiles of one set's proportions.
+
+    The quartiles are np.quantile's bits by its default linear rule
+    (Hyndman & Fan type 7), blended from the nearer neighbour as its _lerp
+    does; np.quantile itself would import numpy.ma.
+    """
     arr = np.asarray(values)
-    q25, q50, q75 = (float(q) for q in np.quantile(arr, (0.25, 0.5, 0.75)))
+    ordered = sorted(values)
+    last = len(ordered) - 1
+    quartiles = {}
+    for q in (0.25, 0.5, 0.75):
+        at = last * q
+        lo = int(at)
+        a, b = ordered[lo], ordered[min(lo + 1, last)]
+        t = at - lo
+        quartiles[q] = float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
     return McEstimate(
         mean=float(arr.mean()),
         std_error=float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0,
-        quantiles={0.25: q25, 0.5: q50, 0.75: q75},
+        quantiles=quartiles,
         replications=len(values),
         values=tuple(values),
     )

@@ -50,6 +50,13 @@ COMMANDS = {
         "--kind", "convergence", "--sweep", "1,3,8", "--reps", "3", "--seed", "21"],
     "experiment-efficiency": EXP + [
         "--kind", "efficiency", "--sweep", "0.01,1,5", "--reps", "3", "--seed", "22"],
+    # Pooled: 7 replications per sweep point, so pool chunks end inside a set.
+    "experiment-convergence-jobs2": EXP + [
+        "--kind", "convergence", "--sweep", "1,3,8", "--reps", "7", "--seed", "27",
+        "--jobs", "2"],
+    "experiment-efficiency-jobs2": EXP + [
+        "--kind", "efficiency", "--sweep", "0.01,1,5", "--reps", "7", "--seed", "28",
+        "--jobs", "2"],
     "experiment-pdf-histogram": EXP + [
         "--kind", "pdf-histogram", "--m", "5", "--reps", "20", "--bins", "4",
         "--seed", "23"],

@@ -56,6 +56,28 @@ MUTANTS = (
            "np.where(own, 0.0, _transform", "np.where(own, 1.0, _transform",
            ("tests/test_matrix.py::TestAgainstNetworkEngine::test_exact_match_on_random_configs",
             "tests/test_matrix.py::TestRowBlocks::test_pruning_check_on_chaotic_ratio")),
+    # Below its band a[off + i] is another step's cell: a scan that reads
+    # it instead of widening the band reads a wrong delay.
+    Mutant("pruned-scan-reads-below-band", "matrix.py",
+           "if i < lo:", "if False:",
+           ("tests/test_matrix.py::TestVisibility::test_read_below_a_band_widens_it",
+            "tests/test_matrix.py::TestBands::test_band_passes_to_whole_rows")),
+    # The check holds every scan to the model's strict rule: an arrival at
+    # t[k] itself is not visible at step k.
+    Mutant("check-counts-simultaneous-arrival", "pruning.py",
+           "delays(i, k) < t[k]", "delays(i, k) <= t[k]",
+           ("tests/test_matrix.py::TestVisibility::test_strict_comparison",
+            "tests/test_infinite.py::TestUnprunedScan::test_simultaneous_arrival_is_not_visible")),
+    # A chunk that ran past its set's end would run replications the set
+    # does not have and shift every later value.
+    Mutant("chunk-runs-past-set-end", "montecarlo.py",
+           "min(r + chunk, replications)", "r + chunk",
+           ("tests/test_montecarlo.py::TestReplicationSets::test_chunks_stay_inside_their_set",)),
+    # A quartile blends two neighbouring order statistics; with lo + 1
+    # dropped it is the lower one alone.
+    Mutant("quartile-blend-loses-upper-neighbour", "montecarlo.py",
+           "ordered[min(lo + 1, last)]", "ordered[min(lo, last)]",
+           ("tests/test_montecarlo.py::TestQuartiles::test_match_numpy_quantile_bit_for_bit",)),
     # nan > bound is false, so a NaN gap passed the mixture check.
     Mutant("mixture-check-passes-nan", "validate.py",
            "if not gap <= sup_gap_bound(m):", "if gap > sup_gap_bound(m):",

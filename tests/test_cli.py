@@ -37,7 +37,7 @@ def runner():
 
 @pytest.fixture
 def no_engine_runs(monkeypatch):
-    def engine(config):
+    def engine(config, streams=None):
         raise AssertionError("an engine ran")
     for name in montecarlo.ENGINES:
         monkeypatch.setitem(montecarlo.ENGINES, name, engine)
@@ -307,7 +307,7 @@ class TestSimulateErrors:
         assert [p.name for p in tmp_path.iterdir()] == ["f"]
 
     def test_unwritable_table_runs_no_replication(self, runner, tmp_path, monkeypatch):
-        def engine(config):
+        def engine(config, streams=None):
             raise AssertionError("a replication ran")
         monkeypatch.setitem(montecarlo.ENGINES, "infinite", engine)
         result = runner.invoke(main, ["experiment", "--kind", "single", "--reps", "2",
@@ -1371,7 +1371,7 @@ class TestRunFailures:
 
     @staticmethod
     def patch_engine(monkeypatch, fail):
-        def engine(config):
+        def engine(config, streams=None):
             fail()
         monkeypatch.setitem(montecarlo.ENGINES, "matrix", engine)
 

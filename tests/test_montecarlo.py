@@ -1,6 +1,10 @@
 from concurrent.futures import ProcessPoolExecutor
 import inspect
 import multiprocessing
+import os
+from pathlib import Path
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -13,7 +17,7 @@ from blocksim.montecarlo import (EXPERIMENTS, default_ratio_grid, predicted_p,
                                  prediction_warning, run_experiment, run_replication_sets,
                                  run_replications, two_sample_ks)
 from blocksim.network import NetSimConfig
-from blocksim.rng import mix64
+from blocksim.rng import StreamBundle, mix64
 
 
 def inf_config(**overrides):
@@ -61,12 +65,13 @@ class TestRunReplications:
         assert serial.values == parallel.values
 
     def test_failure_reports_replication_index(self, monkeypatch):
-        def broken(config):
+        def broken(config, streams=None):
             raise ValueError("boom")
 
         monkeypatch.setitem(montecarlo.ENGINES, "infinite", broken)
-        with pytest.raises(RuntimeError, match="replication 0"):
+        with pytest.raises(RuntimeError, match="replication 0") as info:
             run_replications("infinite", inf_config(), 3, base_seed=0)
+        assert isinstance(info.value.__cause__, ValueError)
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, jobs):
@@ -95,6 +100,28 @@ class TestReplicationSets:
         assert run_replication_sets([], jobs=jobs) == []
         assert pools == []
 
+    def test_chunks_stay_inside_their_set(self, recording_pool, monkeypatch):
+        # 20 replications at 2 jobs run in chunks of 2, so a set of 7 or 13
+        # ends part way through a chunk of the batch.
+        sets = [("infinite", inf_config(n=40), 7, 41), ("matrix", net_config(n=40), 13, 42)]
+        serial = run_replication_sets(sets)
+        real, chunks = montecarlo._run_chunk, []
+
+        def recording(engine, config, base_seed, index, first, stop):
+            chunks.append((index, first, stop))
+            return real(engine, config, base_seed, index, first, stop)
+
+        monkeypatch.setattr(montecarlo, "_run_chunk", recording)
+        assert run_replication_sets(sets, jobs=2) == serial
+        assert recording_pool == [2]
+        for i, (engine, config, reps, base_seed) in enumerate(sets):
+            mine = [(first, stop) for index, first, stop in chunks if index == i]
+            assert [r for first, stop in mine for r in range(first, stop)] == list(range(reps))
+            assert all(stop - first <= 2 for first, stop in mine)
+            assert serial[i].values == tuple(
+                montecarlo.ENGINES[engine](config, StreamBundle.for_run(mix64(base_seed, r)))
+                .proportion for r in range(reps))
+
     def test_any_empty_set_rejected(self):
         with pytest.raises(ConfigError):
             run_replication_sets([("infinite", inf_config(), 2, 0),
@@ -108,6 +135,36 @@ class TestReplicationSets:
                                   ("infinite", inf_config(), 2**31, 1)])
 
 
+class TestQuartiles:
+    def test_match_numpy_quantile_bit_for_bit(self):
+        # Random, tied (proportions k/n) and constant sets of every size to 300.
+        rng = np.random.default_rng(17)
+        for n in range(1, 301):
+            for values in (rng.random(n), rng.integers(1, n + 1, n) / n,
+                           np.full(n, rng.random())):
+                quartiles = montecarlo._estimate(values.tolist()).quantiles
+                got = np.array([quartiles[q] for q in (0.25, 0.5, 0.75)])
+                want = np.quantile(values, (0.25, 0.5, 0.75))
+                assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), n
+
+    def test_experiment_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.quantile would import numpy.ma, 2 MB and 17 ms on every experiment.
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = (
+            "import sys\n"
+            "from blocksim.cli import main\n"
+            "main(['experiment', '--kind', 'efficiency', '--alpha', 'exp:1', '--beta', 'exp:1',\n"
+            "      '--n', '30', '--sweep', '0.1,1', '--reps', '6', '--jobs', '2',\n"
+            "      '--out', sys.argv[1]], standalone_mode=False)\n"
+            "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "t.csv")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "True False"
+
+
 class TestFailingReplication:
     """One failing replication raises a RuntimeError naming its set and
     replication, with the engine's message, at every job count."""
@@ -117,13 +174,14 @@ class TestFailingReplication:
 
     @pytest.fixture(autouse=True)
     def broken(self, monkeypatch):
-        """The matrix engine fails on the seed of set 1's replication 2 only."""
+        """The matrix engine fails on the streams of set 1's replication 2 only."""
         real = montecarlo.ENGINES["matrix"]
+        bad = StreamBundle.for_run(mix64(32, 2)).seed_echo()
 
-        def engine(config):
-            if config.seed == mix64(32, 2):
+        def engine(config, streams=None):
+            if streams.seed_echo() == bad:
                 raise ValueError("boom")
-            return real(config)
+            return real(config, streams)
 
         monkeypatch.setitem(montecarlo.ENGINES, "matrix", engine)
 
