@@ -39,15 +39,15 @@ import math
 
 import numpy as np
 
-from .distributions import DistributionSpec, _transform
+from .distributions import DistributionSpec, _transform, sample_many
 from .network import NetSimConfig, SimOutcome, draw_schedule
 from .pruning import check_scan, scan_outcome
 from .rng import StreamBundle
 
 # A chunk of bands W arrivals wide covers max(1, BAND_CELLS // W) steps.
 # Narrower than a row, it holds at most BAND_CELLS arrivals, read by
-# position: at most rng.DENSE * BAND_CELLS uniforms are drawn, rng.SLICE
-# (512 KB) at a time.  From a row wide on, arrivals are kept by worker for twice the
+# position: at most rng.DENSE * BAND_CELLS uniforms (1.2 MB) are drawn at
+# once.  From a row wide on, arrivals are kept by worker for twice the
 # W + BAND_CELLS // W rows a chunk reaches, and transformed about
 # BAND_CELLS values at a time.  A step's band starts BAND_WIDTH arrivals
 # wide.
@@ -142,17 +142,16 @@ class DelayMatrix:
 
     def _fill(self, a, first: int, r0: int, r1: int) -> None:
         """Rows r0 .. r1-1, drawn in order and transformed, placed in a[:, r - first] by _cells."""
-        m1 = self._width
+        m1, t = self._width, self._t
         q, step = np.arange(m1 + 1)[:, None], max(1, BAND_CELLS // max(1, m1))
         for r in range(r0, r1, step):
             stop = min(r1, r + step)
             self._stream.seek(r * m1)
-            u = self._stream.uniforms((stop - r) * m1)
-            # One zero appended after the rows serves each producer's own cell.
+            d = np.append(sample_many(self._spec, self._stream, (stop - r) * m1), 0.0)
+            # The zero appended after the rows serves each producer's own cell.
             cells, own = self._cells(np.arange(r + 1, stop + 1), q)
-            d = np.append(_transform(self._spec, u), 0.0)[np.where(own, u.size, cells - r * m1)]
-            a[:, r - first:stop - first] = d + self._t[r + 1:stop + 1]
-            self.transformed += u.size
+            a[:, r - first:stop - first] = d[np.where(own, -1, cells - r * m1)] + t[r + 1:stop + 1]
+            self.transformed += (stop - r) * m1
 
 
 def visible_height_naive(t, h, widths, delays: DelayMatrix) -> None:

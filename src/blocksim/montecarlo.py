@@ -88,8 +88,9 @@ def _run_chunk(engine: str, config, base_seed: int, index: int,
 
 # Replications per chunk, the task handed to a pool worker.  Run costs
 # vary widely within one experiment (they rise with the delay ratio), so
-# small chunks keep both workers busy until the end.
-POOL_CHUNK = 10
+# small chunks keep both workers busy until the end.  With at most POOL_WINDOW
+# chunks per worker in flight, the parent holds futures for the pool, not the batch.
+POOL_CHUNK, POOL_WINDOW = 10, 4
 
 MAX_BINS = 2**20  # histogram bins, one table row each
 
@@ -105,9 +106,10 @@ def run_replication_sets(sets, jobs: int = 1) -> list[McEstimate]:
     at most POOL_CHUNK consecutive replications, each one _run_chunk call.
     With jobs > 1 the chunks of the whole batch are spread over one
     process pool of at most ``jobs`` workers, so an experiment starts at
-    most one pool.  Results are reduced in replication order, so the
-    estimates are deterministic regardless of ``jobs``.  A failing
-    replication raises as _run_chunk says, whatever ``jobs`` is.
+    most one pool, with at most POOL_WINDOW chunks per worker in flight.
+    Results are reduced in replication order, so the estimates are
+    deterministic regardless of ``jobs``.  A failing replication raises
+    as _run_chunk says, whatever ``jobs`` is.
     """
     if jobs < 1:
         raise ConfigError(f"job count must be >= 1, got {jobs}")
@@ -126,8 +128,16 @@ def run_replication_sets(sets, jobs: int = 1) -> list[McEstimate]:
         # No more workers than chunks to run or CPUs this process may use.
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks), cpus)) as pool:
-            chunks = list(pool.map(_run_chunk, *zip(*tasks)))
+        workers, window, chunks = min(jobs, len(tasks), cpus), [], []
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            try:
+                for task in tasks:
+                    window.append(pool.submit(_run_chunk, *task))
+                    if len(window) == POOL_WINDOW * workers:
+                        chunks.append(window.pop(0).result())
+                chunks += [future.result() for future in window]
+            finally:  # after a failure, the chunks not yet started never run
+                pool.shutdown(cancel_futures=True)
     else:
         chunks = [_run_chunk(*task) for task in tasks]
 

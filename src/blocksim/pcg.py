@@ -1,12 +1,22 @@
 """numpy's PCG64 uniforms at absolute stream positions, computed in numpy.
 
-The arithmetic behind SampleStream.at; blocksim.rng's docstring lists
-the facts about numpy's PCG64 it relies on.  The value at position p
-comes from the state p+1 steps past position 0's state.  Anchor states,
-one every 2**_ANCHOR_BITS steps, are computed as Python ints; each value
-then takes one table lookup and one 128-bit multiply-add on uint64
-halves from its anchor, in slices of _AT_SLICE values.  The tables of
-A^j and G_j are seed-free and built on first use.
+The arithmetic behind SampleStream.at.  It relies on these facts about
+numpy's PCG64, checked bit for bit against Generator.random in
+tests/test_rng.py:
+- the state is a 128-bit LCG, s -> s * A + inc mod 2**128, with the
+  multiplier A = 0x2360ED051FC65DA44385DF649FCCF645; PCG64(seed).state
+  holds the seed's `state` at position 0 and its `inc`;
+- a draw steps the state first, then outputs the XSL-RR of the new state:
+  (hi ^ lo) rotated right by the state's top 6 bits;
+- Generator.random maps an output x to (x >> 11) * 2**-53.
+So the value at position p comes from the state p+1 steps past position
+0's, and j steps take a state s to A^j s + G_j inc, with G_j = A^0 +
+... + A^(j-1) (F. Brown, "Random Number Generation with Arbitrary
+Strides", 1994; M. O'Neill, "PCG", 2014).  Anchor states, one every
+2**_ANCHOR_BITS steps, are computed as Python ints; each value then takes
+one table lookup and one 128-bit multiply-add on uint64 halves from its
+anchor, in slices of _AT_SLICE values.  The tables of A^j and G_j are
+seed-free and built on first use.
 """
 
 from __future__ import annotations
@@ -25,14 +35,10 @@ _ANCHOR_BITS = 12
 _AT_SLICE = 4096
 
 
-def find_origin(state: int, inc: int, position: int) -> tuple:
-    """A stream's position-0 state, its anchor jumps and G_j * inc.
-
-    From its PCG64 state and increment at `position`: state = A^n s0 +
-    G_n inc after n = position steps, and A is odd, so A^n is invertible.
-    """
-    a_n, g_n = _jump(position)
-    s0 = (state - g_n * inc) * pow(a_n, -1, 1 << 128) & _MASK128
+def find_origin(seed: int) -> tuple:
+    """PCG64(seed)'s position-0 state, its anchor jumps and G_j * inc."""
+    state = np.random.PCG64(seed).state["state"]
+    s0, inc = state["state"], state["inc"]
     jumps = [(a, g * inc & _MASK128) for a, g in _anchor_jumps()]
     _, _, g_hi, g_lo = _step_tables()
     zero = np.uint64(0)
@@ -41,11 +47,9 @@ def find_origin(state: int, inc: int, position: int) -> tuple:
 
 
 def uniforms_at(origin: tuple, positions) -> np.ndarray:
-    """Generator.random's values at absolute positions, in their shape.
-
-    `origin` is the stream's find_origin(); `positions` may be in any
-    order, with repeats.
-    """
+    """Generator.random's values at absolute positions, in their shape, of
+    the stream whose find_origin() is `origin`; `positions` may be in any
+    order, with repeats."""
     p = np.asarray(positions, dtype=np.int64)
     if not p.size:
         return np.empty(p.shape)

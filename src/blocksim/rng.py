@@ -10,17 +10,7 @@ two engines consume identical draw sequences.
 A stream is read in order (uniforms), moved (seek), or read at absolute
 positions without moving (at).  Position p is the (p+1)-th value a fresh
 stream draws.  `at` draws a dense set in order and computes any other
-in numpy from the PCG64 state (blocksim.pcg), relying on these facts,
-checked bit for bit against Generator.random in tests/test_rng.py:
-- the state is a 128-bit LCG, s -> s * A + inc mod 2**128, with the
-  multiplier A = 0x2360ED051FC65DA44385DF649FCCF645, and `state` and
-  `inc` exposed through bit_generator.state;
-- a draw steps the state first, then outputs the XSL-RR of the new state:
-  (hi ^ lo) rotated right by the state's top 6 bits;
-- Generator.random maps an output x to (x >> 11) * 2**-53.
-After j steps the state is A^j s + G_j inc, with G_j = A^0 + ... +
-A^(j-1) (F. Brown, "Random Number Generation with Arbitrary Strides",
-1994; M. O'Neill, "PCG", 2014).
+in numpy from the stream's seed (blocksim.pcg).
 """
 
 from __future__ import annotations
@@ -31,13 +21,13 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# at() draws a set of positions in order, max(SLICE, its size) values at a
-# time, when its span is at most DENSE values per position, and reads any
-# sparser set through blocksim.pcg.  On one core of a 2-core VM, for band
-# chunks of blocksim.matrix (2**14 positions), a read in order cost 2.8 ns
-# per value of the span and one through pcg 27-29 ns a position, and the
-# read in order peaked at 1.05 MB traced, the one through pcg at 1.35 MB.
-DENSE, SLICE = 9, 2**16
+# at() draws a set of positions in order, in one call, when its span is at
+# most DENSE values per position, and reads any sparser set through
+# blocksim.pcg.  On one core of a 2-core VM, for band chunks of
+# blocksim.matrix (2**14 positions), a read in order cost 2.8 ns per value
+# of the span and one through pcg 27-29 ns a position; traced, they peaked
+# at 1.44 MB and 1.35 MB.
+DENSE = 9
 
 # Role ids for the three per-run substreams.
 ROLE_PRODUCTION = 1
@@ -105,32 +95,27 @@ class SampleStream:
         allowed; the value at p is bit for bit the one uniforms gives at
         position p.  Cost follows the values read.  A set whose span,
         max - min + 1, is at most DENSE values per position is drawn in
-        order: seek(min), the span's uniforms a slice at a time, and the
-        stream sought back.  Any other set costs per value a 128-bit
-        multiply-add in numpy, plus a Python jump per 4,096-step anchor
-        the values fall in, and never a draw of the positions between
-        (see blocksim.pcg).
+        order: seek(min), the span's uniforms in one draw, and the stream
+        sought back, so it holds at most DENSE values per position.  Any
+        other set costs per value a 128-bit multiply-add in numpy, plus a
+        Python jump per 4,096-step anchor the values fall in, and never a
+        draw of the positions between (see blocksim.pcg).
         """
         p = np.asarray(positions, dtype=np.int64)
         lo = int(p.min()) if p.size else -1
         if lo >= 0 and (span := int(p.max()) - lo + 1) <= DENSE * p.size:
-            here, flat, step = self.position, p.ravel() - lo, max(SLICE, p.size)
+            here = self.position
             self.seek(lo)
-            # Each slice's values overwrite those of the positions from its start on.
-            u = self.uniforms(min(step, span)).take(flat, mode="clip")
-            for i in range(step, span, step):
-                np.copyto(u, self.uniforms(min(step, span - i)).take(flat - i, mode="clip"),
-                          where=flat >= i)
+            u = self.uniforms(span).take(p - lo)
             self.seek(here)
-            return u.reshape(p.shape)
+            return u
         from . import pcg  # imported on first use: runs that never read sparse sets skip it
 
         if self._origin is None:
-            state = self._gen.bit_generator.state["state"]
-            self._origin = pcg.find_origin(state["state"], state["inc"], self.position)
+            self._origin = pcg.find_origin(self.derived_seed)
         return pcg.uniforms_at(self._origin, p)
 
-    _origin = None  # set by the first read through pcg, from the state then
+    _origin = None  # set by the first read through pcg
 
 
 @dataclass

@@ -49,7 +49,7 @@ MUTANTS = (
            ("tests/test_matrix.py::TestAgainstNetworkEngine::test_exact_match_on_random_configs",
             "tests/test_matrix.py::TestVisibility::test_entries_follow_network_draw_order")),
     Mutant("fill-loses-producer-zero", "matrix.py",
-           "np.where(own, u.size, cells - r * m1)", "np.minimum(cells - r * m1, u.size)",
+           "np.where(own, -1, cells - r * m1)", "(cells - r * m1)",
            ("tests/test_matrix.py::TestAgainstNetworkEngine::test_exact_match_on_random_configs",
             "tests/test_matrix.py::TestRowBlocks::test_pruning_check_on_chaotic_ratio")),
     Mutant("pair-delays-producer-one", "matrix.py",
@@ -78,6 +78,40 @@ MUTANTS = (
     Mutant("quartile-blend-loses-upper-neighbour", "montecarlo.py",
            "ordered[min(lo + 1, last)]", "ordered[min(lo, last)]",
            ("tests/test_montecarlo.py::TestQuartiles::test_match_numpy_quantile_bit_for_bit",)),
+    # A dense read drawn from one past its lowest position returns every
+    # value one position late.
+    Mutant("dense-read-one-late", "rng.py",
+           "self.seek(lo)", "self.seek(lo + 1)",
+           ("tests/test_rng.py::TestAt::test_dense_and_sparse_sets",)),
+    # A recipient adopts an announced block only when it is strictly
+    # higher than its tip: on a tie the incumbent stays.
+    Mutant("delivery-adopts-equal-height", "network.py",
+           "if h > tip_height[r]:", "if h >= tip_height[r]:",
+           ("tests/test_network.py::TestDeliverySweep::test_equal_height_keeps_incumbent",)),
+    # Messages that arrive at the same instant apply in send order, which
+    # only a stable sort keeps.
+    Mutant("tied-arrivals-unstable-sort", "network.py",
+           'order = np.argsort(arrivals, kind="stable")', "order = np.argsort(arrivals)",
+           ("tests/test_network.py::TestDeliverySweep::"
+            "test_equal_arrivals_within_a_block_apply_in_recipient_order",)),
+    # A message that arrives exactly when a block is made is seen only
+    # after it: the creation cut is searchsorted's left side.
+    Mutant("arrival-at-creation-delivered", "network.py",
+           "np.searchsorted(arrivals[order], created)",
+           'np.searchsorted(arrivals[order], created, side="right")',
+           ("tests/test_network.py::TestDeliverySweep::test_arrival_at_now_stays_queued",)),
+    # The pool's chunks are read back oldest first; newest first would
+    # reorder the values of a batch that outgrows the window.
+    Mutant("pool-window-reads-newest-first", "montecarlo.py",
+           "window.pop(0)", "window.pop()",
+           ("tests/test_montecarlo.py::TestReplicationSets::"
+            "test_chunks_in_flight_stay_within_the_window",)),
+    # After a failure the chunks not yet started are cancelled, as
+    # ProcessPoolExecutor.map does; a plain shutdown would run them all.
+    Mutant("pool-failure-runs-the-window", "montecarlo.py",
+           "pool.shutdown(cancel_futures=True)", "pool.shutdown()",
+           ("tests/test_montecarlo.py::TestReplicationSets::"
+            "test_failure_cancels_the_chunks_not_yet_started",)),
     # nan > bound is false, so a NaN gap passed the mixture check.
     Mutant("mixture-check-passes-nan", "validate.py",
            "if not gap <= sup_gap_bound(m):", "if gap > sup_gap_bound(m):",

@@ -91,6 +91,7 @@ class TestReplicationSets:
         assert batch == [run_replications(*s) for s in sets]
 
     def test_pooled_batch_matches_serial(self):
+        # 11 chunks of 1, more than the 8 a two-worker pool has in flight.
         sets = [("infinite", inf_config(), 5, 21), ("matrix", net_config(), 6, 22)]
         assert run_replication_sets(sets, jobs=2) == run_replication_sets(sets)
 
@@ -121,6 +122,31 @@ class TestReplicationSets:
             assert serial[i].values == tuple(
                 montecarlo.ENGINES[engine](config, StreamBundle.for_run(mix64(base_seed, r)))
                 .proportion for r in range(reps))
+
+    def test_chunks_in_flight_stay_within_the_window(self, recording_pool):
+        # 200 replications at 2 jobs run as 20 chunks of 10: more than the
+        # window of 8, so it fills, slides and drains.
+        sets = [("infinite", inf_config(n=20), 100, 51), ("infinite", inf_config(n=20), 100, 52)]
+        assert run_replication_sets(sets, jobs=2) == run_replication_sets(sets)
+        assert recording_pool == [2]
+        assert recording_pool.most_in_flight == montecarlo.POOL_WINDOW * 2
+        assert recording_pool.in_flight == 0
+
+    def test_failure_cancels_the_chunks_not_yet_started(self, recording_pool, monkeypatch):
+        # The first chunk fails when it is read, with the window full: the
+        # other seven are cancelled unread, so one replication runs in all.
+        runs = []
+
+        def engine(config, streams=None):
+            runs.append(streams.seed_echo())
+            raise ValueError("boom")
+
+        monkeypatch.setitem(montecarlo.ENGINES, "infinite", engine)
+        with pytest.raises(RuntimeError, match=r"^set 0, replication 0 failed: boom$"):
+            run_replication_sets([("infinite", inf_config(), 200, 61)], jobs=2)
+        assert runs == [StreamBundle.for_run(mix64(61, 0)).seed_echo()]
+        assert recording_pool.most_in_flight == montecarlo.POOL_WINDOW * 2
+        assert recording_pool.in_flight == 0
 
     def test_any_empty_set_rejected(self):
         with pytest.raises(ConfigError):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from blocksim.distributions import _transform, chi_squared, exponential, gamma, sample_many
-from blocksim.rng import (DENSE, ROLE_DELAY, ROLE_PRODUCER, ROLE_PRODUCTION, SLICE,
-                          SampleStream, StreamBundle, mix64)
+from blocksim.rng import (DENSE, ROLE_DELAY, ROLE_PRODUCER, ROLE_PRODUCTION, SampleStream,
+                          StreamBundle, mix64)
 from helpers import ScriptedStream
 
 # at() recomputes numpy's PCG64 outputs; a mismatch means numpy changed them.
@@ -89,7 +89,7 @@ _SHUFFLE = np.random.default_rng(5)
 
 # Sets of positions and whether at() draws them in order: a set spanning
 # at most DENSE values per position is dense, any other is read by pcg.
-# A dense span past max(SLICE, size of the set) is drawn in slices.
+# The large dense sets span 131,077 and 1,769,464 values, each drawn at once.
 AT_SETS = {
     "dense-sorted": (np.arange(100, 400), True),
     "dense-unsorted-repeats": (_SHUFFLE.permutation(np.r_[np.arange(500, 800, 3), 500, 797, 650]),
@@ -97,9 +97,9 @@ AT_SETS = {
     "dense-2d": (np.arange(4090, 4102).reshape(3, 4)[::-1], True),
     "dense-0d": (np.array(1234), True),
     "dense-at-the-bound": (np.array([10, 10 + 2 * DENSE - 1]), True),
-    "dense-three-slices": (_SHUFFLE.permutation(np.arange(1000, 1000 + 2 * SLICE + 10, DENSE)),
-                           True),
-    "dense-slices-of-the-set-size": (np.arange(5, 5 + DENSE * 3 * SLICE, DENSE)[::-1], True),
+    "dense-large-shuffled": (_SHUFFLE.permutation(np.arange(1000, 1000 + 2 * 2**16 + 10, DENSE)),
+                             True),
+    "dense-large-reversed": (np.arange(5, 5 + DENSE * 3 * 2**16, DENSE)[::-1], True),
     "sparse-past-the-bound": (np.array([10, 10 + 2 * DENSE]), False),
     "sparse-sorted": (np.sort(_SHUFFLE.choice(20_000, 50, replace=False)), False),
     "sparse-unsorted-repeats": (np.r_[19_999, 3, 9000, 3, 19_999, 4095, 4096], False),
@@ -121,9 +121,8 @@ class TestAt:
         got = s.at(pos)
         assert got.shape == pos.shape
         assert np.array_equal(got, whole[pos]), PCG64_CHANGED
-        # In-order draws of the set's span, a slice at a time, or none.
-        span, step = int(pos.max() - pos.min()) + 1 if dense else 0, max(SLICE, pos.size)
-        assert s.draws == [min(step, span - i) for i in range(0, span, step)]
+        # One in-order draw of the set's whole span, or none.
+        assert s.draws == ([int(pos.max() - pos.min()) + 1] if dense else [])
         assert sum(s.draws) <= DENSE * pos.size
         assert s.position == moved
         assert np.array_equal(s.uniforms(5), whole[moved:moved + 5])
