@@ -11,14 +11,17 @@ default, its parser and its help text.  The table makes the field's
 flag (``--tree-format`` for ``tree_format``), which click collects as
 plain text, so a value from a flag, from a JSON config file or from a
 replayed manifest goes through the same parser and fails the same way:
-exit 2 and one ``error:`` line.  A flag beats the config file, which
-beats BLOCKSIM_SEED (for the seed only) and then the default.  Config
-file keys are the field names (``reps``, ``tree_format``); a key that
-names no field exits 2.  ``replay`` reads a manifest's params as it
-would read a config file, with the manifest's base seed as its only
-flag.  Exit codes: 0 success, 1 validation or replay mismatch, 2 usage
-or configuration error, 3 the run failed (out of memory, or a pool
-worker died); no manifest is written for a failed run.
+exit 2 and one ``error:`` line.  Each rule has one home: counts
+``errors.check_count``, seeds (BLOCKSIM_SEED and ``validate --seed``
+too) ``_seed``, specs ``spec_from_dict``, JSON files ``read_object``.
+A flag beats the config file, which beats BLOCKSIM_SEED (for the seed
+only) and then the default.  Config file keys are the field names
+(``reps``, ``tree_format``); a key that names no field exits 2.
+``replay`` reads a manifest's params as it would read a config file,
+with the manifest's base seed as its only flag.  Exit codes: 0
+success, 1 validation or replay mismatch, 2 usage or configuration
+error (a file that cannot be read included), 3 the run failed (out of
+memory, or a pool worker died); no manifest is written for a failed run.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .blocktree import classify, export_tree, sliced_json
 from .distributions import DistributionSpec, parse_spec, spec_from_dict
-from .errors import ConfigError, RunError
-from .manifest import (SCHEMA_VERSION, RunManifest, check_writable, load_manifest, sha256_file,
-                       write_manifest, write_text)
+from .errors import ConfigError, RunError, check_count
+from .manifest import (SCHEMA_VERSION, RunManifest, check_writable, load_manifest, read_object,
+                       sha256_file, write_manifest, write_text)
 from .montecarlo import ENGINES, EXPERIMENTS, run_experiment
 from .network import NetSimConfig
 from .validate import run_validation
@@ -56,12 +59,7 @@ from .validate import run_validation
 def _load_config_file(path, command: str) -> dict:
     if path is None:
         return {}
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config file must hold a JSON object")
+    doc = read_object(path, "config file")
     unknown = [repr(key) for key in doc if key not in _FIELDS[command]]
     if unknown:
         raise ConfigError(f"config file {path}: unknown key {', '.join(unknown)}; "
@@ -104,13 +102,18 @@ def _output_names(params: dict, roles: tuple[str, ...]) -> dict:
     return names
 
 
+def _seed(value, key: str) -> int:
+    """A seed, 0 <= seed < 2**64: mix64 would read a seed outside as
+    its value mod 2**64, so two seeds would run the same streams."""
+    seed = _int_field(value, key)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{key} must be >= 0 and < 2**64, got {seed}")
+    return seed
+
+
 def _env_seed(fields=None) -> int:
     """The seed from BLOCKSIM_SEED, or 0 when it is unset."""
-    env = os.environ.get("BLOCKSIM_SEED", "0")
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"BLOCKSIM_SEED must be an integer, got {env!r}") from None
+    return _seed(os.environ.get("BLOCKSIM_SEED", "0"), "BLOCKSIM_SEED")
 
 
 def _spec(value, key: str) -> DistributionSpec:
@@ -133,10 +136,7 @@ def _choice(what: str, names):
 
 
 def _worker_count(value, key: str) -> int:
-    m = _int_field(value, key)
-    if m < 1:
-        raise ConfigError(f"worker count {key} must be >= 1, got {m}")
-    return m
+    return check_count(f"worker count {key}", _int_field(value, key))
 
 
 def _sweep(value, key: str) -> list[float]:
@@ -156,7 +156,7 @@ _REQUIRED = object()
 _ALPHA = (_REQUIRED, _spec, "Production-time distribution, e.g. exp:1, gamma:0.5:2, const:1.")
 _BETA = (_REQUIRED, _spec, "Broadcast-delay distribution, e.g. exp:0.1, const:0.")
 _N = (_REQUIRED, _int_field, "Total blocks to produce, origin included.")
-_SEED = (_env_seed, _int_field, "Base seed (default: BLOCKSIM_SEED, else 0).")
+_SEED = (_env_seed, _seed, "Base seed (default: BLOCKSIM_SEED, else 0).")
 # Each command's config fields, in resolution order, as (default, parser,
 # help).  A callable default is computed from the fields resolved before it.
 _FIELDS = {
@@ -416,7 +416,7 @@ def experiment(**flags):
 @_guard
 def validate(quick, inject_fault, seed):
     """Run the engine cross-check suites; exit 1 on any failure."""
-    base_seed = _env_seed() if seed is None else _int_field(seed, "seed")
+    base_seed = _env_seed() if seed is None else _seed(seed, "seed")
     results = run_validation(base_seed=base_seed, quick=quick,
                              strict_visibility=not inject_fault)
     for res in results:

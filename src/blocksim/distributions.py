@@ -26,7 +26,7 @@ import types
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 
 KINDS = ("exponential", "gamma", "chi_squared", "constant")
 
@@ -50,10 +50,10 @@ class DistributionSpec:
     """A named, parameterized distribution.
 
     mean is the expectation in time units.  shape is the gamma shape k or
-    the chi-squared degrees of freedom; it is ignored (normalized to
-    None) for exponential and constant.  Chi-squared is parameterized by
-    its degrees of freedom, and its mean equals them; passing an
-    inconsistent mean is an error.
+    the chi-squared degrees of freedom; exponential and constant take
+    none, and a shape given to them is an error.  Chi-squared is
+    parameterized by its degrees of freedom, and its mean equals them;
+    passing an inconsistent mean is an error.
     """
 
     kind: str
@@ -64,15 +64,13 @@ class DistributionSpec:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown distribution kind {self.kind!r}")
         object.__setattr__(self, "mean", _finite(self.mean, f"{self.kind} mean"))
-        if self.kind == "constant":
-            if self.mean < 0:
+        if self.kind in ("exponential", "constant"):
+            if self.shape is not None:
+                raise ConfigError(f"{self.kind} takes no shape, got {self.shape!r}")
+            if self.kind == "constant" and self.mean < 0:
                 raise ConfigError("constant distribution needs mean >= 0")
-            object.__setattr__(self, "shape", None)
-            return
-        if self.kind == "exponential":
-            if self.mean <= 0:
+            if self.kind == "exponential" and self.mean <= 0:
                 raise ConfigError("exponential distribution needs mean > 0")
-            object.__setattr__(self, "shape", None)
             return
         if self.shape is None:
             raise ConfigError(f"{self.kind} distribution needs a shape parameter")
@@ -140,9 +138,14 @@ def constant(mean: float) -> DistributionSpec:
 
 
 def spec_from_dict(d: dict) -> DistributionSpec:
-    """Rebuild a spec from the config-schema dict {kind, mean, shape?}."""
+    """A spec from the config-schema dict {kind, mean, shape?}: the one
+    constructor of a spec from its fields, which parse_spec also calls.
+    A key other than those three is an error."""
     if not isinstance(d, dict):
         raise ConfigError(f"a distribution must be a JSON object, got {d!r}")
+    extra = [repr(key) for key in d if key not in ("kind", "mean", "shape")]
+    if extra:
+        raise ConfigError(f"unknown distribution field {', '.join(extra)} (use kind, mean, shape)")
     if "kind" not in d:
         raise ConfigError("distribution dict needs a 'kind' field")
     kind = d["kind"]
@@ -161,24 +164,17 @@ def parse_spec(text: str) -> DistributionSpec:
     """Parse the flag syntax kind:mean or kind:mean:shape.
 
     Examples: exp:1, gamma:0.5:2 (mean 0.5, shape 2), chi2:4, const:0.
+    spec_from_dict builds it from the fields' text.
     """
-    parts = text.split(":")
-    kind = _ALIASES.get(parts[0].strip().lower())
+    kind, *fields = text.split(":")
+    kind = _ALIASES.get(kind.strip().lower())
     if kind is None:
         raise ConfigError(f"unknown distribution kind in {text!r}")
-    try:
-        nums = [float(p) for p in parts[1:]]
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric field in distribution {text!r}") from exc
-    if kind == "gamma":
-        if len(nums) != 2:
-            raise ConfigError("gamma takes two fields: gamma:<mean>:<shape>")
-        return gamma(shape=nums[1], mean=nums[0])
-    if len(nums) != 1:
+    if kind == "gamma" and len(fields) != 2:
+        raise ConfigError("gamma takes two fields: gamma:<mean>:<shape>")
+    if kind != "gamma" and len(fields) != 1:
         raise ConfigError(f"{kind} takes one field: {kind}:<mean>")
-    if kind == "chi_squared":
-        return chi_squared(nums[0])
-    return DistributionSpec(kind, nums[0])
+    return spec_from_dict(dict(zip(("kind", "mean", "shape"), (kind, *fields))))
 
 
 def with_mean(spec: DistributionSpec, mean: float) -> DistributionSpec:
@@ -341,8 +337,7 @@ def mixture_cdf(spec: DistributionSpec, m: int, r):
 
         F_m(r) = 1/m + ((m-1)/m) * F_delay(r)   for r >= 0, else 0.
     """
-    if m < 1:
-        raise ConfigError(f"worker count m must be >= 1, got {m}")
+    check_count("worker count m", m)
     r = np.asarray(r, dtype=float)
     out = np.where(r >= 0, 1.0 / m + ((m - 1) / m) * np.asarray(cdf(spec, r)), 0.0)
     return out if out.ndim else float(out)
@@ -354,6 +349,4 @@ def sup_gap_bound(m: int) -> float:
     The true gap is (1/m)(1 - F_delay(r)) <= 1/m for r >= 0; 2/m is the
     slightly looser bound used as the exactness criterion on grids.
     """
-    if m < 1:
-        raise ConfigError(f"worker count m must be >= 1, got {m}")
-    return 2.0 / m
+    return 2.0 / check_count("worker count m", m)

@@ -80,18 +80,26 @@ def check_writable(path, make_parents: bool = False) -> None:
         raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
 
 
+def read_object(path, what: str) -> dict:
+    """The JSON object in the file at ``path``.  A file that cannot be
+    read or decoded, is not JSON, is nested too deeply to parse or holds
+    no object raises ConfigError naming ``what`` and the path."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return doc
+
+
 def write_manifest(manifest: RunManifest, path) -> None:
     write_text(path, json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
 
 
 def load_manifest(path) -> RunManifest:
     """Read a manifest; a file that is not one raises ConfigError."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read manifest {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"manifest {path} must hold a JSON object")
+    doc = read_object(path, "manifest")
     known = fields(RunManifest)
     missing = [f.name for f in known
                if f.default is MISSING and f.default_factory is MISSING and f.name not in doc]

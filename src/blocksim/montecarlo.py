@@ -28,10 +28,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .distributions import with_mean
-from .errors import ConfigError, RunError
+from .errors import ConfigError, RunError, check_count
 from .infinite import simulate_infinite
 from .matrix import simulate_matrix
-from .network import NetSimConfig, check_count, simulate_network
+from .network import NetSimConfig, simulate_network
 from .rng import StreamBundle, mix64
 
 ENGINES = {
@@ -111,8 +111,7 @@ def run_replication_sets(sets, jobs: int = 1) -> list[McEstimate]:
     deterministic regardless of ``jobs``.  A failing replication raises
     as _run_chunk says, whatever ``jobs`` is.
     """
-    if jobs < 1:
-        raise ConfigError(f"job count must be >= 1, got {jobs}")
+    check_count("job count", jobs)
     counts = [replications for _, _, replications, _ in sets]
     for count in counts:
         check_count("replication count", count)
@@ -260,10 +259,7 @@ def _efficiency(alpha, beta, n, sweep, **_):
 def _pdf_histogram(alpha, beta, n, m, bins, **_):
     """The matrix engine with m workers and the unbounded engine, binned on
     shared edges, with their two-sample Kolmogorov-Smirnov distance."""
-    if bins < 1:
-        raise ConfigError(f"histogram bin count must be >= 1, got {bins}")
-    if bins > MAX_BINS:
-        raise ConfigError(f"histogram bin count must be <= {MAX_BINS}, got {bins}")
+    check_count("histogram bin count", bins, MAX_BINS)
     config = NetSimConfig(m=m, n=n, alpha=alpha, beta=beta, seed=0, record_tree=False)
     sets = [("matrix", config), ("infinite", config)]
 

@@ -34,25 +34,13 @@ import numpy as np
 from .blocktree import BlockTree
 from .distributions import (DistributionSpec, creation_times, require_production_role,
                             sample_many)
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .rng import StreamBundle
 
 # Delay values per row block, of max(1, ROW_VALUES // (m-1)) rows.  2**16
 # values per block run as fast at short delays and file fewer pieces at
 # long ones, but cost about 11 MB more peak memory at m=1000.
 ROW_VALUES = 2**12
-
-# The largest worker or block count a config accepts: one array of that
-# many float64 values is 16 GiB, and larger counts overflow inside a run.
-MAX_COUNT = 2**31 - 1
-
-
-def check_count(name: str, count: int) -> None:
-    """Raise ConfigError unless 1 <= count <= MAX_COUNT."""
-    if count < 1:
-        raise ConfigError(f"{name} must be >= 1")
-    if count > MAX_COUNT:
-        raise ConfigError(f"{name} must be <= {MAX_COUNT}, got {count}")
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -120,6 +120,27 @@ MUTANTS = (
     Mutant("write-keeps-file-on-memory-error", "manifest.py",
            "except BaseException as exc:", "except OSError as exc:",
            ("tests/test_manifest.py::TestManifestIo::test_a_write_that_runs_out_of_memory_leaves_no_file",)),
+    # A count of 0 runs nothing: each count has one rule, and 0 is below it.
+    Mutant("count-check-accepts-zero", "errors.py",
+           "if count < 1:", "if count < 0:",
+           ("tests/test_distributions.py::TestCdfs::test_no_workers_rejected",
+            "tests/test_cli.py::TestExperimentBounds::test_exits_2_before_any_run")),
+    # A file that is not UTF-8, not JSON or nested past the parser's depth
+    # raised past the CLI's guard: a traceback and exit 1, not exit 2.
+    Mutant("json-file-reader-catches-only-oserror", "manifest.py",
+           "except (OSError, ValueError, RecursionError) as exc:", "except OSError as exc:",
+           ("tests/test_cli.py::TestMalformedManifest::test_not_a_manifest",
+            "tests/test_cli.py::TestEachInputRuleOnce::test_exits_2_with_one_line")),
+    # A spec object's unknown key was ignored, and its manifest dropped it.
+    Mutant("spec-object-ignores-unknown-key", "distributions.py",
+           "if extra:", "if False:",
+           ("tests/test_distributions.py::TestSerialization::test_dict_with_unknown_key",)),
+    # The last message delivered before each block is made is lost.
+    Mutant("network-drops-last-message-per-block", "network.py",
+           "delivery_sweep(recipients[lo:hi], blocks[lo:hi],",
+           "delivery_sweep(recipients[lo:hi - 1], blocks[lo:hi - 1],",
+           ("tests/test_network.py::TestHandTrace::test_five_block_trace",
+            "tests/test_network.py::TestPinned::test_outputs_unchanged")),
 )
 
 

@@ -14,7 +14,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from blocksim import __version__, cli, montecarlo, network
+from blocksim import __version__, cli, errors, montecarlo, network
 from blocksim.blocktree import BlockTree
 from blocksim.cli import main
 from blocksim.distributions import exponential
@@ -357,6 +357,7 @@ class TestSimulateErrors:
 
 
 SIM =["simulate", "--alpha", ALPHA, "--beta", BETA]
+EXP_ARGS = ["experiment", "--alpha", ALPHA, "--beta", BETA, "--n", "20", "--reps", "2"]
 
 
 class TestOneInputPath:
@@ -371,7 +372,22 @@ class TestOneInputPath:
         (["validate", "--quick", "--seed", "1.5"], "seed must be an integer, got '1.5'"),
         (["simulate", "--config", "missing.json"], "cannot read config file missing.json"),
         (["replay", "missing.json"], "cannot read manifest missing.json"),
-    ], ids=["m", "n", "engine", "kind", "tree-format", "validate-seed", "config", "replay"])
+        # Counts have one rule, also where the kind does not read the count.
+        ([*EXP_ARGS, "--kind", "efficiency", "--sweep", "1", "--m", "3000000000"],
+         "worker count m must be <= 2147483647, got 3000000000"),
+        ([*EXP_ARGS, "--kind", "single", "--jobs", "3000000000"],
+         "job count must be <= 2147483647, got 3000000000"),
+        # mix64 reads a seed mod 2**64: -5 would run the streams of 2**64 - 5.
+        ([*SIM, "--n", "20", "--engine", "infinite", "--seed", "-5"],
+         "seed must be >= 0 and < 2**64, got -5"),
+        ([*SIM, "--n", "20", "--engine", "infinite", "--seed", str(2**64)],
+         f"seed must be >= 0 and < 2**64, got {2**64}"),
+        (["validate", "--quick", "--seed", "-5"], "seed must be >= 0 and < 2**64, got -5"),
+        (["validate", "--quick", "--seed", str(2**64)],
+         f"seed must be >= 0 and < 2**64, got {2**64}"),
+    ], ids=["m", "n", "engine", "kind", "tree-format", "validate-seed", "config", "replay",
+          "efficiency-m", "jobs", "seed-negative", "seed-past-2**64", "validate-seed-negative",
+          "validate-seed-past-2**64"])
     def test_bad_input_is_one_error_line_and_writes_nothing(self, runner, tmp_path, argv,
                                                              named):
         # A flag's text goes through the parser a config file's value goes
@@ -423,6 +439,63 @@ class TestOneInputPath:
         result = runner.invoke(main, ["validate", "--quick", *(["--seed", flag] if flag else [])])
         assert result.exit_code == 0, result.output
         assert seen == [seed]
+
+
+NESTED = "[" * 100_000 + "]" * 100_000
+SPEC_CONFIG = {"engine": "infinite", "alpha": ALPHA, "n": 20}
+
+
+class TestEachInputRuleOnce:
+    """Each input rule has one home, so every route to it fails alike:
+    exit 2, one error line, no traceback and no file written."""
+
+    @pytest.mark.parametrize("inputs, argv, env, named", [
+        ({"c.json": b'{"n": "\xff"}'}, ["simulate", "--config", "c.json"], {},
+         "cannot read config file c.json: 'utf-8' codec can't decode"),
+        ({"c.json": NESTED}, ["simulate", "--config", "c.json"], {},
+         "cannot read config file c.json: maximum recursion depth exceeded"),
+        ({"m.json": NESTED}, ["replay", "m.json"], {},
+         "cannot read manifest m.json: maximum recursion depth exceeded"),
+        ({"c.json": {**SPEC_CONFIG, "beta": {"kind": "exponential", "mean": 1, "shape": 7}}},
+         ["simulate", "--config", "c.json"], {},
+         "exponential takes no shape, got 7"),
+        ({"c.json": {**SPEC_CONFIG, "beta": {"kind": "exponential", "mean": 1, "rate": 2}}},
+         ["simulate", "--config", "c.json"], {},
+         "unknown distribution field 'rate' (use kind, mean, shape)"),
+        ({}, [*SIM, "--n", "20", "--engine", "infinite"], {"BLOCKSIM_SEED": "-5"},
+         "BLOCKSIM_SEED must be >= 0 and < 2**64, got -5"),
+        ({}, ["validate", "--quick"], {"BLOCKSIM_SEED": str(2**64)},
+         f"BLOCKSIM_SEED must be >= 0 and < 2**64, got {2**64}"),
+    ], ids=["config-not-utf8", "config-nested", "replay-nested", "spec-shape-on-exponential",
+          "spec-unknown-key", "env-seed-negative", "validate-env-seed-past-2**64"])
+    def test_exits_2_with_one_line(self, runner, tmp_path, inputs, argv, env, named):
+        with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+            for name, data in inputs.items():
+                if isinstance(data, dict):
+                    data = json.dumps(data)
+                (Path(cwd) / name).write_bytes(data if isinstance(data, bytes) else data.encode())
+            result = runner.invoke(main, argv, env=env)
+            assert isinstance(result.exception, SystemExit), result.output
+            assert result.exit_code == 2
+            [line] = result.output.splitlines()
+            assert line.startswith(f"error: {named}")
+            assert sorted(p.name for p in Path(cwd).iterdir()) == sorted(inputs)
+
+    def test_replayed_seed_out_of_range_exits_2(self, runner, tmp_path):
+        runner.invoke(main, simulate_args(tmp_path, "--seed", "2"))
+        path = tmp_path / "outcome.json.manifest.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "base_seed": 2**64 + 2}))
+        result = runner.invoke(main, ["replay", str(path), "--out-dir", str(tmp_path / "r")])
+        assert result.exit_code == 2
+        assert result.output == f"error: seed must be >= 0 and < 2**64, got {2**64 + 2}\n"
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+    def test_seed_range_ends_run(self, runner, tmp_path, seed):
+        result = runner.invoke(main, simulate_args(tmp_path, "--seed", seed))
+        assert result.exit_code == 0, result.output
+        assert load_manifest(tmp_path / "outcome.json.manifest.json").base_seed == int(seed)
 
 
 class TestOneFilePerOutput:
@@ -484,7 +557,7 @@ class TestExperimentBounds:
          "histogram bin count must be <= 1048576, got 1048577"),
         (["--kind", "single", "--reps", "3000000000"],
          "replication count must be <= 2147483647, got 3000000000"),
-        (["--kind", "single", "--reps", "0"], "replication count must be >= 1"),
+        (["--kind", "single", "--reps", "0"], "replication count must be >= 1, got 0"),
         (["--kind", "convergence", "--sweep", "2,1e300"],
          "worker count m must be <= 2147483647, got 1e+300"),
         (["--kind", "convergence", "--sweep", "2147483648"],
@@ -505,8 +578,8 @@ class TestExperimentBounds:
             **spec, m=3, bins=montecarlo.MAX_BINS)
         assert [engine for engine, _ in sets] == ["matrix", "infinite"]
         sets, _ = montecarlo.EXPERIMENTS["convergence"].driver(
-            **spec, sweep=[float(network.MAX_COUNT)])
-        assert sets[0][1].m == network.MAX_COUNT
+            **spec, sweep=[float(errors.MAX_COUNT)])
+        assert sets[0][1].m == errors.MAX_COUNT
 
 
 class TestEfficiencySweepErrors:
@@ -587,7 +660,7 @@ class TestConfigResolution:
         result = runner.invoke(main, ["simulate", "--config", str(path),
                                       "--out", str(tmp_path / "o.json")])
         assert result.exit_code == 2
-        assert result.output == "error: config file must hold a JSON object\n"
+        assert result.output == f"error: config file {path} must hold a JSON object\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_distribution_object_without_mean_exits_2(self, runner, tmp_path):

@@ -106,9 +106,12 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             DistributionSpec("chi_squared", mean=3.0, shape=4.0)
 
-    def test_shape_normalized_away_for_simple_kinds(self):
-        assert DistributionSpec("exponential", 1.0, shape=9.0).shape is None
-        assert DistributionSpec("constant", 1.0, shape=9.0).shape is None
+    def test_shape_rejected_for_simple_kinds(self):
+        # A shape was once set to None, so a manifest dropped it unseen.
+        for kind in ("exponential", "constant"):
+            with pytest.raises(ConfigError, match=f"^{kind} takes no shape, got 9.0$"):
+                DistributionSpec(kind, 1.0, shape=9.0)
+            assert DistributionSpec(kind, 1.0, shape=None).shape is None
 
     def test_gamma_scale(self):
         assert gamma(shape=2, mean=4).scale == 2.0
@@ -136,6 +139,12 @@ class TestSerialization:
     def test_dict_that_is_not_an_object(self):
         with pytest.raises(ConfigError, match="a distribution must be a JSON object"):
             spec_from_dict(["exponential", 1.0])
+
+    @pytest.mark.parametrize("d", [{"kind": "exponential", "mean": 1, "rate": 2},
+                                   {"kind": "gamma", "mean": 1, "shape": 2, "scale": 0.5}])
+    def test_dict_with_unknown_key(self, d):
+        with pytest.raises(ConfigError, match="^unknown distribution field '(rate|scale)' "):
+            spec_from_dict(d)
 
     def test_chi_squared_dict_without_mean(self):
         assert spec_from_dict({"kind": "chi_squared", "shape": 5}) == chi_squared(5)
