@@ -233,30 +233,38 @@ def _gamma_shape(spec: DistributionSpec) -> float:
     return spec.shape if spec.kind == "gamma" else spec.shape / 2.0
 
 
-@functools.cache
 def _gamma_ufuncs():
-    """scipy's (gammaincinv, gammainc), from the extension that holds them.
+    """scipy's (gammaincinv, gammainc), from the extension that holds them."""
+    return lean_import("scipy.special", "_ufuncs.gammaincinv", "_ufuncs.gammainc")
 
-    ``import scipy.special`` costs ten times as much: it loads scipy's
-    array-API shim, and with it numpy.f2py and numpy.testing.  The
-    extension is loaded under a stub package that leaves sys.modules at
-    once, so a later ``import scipy.special`` binds the same ufuncs.  If
-    scipy moves them, the public import serves them.
+
+@functools.cache
+def lean_import(package: str, *names: str) -> tuple:
+    """The objects ``module.name`` of ``package``'s submodules, in order,
+    without running the package's own __init__; a later call is a lookup.
+
+    A package's __init__ can cost many times the one extension a run
+    needs: ``import scipy.special`` loads scipy's array-API shim, and with
+    it numpy.f2py and numpy.testing; ``import numpy.random`` loads every
+    bit generator, mtrand and _pickle besides PCG64.  The submodules are
+    loaded under a stub package that leaves sys.modules at once, so a
+    later public import binds the same objects.  If the package is loaded
+    already, or its layout has moved them, the public import serves them.
     """
-    if "scipy.special" not in sys.modules:
+    if package not in sys.modules:
         try:
-            stub = types.ModuleType("scipy.special")
-            stub.__path__ = importlib.util.find_spec("scipy.special").submodule_search_locations
-            sys.modules["scipy.special"] = stub
+            stub = types.ModuleType(package)
+            stub.__path__ = importlib.util.find_spec(package).submodule_search_locations
+            sys.modules[package] = stub
             try:
-                ufuncs = importlib.import_module("scipy.special._ufuncs")
+                return tuple(getattr(importlib.import_module(f"{package}.{module}"), name)
+                             for module, name in (n.split(".") for n in names))
             finally:
-                del sys.modules["scipy.special"]
-            return ufuncs.gammaincinv, ufuncs.gammainc
+                del sys.modules[package]
         except (ImportError, AttributeError):
             pass
-    from scipy.special import gammainc, gammaincinv
-    return gammaincinv, gammainc
+    public = importlib.import_module(package)
+    return tuple(getattr(public, n.split(".")[1]) for n in names)
 
 
 def sample_many(spec: DistributionSpec, stream, size: int) -> np.ndarray:

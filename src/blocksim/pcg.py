@@ -25,6 +25,8 @@ import functools
 
 import numpy as np
 
+from .distributions import lean_import
+
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 multiplier A
@@ -37,7 +39,8 @@ _AT_SLICE = 4096
 
 def find_origin(seed: int) -> tuple:
     """PCG64(seed)'s position-0 state, its anchor jumps and G_j * inc."""
-    state = np.random.PCG64(seed).state["state"]
+    [pcg64] = lean_import("numpy.random", "_pcg64.PCG64")
+    state = pcg64(seed).state["state"]
     s0, inc = state["state"], state["inc"]
     jumps = [(a, g * inc & _MASK128) for a, g in _anchor_jumps()]
     _, _, g_hi, g_lo = _step_tables()
@@ -85,13 +88,21 @@ def _split(values) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _step_tables() -> tuple[np.ndarray, ...]:
-    """A^j and G_j for j < 2**_ANCHOR_BITS, as high and low halves; seed-free."""
-    a, g, powers, sums = 1, 0, [], []
-    for _ in range(1 << _ANCHOR_BITS):
-        powers.append(a)
-        sums.append(g)
-        a, g = a * _PCG_MULT & _MASK128, (g * _PCG_MULT + 1) & _MASK128
-    return (*_split(powers), *_split(sums))
+    """A^j and G_j for j < 2**_ANCHOR_BITS, as high and low halves; seed-free.
+
+    Built by doubling: with the entries for n < m = 2**L in hand, round L
+    appends those for m + n, (A^n A^m, A^m G_n + G_m).
+    """
+    one, zero = np.ones(1, np.uint64), np.zeros(1, np.uint64)
+    tables = (zero, one, zero, zero)  # A^0 = 1, G_0 = 0
+    for bits in range(_ANCHOR_BITS):
+        am_hi, am_lo, gm_hi, gm_lo = (np.uint64(v >> s & _MASK64)
+                                      for v in _jump(1 << bits) for s in (64, 0))
+        a_hi, a_lo, g_hi, g_lo = tables
+        step = (*_mul_add(a_hi, a_lo, am_hi, am_lo, zero, zero),
+                *_mul_add(g_hi, g_lo, am_hi, am_lo, gm_hi, gm_lo))
+        tables = tuple(np.concatenate(pair) for pair in zip(tables, step))
+    return tables
 
 
 def _jump(n: int) -> tuple[int, int]:

@@ -11,6 +11,9 @@ A stream is read in order (uniforms), moved (seek), or read at absolute
 positions without moving (at).  Position p is the (p+1)-th value a fresh
 stream draws.  `at` draws a dense set in order and computes any other
 in numpy from the stream's seed (blocksim.pcg).
+
+numpy's Generator and PCG64 are loaded by the first stream, without the
+rest of numpy.random (see distributions.lean_import).
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .distributions import lean_import
 
 _MASK64 = (1 << 64) - 1
 
@@ -61,7 +66,8 @@ class SampleStream:
         self.base_seed = int(base_seed)
         self.stream_id = int(stream_id)
         self.derived_seed: int | None = mix64(self.base_seed, self.stream_id)
-        self._gen = np.random.Generator(np.random.PCG64(self.derived_seed))
+        generator, pcg64 = lean_import("numpy.random", "_generator.Generator", "_pcg64.PCG64")
+        self._gen = generator(pcg64(self.derived_seed))
         self.position = 0
 
     def uniforms(self, size: int) -> np.ndarray:

@@ -141,6 +141,30 @@ MUTANTS = (
            "delivery_sweep(recipients[lo:hi - 1], blocks[lo:hi - 1],",
            ("tests/test_network.py::TestHandTrace::test_five_block_trace",
             "tests/test_network.py::TestPinned::test_outputs_unchanged")),
+    # Without the exit hook the interpreter's last collections walk the heap.
+    Mutant("exit-collects-the-heap", "cli.py",
+           "atexit.register(gc.freeze)", "",
+           ("tests/test_cli.py::TestExit::test_heap_frozen_at_exit[ok]",)),
+    # The public import loads every bit generator, mtrand and _pickle.
+    Mutant("lean-import-always-public", "distributions.py",
+           "if package not in sys.modules:", "if False:",
+           ("tests/test_rng.py::TestLeanNumpyRandom::"
+            "test_commands_leave_the_rest_unloaded[network]",)),
+    # A doubling round must scale G_n by the jump's A^m, not by its own A^n.
+    Mutant("step-tables-compose-g-wrongly", "pcg.py",
+           "_mul_add(g_hi, g_lo, am_hi, am_lo, gm_hi, gm_lo)",
+           "_mul_add(g_hi, g_lo, a_hi, a_lo, gm_hi, gm_lo)",
+           ("tests/test_rng.py::TestStepTables::test_doubling_equals_the_stepwise_recurrence",)),
+    # Every kind records bins, so every kind checks it.
+    Mutant("bins-unchecked", "cli.py",
+           '"bins": (20, _bin_count,', '"bins": (20, _int_field,',
+           ("tests/test_cli.py::TestExperimentBounds::"
+            "test_exits_2_before_any_run[bins-zero-single]",)),
+    # A spec object's message names the field that holds it.
+    Mutant("spec-object-error-names-no-field", "cli.py",
+           'raise ConfigError(f"{key}: {exc}") from None', "raise",
+           ("tests/test_cli.py::TestConfigResolution::"
+            "test_distribution_object_without_mean_exits_2",)),
 )
 
 

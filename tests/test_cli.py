@@ -458,10 +458,10 @@ class TestEachInputRuleOnce:
          "cannot read manifest m.json: maximum recursion depth exceeded"),
         ({"c.json": {**SPEC_CONFIG, "beta": {"kind": "exponential", "mean": 1, "shape": 7}}},
          ["simulate", "--config", "c.json"], {},
-         "exponential takes no shape, got 7"),
+         "beta: exponential takes no shape, got 7"),
         ({"c.json": {**SPEC_CONFIG, "beta": {"kind": "exponential", "mean": 1, "rate": 2}}},
          ["simulate", "--config", "c.json"], {},
-         "unknown distribution field 'rate' (use kind, mean, shape)"),
+         "beta: unknown distribution field 'rate' (use kind, mean, shape)"),
         ({}, [*SIM, "--n", "20", "--engine", "infinite"], {"BLOCKSIM_SEED": "-5"},
          "BLOCKSIM_SEED must be >= 0 and < 2**64, got -5"),
         ({}, ["validate", "--quick"], {"BLOCKSIM_SEED": str(2**64)},
@@ -553,8 +553,11 @@ class TestExperimentBounds:
     @pytest.mark.parametrize("args, message", [
         (["--kind", "pdf-histogram", "--bins", "100000000000"],
          "histogram bin count must be <= 1048576, got 100000000000"),
-        (["--kind", "pdf-histogram", "--bins", str(montecarlo.MAX_BINS + 1)],
+        (["--kind", "pdf-histogram", "--bins", str(cli.MAX_BINS + 1)],
          "histogram bin count must be <= 1048576, got 1048577"),
+        (["--kind", "pdf-histogram", "--bins", "0"], "histogram bin count must be >= 1, got 0"),
+        (["--kind", "pdf-histogram", "--bins", "-4"], "histogram bin count must be >= 1, got -4"),
+        (["--kind", "single", "--bins", "0"], "histogram bin count must be >= 1, got 0"),
         (["--kind", "single", "--reps", "3000000000"],
          "replication count must be <= 2147483647, got 3000000000"),
         (["--kind", "single", "--reps", "0"], "replication count must be >= 1, got 0"),
@@ -562,7 +565,8 @@ class TestExperimentBounds:
          "worker count m must be <= 2147483647, got 1e+300"),
         (["--kind", "convergence", "--sweep", "2147483648"],
          "worker count m must be <= 2147483647, got 2147483648"),
-    ], ids=["bins", "bins-past-cap", "reps", "reps-zero", "sweep", "sweep-past-cap"])
+    ], ids=["bins", "bins-past-cap", "bins-zero", "bins-negative", "bins-zero-single", "reps",
+          "reps-zero", "sweep", "sweep-past-cap"])
     def test_exits_2_before_any_run(self, runner, tmp_path, monkeypatch,
                                     no_engine_runs, args, message):
         monkeypatch.chdir(tmp_path)
@@ -575,7 +579,7 @@ class TestExperimentBounds:
     def test_bounds_themselves_are_accepted(self):
         spec = dict(alpha=exponential(1.0), beta=exponential(0.1), n=20)
         sets, _ = montecarlo.EXPERIMENTS["pdf_histogram"].driver(
-            **spec, m=3, bins=montecarlo.MAX_BINS)
+            **spec, m=3, bins=cli.MAX_BINS)
         assert [engine for engine, _ in sets] == ["matrix", "infinite"]
         sets, _ = montecarlo.EXPERIMENTS["convergence"].driver(
             **spec, sweep=[float(errors.MAX_COUNT)])
@@ -668,7 +672,7 @@ class TestConfigResolution:
         result = runner.invoke(main, ["simulate", "--config", str(path),
                                       "--out", str(tmp_path / "o.json")])
         assert result.exit_code == 2
-        assert result.output == "error: distribution dict needs a 'mean' field\n"
+        assert result.output == "error: alpha: distribution dict needs a 'mean' field\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_chi_squared_object_without_parameter_exits_2(self, runner, tmp_path):
@@ -1007,7 +1011,9 @@ class TestExperiment:
             "--kind", "convergence", "--sweep", sweep, "--reps", "2",
             "--out", str(tmp_path / "t.csv")])
         assert result.exit_code == 2
-        assert "worker counts must be finite integers >= 1" in result.output
+        assert result.output == ("error: worker count m must be >= 1, got 0\n" if sweep == "2,0"
+                                 else "error: convergence sweep: worker counts must be finite "
+                                      f"integers, got {float(sweep)!r}\n")
         assert len(result.output.strip().splitlines()) == 1
         assert not (tmp_path / "t.csv").exists()
 
@@ -1532,6 +1538,37 @@ class TestStartup:
     def test_library_import_leaves_the_environment_alone(self):
         assert self.run("import os, blocksim.network\n"
                         "print(os.environ.get('OPENBLAS_NUM_THREADS'))") == ["None"]
+
+
+class TestExit:
+    """The CLI leaves the interpreter's collections at exit undone: an exit
+    hook freezes the heap, and the exit codes stay as they were."""
+
+    FAIL_RUN = ("from blocksim import montecarlo\n"
+                "def engine(config):\n    raise MemoryError('Unable to allocate 229. MiB')\n"
+                "montecarlo.ENGINES['infinite'] = engine\n")
+    SIM = ["simulate", "--engine", "infinite", "--alpha", ALPHA, "--beta", BETA, "--n", "30"]
+
+    @pytest.mark.parametrize("argv, patch, code", [
+        (SIM, "", 0),
+        (["validate", "--quick", "--inject-fault", "--seed", "3"], "", 1),
+        ([*SIM, "--m", "0"], "", 2),
+        (SIM, FAIL_RUN, 3),
+    ], ids=["ok", "validation-fails", "bad-input", "run-fails"])
+    def test_heap_frozen_at_exit(self, tmp_path, argv, patch, code):
+        # A hook registered before the CLI's import runs after the CLI's own.
+        script = ("import atexit, gc\n"
+                  "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0))\n"
+                  "import blocksim.cli\n" + patch
+                  + f"blocksim.cli.main({argv!r}, prog_name='blocksim')\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "frozen: True"
+        assert "Traceback" not in proc.stderr
 
 
 class TestVersion:

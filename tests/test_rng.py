@@ -1,6 +1,15 @@
+import ast
+import json
+import os
+from pathlib import Path
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import blocksim
+from blocksim import pcg
 from blocksim.distributions import _transform, chi_squared, exponential, gamma, sample_many
 from blocksim.rng import (DENSE, ROLE_DELAY, ROLE_PRODUCER, ROLE_PRODUCTION, SampleStream,
                           StreamBundle, mix64)
@@ -261,3 +270,102 @@ class TestStreamBundle:
         a = StreamBundle.for_run(5)
         b = StreamBundle.for_run(5)
         assert np.array_equal(a.delay.uniforms(100), b.delay.uniforms(100))
+
+
+class TestStepTables:
+    def test_doubling_equals_the_stepwise_recurrence(self):
+        # The oracle is the loop that built the tables before, one
+        # big-int step per entry.
+        a, g, powers, sums = 1, 0, [], []
+        for _ in range(1 << pcg._ANCHOR_BITS):
+            powers.append(a)
+            sums.append(g)
+            a, g = a * pcg._PCG_MULT % 2**128, (g * pcg._PCG_MULT + 1) % 2**128
+        tables = pcg._step_tables()
+        assert all(t.dtype == np.uint64 and t.shape == (4096,) for t in tables)
+        a_hi, a_lo, g_hi, g_lo = (t.tolist() for t in tables)
+        assert [h << 64 | lo for h, lo in zip(a_hi, a_lo)] == powers
+        assert [h << 64 | lo for h, lo in zip(g_hi, g_lo)] == sums
+
+
+# What numpy.random's own __init__ loads besides PCG64 and Generator.
+UNUSED_RANDOM = {"numpy.random", "numpy.random.mtrand", "numpy.random._mt19937",
+                 "numpy.random._philox", "numpy.random._sfc64", "numpy.random._pickle"}
+
+# Blocks PCG64's extension while it is loaded under the stub package, as
+# a numpy whose layout moved it would.
+BLOCK_LEAN_RANDOM = """
+import sys
+class Block:
+    def find_spec(self, name, path=None, target=None):
+        if (name == "numpy.random._pcg64"
+                and not hasattr(sys.modules.get("numpy.random"), "__file__")):
+            raise ImportError("no PCG64 under the stub")
+sys.meta_path.insert(0, Block())
+"""
+
+# A stream's draws through blocksim, then through the public numpy.random.
+LEAN_THEN_PUBLIC_RANDOM = """
+import json
+import sys
+from blocksim import rng
+stream = rng.SampleStream(7, 3)
+ours = stream.uniforms(1000).tolist()
+mtrand_before = "numpy.random.mtrand" in sys.modules
+import numpy.random
+public = numpy.random.Generator(numpy.random.PCG64(stream.derived_seed)).random(1000).tolist()
+print(json.dumps({
+    "mtrand_before": mtrand_before,
+    "bits_equal": ours == public,
+    "same_classes": (type(stream._gen), type(stream._gen.bit_generator))
+                    == (numpy.random.Generator, numpy.random.PCG64),
+    "real_package": hasattr(sys.modules["numpy.random"], "__file__"),
+}))
+"""
+
+
+def run_python(script, cwd=None):
+    """The lines ``script`` prints in a fresh interpreter that imports this blocksim."""
+    src = str(Path(blocksim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()
+
+
+class TestLeanNumpyRandom:
+    """Streams load numpy's PCG64 and Generator, not the rest of numpy.random."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--engine", "network", "--alpha", "exp:1", "--beta", "exp:1",
+         "--m", "5", "--n", "200", "--seed", "1"],
+        ["experiment", "--kind", "convergence", "--alpha", "exp:1", "--beta", "exp:1",
+         "--n", "50", "--reps", "2", "--sweep", "2,300"],
+        ["validate", "--quick", "--seed", "3"],
+    ], ids=["network", "convergence", "validate-quick"])
+    def test_commands_leave_the_rest_unloaded(self, tmp_path, argv):
+        script = ("import sys\nfrom blocksim.cli import main\n"
+                  f"main({argv!r}, standalone_mode=False)\n"
+                  "print(sorted(m for m in sys.modules"
+                  " if m.startswith('numpy.random') or m == 'blocksim.pcg'))")
+        loaded = set(ast.literal_eval(run_python(script, cwd=tmp_path)[-1]))
+        assert {"numpy.random._pcg64", "numpy.random._generator"} <= loaded
+        assert not loaded & UNUSED_RANDOM
+        if "convergence" in argv:  # its matrix runs read sparse sets through pcg
+            assert "blocksim.pcg" in loaded
+
+    def test_cli_import_loads_no_generator(self):
+        assert run_python("import sys, blocksim.cli\nprint(sorted(m for m in sys.modules"
+                          " if m.startswith('numpy.random')))") == ["[]"]
+
+    @pytest.mark.parametrize("blocked", [False, True], ids=["lean", "fallback"])
+    def test_bits_and_interop(self, blocked):
+        result = json.loads(run_python((BLOCK_LEAN_RANDOM if blocked else "")
+                                       + LEAN_THEN_PUBLIC_RANDOM)[-1])
+        # The lean load skips the package; the fallback is the public import.
+        assert result["mtrand_before"] is blocked
+        assert result["bits_equal"]
+        assert result["same_classes"]
+        assert result["real_package"]
